@@ -23,6 +23,7 @@ from .intersections import adjunction_sing, cov_totals
 from .orbits import (
     SIDE_MINUS,
     SIDE_PLUS,
+    _registered_cover,
     alpha_pm,
     alpha_strict,
     cov_extremal,
@@ -134,14 +135,11 @@ def _underlying_orbit(orbit, target_cover, registry=None, truncation=None):
     """The intermediate cover of the same simple orbit, if resolvable."""
     if orbit.cover == target_cover:
         return orbit
-    if registry is not None:
-        for cand in registry.values():
-            if cand.simple_id == orbit.simple_id and cand.cover == target_cover:
-                return cand
-        simple = registry.get(orbit.simple_id)
-        if simple is not None and simple.is_operator_backed:
-            return cover_orbit(simple, target_cover, registry, truncation)
-    return None
+    found = _registered_cover(registry, orbit.simple_id, target_cover)
+    simple = (registry or {}).get(orbit.simple_id)
+    if found is None and simple is not None and simple.is_operator_backed:
+        found = cover_orbit(simple, target_cover, registry, truncation)
+    return found
 
 
 @dataclass(frozen=True)
@@ -322,7 +320,10 @@ def degeneration_screen(
         )
 
     # Surviving branch: c_N(base) = -1 and index 0.
-    assert c_n_v == Fraction(-1) and ind_v == 0
+    if c_n_v != -1 or ind_v != 0:
+        raise ConsistencyError(
+            f"base with c_N = {c_n_v} and index {ind_v} fits no branch of the screen"
+        )
     composed = composed_curve(scenario, registry, truncation)
     ind_u = fredholm_index(composed, limit, truncation)
     z_phi = riemann_hurwitz_punctured(cover)

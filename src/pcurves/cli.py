@@ -17,7 +17,7 @@ from .curves import k_bound
 from .errors import PCurvesError, ValidationError
 from .queries import _jsonable, run_queries
 from .scenario import SCHEMA_VERSION, load_scenario
-from .spectral import GLOBAL_SPECTRUM_CACHE
+from .spectral import DEFAULT_TRUNCATION, GLOBAL_SPECTRUM_CACHE
 
 EXIT_OK = 0
 EXIT_QUERY_ERROR = 1
@@ -25,7 +25,6 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 ENV_TRUNCATION = "PCURVES_TRUNCATION"
-DEFAULT_TRUNCATION = 64
 
 
 def resolve_truncation(flag_value):
@@ -35,12 +34,15 @@ def resolve_truncation(flag_value):
         return int(flag_value), "flag"
     env = os.environ.get(ENV_TRUNCATION)
     if env is not None:
-        return int(env), "env"
+        try:
+            return int(env), "env"
+        except ValueError:
+            raise ValidationError(f"{ENV_TRUNCATION} must be an integer, got {env!r}")
     return DEFAULT_TRUNCATION, "default"
 
 
-def build_report(scenario, truncation, truncation_source, parallel=False):
-    results = run_queries(scenario, truncation, parallel=parallel)
+def build_report(scenario, truncation, truncation_source):
+    results = run_queries(scenario, truncation)
     status = "ok" if all(r["status"] == "ok" for r in results) else "error"
     return {
         "schema_version": SCHEMA_VERSION,
@@ -82,7 +84,8 @@ def _parse_rational(text):
 
 
 def _cmd_check(args):
-    load_scenario(args.file)
+    truncation, _ = resolve_truncation(None)
+    load_scenario(args.file, truncation=truncation)
     print(f"{args.file}: valid scenario")
     return EXIT_OK
 
@@ -90,7 +93,7 @@ def _cmd_check(args):
 def _cmd_run(args):
     truncation, source = resolve_truncation(args.truncation)
     scenario = load_scenario(args.file, truncation=truncation)
-    report = build_report(scenario, truncation, source, parallel=args.parallel)
+    report = build_report(scenario, truncation, source)
     sys.stdout.buffer.write(emit(report, args.format))
     return EXIT_OK if report["status"] == "ok" else EXIT_QUERY_ERROR
 
@@ -133,9 +136,6 @@ def make_parser():
     p_run.add_argument("file")
     p_run.add_argument("--format", choices=["text", "json"], default="text")
     p_run.add_argument("--truncation", type=int, default=None)
-    p_run.add_argument(
-        "--parallel", action="store_true", help="evaluate queries concurrently"
-    )
 
     p_spec = sub.add_parser("spectrum", help="eigenvalue/winding table of an operator")
     p_spec.add_argument("file")

@@ -16,7 +16,7 @@ from .orbits import (
     alpha_pm,
     conley_zehnder,
 )
-from .rationals import require_half_integer
+from .rationals import exact_int, require_half_integer
 from .surfaces import NEGATIVE, POSITIVE, euler_char
 
 
@@ -242,8 +242,8 @@ def transversality_check(curve, constraints, truncation=None):
     else:
         lower = ind
         upper = ind + k_bound(c_n + z - ind, gamma0, has_boundary)
-    if met:
-        assert lower == upper == max(ind, int(two_z))
+    if met and not lower == upper == max(ind, int(two_z)):
+        raise ConsistencyError("criterion met but the kernel bounds do not agree")
     return TransversalityReport(
         index=ind,
         normal_chern=c_n,
@@ -306,16 +306,14 @@ def line_bundle_bounds(ind_d, c1_adj, gamma0_count, has_boundary):
 def index_normal_operator(curve, constraints, truncation=None):
     """Index of the normal operator: ind(u) - 2 Z(du)."""
     value = fredholm_index(curve, constraints, truncation) - 2 * curve.z_du
-    assert value.denominator == 1
-    return int(value)
+    return exact_int(value, "normal operator index")
 
 
 def index_tangent_operator(curve):
     """Index of the tangent-bundle operator: 3 chi + #punctures + 2 Z(du)."""
     chi = euler_char(curve.surface)
     value = 3 * chi + curve.surface.n_punctures + 2 * curve.z_du
-    assert value.denominator == 1
-    return int(value)
+    return exact_int(value, "tangent operator index")
 
 
 def critical_bound_check(curve, constraints, truncation=None):

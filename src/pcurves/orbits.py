@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     ConsistencyError,
@@ -28,15 +26,22 @@ from .errors import (
     MissingDataError,
     ValidationError,
 )
-from .spectral import GLOBAL_SPECTRUM_CACHE, J0, AsymptoticOperator
-
-DEFAULT_TRUNCATION = 64
+from .rationals import exact_int
+from .spectral import DEFAULT_TRUNCATION, GLOBAL_SPECTRUM_CACHE, J0, AsymptoticOperator
 
 SIDE_MINUS = "-"
 SIDE_PLUS = "+"
 
 WINDING = "winding"
 CROSSING_FLOW = "crossing_flow"
+
+#: steps of the crossing-flow integration on [0, 1]
+FLOW_STEPS = 2048
+#: |tr Psi(1) - 2| below which the crossing-flow endpoint counts as
+#: degenerate.  The sign of tr - 2 gives the parity; at FLOW_STEPS the
+#: error of the trace stayed below 1e-9 near tr = 2 on random loops of
+#: degree 4 with coefficients up to 4, against 8 times as many steps.
+FLOW_TRACE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -302,8 +307,10 @@ def conley_zehnder(orbit, pert, method=WINDING, truncation=None):
     """Conley-Zehnder index of the perturbed operator.
 
     ``winding`` uses 2 alpha_- + p.  ``crossing_flow`` integrates the
-    linear Hamiltonian flow Psi' = J0 (S + epsilon) Psi and sums the signs
-    of the crossing forms; the two methods agree on nondegenerate data.
+    linear Hamiltonian flow Psi' = J0 (S - epsilon) Psi and reads the index
+    off the trace of Psi(1) and the rotation of Psi(t) e1; it uses only the
+    sampled loop, never the spectrum, and the two methods agree on
+    nondegenerate data.
     """
     if method == WINDING:
         am, _, p = alpha_pm(orbit, pert, truncation)
@@ -324,113 +331,54 @@ def conley_zehnder(orbit, pert, method=WINDING, truncation=None):
 # Crossing-flow evaluation
 
 
-def _crossing_flow_cz(op, epsilon, grid_size=2048):
-    """Robbin-Salamon count for the path Psi' = J0 (S + epsilon) Psi on
-    [0, 1]; callers computing the index of A + eps pass epsilon = -eps."""
-    coeffs = op.fourier_coefficients()
+def _crossing_flow_cz(op, epsilon):
+    """Conley-Zehnder index of the path Psi' = J0 (S + epsilon) Psi on
+    [0, 1]; callers computing the index of A + eps pass epsilon = -eps.
+
+    In dimension 2 the lifted rotations of Psi(t) v over v != 0 fill an
+    interval shorter than 1/2 (Hofer-Wysocki-Zehnder, Properties of
+    pseudoholomorphic curves in symplectisations II).  The index is 2k when
+    that interval contains the integer k, which happens exactly when
+    det(I - Psi(1)) = 2 - tr Psi(1) < 0, and 2k + 1 when it lies in
+    (k, k + 1); the rotation of Psi(t) e1 picks k.
+    """
     n = op.sample_count
-    kmax = n // 2
-    ks = np.arange(-kmax, kmax + 1)
-    ck = np.empty((len(ks), 2, 2), dtype=complex)
-    for i, k in enumerate(ks):
-        c = coeffs[k % n]
-        if n % 2 == 0 and abs(k) == kmax:
-            c = c / 2.0
-        ck[i] = c
+    ks = np.arange(-(n // 2), n // 2 + 1)
+    coeffs = op.fourier_coefficients()[ks % n].reshape(len(ks), 4)
+    if n % 2 == 0:
+        coeffs[[0, -1]] /= 2.0  # split the Nyquist mode symmetrically
+    h = 1.0 / FLOW_STEPS
+    starts = np.arange(FLOW_STEPS) * h
+    gauss = math.sqrt(3) / 6
 
-    def s_tilde(t):
-        phases = np.exp(2j * np.pi * ks * t)
-        s = np.tensordot(phases, ck, axes=(0, 0)).real
-        s[0, 0] += epsilon
-        s[1, 1] += epsilon
-        return s
+    def generator(t):
+        s = (np.exp(2j * np.pi * np.outer(t, ks)) @ coeffs).real.reshape(-1, 2, 2)
+        return J0 @ (s + epsilon * np.eye(2))
 
-    def rhs(t, y):
-        psi = y.reshape(2, 2)
-        return (J0 @ s_tilde(t) @ psi).reshape(4)
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, 1.0),
-        np.eye(2).reshape(4),
-        method="DOP853",
-        rtol=1e-11,
-        atol=1e-13,
-        dense_output=True,
+    # Fourth-order Magnus steps from the two Gauss points of each step.  X
+    # is trace-free, so X @ X = -det(X) I and exp(X) = cos(w) I +
+    # (sin(w) / w) X with w = sqrt(det X), real also when det X < 0; every
+    # step lies in Sp(2).
+    a1 = generator(starts + (0.5 - gauss) * h)
+    a2 = generator(starts + (0.5 + gauss) * h)
+    x = 0.5 * h * (a1 + a2) + 0.5 * gauss * h * h * (a2 @ a1 - a1 @ a2)
+    w = np.sqrt(np.linalg.det(x).astype(complex))
+    steps = (
+        np.cos(w).real[:, None, None] * np.eye(2)
+        + np.sinc(w / np.pi).real[:, None, None] * x
     )
-    if not sol.success:
-        raise ConsistencyError(f"flow integration failed: {sol.message}")
-
-    def psi(t):
-        return sol.sol(t).reshape(2, 2)
-
-    def gap(t):
-        m = psi(t)
-        return m[0, 0] + m[1, 1] - 2.0  # det(Psi - I) = 2 - tr for Sp(2)
-
-    ts = np.linspace(0.0, 1.0, grid_size + 1)
-    dense = sol.sol(ts)  # (4, grid+1)
-    gs = dense[0] + dense[3] - 2.0
-
-    cross_tol = 1e-9
-    crossings = []  # interior crossing times
-
-    def push(t):
-        if t < 1e-9:
-            return
-        for prev in crossings:
-            if abs(prev - t) < 1e-7:
-                return
-        crossings.append(t)
-
-    for i in range(grid_size):
-        a, b = gs[i], gs[i + 1]
-        if a == 0.0 and ts[i] > 0:
-            push(ts[i])
-        elif a * b < 0:
-            push(brentq(gap, ts[i], ts[i + 1], xtol=1e-13))
-    # Tangential crossings: local maxima of g touching zero from below
-    # (the flow passes through the identity), and minima touching from above.
-    for i in range(1, grid_size):
-        if abs(gs[i]) > 1e-3:
-            continue
-        if (gs[i] >= gs[i - 1] and gs[i] >= gs[i + 1]) or (
-            gs[i] <= gs[i - 1] and gs[i] <= gs[i + 1]
-        ):
-            sign = 1.0 if gs[i] >= gs[i - 1] else -1.0
-            res = minimize_scalar(
-                lambda t: -sign * gap(t),
-                bounds=(ts[max(i - 1, 0)], ts[min(i + 1, grid_size)]),
-                method="bounded",
-                options={"xatol": 1e-13},
-            )
-            if abs(gap(res.x)) < cross_tol:
-                push(float(res.x))
-
-    if abs(gap(1.0)) < cross_tol:
+    psi = np.empty((FLOW_STEPS + 1, 2, 2))
+    psi[0] = np.eye(2)
+    for j in range(FLOW_STEPS):
+        psi[j + 1] = steps[j] @ psi[j]
+    trace = psi[-1, 0, 0] + psi[-1, 1, 1]
+    if abs(trace - 2.0) < FLOW_TRACE_TOL:
         raise DegeneracyError("degenerate endpoint: the perturbed orbit has kernel")
-
-    def crossing_signature(t):
-        m = psi(t)
-        s = s_tilde(t)
-        if np.linalg.norm(m - np.eye(2)) < 1e-6:
-            evals = np.linalg.eigvalsh(s)
-            if np.min(np.abs(evals)) < 1e-7:
-                raise ConsistencyError(f"non-regular crossing at t={t:.6g}")
-            return int(np.sum(np.sign(evals)))
-        _, _, vt = np.linalg.svd(m - np.eye(2))
-        v = vt[-1]
-        q = float(v @ s @ v)
-        if abs(q) < 1e-7:
-            raise ConsistencyError(f"non-regular crossing at t={t:.6g}")
-        return 1 if q > 0 else -1
-
-    total = Fraction(crossing_signature(0.0), 2)
-    for t in sorted(crossings):
-        total += crossing_signature(t)
-    if total.denominator != 1:
-        raise ConsistencyError("crossing count is not an integer; missed a crossing")
-    return int(total)
+    e1 = psi[:, 0, 0] + 1j * psi[:, 1, 0]
+    turns = float(np.angle(e1[1:] * e1[:-1].conj()).sum()) / (2 * np.pi)
+    if trace > 2.0:
+        return 2 * round(turns)
+    return 2 * math.floor(turns) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +407,21 @@ def cover_orbit(orbit, k, registry=None, truncation=None):
             distinct_from=orbit.distinct_from,
             family_id=orbit.family_id,
         )
-    if registry is not None:
-        for cand in registry.values():
-            if cand.simple_id == orbit.simple_id and cand.cover == orbit.cover * k:
-                return cand
+    found = _registered_cover(registry, orbit.simple_id, orbit.cover * k)
+    if found is not None:
+        return found
     raise MissingDataError(
         f"no declared data for the {k}-fold cover of orbit {orbit.id!r}"
     )
+
+
+def _registered_cover(registry, simple_id, cover):
+    """The orbit of ``registry`` over ``simple_id`` with covering number
+    ``cover``, or None."""
+    for cand in (registry or {}).values():
+        if cand.simple_id == simple_id and cand.cover == cover:
+            return cand
+    return None
 
 
 def cov_extremal(orbit, side, truncation=None):
@@ -501,17 +457,15 @@ def q_of_cover(orbit, pert, k, side, registry=None, truncation=None):
 
 
 def _signed_alpha_term(orbit, pert, sign, truncation):
-    """(-+ alpha_-+) / cover as an exact fraction, for the Omega pairing."""
-    am, ap, _ = alpha_pm(orbit, pert, truncation)
-    if sign == SIDE_PLUS:
-        return Fraction(-am, orbit.cover)
-    return Fraction(ap, orbit.cover)
-
-
-def _signed_alpha_term_strict(orbit, sign, truncation):
-    if sign == SIDE_PLUS:
-        return Fraction(-alpha_strict(orbit, SIDE_MINUS, truncation), orbit.cover)
-    return Fraction(alpha_strict(orbit, SIDE_PLUS, truncation), orbit.cover)
+    """(-+ alpha_-+) / cover as an exact fraction, for the Omega pairing;
+    ``pert`` None takes the unperturbed operator with its kernel excluded."""
+    side = SIDE_MINUS if sign == SIDE_PLUS else SIDE_PLUS
+    if pert is None:
+        alpha = alpha_strict(orbit, side, truncation)
+    else:
+        am, ap, _ = alpha_pm(orbit, pert, truncation)
+        alpha = am if side == SIDE_MINUS else ap
+    return Fraction(-alpha if sign == SIDE_PLUS else alpha, orbit.cover)
 
 
 def _check_comparable(a, b):
@@ -536,21 +490,13 @@ def omega_pair(a, pert_a, b, pert_b, sign, truncation=None):
         return 0
     ta = _signed_alpha_term(a, pert_a, sign, truncation)
     tb = _signed_alpha_term(b, pert_b, sign, truncation)
-    value = a.cover * b.cover * min(ta, tb)
-    assert value.denominator == 1
-    return int(value)
+    return exact_int(a.cover * b.cover * min(ta, tb), "Omega")
 
 
 def omega_pair_strict(a, b, sign, truncation=None):
     """Omega at zero perturbation (kernel excluded); defined also for
     Morse-Bott orbits."""
-    if not _check_comparable(a, b):
-        return 0
-    ta = _signed_alpha_term_strict(a, sign, truncation)
-    tb = _signed_alpha_term_strict(b, sign, truncation)
-    value = a.cover * b.cover * min(ta, tb)
-    assert value.denominator == 1
-    return int(value)
+    return omega_pair(a, None, b, None, sign, truncation)
 
 
 def omega_self(orbit, sign, truncation=None):
@@ -583,9 +529,7 @@ def q_tilde(orbit_m, pert_m, orbit_n, pert_n, k, sign, registry=None, truncation
     q = q_of_cover(orbit_m, pert_m, k, side, registry, truncation)
     first = min(term_m, term_n)
     second = min(term_m - Fraction(q, k * m), term_n)
-    value = k * m * n * (first - second)
-    assert value.denominator == 1
-    value = int(value)
+    value = exact_int(k * m * n * (first - second), "q_tilde")
     if value < 0:
         raise ConsistencyError(f"q_tilde = {value} negative; winding data inconsistent")
     return value

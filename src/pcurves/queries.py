@@ -48,9 +48,6 @@ class QueryRegistry:
 
         return wrap
 
-    def names(self):
-        return sorted(self._handlers)
-
     def run_one(self, scenario, query, truncation):
         name = query["name"]
         if name not in self._handlers:
@@ -622,28 +619,18 @@ def _q_doubling(scenario, params, truncation):
     return {"z_doubled": z_doubled, "ok": ok}
 
 
-def run_queries(scenario, truncation, parallel=False):
+def run_queries(scenario, truncation):
     """Execute the scenario's queries in declaration order; errors are
     recorded per query and the run continues."""
-    results = [None] * len(scenario.queries)
-
-    def evaluate(i):
-        query = scenario.queries[i]
+    results = []
+    for query in scenario.queries:
         try:
-            return REGISTRY.run_one(scenario, query, truncation)
+            results.append(REGISTRY.run_one(scenario, query, truncation))
         except PCurvesError as exc:
-            return {
+            results.append({
                 "name": query.get("name", "?"),
                 "params": _jsonable({k: v for k, v in query.items() if k != "name"}),
                 "status": "error",
                 "error": f"{type(exc).__name__}: {exc}",
-            }
-
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(evaluate, range(len(scenario.queries))))
-    else:
-        results = [evaluate(i) for i in range(len(scenario.queries))]
+            })
     return results

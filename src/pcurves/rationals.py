@@ -37,11 +37,14 @@ def require_half_integer(value, name, location=None):
     return frac
 
 
-def half_int_json(value):
-    """Serialize a half-integer as {"num": ..., "den": 1 or 2}."""
+def exact_int(value, name):
+    """An exact rational that must be an integer, as an int."""
+    from .errors import ConsistencyError
+
     frac = Fraction(value)
-    assert frac.denominator in (1, 2)
-    return {"num": frac.numerator, "den": frac.denominator}
+    if frac.denominator != 1:
+        raise ConsistencyError(f"{name} = {frac} is not an integer; data inconsistent")
+    return int(frac)
 
 
 def rational_json(value):

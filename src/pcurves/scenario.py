@@ -24,7 +24,7 @@ from .orbits import (
     OrbitClass,
 )
 from .rationals import as_fraction
-from .spectral import GLOBAL_SPECTRUM_CACHE, AsymptoticOperator
+from .spectral import DEFAULT_TRUNCATION, GLOBAL_SPECTRUM_CACHE, AsymptoticOperator
 from .surfaces import BranchedCover, PuncturedSurface
 
 SCHEMA_VERSION = 1
@@ -361,7 +361,7 @@ def _certify_orbit(orbit, delta_gap, truncation, location):
         )
 
 
-def load_scenario(path_or_dict, truncation=64):
+def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
     """Parse and fully validate a scenario; raises ValidationError with a
     document path on the first problem."""
     if isinstance(path_or_dict, dict):

@@ -22,6 +22,8 @@ J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 MIN_SAMPLES = 16
 MIN_TRUNCATION = 8
+#: Fourier truncation used when neither the caller nor the environment sets one
+DEFAULT_TRUNCATION = 64
 SYMMETRY_TOL = 1e-12
 #: relative tolerance (times spectral diameter) below which an eigenvalue
 #: counts as sitting exactly at the probed point
@@ -93,28 +95,6 @@ class AsymptoticOperator:
             for a, b, c in self.samples:
                 rows.append((k * a, k * b, k * c))
         return AsymptoticOperator(tuple(rows))
-
-    def shifted(self, epsilon):
-        """A + epsilon, i.e. S replaced by S - epsilon * Id."""
-        eps = float(epsilon)
-        return AsymptoticOperator(
-            tuple((a - eps, b, c - eps) for a, b, c in self.samples)
-        )
-
-    def interpolant(self, t):
-        """Trigonometric interpolant value S(t) as a 2x2 array (t scalar or 1d)."""
-        coeffs = self.fourier_coefficients()
-        n = self.sample_count
-        kmax = n // 2
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        acc = np.zeros((t.size, 2, 2), dtype=complex)
-        for k in range(-kmax, kmax + 1):
-            ck = coeffs[k % n]
-            if k in (n // 2, -(n // 2)) and n % 2 == 0:
-                ck = ck / 2.0  # split the Nyquist mode symmetrically
-            acc += np.exp(2j * np.pi * k * t)[:, None, None] * ck[None, :, :]
-        out = acc.real
-        return out[0] if out.shape[0] == 1 else out
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ interior branching order, cross-checked against Riemann-Hurwitz.
 
 from dataclasses import dataclass, field
 
-from .errors import ValidationError
+from .errors import ConsistencyError, ValidationError
 
 POSITIVE = "+"
 NEGATIVE = "-"
@@ -75,7 +75,10 @@ def _nonstable_row(surface):
         (0, 2, 0): (1, 1),  # annulus
         (1, 0, 0): (2, 2),  # torus
     }
-    return table.get((g, m, p))
+    row = table.get((g, m, p))
+    if row is None:
+        raise ConsistencyError("chi >= 0 implies one of the seven tabulated surfaces")
+    return row
 
 
 def teichmuller_dim(surface):
@@ -87,18 +90,14 @@ def teichmuller_dim(surface):
             + 3 * surface.boundary_components
             + 2 * surface.n_punctures
         )
-    row = _nonstable_row(surface)
-    assert row is not None, "chi >= 0 implies one of the seven tabulated surfaces"
-    return row[0]
+    return _nonstable_row(surface)[0]
 
 
 def aut_dim(surface):
     """Dimension of the automorphism group of the surface; 0 in the stable case."""
     if euler_char(surface) < 0:
         return 0
-    row = _nonstable_row(surface)
-    assert row is not None
-    return row[1]
+    return _nonstable_row(surface)[1]
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,26 @@ def test_spectral_flow_across_kernel():
     assert conley_zehnder(mb, Perturbation(-D)) - conley_zehnder(mb, Perturbation(D)) == 1
 
 
+def test_cz_near_singular_start():
+    # S(0) - eps has the eigenvalue 4.5e-4; tr Psi(1) = 7.11 makes the
+    # index even.
+    a0 = np.array([1.123510533280246, -1.7779772446131967, -1.5642408185544672])
+    a1 = np.array([-0.23129631074964063, 1.6743644319857098, 1.1619434421802655])
+    b1 = np.array([-0.7947551036572875, 0.3202631825058819, -1.068534934843464])
+    t = 2 * np.pi * np.arange(64)[:, None] / 64
+    op = AsymptoticOperator(tuple(map(tuple, a0 + a1 * np.cos(t) + b1 * np.sin(t))))
+    orbit = loop_orbit("near", op)
+    pert = Perturbation(Fraction(9, 10))
+    assert conley_zehnder(orbit, pert, WINDING) == 0
+    assert conley_zehnder(orbit, pert, CROSSING_FLOW) == 0
+
+
+def test_crossing_flow_degenerate_endpoint():
+    orbit = loop_orbit("k1", AsymptoticOperator.constant(0.0, 0.0, 1.3))
+    with pytest.raises(DegeneracyError):
+        conley_zehnder(orbit, Perturbation(0), CROSSING_FLOW)
+
+
 def test_crossing_flow_needs_operator():
     orbit = OrbitClass(
         id="d", simple_id="d", cover=1,

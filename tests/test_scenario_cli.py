@@ -8,7 +8,7 @@ import pytest
 
 from pcurves.cli import build_report, emit, main, resolve_truncation
 from pcurves.errors import ValidationError
-from pcurves.queries import REGISTRY, run_queries
+from pcurves.queries import REGISTRY
 from pcurves.scenario import load_scenario
 
 FOLIATION = Path(__file__).parent.parent / "src" / "pcurves" / "data" / "foliation.scn"
@@ -122,13 +122,6 @@ def test_run_is_deterministic():
     scenario2 = load_scenario(str(FOLIATION))
     r2 = emit(build_report(scenario2, 64, "default"), "json")
     assert r1 == r2
-
-
-def test_parallel_matches_serial():
-    scenario = load_scenario(str(FOLIATION))
-    serial = run_queries(scenario, 64, parallel=False)
-    parallel = run_queries(scenario, 64, parallel=True)
-    assert serial == parallel
 
 
 def test_json_emit_round_trips():
@@ -261,3 +254,26 @@ def test_truncation_env_override(monkeypatch):
     assert resolve_truncation(32) == (32, "flag")
     monkeypatch.delenv("PCURVES_TRUNCATION")
     assert resolve_truncation(None) == (64, "default")
+
+
+def test_cli_check_resolves_truncation_from_env(monkeypatch):
+    # Below MIN_TRUNCATION the gap certification of the operator orbits
+    # must refuse, so an exit code of 0 means the variable was ignored.
+    monkeypatch.setenv("PCURVES_TRUNCATION", "4")
+    assert main(["check", str(FOLIATION)]) == 2
+
+
+def test_non_integer_truncation_env_is_a_validation_error(monkeypatch):
+    monkeypatch.setenv("PCURVES_TRUNCATION", "abc")
+    with pytest.raises(ValidationError):
+        resolve_truncation(None)
+    assert main(["run", str(FOLIATION)]) == 2
+
+
+def test_cli_import_leaves_scipy_out():
+    code = (
+        "import sys, pcurves.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
+    assert proc.stdout.strip() == b"[]"
