@@ -24,6 +24,7 @@ from .errors import (
     ConsistencyError,
     DegeneracyError,
     MissingDataError,
+    SpectralError,
     ValidationError,
 )
 from .rationals import exact_int
@@ -256,12 +257,14 @@ def alpha_strict(orbit, side, truncation=None):
     w = orbit.winding
     if isinstance(w, OperatorWinding):
         spec = _spectrum(orbit, truncation)
-        tol = spec.degeneracy_tol
-        if side == SIDE_MINUS:
-            below = [wi for lam, wi, _ in spec.eigenpairs if lam < -tol]
-            return max(below)
-        above = [wi for lam, wi, _ in spec.eigenpairs if lam > tol]
-        return min(above)
+        sign = -1 if side == SIDE_MINUS else 1
+        windings = [wi for lam, wi, _ in spec.eigenpairs if sign * lam > spec.degeneracy_tol]
+        if not windings:
+            raise SpectralError(
+                f"orbit {orbit.id!r}: the reliable window has no eigenvalue on side"
+                f" {side!r} of 0; increase the truncation"
+            )
+        return max(windings) if side == SIDE_MINUS else min(windings)
     if isinstance(w, DeclaredNondegenerate):
         return w.alpha_minus if side == SIDE_MINUS else w.alpha_plus
     if isinstance(w, DeclaredMorseBott):

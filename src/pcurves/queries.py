@@ -38,15 +38,22 @@ def _pert(params, key="epsilon"):
 class QueryRegistry:
     def __init__(self):
         self._handlers = {}
+        self._required = {}
         self.covered_operations = set()
 
-    def register(self, name, formula, operations):
+    def register(self, name, formula, operations, required):
+        """``required`` names the parameters every query of this kind needs."""
         def wrap(fn):
             self._handlers[name] = (fn, formula)
+            self._required[name] = tuple(required)
             self.covered_operations.update(operations)
             return fn
 
         return wrap
+
+    def missing_params(self, query):
+        """Required parameters the query lacks; an unknown kind fails when run."""
+        return [p for p in self._required.get(query["name"], ()) if p not in query]
 
     def run_one(self, scenario, query, truncation):
         name = query["name"]
@@ -74,7 +81,7 @@ def _surface(scenario, params):
     return scenario.surfaces[sid]
 
 
-@REGISTRY.register("euler_char", "chi = 2 - 2g - m - #punctures", ["euler_char"])
+@REGISTRY.register("euler_char", "chi = 2 - 2g - m - #punctures", ["euler_char"], ["surface"])
 def _q_euler(scenario, params, truncation):
     return surfaces.euler_char(_surface(scenario, params))
 
@@ -83,12 +90,13 @@ def _q_euler(scenario, params, truncation):
     "teichmuller_dim",
     "stable: 6g - 6 + 3m + 2#punctures; else tabulated",
     ["teichmuller_dim"],
+    ["surface"],
 )
 def _q_teich(scenario, params, truncation):
     return surfaces.teichmuller_dim(_surface(scenario, params))
 
 
-@REGISTRY.register("aut_dim", "0 if stable; else tabulated", ["aut_dim"])
+@REGISTRY.register("aut_dim", "0 if stable; else tabulated", ["aut_dim"], ["surface"])
 def _q_aut(scenario, params, truncation):
     return surfaces.aut_dim(_surface(scenario, params))
 
@@ -97,12 +105,13 @@ def _q_aut(scenario, params, truncation):
     "riemann_hurwitz",
     "Z = -chi(domain) + degree * chi(codomain)",
     ["riemann_hurwitz_punctured"],
+    ["cover"],
 )
 def _q_rh(scenario, params, truncation):
     return surfaces.riemann_hurwitz_punctured(scenario.cover_scenario(params["cover"]).cover)
 
 
-@REGISTRY.register("cover_moduli_dim", "dim = 2 Z(d cover)", ["cover_moduli_dim"])
+@REGISTRY.register("cover_moduli_dim", "dim = 2 Z(d cover)", ["cover_moduli_dim"], ["cover"])
 def _q_cmd(scenario, params, truncation):
     return surfaces.cover_moduli_dim(scenario.cover_scenario(params["cover"]).cover)
 
@@ -111,6 +120,7 @@ def _q_cmd(scenario, params, truncation):
     "spectrum",
     "eigenvalues of the Fourier-truncated operator with windings (reliable window)",
     ["discretized_spectrum"],
+    ["orbit"],
 )
 def _q_spectrum(scenario, params, truncation):
     orbit = scenario.orbit(params["orbit"])
@@ -131,6 +141,7 @@ def _q_spectrum(scenario, params, truncation):
     "alpha",
     "extremal windings below/above the probe point, parity = difference",
     ["alpha_pm"],
+    ["orbit"],
 )
 def _q_alpha(scenario, params, truncation):
     am, ap, p = orbits.alpha_pm(scenario.orbit(params["orbit"]), _pert(params), truncation)
@@ -141,6 +152,7 @@ def _q_alpha(scenario, params, truncation):
     "conley_zehnder",
     "winding method: 2 alpha_- + parity; crossing flow: Robbin-Salamon count",
     ["conley_zehnder"],
+    ["orbit"],
 )
 def _q_cz(scenario, params, truncation):
     method = params.get("method", orbits.WINDING)
@@ -149,7 +161,7 @@ def _q_cz(scenario, params, truncation):
     )
 
 
-@REGISTRY.register("nu", "nu = alpha(down-perturbed) - alpha(up-perturbed)", ["nu_pm"])
+@REGISTRY.register("nu", "nu = alpha(down-perturbed) - alpha(up-perturbed)", ["nu_pm"], ["orbit"])
 def _q_nu(scenario, params, truncation):
     nm, np_ = orbits.nu_pm(scenario.orbit(params["orbit"]), truncation)
     return {"nu_minus": nm, "nu_plus": np_}
@@ -159,6 +171,7 @@ def _q_nu(scenario, params, truncation):
     "cover_orbit",
     "k-fold cover: pulled-back operator, eigenvalues scale by k",
     ["cover_orbit"],
+    ["orbit", "k"],
 )
 def _q_cover_orbit(scenario, params, truncation):
     cov = orbits.cover_orbit(
@@ -177,6 +190,7 @@ def _q_cover_orbit(scenario, params, truncation):
     "cov_extremal",
     "largest divisor of the covering number dividing the extremal winding",
     ["cov_extremal"],
+    ["orbit", "side"],
 )
 def _q_cov_extremal(scenario, params, truncation):
     return orbits.cov_extremal(scenario.orbit(params["orbit"]), params["side"], truncation)
@@ -186,6 +200,7 @@ def _q_cov_extremal(scenario, params, truncation):
     "q_cover",
     "alpha(cover + k eps) = k alpha(base + eps) -+ q, q in [0, k-1]",
     ["q_of_cover"],
+    ["orbit", "k", "side"],
 )
 def _q_qcover(scenario, params, truncation):
     return orbits.q_of_cover(
@@ -202,6 +217,7 @@ def _q_qcover(scenario, params, truncation):
     "omega",
     "m n min{(-+ alpha)/m, (-+ alpha)/n}; 0 for distinct orbits",
     ["omega_pair"],
+    ["a", "b", "sign"],
 )
 def _q_omega(scenario, params, truncation):
     return orbits.omega_pair(
@@ -218,6 +234,7 @@ def _q_omega(scenario, params, truncation):
     "omega_self",
     "-+ (k-1) alpha + (cov - 1)",
     ["omega_self"],
+    ["orbit", "sign"],
 )
 def _q_omega_self(scenario, params, truncation):
     return orbits.omega_self(scenario.orbit(params["orbit"]), params["sign"], truncation)
@@ -227,6 +244,7 @@ def _q_omega_self(scenario, params, truncation):
     "q_tilde",
     "covering defect of the Omega pairing",
     ["q_tilde"],
+    ["orbit_m", "orbit_n", "k", "sign"],
 )
 def _q_qtilde(scenario, params, truncation):
     return orbits.q_tilde(
@@ -245,6 +263,7 @@ def _q_qtilde(scenario, params, truncation):
     "delta_mb",
     "[k (m-1) nu + cov - cov_generic] / 2 at unconstrained ends, else 0",
     ["delta_mb"],
+    ["orbit", "sign"],
 )
 def _q_delta_mb(scenario, params, truncation):
     return orbits.delta_mb(
@@ -257,7 +276,8 @@ def _curve(scenario, params, key="curve"):
 
 
 @REGISTRY.register(
-    "parity", "(#even, #odd) punctures under the constraint perturbations", ["parity_partition"]
+    "parity", "(#even, #odd) punctures under the constraint perturbations", ["parity_partition"],
+    ["curve"],
 )
 def _q_parity(scenario, params, truncation):
     even, odd = curves.parity_partition(*_curve(scenario, params), truncation)
@@ -268,6 +288,7 @@ def _q_parity(scenario, params, truncation):
     "index",
     "ind = (n-3) chi + 2 c1 + boundary Maslov + signed CZ sum",
     ["fredholm_index"],
+    ["curve"],
 )
 def _q_index(scenario, params, truncation):
     return curves.fredholm_index(*_curve(scenario, params), truncation)
@@ -277,6 +298,7 @@ def _q_index(scenario, params, truncation):
     "normal_chern",
     "2 c_N = ind - 2 + 2g + #even + m, cross-checked against the winding form",
     ["normal_chern"],
+    ["curve"],
 )
 def _q_cn(scenario, params, truncation):
     return curves.normal_chern(*_curve(scenario, params), truncation)
@@ -286,6 +308,7 @@ def _q_cn(scenario, params, truncation):
     "k_bound",
     "min{k + l : k <= G, 2k + l > 2c}, l even when closed",
     ["k_bound"],
+    ["c", "genus0", "boundary"],
 )
 def _q_kbound(scenario, params, truncation):
     return curves.k_bound(
@@ -297,6 +320,7 @@ def _q_kbound(scenario, params, truncation):
     "transversality",
     "regular when ind > c_N + Z(du); kernel bounds otherwise",
     ["transversality_check"],
+    ["curve"],
 )
 def _q_trans(scenario, params, truncation):
     return curves.transversality_check(*_curve(scenario, params), truncation)
@@ -306,6 +330,7 @@ def _q_trans(scenario, params, truncation):
     "line_bundle",
     "injective iff c1 < 0 (ind <= 0); surjective iff ind > c1 (ind >= 0)",
     ["line_bundle_bounds"],
+    ["index", "c1_adjusted", "gamma0", "boundary"],
 )
 def _q_line_bundle(scenario, params, truncation):
     return curves.line_bundle_bounds(
@@ -320,6 +345,7 @@ def _q_line_bundle(scenario, params, truncation):
     "index_normal",
     "ind(normal operator) = ind - 2 Z(du); tangent: 3 chi + #punctures + 2 Z(du)",
     ["index_normal_operator"],
+    ["curve"],
 )
 def _q_index_normal(scenario, params, truncation):
     curve, cons = _curve(scenario, params)
@@ -333,6 +359,7 @@ def _q_index_normal(scenario, params, truncation):
     "critical_bound",
     "somewhere injective and generic: 2 Z(du) <= ind",
     ["critical_bound_check"],
+    ["curve"],
 )
 def _q_critical(scenario, params, truncation):
     return curves.critical_bound_check(*_curve(scenario, params), truncation)
@@ -342,6 +369,7 @@ def _q_critical(scenario, params, truncation):
     "zero_budget",
     "kernel sections spend Z + Z_infinity = adjusted c1",
     ["adjusted_c1_zero_budget"],
+    ["c1_adjusted"],
 )
 def _q_budget(scenario, params, truncation):
     return curves.adjusted_c1_zero_budget(as_fraction(params["c1_adjusted"]))
@@ -351,10 +379,17 @@ def _pairing(scenario, params):
     return scenario.pairing(params["left"], params["right"])
 
 
+def _self_i(scenario, params, truncation):
+    """i(u|u) of the query's curve."""
+    pairing = scenario.pairing(params["curve"], params["curve"])
+    return intersections.intersection_number(pairing, truncation)
+
+
 @REGISTRY.register(
     "intersection",
     "i = relative pairing - sum of Omega terms",
     ["intersection_number"],
+    ["left", "right"],
 )
 def _q_intersection(scenario, params, truncation):
     return intersections.intersection_number(_pairing(scenario, params), truncation)
@@ -364,6 +399,7 @@ def _q_intersection(scenario, params, truncation):
     "asymptotic",
     "asymptotic contributions: per-end-pair fixed and Morse-Bott parts",
     ["asymptotic_intersection"],
+    ["left", "right"],
 )
 def _q_asymptotic(scenario, params, truncation):
     geometric = params.get("geometric_count")
@@ -376,6 +412,7 @@ def _q_asymptotic(scenario, params, truncation):
     "cov_totals",
     "cov_infinity = sum (cov - 1); cov_morse_bott = sum (cov - 1) nu over unconstrained",
     ["cov_totals"],
+    ["curve"],
 )
 def _q_cov_totals(scenario, params, truncation):
     ci, cm = intersections.cov_totals(*_curve(scenario, params), truncation)
@@ -386,12 +423,11 @@ def _q_cov_totals(scenario, params, truncation):
     "adjunction_sing",
     "sing = [i(u|u) - c_N - cov_infinity - cov_morse_bott] / 2 >= 0",
     ["adjunction_sing"],
+    ["curve"],
 )
 def _q_adj_sing(scenario, params, truncation):
-    cid = params["curve"]
-    curve, cons = scenario.curve(cid)
-    pairing = scenario.pairing(cid, cid)
-    self_i = intersections.intersection_number(pairing, truncation)
+    curve, cons = _curve(scenario, params)
+    self_i = _self_i(scenario, params, truncation)
     return intersections.adjunction_sing(curve, cons, self_i, truncation)
 
 
@@ -399,15 +435,14 @@ def _q_adj_sing(scenario, params, truncation):
     "sing_decomposition",
     "2 delta_infinity assembled from per-end and per-pair nonnegative terms",
     ["sing_decomposition"],
+    ["curve"],
 )
 def _q_sing_dec(scenario, params, truncation):
-    cid = params["curve"]
-    curve, cons = scenario.curve(cid)
+    curve, cons = _curve(scenario, params)
     delta_u = params.get("delta_u")
     adj = None
     if delta_u is not None:
-        pairing = scenario.pairing(cid, cid)
-        self_i = intersections.intersection_number(pairing, truncation)
+        self_i = _self_i(scenario, params, truncation)
         adj = intersections.adjunction_sing(curve, cons, self_i, truncation)
     return intersections.sing_decomposition(
         curve,
@@ -422,6 +457,7 @@ def _q_sing_dec(scenario, params, truncation):
     "pullback_constraints",
     "a domain puncture is constrained iff its image is",
     ["pullback_constraints"],
+    ["cover"],
 )
 def _q_pullback(scenario, params, truncation):
     sc = scenario.cover_scenario(params["cover"])
@@ -433,6 +469,7 @@ def _q_pullback(scenario, params, truncation):
     "cn_cover",
     "c_N(cover) = degree * c_N(base) + Z + Q, Q = sum of covering defects",
     ["cn_cover"],
+    ["cover"],
 )
 def _q_cn_cover(scenario, params, truncation):
     value, q = covers.cn_cover(
@@ -445,6 +482,7 @@ def _q_cn_cover(scenario, params, truncation):
     "i_cover_bound",
     "i(cover | other) = degree * i(base | other) + sum of q-tilde terms >= degree * i",
     ["i_cover_bound"],
+    ["cover", "other"],
 )
 def _q_icb(scenario, params, truncation):
     sc = scenario.cover_scenario(params["cover"])
@@ -460,6 +498,7 @@ def _q_icb(scenario, params, truncation):
     "constraint_leq",
     "weaker <= stronger iff every weaker-constrained puncture is stronger-constrained",
     ["constraint_leq"],
+    ["curve", "weaker", "stronger"],
 )
 def _q_cleq(scenario, params, truncation):
     curve, cons = _curve(scenario, params)
@@ -472,6 +511,7 @@ def _q_cleq(scenario, params, truncation):
     "enumerate_covers",
     "finite list of codomain sketches with branching orders and constraints",
     ["enumerate_cover_candidates"],
+    ["curve"],
 )
 def _q_enum(scenario, params, truncation):
     curve, cons = _curve(scenario, params)
@@ -499,12 +539,11 @@ def _q_enum(scenario, params, truncation):
     "nice",
     "somewhere injective with i(u|u) <= 0, ind >= 0, ind > c_N, plus consequences",
     ["is_stable_nicely_embedded"],
+    ["curve"],
 )
 def _q_nice(scenario, params, truncation):
-    cid = params["curve"]
-    curve, cons = scenario.curve(cid)
-    pairing = scenario.pairing(cid, cid)
-    self_i = intersections.intersection_number(pairing, truncation)
+    curve, cons = _curve(scenario, params)
+    self_i = _self_i(scenario, params, truncation)
     return classify.is_stable_nicely_embedded(curve, cons, self_i, truncation)
 
 
@@ -512,21 +551,19 @@ def _q_nice(scenario, params, truncation):
     "unique_even",
     "classify the unique even puncture of an index-1 nicely embedded curve",
     ["unique_even_analysis"],
+    ["curve"],
 )
 def _q_unique_even(scenario, params, truncation):
-    cid = params["curve"]
-    curve, cons = scenario.curve(cid)
-    pairing = scenario.pairing(cid, cid)
-    self_i = intersections.intersection_number(pairing, truncation)
-    return classify.unique_even_analysis(
-        curve, cons, self_i, scenario.orbits, truncation
-    )
+    curve, cons = _curve(scenario, params)
+    self_i = _self_i(scenario, params, truncation)
+    return classify.unique_even_analysis(curve, cons, self_i, scenario.orbits, truncation)
 
 
 @REGISTRY.register(
     "bad_puncture",
     "even puncture whose orbit doubly covers a nondegenerate odd orbit",
     ["is_bad_puncture"],
+    ["orbit", "parity"],
 )
 def _q_bad(scenario, params, truncation):
     return classify.is_bad_puncture(
@@ -542,11 +579,11 @@ def _q_bad(scenario, params, truncation):
     "degeneration ledger: contradiction branches, or an unbranched cover of "
     "an index-0 nicely embedded curve",
     ["degeneration_screen"],
+    ["cover"],
 )
 def _q_screen(scenario, params, truncation):
-    sc = scenario.cover_scenario(params["cover"])
     return classify.degeneration_screen(
-        sc,
+        scenario.cover_scenario(params["cover"]),
         j_mode=params.get("j_mode", scenario.j_mode),
         ambient=scenario.ambient,
         registry=scenario.orbits,
@@ -558,22 +595,13 @@ def _q_screen(scenario, params, truncation):
     "obstruction",
     "winding obstruction isolating multiple covers in the moduli space",
     ["kernel_section_cover_obstruction"],
+    ["cover"],
 )
 def _q_obstruction(scenario, params, truncation):
-    sc = scenario.cover_scenario(params["cover"])
-    verdict = classify.degeneration_screen(
-        sc,
-        j_mode=params.get("j_mode", scenario.j_mode),
-        ambient=scenario.ambient,
-        registry=scenario.orbits,
-        truncation=truncation,
-    )
-    if verdict.outcome != classify.UNBRANCHED_COVER_OF_INDEX_ZERO:
-        raise ValidationError(
-            "obstruction analysis needs an unbranched-cover screen verdict"
-        )
+    if _q_screen(scenario, params, truncation).outcome != classify.UNBRANCHED_COVER_OF_INDEX_ZERO:
+        raise ValidationError("obstruction analysis needs an unbranched-cover screen verdict")
     return classify.kernel_section_cover_obstruction(
-        sc, registry=scenario.orbits, truncation=truncation
+        scenario.cover_scenario(params["cover"]), registry=scenario.orbits, truncation=truncation
     )
 
 
@@ -581,6 +609,7 @@ def _q_obstruction(scenario, params, truncation):
     "loop_winding",
     "accumulated argument increment / 2 pi",
     ["loop_winding"],
+    ["samples"],
 )
 def _q_loop_winding(scenario, params, truncation):
     loop = zeros.SampledLoop(tuple(complex(re, im) for re, im in params["samples"]))
@@ -591,15 +620,20 @@ def _q_loop_winding(scenario, params, truncation):
     "zero_count",
     "Z = c1 + maslov/2 + boundary winding",
     ["zero_count"],
+    ["c1", "maslov"],
 )
 def _q_zero_count(scenario, params, truncation):
     return zeros.zero_count(
-        zeros.BundleData(
-            c1=int(params["c1"]),
-            maslov=int(params["maslov"]),
-            boundary_winding=int(params.get("boundary_winding", 0)),
-            has_maslov_boundary=bool(params.get("has_boundary", True)),
-        )
+        _bundle(params, has_maslov_boundary=bool(params.get("has_boundary", True)))
+    )
+
+
+def _bundle(params, **extra):
+    return zeros.BundleData(
+        c1=int(params["c1"]),
+        maslov=int(params["maslov"]),
+        boundary_winding=int(params.get("boundary_winding", 0)),
+        **extra,
     )
 
 
@@ -607,15 +641,10 @@ def _q_zero_count(scenario, params, truncation):
     "doubling",
     "doubled data (2 c1 + maslov, 0, 2 wind) has twice the zero count",
     ["doubling_check"],
+    ["c1", "maslov"],
 )
 def _q_doubling(scenario, params, truncation):
-    z_doubled, ok = zeros.doubling_check(
-        zeros.BundleData(
-            c1=int(params["c1"]),
-            maslov=int(params["maslov"]),
-            boundary_winding=int(params.get("boundary_winding", 0)),
-        )
-    )
+    z_doubled, ok = zeros.doubling_check(_bundle(params))
     return {"z_doubled": z_doubled, "ok": ok}
 
 

@@ -23,6 +23,7 @@ from .orbits import (
     OperatorWinding,
     OrbitClass,
 )
+from .queries import REGISTRY
 from .rationals import as_fraction
 from .spectral import DEFAULT_TRUNCATION, GLOBAL_SPECTRUM_CACHE, AsymptoticOperator
 from .surfaces import BranchedCover, PuncturedSurface
@@ -418,7 +419,10 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
 
     queries = list(_get(doc, "queries", "$", default=[]))
     for i, q in enumerate(queries):
-        _require(isinstance(q, dict) and "name" in q, "query needs a name", f"$.queries[{i}]")
+        loc = f"$.queries[{i}]"
+        _require(isinstance(q, dict) and isinstance(q.get("name"), str), "query needs a name", loc)
+        missing = REGISTRY.missing_params(q)
+        _require(not missing, f"query {q['name']!r} needs {', '.join(missing)}", loc)
 
     ambient = _get(doc, "ambient", "$")
     _require(

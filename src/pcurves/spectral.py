@@ -2,11 +2,16 @@
 
 An asymptotic operator is A = -J0 d/dt - S(t) acting on loops R/Z -> R^2,
 where S(t) is a loop of symmetric 2x2 matrices given by uniform samples.
-The operator is discretized in a truncated Fourier basis; eigenvalues come
-with the winding number of a real eigenfunction, and the middle half of the
-computed spectrum is treated as reliable.  Within that window the winding
-is nondecreasing in the eigenvalue and takes every integer value with
-total multiplicity exactly two.
+A is real and the Fourier modes |m| <= T are closed under conjugation, so
+the operator is discretized as a real symmetric matrix in the orthonormal
+basis {1, sqrt2 cos 2 pi m t, sqrt2 sin 2 pi m t} x {e_1, e_2}, built from
+the Fourier coefficients of the samples.  One real eigensolve gives the
+eigenvalues and real eigenfunctions; the winding number of each is read
+off its values on a uniform grid, all at once by inverse FFT, on finer
+grids only for those not yet resolved.  The middle half of the computed
+spectrum is treated as reliable.  Within that window the winding is
+nondecreasing in the eigenvalue and takes every integer value with total
+multiplicity exactly two.
 
 All downstream winding arithmetic is exact; this module is the only place
 floating point enters, and its outputs are snapped to integers with guards.
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpectralError, ValidationError
+from .errors import DegeneracyError, SpectralError, ValidationError
 
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -45,6 +50,11 @@ class AsymptoticOperator:
         if len(rows) < MIN_SAMPLES:
             raise ValidationError(f"need at least {MIN_SAMPLES} samples, got {len(rows)}")
         object.__setattr__(self, "samples", tuple(rows))
+        # Hashed once: every spectrum cache lookup hashes its operator.
+        object.__setattr__(self, "_hash", hash(self.samples))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_matrices(cls, mats):
@@ -68,17 +78,12 @@ class AsymptoticOperator:
         return len(self.samples)
 
     def matrices(self):
-        out = np.empty((self.sample_count, 2, 2))
-        for j, (a, b, c) in enumerate(self.samples):
-            out[j] = [[a, b], [b, c]]
-        return out
+        return np.array([((a, b), (b, c)) for a, b, c in self.samples])
 
     def fourier_coefficients(self):
-        """S_hat[k] for k = 0..N//2 (the rest follow by conjugation)."""
-        mats = self.matrices()  # (N, 2, 2)
-        n = self.sample_count
-        coeffs = np.fft.fft(mats, axis=0) / n  # S_hat[k] = (1/N) sum S_j e^{-2pi i k j/N}
-        return coeffs  # indexable with negative k modulo N
+        """S_hat[k] = (1/N) sum_j S(t_j) e^{-2 pi i k j/N} for k = 0..N-1,
+        so negative k index modulo N."""
+        return np.fft.fft(self.matrices(), axis=0) / self.sample_count
 
     def pulled_back(self, k):
         """Operator of the k-fold covered orbit: S_k(t) = k * S(k t mod 1).
@@ -90,11 +95,7 @@ class AsymptoticOperator:
             raise ValidationError("cover order must be >= 1")
         if k == 1:
             return self
-        rows = []
-        for _ in range(k):
-            for a, b, c in self.samples:
-                rows.append((k * a, k * b, k * c))
-        return AsymptoticOperator(tuple(rows))
+        return AsymptoticOperator(tuple((k * a, k * b, k * c) for a, b, c in self.samples) * k)
 
 
 @dataclass(frozen=True)
@@ -123,9 +124,6 @@ class SpectralData:
     def degeneracy_tol(self):
         return DEGENERACY_REL_TOL * self.diameter
 
-    def window_bounds(self):
-        return self.eigenpairs[0][0], self.eigenpairs[-1][0]
-
     def winding_counts(self):
         """Total multiplicity of each integer winding inside the window."""
         counts = {}
@@ -133,23 +131,14 @@ class SpectralData:
             counts[w] = counts.get(w, 0) + mult
         return counts
 
-    def eigenvalues_near(self, x, radius):
-        return [
-            (lam, w, mult)
-            for lam, w, mult in self.eigenpairs
-            if abs(lam - x) <= radius
-        ]
-
     def alpha_at(self, epsilon):
         """Extremal windings of A + epsilon: windings just below/above -epsilon.
 
         Raises DegeneracyError when an eigenvalue sits at -epsilon (within
         tolerance), reporting the kernel winding.
         """
-        from .errors import DegeneracyError
-
         x = -float(epsilon)
-        lo, hi = self.window_bounds()
+        lo, hi = self.eigenpairs[0][0], self.eigenpairs[-1][0]
         tol = self.degeneracy_tol
         # Demand some margin so the neighbors of x are inside the window.
         if not (lo + tol < x < hi - tol):
@@ -157,123 +146,107 @@ class SpectralData:
                 f"probe point {x:.6g} outside the reliable window [{lo:.6g}, {hi:.6g}];"
                 " increase the truncation"
             )
-        at = self.eigenvalues_near(x, tol)
+        at = [w for lam, w, _ in self.eigenpairs if abs(lam - x) <= tol]
         if at:
             raise DegeneracyError(
-                f"operator has an eigenvalue at {x:.6g} (winding {at[0][1]})",
-                kernel_winding=at[0][1],
+                f"operator has an eigenvalue at {x:.6g} (winding {at[0]})", kernel_winding=at[0]
             )
+        # The margin above puts the window's first eigenvalue below x and its last above.
         below = [w for lam, w, _ in self.eigenpairs if lam < x - tol]
         above = [w for lam, w, _ in self.eigenpairs if lam > x + tol]
-        if not below or not above:
-            raise SpectralError("window does not bracket the probe point")
         return max(below), min(above)
 
-    def kernel_dimension(self, tol=None):
-        tol = self.degeneracy_tol if tol is None else tol
-        return sum(mult for lam, _, mult in self.eigenpairs if abs(lam) <= tol)
+    def kernel_dimension(self):
+        return sum(mult for lam, _, mult in self.eigenpairs if abs(lam) <= self.degeneracy_tol)
 
-    def gap_around_zero(self, tol=None):
+    def gap_around_zero(self):
         """Distance from 0 to the nearest nonzero eigenvalue in the window."""
-        tol = self.degeneracy_tol if tol is None else tol
-        nonzero = [abs(lam) for lam, _, _ in self.eigenpairs if abs(lam) > tol]
+        nonzero = [abs(lam) for lam, _, _ in self.eigenpairs if abs(lam) > self.degeneracy_tol]
         if not nonzero:
             raise SpectralError("no nonzero eigenvalues inside the window")
         return min(nonzero)
 
 
-def _hermitian_matrix(op, truncation):
-    """Fourier-truncated matrix of -J0 d/dt - S(t) on modes |m| <= truncation."""
-    n = op.sample_count
-    coeffs = op.fourier_coefficients()
-    kmax_avail = n // 2
-    m_range = np.arange(-truncation, truncation + 1)
-    dim = 2 * len(m_range)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for i, m in enumerate(m_range):
-        mat[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = -2j * np.pi * m * J0
-        for j, mp in enumerate(m_range):
-            k = m - mp
-            if abs(k) > kmax_avail:
-                continue
-            ck = coeffs[k % n]
-            if n % 2 == 0 and abs(k) == n // 2:
-                ck = ck / 2.0
-            mat[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] -= ck
-    return mat, m_range
+def _real_matrix(op, truncation):
+    """Matrix of -J0 d/dt - S(t) in the orthonormal real basis
+    {1, sqrt2 cos 2 pi m t, sqrt2 sin 2 pi m t : 1 <= m <= T} x {e_1, e_2}.
 
-
-def _winding_of_vector(vec, m_range, refinement=8):
-    """Winding number of a real eigenfunction built from the Fourier vector.
-
-    ``vec`` holds C^2 Fourier coefficients per mode; the underlying real
-    eigenfunction is Re(e^{i phi} u(t)) for a phase chosen away from the
-    degenerate directions.  Counting uses argument accumulation on a uniform
-    grid, refined until each step is unambiguous.
+    Basis function 0 is the constant, 2m - 1 the cosine and 2m the sine
+    of mode m; this order keeps the matrix banded.  With c_k the Fourier
+    coefficients of S (halved at the Nyquist mode k = N/2, zero beyond
+    it), multiplication by S has the 2x2 blocks
+        <cos_m, S cos_n> = Re(c_{m-n} + c_{m+n}),
+        <sin_m, S sin_n> = Re(c_{m-n} - c_{m+n}),
+        <cos_m, S sin_n> = Im(c_{m-n} - c_{m+n}),
+    with the constant mode's rows and columns scaled by 1/sqrt2, and
+    -J0 d/dt couples cos_m and sin_m through -+2 pi m J0.  This is the
+    Fourier-truncated complex Hermitian matrix on modes |m| <= T written
+    in a real basis of the same span, so it has the same eigenvalues.
     """
-    n_modes = len(m_range)
-    u_modes = vec.reshape(n_modes, 2)
-    top = int(np.max(np.abs(m_range)))
-    base_grid = max(64, 8 * (top + 1))
-    for attempt in range(4):
-        grid = base_grid * (refinement**attempt)
-        t = np.arange(grid) / grid
-        phases = np.exp(2j * np.pi * np.outer(t, m_range))  # (grid, modes)
-        u = phases @ u_modes  # (grid, 2) complex
-        scale = np.sqrt(np.abs(u[:, 0]) ** 2 + np.abs(u[:, 1]) ** 2).max()
-        for phase in (1.0, np.exp(0.25j * np.pi), 1j, np.exp(0.75j * np.pi)):
-            w = (phase * u).real
-            eta = w[:, 0] + 1j * w[:, 1]
-            mags = np.abs(eta)
-            # The real representative must both stay away from zero and
-            # carry a nontrivial share of the complex eigenfunction;
-            # otherwise it is numerical noise.
-            if mags.min() < 1e-6 * scale:
-                continue
-            args = np.angle(eta)
-            steps = np.diff(np.concatenate([args, args[:1]]))
-            steps = (steps + np.pi) % (2 * np.pi) - np.pi
-            if np.max(np.abs(steps)) > 0.5 * np.pi:
-                continue
-            total = steps.sum() / (2 * np.pi)
-            nearest = round(total)
-            if abs(total - nearest) < 1e-2:
-                return int(nearest)
-    raise SpectralError("winding extraction failed to converge (eigenfunction too degenerate)")
+    n = op.sample_count
+    t = truncation
+    top = min(n // 2, 2 * t)
+    c = np.zeros((2 * t + 1, 2, 2), dtype=complex)  # c_k for k = 0..2T
+    c[: top + 1] = op.fourier_coefficients()[: top + 1]
+    if n % 2 == 0 and n // 2 <= 2 * t:
+        c[n // 2] /= 2.0
+    c = np.concatenate([c[:0:-1].conj(), c])  # c_k for k = -2T..2T at k + 2T
+    m = np.arange(t + 1)
+    diff = c[m[:, None] - m[None, :] + 2 * t]
+    plus = c[m[:, None] + m[None, :] + 2 * t]
+    cs = (diff - plus).imag[:, 1:]
+    cos = np.r_[0, 1 : 2 * t : 2]
+    sin = np.arange(2, 2 * t + 1, 2)
+    blocks = np.empty((2 * t + 1, 2 * t + 1, 2, 2))
+    blocks[np.ix_(cos, cos)] = (diff + plus).real
+    blocks[np.ix_(cos, sin)] = cs
+    blocks[np.ix_(sin, cos)] = cs.transpose(1, 0, 3, 2)
+    blocks[np.ix_(sin, sin)] = (diff - plus).real[1:, 1:]
+    blocks[0] /= np.sqrt(2.0)
+    blocks[:, 0] /= np.sqrt(2.0)
+    mat = -blocks.transpose(0, 2, 1, 3)
+    m = m[1:]
+    mat[2 * m - 1, :, 2 * m, :] -= (2 * np.pi * m)[:, None, None] * J0
+    mat[2 * m, :, 2 * m - 1, :] += (2 * np.pi * m)[:, None, None] * J0
+    return mat.reshape(2 * (2 * t + 1), 2 * (2 * t + 1))
 
 
-def _batched_windings(evecs, m_range, indices):
-    """First-pass winding extraction for many eigenvectors on one shared
-    grid; returns a dict index -> winding for the ones that resolve cleanly,
-    leaving the rest for the per-vector fallback."""
-    n_modes = len(m_range)
-    top = int(np.max(np.abs(m_range)))
-    grid = max(64, 8 * (top + 1))
-    t = np.arange(grid) / grid
-    phases = np.exp(2j * np.pi * np.outer(t, m_range))  # (grid, modes)
-    block = evecs[:, indices].reshape(n_modes, 2, len(indices))
-    u = np.einsum("gm,mcv->gcv", phases, block)  # (grid, 2, nvec)
-    scale = np.sqrt(np.abs(u[:, 0, :]) ** 2 + np.abs(u[:, 1, :]) ** 2).max(axis=0)
-    out = {}
-    for phase in (1.0, np.exp(0.25j * np.pi), 1j):
-        w = (phase * u).real
-        eta = w[:, 0, :] + 1j * w[:, 1, :]
-        mags = np.abs(eta)
-        args = np.angle(eta)
-        steps = np.diff(np.concatenate([args, args[:1]]), axis=0)
-        steps = (steps + np.pi) % (2 * np.pi) - np.pi
-        total = steps.sum(axis=0) / (2 * np.pi)
+def _windings(vecs, truncation):
+    """Winding numbers of the real eigenfunctions in the columns of ``vecs``.
+
+    The functions are evaluated on a uniform grid by one inverse real FFT,
+    since sqrt2 (a cos x + b sin x) = 2 Re((a - i b) / sqrt2 e^{ix}), and
+    their arguments accumulated.  A winding counts once the function stays
+    away from zero, every step turns by less than pi/2 and the total is
+    within 1e-2 of an integer.  Unresolved vectors go to a grid eight
+    times finer, up to four grids.
+    """
+    coeffs = vecs.reshape(2 * truncation + 1, 2, -1)
+    fourier = np.concatenate([coeffs[:1], (coeffs[1::2] - 1j * coeffs[2::2]) / np.sqrt(2.0)])
+    fourier = fourier.transpose(1, 2, 0)  # (component, vector, mode 0..T)
+    out = np.zeros(vecs.shape[1], dtype=int)
+    pending = np.arange(vecs.shape[1])
+    grid = max(64, 8 * (truncation + 1))
+    for _ in range(4):
+        modes = np.zeros((2, pending.size, grid // 2 + 1), dtype=complex)
+        modes[:, :, : truncation + 1] = grid * fourier[:, pending]
+        u = np.fft.irfft(modes, n=grid, axis=-1)  # (component, vector, grid point)
+        squares = u[0] ** 2 + u[1] ** 2
+        args = np.arctan2(u[1], u[0])
+        steps = np.diff(args, axis=-1, append=args[:, :1])
+        steps -= 2 * np.pi * np.round(steps / (2 * np.pi))
+        total = steps.sum(axis=-1) / (2 * np.pi)
         ok = (
-            (mags.min(axis=0) > 1e-6 * scale)
-            & (np.abs(steps).max(axis=0) < 0.5 * np.pi)
+            (squares.min(axis=-1) > 1e-12 * squares.max(axis=-1))  # |u| > 1e-6 max |u|
+            & (np.abs(steps).max(axis=-1) < 0.5 * np.pi)
             & (np.abs(total - np.round(total)) < 1e-2)
         )
-        for pos, idx in enumerate(indices):
-            if idx not in out and ok[pos]:
-                out[idx] = int(np.round(total[pos]))
-        if len(out) == len(indices):
-            break
-    return out
+        out[pending[ok]] = np.round(total[ok])
+        pending = pending[~ok]
+        if not pending.size:
+            return out
+        grid *= 8
+    raise SpectralError("winding extraction failed to converge (eigenfunction too degenerate)")
 
 
 def discretized_spectrum(op, truncation):
@@ -284,40 +257,30 @@ def discretized_spectrum(op, truncation):
     """
     if truncation < MIN_TRUNCATION:
         raise ValidationError(f"truncation must be >= {MIN_TRUNCATION}")
-    mat, m_range = _hermitian_matrix(op, truncation)
-    evals, evecs = np.linalg.eigh(mat)
-    dim = len(evals)
+    evals, evecs = np.linalg.eigh(_real_matrix(op, truncation))
     diameter = float(evals[-1] - evals[0])
-    lo = dim // 4
-    hi = dim - dim // 4
-    indices = list(range(lo, hi))
-    resolved = _batched_windings(evecs, m_range, indices)
-    pairs = []
-    for idx in indices:
-        w = resolved.get(idx)
-        if w is None:
-            w = _winding_of_vector(evecs[:, idx], m_range)
-        pairs.append((float(evals[idx]), w))
+    window = slice(len(evals) // 4, len(evals) - len(evals) // 4)
+    windings = _windings(evecs[:, window], truncation)
     # Merge equal (eigenvalue, winding) pairs into multiplicity-2 entries.
     merge_tol = 1e-9 * max(diameter, 1.0)
     merged = []
-    for lam, w in pairs:
-        if merged and merged[-1][1] == w and abs(merged[-1][0] - lam) <= merge_tol and merged[-1][2] == 1:
-            lam0, w0, _ = merged[-1]
-            merged[-1] = (0.5 * (lam0 + lam), w0, 2)
+    for lam, w in zip(evals[window].tolist(), windings.tolist()):
+        last = merged[-1] if merged else None
+        if last and last[1] == w and last[2] == 1 and abs(last[0] - lam) <= merge_tol:
+            merged[-1] = (0.5 * (last[0] + lam), w, 2)
         else:
             merged.append((lam, w, 1))
     return SpectralData(eigenpairs=tuple(merged), truncation=truncation, diameter=diameter)
 
 
 class SpectrumCache:
-    """Memoizes spectra keyed by (operator samples, truncation)."""
+    """Memoizes spectra keyed by (operator, truncation)."""
 
     def __init__(self):
         self._store = {}
 
     def get(self, op, truncation):
-        key = (op.samples, truncation)
+        key = (op, truncation)
         if key not in self._store:
             self._store[key] = discretized_spectrum(op, truncation)
         return self._store[key]

@@ -4,10 +4,17 @@ The scalar-model oracle treats the constant loop S = theta * Id exactly:
 the spectrum is {2 pi m - theta} with winding m, so extremal windings of
 any perturbed cover reduce to exact rational comparisons (everything is
 measured in units of pi).  It shares no code with the package.
+
+The dense-Hermitian oracle discretizes -J0 d/dt - S(t) in the complex
+Fourier basis e^{2 pi i m t}, |m| <= T, entry by entry, as a reference for
+the package's real cos/sin basis.
 """
 
+import cmath
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 class ScalarOracle:
@@ -78,3 +85,41 @@ def k_bound_bruteforce(c, genus0_count, has_boundary):
                 if best is None or k + l < best:
                     best = k + l
     return best
+
+
+def dense_hermitian_eigenvalues(samples, truncation):
+    """Sorted eigenvalues of -J0 d/dt - S(t) on the modes |m| <= truncation,
+    with multiplicity, from the complex Hermitian matrix built by a plain
+    loop.  ``samples`` are rows (s11, s12, s22) of S at t_j = j / N; the
+    2x2 block (m, m') is -2 pi i m J0 delta_{m m'} - S_hat(m - m'), where
+    S_hat is the discrete Fourier transform of the samples, halved at the
+    Nyquist mode N / 2 and zero beyond it."""
+    if truncation > 32:
+        raise ValueError("the plain-loop reference is meant for truncation <= 32")
+    n = len(samples)
+    mats = [((a, b), (b, c)) for a, b, c in samples]
+
+    def s_hat(k):
+        if abs(k) > n // 2:
+            return [[0j, 0j], [0j, 0j]]
+        scale = 0.5 if 2 * abs(k) == n else 1.0
+        phases = [cmath.exp(-2j * math.pi * k * j / n) for j in range(n)]
+        return [
+            [scale * sum(mats[j][r][c] * phases[j] for j in range(n)) / n for c in range(2)]
+            for r in range(2)
+        ]
+
+    modes = range(-truncation, truncation + 1)
+    hats = {k: s_hat(k) for k in range(-2 * truncation, 2 * truncation + 1)}
+    j0 = ((0.0, -1.0), (1.0, 0.0))
+    dim = 2 * len(modes)
+    h = np.zeros((dim, dim), dtype=complex)
+    for i, m in enumerate(modes):
+        for j, mp in enumerate(modes):
+            for r in range(2):
+                for c in range(2):
+                    entry = -hats[m - mp][r][c]
+                    if m == mp:
+                        entry -= 2j * math.pi * m * j0[r][c]
+                    h[2 * i + r, 2 * j + c] = entry
+    return np.linalg.eigvalsh(h)

@@ -9,6 +9,7 @@ from oracles import ScalarOracle, omega_oracle
 from pcurves.errors import (
     DegeneracyError,
     MissingDataError,
+    SpectralError,
     ValidationError,
 )
 from pcurves.orbits import (
@@ -283,6 +284,15 @@ def test_cov_extremal_divisibility():
     h2 = cover_orbit(scalar("h", Fraction(9, 4)), 2)
     assert alpha_strict(h2, "-") == 2
     assert cov_extremal(h2, "-") == 2
+
+
+def test_alpha_strict_with_an_empty_side_asks_for_more_truncation():
+    # S = 13 pi Id at truncation 8: the reliable window holds windings -4..4
+    # with eigenvalues 2 pi w - 13 pi < 0, so nothing lies above 0.
+    g = scalar("g", 13)
+    assert alpha_strict(g, "-", truncation=8) == 4
+    with pytest.raises(SpectralError, match="increase the truncation"):
+        alpha_strict(g, "+", truncation=8)
 
 
 # -- q ----------------------------------------------------------------------

@@ -231,6 +231,31 @@ def test_cli_run_query_error_exit_code(tmp_path):
     assert proc.returncode == 1
 
 
+def test_query_missing_a_parameter_fails_at_load():
+    doc = minimal_doc()
+    doc["queries"] = [{"name": "euler_char", "surface": "s"}, {"name": "omega", "a": "g"}]
+    with pytest.raises(ValidationError) as err:
+        load_scenario(doc)
+    assert "$.queries[1]" in str(err.value)
+    assert "b, sign" in str(err.value)
+    doc["queries"] = [{"name": ["index"]}]
+    with pytest.raises(ValidationError, match="needs a name"):
+        load_scenario(doc)
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_cli_query_missing_a_parameter_is_a_validation_error(tmp_path, command):
+    doc = foliation_doc()
+    doc["queries"].append({"name": "index"})
+    f = tmp_path / "q.scn"
+    f.write_text(json.dumps(doc))
+    proc = run_cli(command, str(f))
+    assert proc.returncode == 2
+    where = f"$.queries[{len(doc['queries']) - 1}]"
+    assert f"validation error: {where}: query 'index' needs curve".encode() in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 def test_cli_spectrum():
     proc = run_cli("spectrum", str(FOLIATION), "--operator", "g_zero",
                    "--truncation", "16")

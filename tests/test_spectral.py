@@ -1,10 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import random_symmetric_loop
+from conftest import loop_orbit, random_symmetric_loop, safe_epsilon
+from oracles import dense_hermitian_eigenvalues
 from pcurves.errors import ValidationError
+from pcurves.orbits import WINDING, Perturbation, conley_zehnder
 from pcurves.spectral import AsymptoticOperator, discretized_spectrum
 
 TWO_PI = 2 * math.pi
@@ -88,3 +91,67 @@ def test_doubling_truncation_stability():
     s2 = discretized_spectrum(op, 96)
     assert s1.alpha_at(0.07) == s2.alpha_at(0.07)
     assert s1.alpha_at(-0.07) == s2.alpha_at(-0.07)
+
+
+def _reference_pairs(reference, spec):
+    """The reference eigenvalues of the middle half, grouped as ``spec``
+    groups them: a double entry is the mean of its two eigenvalues."""
+    dim = len(reference)
+    window = iter(reference[dim // 4 : dim - dim // 4])
+    out = [np.mean([next(window) for _ in range(mult)]) for _, _, mult in spec.eigenpairs]
+    assert next(window, None) is None
+    return np.array(out)
+
+
+@pytest.mark.parametrize("truncation", [16, 32])
+def test_real_basis_matches_dense_hermitian_reference(truncation):
+    rng = np.random.default_rng(23)
+    ops = [random_symmetric_loop(rng) for _ in range(4)]
+    ops += [
+        AsymptoticOperator.constant(0.0, 0.0, 0.0),  # every eigenvalue double
+        AsymptoticOperator.constant(1.234, 0.0, 1.234),
+        AsymptoticOperator.constant(0.5, 0.3, -0.2),
+        random_symmetric_loop(rng, degree=2, scale=0.7).pulled_back(3),
+        # raw samples: a nonzero Nyquist coefficient, so its halving counts
+        AsymptoticOperator(tuple(map(tuple, rng.uniform(-2.0, 2.0, size=(18, 3))))),
+    ]
+    for op in ops:
+        spec = discretized_spectrum(op, truncation)
+        reference = dense_hermitian_eigenvalues(op.samples, truncation)
+        computed = np.array([lam for lam, _, _ in spec.eigenpairs])
+        assert np.abs(computed - _reference_pairs(reference, spec)).max() < 1e-10
+        assert abs(spec.diameter - (reference[-1] - reference[0])) < 1e-10
+
+
+def _rotated_twin(op, s):
+    """S' = R_s^T S R_s - 2 pi s Id with R_s(t) = exp(2 pi s J0 t)."""
+    t = np.arange(op.sample_count) / op.sample_count
+    c, sn = np.cos(TWO_PI * s * t), np.sin(TWO_PI * s * t)
+    rot = np.stack([np.stack([c, -sn], -1), np.stack([sn, c], -1)], -2)
+    twin = np.einsum("tji,tjk,tkl->til", rot, op.matrices(), rot) - TWO_PI * s * np.eye(2)
+    return AsymptoticOperator.from_matrices(twin)
+
+
+@pytest.mark.parametrize("truncation", [64, 128])
+def test_rotated_twin_shifts_windings_and_cz(truncation):
+    # v -> R_s^T v maps eigenfunctions of S to those of its twin with the
+    # same eigenvalue and winding w - s, so CZ drops by 2s.
+    rng = np.random.default_rng(31)
+    for i in range(3):
+        op = random_symmetric_loop(rng)
+        base = discretized_spectrum(op, truncation)
+        eps = Fraction(safe_epsilon(base)).limit_denominator(10**9)
+        cz = conley_zehnder(loop_orbit(f"l{i}", op), Perturbation(eps), WINDING, truncation)
+        tol = 1e-9 * base.diameter
+        for s in (-2, -1, 1, 2):
+            twin_op = _rotated_twin(op, s)
+            twin = discretized_spectrum(twin_op, truncation)
+            shared = [
+                (b, t) for b in base.eigenpairs for t in twin.eigenpairs if abs(b[0] - t[0]) <= tol
+            ]
+            assert len(shared) >= len(base.eigenpairs) - 2
+            for (_, w, mult), (_, w_twin, mult_twin) in shared:
+                assert w_twin == w - s
+                assert mult_twin == mult
+            twin_orbit = loop_orbit(f"l{i}_twin{s}", twin_op)
+            assert conley_zehnder(twin_orbit, Perturbation(eps), WINDING, truncation) == cz - 2 * s
