@@ -76,11 +76,11 @@ def emit(report, fmt="json"):
     return ("\n".join(lines) + "\n").encode()
 
 
-def _parse_rational(text):
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+def _parse_rational(text, location):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"expected a rational such as 3/2 or -1, got {text!r}", location)
 
 
 def _cmd_check(args):
@@ -115,8 +115,9 @@ def _cmd_spectrum(args):
 def _cmd_oracle(args):
     if args.what != "kbound":
         raise ValidationError(f"unknown oracle {args.what!r}")
-    value = k_bound(_parse_rational(args.c), args.g, args.boundary)
-    print(json.dumps({"k_bound": value, "c": _jsonable(_parse_rational(args.c)),
+    c = _parse_rational(args.c, "--c")
+    value = k_bound(c, args.g, args.boundary)
+    print(json.dumps({"k_bound": value, "c": _jsonable(c),
                       "genus0": args.g, "boundary": args.boundary}, sort_keys=True))
     return EXIT_OK
 

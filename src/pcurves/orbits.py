@@ -346,16 +346,22 @@ def _crossing_flow_cz(op, epsilon):
     (k, k + 1); the rotation of Psi(t) e1 picks k.
     """
     n = op.sample_count
-    ks = np.arange(-(n // 2), n // 2 + 1)
-    coeffs = op.fourier_coefficients()[ks % n].reshape(len(ks), 4)
+    ks = np.arange(n // 2 + 1)
+    # S(t) = sum of c_k e^{2 pi i k t} over |k| <= N/2, with c_{-k} = conj(c_k)
+    # and the Nyquist mode split evenly between +-N/2, taken as a real sum
+    # over k >= 0.  The complex sum's temporaries are four times larger,
+    # large enough that the allocator maps them afresh on every call.
+    coeffs = 2.0 * op.fourier_coefficients()[ks].reshape(len(ks), 4)
+    coeffs[0] /= 2.0
     if n % 2 == 0:
-        coeffs[[0, -1]] /= 2.0  # split the Nyquist mode symmetrically
+        coeffs[-1] /= 2.0
     h = 1.0 / FLOW_STEPS
     starts = np.arange(FLOW_STEPS) * h
     gauss = math.sqrt(3) / 6
 
     def generator(t):
-        s = (np.exp(2j * np.pi * np.outer(t, ks)) @ coeffs).real.reshape(-1, 2, 2)
+        phase = 2 * np.pi * np.outer(t, ks)
+        s = (np.cos(phase) @ coeffs.real - np.sin(phase) @ coeffs.imag).reshape(-1, 2, 2)
         return J0 @ (s + epsilon * np.eye(2))
 
     # Fourth-order Magnus steps from the two Gauss points of each step.  X
@@ -564,23 +570,14 @@ def delta_mb(orbit, pert, sign, truncation=None):
     k = orbit.cover // m
     nu = nu_pm(orbit, truncation)[0 if side == SIDE_MINUS else 1]
     cov_here = cov_extremal(orbit, side, truncation)
-    if m == 1:
-        # Generic family orbit: the nearby generic orbit carries identical
-        # winding data, so the covering terms cancel.
-        cov_generic = cov_here
-    else:
-        if orbit.generic_alpha is None:
-            raise MissingDataError(
-                f"orbit {orbit.id!r}: generic-orbit winding data required "
-                "(isotropy > 1)"
-            )
-        g_alpha = orbit.generic_alpha[0 if side == SIDE_MINUS else 1]
-        cov_generic = math.gcd(k, abs(g_alpha)) if g_alpha else k
-        if cov_here < cov_generic:
-            raise ConsistencyError(
-                f"orbit {orbit.id!r}: cov{side} = {cov_here} smaller than the "
-                f"generic orbit's {cov_generic}"
-            )
+    # At isotropy 1 the generic orbit carries the same winding data, so the
+    # covering terms cancel.
+    cov_generic = generic_cov_extremal(orbit, side, truncation)
+    if cov_here < cov_generic:
+        raise ConsistencyError(
+            f"orbit {orbit.id!r}: cov{side} = {cov_here} smaller than the "
+            f"generic orbit's {cov_generic}"
+        )
     value = Fraction(k * (m - 1) * nu + cov_here - cov_generic, 2)
     if value < 0:
         raise ConsistencyError(f"delta_mb negative for orbit {orbit.id!r}")
@@ -596,7 +593,8 @@ def generic_cov_extremal(orbit, side, truncation=None):
     if isinstance(orbit.kind, MorseBott) and orbit.kind.isotropy > 1:
         if orbit.generic_alpha is None:
             raise MissingDataError(
-                f"orbit {orbit.id!r}: generic-orbit winding data required"
+                f"orbit {orbit.id!r}: generic-orbit winding data required "
+                "(isotropy > 1)"
             )
         k = orbit.cover // orbit.kind.isotropy
         g_alpha = orbit.generic_alpha[0 if side == SIDE_MINUS else 1]

@@ -86,15 +86,30 @@ def _require(cond, msg, location):
         raise ValidationError(msg, location)
 
 
-def _get(obj, key, location, default=None, required=False):
+_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _get(obj, key, location, default=None, required=False, kind=None):
+    """``obj[key]``, else ``default`` or, if ``required``, a located error;
+    a present value must be of ``kind`` (int, list or dict) when one is given."""
     if key not in obj:
         if required:
             raise ValidationError(f"missing key {key!r}", location)
         return default
-    return obj[key]
+    value = obj[key]
+    wrong = kind is not None and (not isinstance(value, kind) or isinstance(value, bool))
+    if wrong:
+        raise ValidationError(f"{key!r} must be {_KINDS[kind]}, got {value!r}", location)
+    return value
+
+
+def _located(exc, location):
+    """``exc`` if it names where it happened, else its message at ``location``."""
+    return exc if exc.location else ValidationError(str(exc), location)
 
 
 def _check_keys(obj, allowed, location):
+    _require(isinstance(obj, dict), f"expected an object, got {obj!r}", location)
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ValidationError(f"unknown keys {sorted(unknown)}", location)
@@ -103,17 +118,18 @@ def _check_keys(obj, allowed, location):
 def _parse_surface(doc, location):
     _check_keys(doc, {"id", "genus", "boundary_components", "punctures"}, location)
     punctures = []
-    for i, p in enumerate(_get(doc, "punctures", location, default=[])):
-        _check_keys(p, {"id", "sign"}, f"{location}.punctures[{i}]")
-        punctures.append((p["id"], p["sign"]))
+    for i, p in enumerate(_get(doc, "punctures", location, default=[], kind=list)):
+        loc = f"{location}.punctures[{i}]"
+        _check_keys(p, {"id", "sign"}, loc)
+        punctures.append((_get(p, "id", loc, required=True), _get(p, "sign", loc, required=True)))
     try:
         return PuncturedSurface(
-            genus=int(_get(doc, "genus", location, required=True)),
-            boundary_components=int(_get(doc, "boundary_components", location, default=0)),
+            genus=_get(doc, "genus", location, required=True, kind=int),
+            boundary_components=_get(doc, "boundary_components", location, default=0, kind=int),
             punctures=tuple(punctures),
         )
     except ValidationError as exc:
-        raise ValidationError(str(exc), location)
+        raise _located(exc, location)
 
 
 def _parse_kind(doc, location):
@@ -125,8 +141,8 @@ def _parse_kind(doc, location):
         return Nondegenerate()
     if kind_type == "morse_bott":
         return MorseBott(
-            manifold_dim=int(_get(doc, "manifold_dim", location, required=True)),
-            isotropy=int(_get(doc, "isotropy", location, default=1)),
+            manifold_dim=_get(doc, "manifold_dim", location, required=True, kind=int),
+            isotropy=_get(doc, "isotropy", location, default=1, kind=int),
         )
     raise ValidationError(f"unknown orbit kind {kind_type!r}", location)
 
@@ -147,15 +163,18 @@ def _parse_orbit(doc, location, orbits):
         location,
     )
     oid = _get(doc, "id", location, required=True)
-    winding_doc = _get(doc, "winding", location, required=True)
+    winding_doc = _get(doc, "winding", location, required=True, kind=dict)
     wtype = _get(winding_doc, "type", f"{location}.winding", required=True)
-    cover = int(_get(doc, "cover", location, default=1))
+    cover = _get(doc, "cover", location, default=1, kind=int)
     simple = _get(doc, "simple", location, default=oid if cover == 1 else None)
     _require(simple is not None, "multiply covered orbit needs a simple id", location)
     if wtype == "operator":
         _check_keys(winding_doc, {"type", "samples"}, f"{location}.winding")
-        samples = _get(winding_doc, "samples", f"{location}.winding", required=True)
-        winding = OperatorWinding(AsymptoticOperator(tuple(tuple(s) for s in samples)))
+        samples = _get(winding_doc, "samples", f"{location}.winding", required=True, kind=list)
+        try:
+            winding = OperatorWinding(AsymptoticOperator(tuple(tuple(s) for s in samples)))
+        except (ValidationError, TypeError, ValueError) as exc:  # rows that are not 3 numbers
+            raise ValidationError(str(exc), f"{location}.winding")
     elif wtype == "cover":
         _check_keys(winding_doc, {"type"}, f"{location}.winding")
         _require(simple in orbits, f"simple orbit {simple!r} must be declared first", location)
@@ -167,24 +186,23 @@ def _parse_orbit(doc, location, orbits):
         )
         winding = OperatorWinding(base.winding.op.pulled_back(cover))
     elif wtype == "declared":
+        loc = f"{location}.winding"
         _check_keys(
-            winding_doc,
-            {"type", "alpha_minus", "alpha_plus", "minus_delta", "plus_delta"},
-            f"{location}.winding",
+            winding_doc, {"type", "alpha_minus", "alpha_plus", "minus_delta", "plus_delta"}, loc
         )
         if "alpha_minus" in winding_doc:
             winding = DeclaredNondegenerate(
-                alpha_minus=int(winding_doc["alpha_minus"]),
-                alpha_plus=int(winding_doc["alpha_plus"]),
+                alpha_minus=_get(winding_doc, "alpha_minus", loc, kind=int),
+                alpha_plus=_get(winding_doc, "alpha_plus", loc, required=True, kind=int),
             )
         else:
             winding = DeclaredMorseBott(
-                minus_delta=tuple(winding_doc["minus_delta"]),
-                plus_delta=tuple(winding_doc["plus_delta"]),
+                minus_delta=tuple(_get(winding_doc, "minus_delta", loc, required=True, kind=list)),
+                plus_delta=tuple(_get(winding_doc, "plus_delta", loc, required=True, kind=list)),
             )
     else:
         raise ValidationError(f"unknown winding type {wtype!r}", f"{location}.winding")
-    generic = _get(doc, "generic_alpha", location)
+    generic = _get(doc, "generic_alpha", location, kind=list)
     try:
         return OrbitClass(
             id=oid,
@@ -192,12 +210,12 @@ def _parse_orbit(doc, location, orbits):
             cover=cover,
             winding=winding,
             kind=_parse_kind(_get(doc, "kind", location), f"{location}.kind"),
-            distinct_from=frozenset(_get(doc, "distinct_from", location, default=())),
+            distinct_from=frozenset(_get(doc, "distinct_from", location, default=[], kind=list)),
             family_id=_get(doc, "family", location),
             generic_alpha=tuple(generic) if generic is not None else None,
         )
     except ValidationError as exc:
-        raise ValidationError(str(exc), location)
+        raise _located(exc, location)
 
 
 def _parse_curve(doc, location, surfaces, orbits, delta_gap):
@@ -221,7 +239,7 @@ def _parse_curve(doc, location, surfaces, orbits, delta_gap):
     _require(sid in surfaces, f"unknown surface {sid!r}", location)
     surface = surfaces[sid]
     orbit_map = {}
-    for z, oid in _get(doc, "orbits", location, required=True).items():
+    for z, oid in _get(doc, "orbits", location, required=True, kind=dict).items():
         _require(oid in orbits, f"unknown orbit {oid!r} at puncture {z!r}", location)
         orbit_map[z] = orbits[oid]
     delta = as_fraction(_get(doc, "delta", location, default={"num": 1, "den": 8}), location)
@@ -233,10 +251,10 @@ def _parse_curve(doc, location, surfaces, orbits, delta_gap):
     try:
         curve = CurveData(
             surface=surface,
-            ambient_dim_n=int(_get(doc, "n", location, default=2)),
+            ambient_dim_n=_get(doc, "n", location, default=2, kind=int),
             orbit_at=orbit_map,
-            c1_rel=int(_get(doc, "c1_rel", location, required=True)),
-            maslov_boundary=int(_get(doc, "maslov_boundary", location, default=0)),
+            c1_rel=_get(doc, "c1_rel", location, required=True, kind=int),
+            maslov_boundary=_get(doc, "maslov_boundary", location, default=0, kind=int),
             z_du=as_fraction(_get(doc, "z_du", location, default=0), location),
             somewhere_injective=bool(
                 _get(doc, "somewhere_injective", location, default=True)
@@ -244,12 +262,12 @@ def _parse_curve(doc, location, surfaces, orbits, delta_gap):
             homology_tag=_get(doc, "id", location, required=True),
         )
         constraints = ConstraintSet(
-            constrained=frozenset(_get(doc, "constrained", location, default=())),
+            constrained=frozenset(_get(doc, "constrained", location, default=[], kind=list)),
             delta=delta,
         )
         constraints.validate_against(surface)
     except ValidationError as exc:
-        raise ValidationError(str(exc), location)
+        raise _located(exc, location)
     return curve, constraints
 
 
@@ -273,25 +291,27 @@ def _parse_cover(doc, location, surfaces, curves, orbits):
     for sid in (dom_id, cod_id):
         _require(sid in surfaces, f"unknown surface {sid!r}", location)
     fiber = {}
-    for i, entry in enumerate(_get(doc, "fiber", location, required=True)):
-        _check_keys(entry, {"from", "to", "order"}, f"{location}.fiber[{i}]")
-        fiber[entry["from"]] = (entry["to"], int(_get(entry, "order", location, default=1)))
+    for i, entry in enumerate(_get(doc, "fiber", location, required=True, kind=list)):
+        loc = f"{location}.fiber[{i}]"
+        _check_keys(entry, {"from", "to", "order"}, loc)
+        fiber[_get(entry, "from", loc, required=True)] = (
+            _get(entry, "to", loc, required=True),
+            _get(entry, "order", loc, default=1, kind=int),
+        )
     try:
         cover = BranchedCover(
             domain=surfaces[dom_id],
             codomain=surfaces[cod_id],
-            degree=int(_get(doc, "degree", location, required=True)),
+            degree=_get(doc, "degree", location, required=True, kind=int),
             fiber_map=fiber,
-            interior_branch_count=int(
-                _get(doc, "interior_branch_count", location, default=0)
-            ),
+            interior_branch_count=_get(doc, "interior_branch_count", location, default=0, kind=int),
         )
     except ValidationError as exc:
-        raise ValidationError(str(exc), location)
+        raise _located(exc, location)
     base_id = _get(doc, "base_curve", location, required=True)
     _require(base_id in curves, f"unknown base curve {base_id!r}", location)
     base_curve, base_cons = curves[base_id]
-    total = _get(doc, "total_constrained", location)
+    total = _get(doc, "total_constrained", location, kind=list)
     total_cons = (
         ConstraintSet(constrained=frozenset(total), delta=base_cons.delta)
         if total is not None
@@ -305,7 +325,7 @@ def _parse_cover(doc, location, surfaces, curves, orbits):
             total_constraints=total_cons,
         )
     except ValidationError as exc:
-        raise ValidationError(str(exc), location)
+        raise _located(exc, location)
 
 
 def _parse_pairing(doc, location, curves):
@@ -317,17 +337,16 @@ def _parse_pairing(doc, location, curves):
     for cid in (left, right):
         _require(cid in curves, f"unknown curve {cid!r}", location)
     ends = {}
-    for i, entry in enumerate(_get(doc, "end_intersections", location, default=[])):
-        _check_keys(
-            entry,
-            {"left_puncture", "right_puncture", "value"},
-            f"{location}.end_intersections[{i}]",
-        )
-        ends[(entry["left_puncture"], entry["right_puncture"])] = int(entry["value"])
+    for i, entry in enumerate(_get(doc, "end_intersections", location, default=[], kind=list)):
+        loc = f"{location}.end_intersections[{i}]"
+        _check_keys(entry, {"left_puncture", "right_puncture", "value"}, loc)
+        left_z = _get(entry, "left_puncture", loc, required=True)
+        right_z = _get(entry, "right_puncture", loc, required=True)
+        ends[(left_z, right_z)] = _get(entry, "value", loc, required=True, kind=int)
     pairing = PairingInput(
         left=curves[left],
         right=curves[right],
-        relative_pairing=int(_get(doc, "relative_pairing", location, required=True)),
+        relative_pairing=_get(doc, "relative_pairing", location, required=True, kind=int),
         declared_end_intersections=ends,
     )
     return (left, right), pairing
@@ -380,7 +399,7 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
     _require(delta_gap > 0, "delta_gap must be positive", "$.delta_gap")
 
     surfaces = {}
-    for i, sdoc in enumerate(_get(doc, "surfaces", "$", default=[])):
+    for i, sdoc in enumerate(_get(doc, "surfaces", "$", default=[], kind=list)):
         loc = f"$.surfaces[{i}]"
         surface = _parse_surface(sdoc, loc)
         sid = _get(sdoc, "id", loc, required=True)
@@ -388,7 +407,7 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
         surfaces[sid] = surface
 
     orbits = {}
-    for i, odoc in enumerate(_get(doc, "orbits", "$", default=[])):
+    for i, odoc in enumerate(_get(doc, "orbits", "$", default=[], kind=list)):
         loc = f"$.orbits[{i}]"
         orbit = _parse_orbit(odoc, loc, orbits)
         _require(orbit.id not in orbits, f"duplicate orbit id {orbit.id!r}", loc)
@@ -396,28 +415,29 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
         orbits[orbit.id] = orbit
 
     curves = {}
-    for i, cdoc in enumerate(_get(doc, "curves", "$", default=[])):
+    for i, cdoc in enumerate(_get(doc, "curves", "$", default=[], kind=list)):
         loc = f"$.curves[{i}]"
         curve, cons = _parse_curve(cdoc, loc, surfaces, orbits, delta_gap)
-        cid = cdoc["id"]
+        cid = _get(cdoc, "id", loc, required=True)
         _require(cid not in curves, f"duplicate curve id {cid!r}", loc)
         curves[cid] = (curve, cons)
 
     pairings = {}
-    for i, pdoc in enumerate(_get(doc, "pairings", "$", default=[])):
+    for i, pdoc in enumerate(_get(doc, "pairings", "$", default=[], kind=list)):
         loc = f"$.pairings[{i}]"
         key, pairing = _parse_pairing(pdoc, loc, curves)
         _require(key not in pairings, f"duplicate pairing {key}", loc)
         pairings[key] = pairing
 
     covers = {}
-    for i, vdoc in enumerate(_get(doc, "covers", "$", default=[])):
+    for i, vdoc in enumerate(_get(doc, "covers", "$", default=[], kind=list)):
         loc = f"$.covers[{i}]"
+        cover = _parse_cover(vdoc, loc, surfaces, curves, orbits)
         cid = _get(vdoc, "id", loc, required=True)
         _require(cid not in covers, f"duplicate cover id {cid!r}", loc)
-        covers[cid] = _parse_cover(vdoc, loc, surfaces, curves, orbits)
+        covers[cid] = cover
 
-    queries = list(_get(doc, "queries", "$", default=[]))
+    queries = list(_get(doc, "queries", "$", default=[], kind=list))
     for i, q in enumerate(queries):
         loc = f"$.queries[{i}]"
         _require(isinstance(q, dict) and isinstance(q.get("name"), str), "query needs a name", loc)

@@ -5,13 +5,19 @@ where S(t) is a loop of symmetric 2x2 matrices given by uniform samples.
 A is real and the Fourier modes |m| <= T are closed under conjugation, so
 the operator is discretized as a real symmetric matrix in the orthonormal
 basis {1, sqrt2 cos 2 pi m t, sqrt2 sin 2 pi m t} x {e_1, e_2}, built from
-the Fourier coefficients of the samples.  One real eigensolve gives the
-eigenvalues and real eigenfunctions; the winding number of each is read
-off its values on a uniform grid, all at once by inverse FFT, on finer
-grids only for those not yet resolved.  The middle half of the computed
-spectrum is treated as reliable.  Within that window the winding is
-nondecreasing in the eigenvalue and takes every integer value with total
-multiplicity exactly two.
+the Fourier coefficients of the samples, and one real eigensolve gives its
+eigenvalues.  The middle half of the computed spectrum is treated as
+reliable.
+
+Windings are counted, not measured.  In dimension 2 the eigenvalues of an
+asymptotic operator are nondecreasing in the winding of their
+eigenfunctions, and every integer winding has total multiplicity exactly
+two (Hofer-Wysocki-Zehnder, Properties of pseudoholomorphic curves in
+symplectisations II, section 3).  At S = 0 the truncated matrix has the
+eigenvalues 2 pi w, |w| <= T, each twice; along t S, t in [0, 1],
+eigenvalues of different windings never meet.  So inside the window the
+j-th eigenvalue (0-based, ascending) has winding j // 2 - T, and no
+eigenvector is computed.
 
 All downstream winding arithmetic is exact; this module is the only place
 floating point enters, and its outputs are snapped to integers with guards.
@@ -211,60 +217,22 @@ def _real_matrix(op, truncation):
     return mat.reshape(2 * (2 * t + 1), 2 * (2 * t + 1))
 
 
-def _windings(vecs, truncation):
-    """Winding numbers of the real eigenfunctions in the columns of ``vecs``.
-
-    The functions are evaluated on a uniform grid by one inverse real FFT,
-    since sqrt2 (a cos x + b sin x) = 2 Re((a - i b) / sqrt2 e^{ix}), and
-    their arguments accumulated.  A winding counts once the function stays
-    away from zero, every step turns by less than pi/2 and the total is
-    within 1e-2 of an integer.  Unresolved vectors go to a grid eight
-    times finer, up to four grids.
-    """
-    coeffs = vecs.reshape(2 * truncation + 1, 2, -1)
-    fourier = np.concatenate([coeffs[:1], (coeffs[1::2] - 1j * coeffs[2::2]) / np.sqrt(2.0)])
-    fourier = fourier.transpose(1, 2, 0)  # (component, vector, mode 0..T)
-    out = np.zeros(vecs.shape[1], dtype=int)
-    pending = np.arange(vecs.shape[1])
-    grid = max(64, 8 * (truncation + 1))
-    for _ in range(4):
-        modes = np.zeros((2, pending.size, grid // 2 + 1), dtype=complex)
-        modes[:, :, : truncation + 1] = grid * fourier[:, pending]
-        u = np.fft.irfft(modes, n=grid, axis=-1)  # (component, vector, grid point)
-        squares = u[0] ** 2 + u[1] ** 2
-        args = np.arctan2(u[1], u[0])
-        steps = np.diff(args, axis=-1, append=args[:, :1])
-        steps -= 2 * np.pi * np.round(steps / (2 * np.pi))
-        total = steps.sum(axis=-1) / (2 * np.pi)
-        ok = (
-            (squares.min(axis=-1) > 1e-12 * squares.max(axis=-1))  # |u| > 1e-6 max |u|
-            & (np.abs(steps).max(axis=-1) < 0.5 * np.pi)
-            & (np.abs(total - np.round(total)) < 1e-2)
-        )
-        out[pending[ok]] = np.round(total[ok])
-        pending = pending[~ok]
-        if not pending.size:
-            return out
-        grid *= 8
-    raise SpectralError("winding extraction failed to converge (eigenfunction too degenerate)")
-
-
 def discretized_spectrum(op, truncation):
     """Spectrum of the Fourier-truncated operator with windings.
 
-    Only the middle half of the eigenvalues is kept (the reliable window);
-    within it the winding must be nondecreasing.
+    Only the middle half of the eigenvalues is kept (the reliable window).
+    The j-th eigenvalue (0-based, ascending) has winding j // 2 - T.
     """
     if truncation < MIN_TRUNCATION:
         raise ValidationError(f"truncation must be >= {MIN_TRUNCATION}")
-    evals, evecs = np.linalg.eigh(_real_matrix(op, truncation))
+    evals = np.linalg.eigvalsh(_real_matrix(op, truncation))
     diameter = float(evals[-1] - evals[0])
-    window = slice(len(evals) // 4, len(evals) - len(evals) // 4)
-    windings = _windings(evecs[:, window], truncation)
+    first = len(evals) // 4
     # Merge equal (eigenvalue, winding) pairs into multiplicity-2 entries.
     merge_tol = 1e-9 * max(diameter, 1.0)
     merged = []
-    for lam, w in zip(evals[window].tolist(), windings.tolist()):
+    for j, lam in enumerate(evals[first : len(evals) - first].tolist(), first):
+        w = j // 2 - truncation
         last = merged[-1] if merged else None
         if last and last[1] == w and last[2] == 1 and abs(last[0] - lam) <= merge_tol:
             merged[-1] = (0.5 * (last[0] + lam), w, 2)

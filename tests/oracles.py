@@ -8,6 +8,11 @@ measured in units of pi).  It shares no code with the package.
 The dense-Hermitian oracle discretizes -J0 d/dt - S(t) in the complex
 Fourier basis e^{2 pi i m t}, |m| <= T, entry by entry, as a reference for
 the package's real cos/sin basis.
+
+The winding measurement computes eigenvectors of the package's real matrix
+and counts the turning of each window eigenfunction on a fine grid, as a
+check of the package's windings, which are counted from the eigenvalue
+order alone.
 """
 
 import cmath
@@ -15,6 +20,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from pcurves.spectral import _real_matrix
 
 
 class ScalarOracle:
@@ -123,3 +130,37 @@ def dense_hermitian_eigenvalues(samples, truncation):
                         entry -= 2j * math.pi * m * j0[r][c]
                     h[2 * i + r, 2 * j + c] = entry
     return np.linalg.eigvalsh(h)
+
+
+def measured_windings(op, truncation):
+    """Windings of the window eigenfunctions of the truncated operator, in
+    ascending eigenvalue order, measured by counting argument turns.
+
+    Entry 2i + c of an eigenvector is the coefficient of basis function i
+    (the constant, then sqrt2 cos and sqrt2 sin of each mode m >= 1) on
+    e_{c+1}.  Each eigenfunction is evaluated on 16 (T + 1) points; the
+    measurement asserts that it stays away from zero, turns by less than
+    pi/2 per step and closes within 1e-2 of a whole turn."""
+    _, vecs = np.linalg.eigh(_real_matrix(op, truncation))
+    first = vecs.shape[1] // 4
+    coeffs = vecs[:, first : vecs.shape[1] - first].reshape(2 * truncation + 1, 2, -1)
+    grid = 16 * (truncation + 1)
+    angle = 2 * np.pi * np.outer(np.arange(grid) / grid, np.arange(1, truncation + 1))
+    waves = np.sqrt(2.0) * np.dstack([np.cos(angle), np.sin(angle)]).reshape(grid, -1)
+    basis = np.hstack([np.ones((grid, 1)), waves])  # (grid point, basis function)
+    x, y = basis @ coeffs[:, 0], basis @ coeffs[:, 1]  # (grid point, eigenfunction)
+    radius = np.hypot(x, y)
+    assert (radius.min(axis=0) > 1e-6 * radius.max(axis=0)).all(), "eigenfunction near zero"
+    args = np.arctan2(y, x)
+    steps = np.diff(args, axis=0, append=args[:1])
+    steps -= 2 * np.pi * np.round(steps / (2 * np.pi))
+    assert np.abs(steps).max() < 0.5 * np.pi, "grid too coarse for an eigenfunction"
+    turns = steps.sum(axis=0) / (2 * np.pi)
+    assert np.abs(turns - np.round(turns)).max() < 1e-2, "a turn count is not an integer"
+    return np.round(turns).astype(int).tolist()
+
+
+def spectrum_windings(spec):
+    """The windings of a package spectrum, one per eigenvalue counted with
+    multiplicity, to set against ``measured_windings``."""
+    return [w for _, w, mult in spec.eigenpairs for _ in range(mult)]

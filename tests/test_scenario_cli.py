@@ -8,7 +8,7 @@ import pytest
 
 from pcurves.cli import build_report, emit, main, resolve_truncation
 from pcurves.errors import ValidationError
-from pcurves.queries import REGISTRY
+from pcurves.queries import REGISTRY, run_queries
 from pcurves.scenario import load_scenario
 
 FOLIATION = Path(__file__).parent.parent / "src" / "pcurves" / "data" / "foliation.scn"
@@ -187,6 +187,75 @@ def test_query_registry_covers_every_operation():
     assert SPEC_OPERATIONS <= REGISTRY.covered_operations
 
 
+EIGHTH = {"num": 1, "den": 8}
+ONE_QUERY_OF_EACH_KIND = [
+    {"name": "euler_char", "surface": "cod3"},
+    {"name": "teichmuller_dim", "surface": "dom4"},
+    {"name": "aut_dim", "surface": "cod3"},
+    {"name": "riemann_hurwitz", "cover": "phi"},
+    {"name": "cover_moduli_dim", "cover": "phi"},
+    {"name": "spectrum", "orbit": "g_zero", "truncation": 16},
+    {"name": "alpha", "orbit": "g_zero", "epsilon": EIGHTH},
+    {"name": "conley_zehnder", "orbit": "g_one", "epsilon": EIGHTH, "method": "crossing_flow"},
+    {"name": "nu", "orbit": "g_inf"},
+    {"name": "cover_orbit", "orbit": "g_zero", "k": 2},
+    {"name": "cov_extremal", "orbit": "g_zero_x2", "side": "-"},
+    {"name": "q_cover", "orbit": "g_inf", "epsilon": EIGHTH, "k": 2, "side": "+"},
+    {"name": "omega", "a": "g_zero", "epsilon_a": EIGHTH, "b": "g_zero_x2",
+     "epsilon_b": EIGHTH, "sign": "-"},
+    {"name": "omega_self", "orbit": "g_inf_x2", "sign": "-"},
+    {"name": "q_tilde", "orbit_m": "g_zero", "epsilon_m": EIGHTH, "orbit_n": "g_zero",
+     "epsilon_n": EIGHTH, "k": 2, "sign": "-"},
+    {"name": "delta_mb", "orbit": "g_one", "epsilon": {"num": -1, "den": 8}, "sign": "-"},
+    {"name": "parity", "curve": "u_zeta"},
+    {"name": "index", "curve": "v"},
+    {"name": "normal_chern", "curve": "v"},
+    {"name": "k_bound", "c": {"num": 3, "den": 2}, "genus0": 2, "boundary": False},
+    {"name": "transversality", "curve": "u_zeta"},
+    {"name": "line_bundle", "index": 1, "c1_adjusted": 0, "gamma0": 0, "boundary": False},
+    {"name": "index_normal", "curve": "v"},
+    {"name": "critical_bound", "curve": "v"},
+    {"name": "zero_budget", "c1_adjusted": {"num": 1, "den": 2}},
+    {"name": "intersection", "left": "v", "right": "v"},
+    {"name": "asymptotic", "left": "v", "right": "v"},
+    {"name": "cov_totals", "curve": "v"},
+    {"name": "adjunction_sing", "curve": "v"},
+    {"name": "sing_decomposition", "curve": "u_zeta", "delta_u": 0},
+    {"name": "pullback_constraints", "cover": "phi"},
+    {"name": "cn_cover", "cover": "phi"},
+    {"name": "i_cover_bound", "cover": "phi", "other": "v"},
+    {"name": "constraint_leq", "curve": "v", "weaker": ["v0"], "stronger": ["v0", "vinf"]},
+    {"name": "enumerate_covers", "curve": "v"},
+    {"name": "nice", "curve": "v"},
+    {"name": "unique_even", "curve": "v"},
+    {"name": "bad_puncture", "orbit": "g_zero_x2", "parity": 0},
+    {"name": "screen", "cover": "phi"},
+    {"name": "obstruction", "cover": "phi"},
+    {"name": "loop_winding", "samples": [[1, 0], [0, 1], [-1, 0], [0, -1]]},
+    {"name": "zero_count", "c1": 1, "maslov": 2, "boundary_winding": -1},
+    {"name": "doubling", "c1": 1, "maslov": 2, "boundary_winding": -1},
+]
+# The bundled data has no pairing of distinct curves and no index-1 curve.
+PRECONDITION_ERRORS = {
+    "asymptotic": "geometrically distinct curves",
+    "unique_even": "nicely embedded index-1 curves",
+}
+
+
+def test_every_query_kind_runs_on_the_bundled_scenario():
+    assert sorted(q["name"] for q in ONE_QUERY_OF_EACH_KIND) == sorted(REGISTRY._handlers)
+    doc = foliation_doc()
+    doc["queries"] += ONE_QUERY_OF_EACH_KIND
+    # run_queries records only PCurvesErrors; any other exception fails here.
+    results = run_queries(load_scenario(doc), 64)[-len(ONE_QUERY_OF_EACH_KIND):]
+    for result in results:
+        if result["name"] in PRECONDITION_ERRORS:
+            assert result["status"] == "error"
+            assert PRECONDITION_ERRORS[result["name"]] in result["error"]
+        else:
+            assert result["status"] == "ok", result
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "pcurves.cli", *args],
@@ -253,6 +322,53 @@ def test_cli_query_missing_a_parameter_is_a_validation_error(tmp_path, command):
     assert proc.returncode == 2
     where = f"$.queries[{len(doc['queries']) - 1}]"
     assert f"validation error: {where}: query 'index' needs curve".encode() in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
+def _set(path, value):
+    """A mutation of the foliation document: set (or, with None, drop) one entry."""
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        if value is None:
+            del doc[last]
+        else:
+            doc[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, where",
+    [
+        (_set(["orbits", 5, "cover"], "two"), "$.orbits[5]"),
+        (_set(["surfaces", 0, "genus"], "x"), "$.surfaces[0]"),
+        (_set(["curves", 0, "c1_rel"], "x"), "$.curves[0]"),
+        (_set(["surfaces", 0, "punctures", 0, "sign"], None), "$.surfaces[0].punctures[0]"),
+        (_set(["covers", 0, "fiber", 0, "from"], None), "$.covers[0].fiber[0]"),
+        (_set(["orbits", 0], 5), "$.orbits[0]"),
+        (_set(["orbits", 0, "winding", "samples", 0], [1.0, "x", 1.0]), "$.orbits[0].winding"),
+        ("abc", "--c"),
+        ("1/0", "--c"),
+    ],
+    ids=[
+        "cover-not-int", "genus-not-int", "c1_rel-not-int", "puncture-without-sign",
+        "fiber-without-from", "orbit-not-object", "sample-row-not-numbers",
+        "kbound-c-not-rational", "kbound-c-zero-den",
+    ],
+)
+def test_cli_malformed_input_is_a_located_validation_error(tmp_path, mutate, where):
+    if isinstance(mutate, str):
+        proc = run_cli("oracle", "kbound", f"--c={mutate}", "--g", "0")
+    else:
+        doc = foliation_doc()
+        mutate(doc)
+        f = tmp_path / "bad.scn"
+        f.write_text(json.dumps(doc))
+        proc = run_cli("check", str(f))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"validation error: {where}: ".encode())
+    assert proc.stderr.count(where.encode()) == 1
     assert b"Traceback" not in proc.stderr
 
 

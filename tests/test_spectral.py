@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import loop_orbit, random_symmetric_loop, safe_epsilon
-from oracles import dense_hermitian_eigenvalues
+from oracles import dense_hermitian_eigenvalues, measured_windings, spectrum_windings
 from pcurves.errors import ValidationError
 from pcurves.orbits import WINDING, Perturbation, conley_zehnder
 from pcurves.spectral import AsymptoticOperator, discretized_spectrum
@@ -51,12 +51,34 @@ def test_window_properties_random_loops():
     for _ in range(10):
         op = random_symmetric_loop(rng)
         spec = discretized_spectrum(op, 48)
-        windings = [w for _, w, _ in spec.eigenpairs]
-        assert windings == sorted(windings)
+        assert spectrum_windings(spec) == measured_windings(op, 48)
         counts = spec.winding_counts()
         interior = sorted(counts)[1:-1]  # edge windings may be cut by the window
         for w in interior:
             assert counts[w] == 2
+
+
+def _counted_winding_cases():
+    base = random_symmetric_loop(np.random.default_rng(5), degree=2, scale=0.7)
+    rng = np.random.default_rng(4)
+    return {
+        # at T = 64, winding -5 is two simple eigenvalues 2.9e-6 apart
+        "rng7": random_symmetric_loop(np.random.default_rng(7), degree=2, scale=2.5),
+        # max ||S|| well above pi: the bands of neighbouring windings overlap
+        **{f"degree4_{i}": random_symmetric_loop(rng, degree=4, scale=8.0) for i in range(3)},
+        **{f"cover{k}": base.pulled_back(k) for k in (2, 3, 4, 6)},
+        "zero": AsymptoticOperator.constant(0.0, 0.0, 0.0),
+        "scalar": AsymptoticOperator.constant(math.pi, 0.0, math.pi),
+        "constant": AsymptoticOperator.constant(0.5, 0.3, -0.2),
+    }
+
+
+@pytest.mark.parametrize("truncation", [33, 64, 65])
+def test_counted_windings_match_measured_windings(truncation):
+    # Odd truncations start the window inside a pair of equal windings.
+    for name, op in _counted_winding_cases().items():
+        spec = discretized_spectrum(op, truncation)
+        assert spectrum_windings(spec) == measured_windings(op, truncation), name
 
 
 def test_pulled_back_operator_scales_eigenvalues():
