@@ -86,18 +86,20 @@ def _require(cond, msg, location):
         raise ValidationError(msg, location)
 
 
-_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+_KINDS = {int: "an integer", bool: "a boolean", str: "a string", list: "a list", dict: "an object"}
 
 
 def _get(obj, key, location, default=None, required=False, kind=None):
     """``obj[key]``, else ``default`` or, if ``required``, a located error;
-    a present value must be of ``kind`` (int, list or dict) when one is given."""
+    a present value must be of ``kind`` (a key of ``_KINDS``) when one is given."""
     if key not in obj:
         if required:
             raise ValidationError(f"missing key {key!r}", location)
         return default
     value = obj[key]
-    wrong = kind is not None and (not isinstance(value, kind) or isinstance(value, bool))
+    wrong = kind is not None and (
+        not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)
+    )
     if wrong:
         raise ValidationError(f"{key!r} must be {_KINDS[kind]}, got {value!r}", location)
     return value
@@ -121,7 +123,8 @@ def _parse_surface(doc, location):
     for i, p in enumerate(_get(doc, "punctures", location, default=[], kind=list)):
         loc = f"{location}.punctures[{i}]"
         _check_keys(p, {"id", "sign"}, loc)
-        punctures.append((_get(p, "id", loc, required=True), _get(p, "sign", loc, required=True)))
+        pid = _get(p, "id", loc, required=True, kind=str)
+        punctures.append((pid, _get(p, "sign", loc, required=True)))
     try:
         return PuncturedSurface(
             genus=_get(doc, "genus", location, required=True, kind=int),
@@ -162,11 +165,11 @@ def _parse_orbit(doc, location, orbits):
         },
         location,
     )
-    oid = _get(doc, "id", location, required=True)
+    oid = _get(doc, "id", location, required=True, kind=str)
     winding_doc = _get(doc, "winding", location, required=True, kind=dict)
     wtype = _get(winding_doc, "type", f"{location}.winding", required=True)
     cover = _get(doc, "cover", location, default=1, kind=int)
-    simple = _get(doc, "simple", location, default=oid if cover == 1 else None)
+    simple = _get(doc, "simple", location, default=oid if cover == 1 else None, kind=str)
     _require(simple is not None, "multiply covered orbit needs a simple id", location)
     if wtype == "operator":
         _check_keys(winding_doc, {"type", "samples"}, f"{location}.winding")
@@ -235,7 +238,7 @@ def _parse_curve(doc, location, surfaces, orbits, delta_gap):
         },
         location,
     )
-    sid = _get(doc, "surface", location, required=True)
+    sid = _get(doc, "surface", location, required=True, kind=str)
     _require(sid in surfaces, f"unknown surface {sid!r}", location)
     surface = surfaces[sid]
     orbit_map = {}
@@ -256,10 +259,10 @@ def _parse_curve(doc, location, surfaces, orbits, delta_gap):
             c1_rel=_get(doc, "c1_rel", location, required=True, kind=int),
             maslov_boundary=_get(doc, "maslov_boundary", location, default=0, kind=int),
             z_du=as_fraction(_get(doc, "z_du", location, default=0), location),
-            somewhere_injective=bool(
-                _get(doc, "somewhere_injective", location, default=True)
+            somewhere_injective=_get(
+                doc, "somewhere_injective", location, default=True, kind=bool
             ),
-            homology_tag=_get(doc, "id", location, required=True),
+            homology_tag=_get(doc, "id", location, required=True, kind=str),
         )
         constraints = ConstraintSet(
             constrained=frozenset(_get(doc, "constrained", location, default=[], kind=list)),
@@ -286,8 +289,8 @@ def _parse_cover(doc, location, surfaces, curves, orbits):
         },
         location,
     )
-    dom_id = _get(doc, "domain", location, required=True)
-    cod_id = _get(doc, "codomain", location, required=True)
+    dom_id = _get(doc, "domain", location, required=True, kind=str)
+    cod_id = _get(doc, "codomain", location, required=True, kind=str)
     for sid in (dom_id, cod_id):
         _require(sid in surfaces, f"unknown surface {sid!r}", location)
     fiber = {}
@@ -308,7 +311,7 @@ def _parse_cover(doc, location, surfaces, curves, orbits):
         )
     except ValidationError as exc:
         raise _located(exc, location)
-    base_id = _get(doc, "base_curve", location, required=True)
+    base_id = _get(doc, "base_curve", location, required=True, kind=str)
     _require(base_id in curves, f"unknown base curve {base_id!r}", location)
     base_curve, base_cons = curves[base_id]
     total = _get(doc, "total_constrained", location, kind=list)
@@ -332,8 +335,8 @@ def _parse_pairing(doc, location, curves):
     _check_keys(
         doc, {"left", "right", "relative_pairing", "end_intersections"}, location
     )
-    left = _get(doc, "left", location, required=True)
-    right = _get(doc, "right", location, required=True)
+    left = _get(doc, "left", location, required=True, kind=str)
+    right = _get(doc, "right", location, required=True, kind=str)
     for cid in (left, right):
         _require(cid in curves, f"unknown curve {cid!r}", location)
     ends = {}
@@ -402,7 +405,7 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
     for i, sdoc in enumerate(_get(doc, "surfaces", "$", default=[], kind=list)):
         loc = f"$.surfaces[{i}]"
         surface = _parse_surface(sdoc, loc)
-        sid = _get(sdoc, "id", loc, required=True)
+        sid = _get(sdoc, "id", loc, required=True, kind=str)
         _require(sid not in surfaces, f"duplicate surface id {sid!r}", loc)
         surfaces[sid] = surface
 
@@ -418,7 +421,7 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
     for i, cdoc in enumerate(_get(doc, "curves", "$", default=[], kind=list)):
         loc = f"$.curves[{i}]"
         curve, cons = _parse_curve(cdoc, loc, surfaces, orbits, delta_gap)
-        cid = _get(cdoc, "id", loc, required=True)
+        cid = _get(cdoc, "id", loc, required=True, kind=str)
         _require(cid not in curves, f"duplicate curve id {cid!r}", loc)
         curves[cid] = (curve, cons)
 
@@ -433,7 +436,7 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
     for i, vdoc in enumerate(_get(doc, "covers", "$", default=[], kind=list)):
         loc = f"$.covers[{i}]"
         cover = _parse_cover(vdoc, loc, surfaces, curves, orbits)
-        cid = _get(vdoc, "id", loc, required=True)
+        cid = _get(vdoc, "id", loc, required=True, kind=str)
         _require(cid not in covers, f"duplicate cover id {cid!r}", loc)
         covers[cid] = cover
 
@@ -443,6 +446,8 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
         _require(isinstance(q, dict) and isinstance(q.get("name"), str), "query needs a name", loc)
         missing = REGISTRY.missing_params(q)
         _require(not missing, f"query {q['name']!r} needs {', '.join(missing)}", loc)
+        k = _get(q, "k", f"{loc}.k", kind=int)
+        _require(k is None or k >= 1, f"'k' must be >= 1, got {k}", f"{loc}.k")
 
     ambient = _get(doc, "ambient", "$")
     _require(

@@ -13,6 +13,12 @@ The winding measurement computes eigenvectors of the package's real matrix
 and counts the turning of each window eigenfunction on a fine grid, as a
 check of the package's windings, which are counted from the eigenvalue
 order alone.
+
+A k-fold cover is checked against its tiled operator: the plain operator on
+the kN samples of S_k(t) = k S(k t), whose spectrum is one eigensolve of
+the full matrix, with no residue-class blocks.  The residue class of the
+modes an extremal eigenfunction of that matrix occupies gives its covering
+number independently of its winding.
 """
 
 import cmath
@@ -21,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from pcurves.spectral import _real_matrix
+from pcurves.spectral import AsymptoticOperator, _real_matrix
 
 
 class ScalarOracle:
@@ -132,6 +138,41 @@ def dense_hermitian_eigenvalues(samples, truncation):
     return np.linalg.eigvalsh(h)
 
 
+def tiled_rows(op):
+    """Rows (s11, s12, s22) of S_k at the kN sample points of a k-fold cover."""
+    return [(m[0, 0], m[0, 1], m[1, 1]) for m in op.matrices()]
+
+
+def tiled_operator(op):
+    """The plain operator on the tiled samples of ``op``: the same loop, with
+    the cover forgotten."""
+    return AsymptoticOperator(tuple(tiled_rows(op)))
+
+
+def _full_matrix(op, truncation):
+    return _real_matrix(tiled_operator(op), truncation, np.arange(truncation + 1))
+
+
+def extremal_residue_class(op, truncation, side):
+    """The residue class r, 0 <= r <= k/2, such that the extremal eigenfunctions
+    of the k-fold cover ``op`` on ``side`` ('-' or '+') of 0, kernel excluded,
+    have Fourier modes only at m = +-r (mod k).  Read off the eigenvectors of
+    the tiled operator's full matrix; entry 2i + c of an eigenvector is the
+    coefficient of basis function i (the constant, then cos and sin of each
+    mode m >= 1) on e_{c+1}."""
+    k = op.cover
+    evals, vecs = np.linalg.eigh(_full_matrix(op, truncation))
+    tol = 1e-8 * (evals[-1] - evals[0])
+    lam = evals[evals < -tol].max() if side == "-" else evals[evals > tol].min()
+    coeffs = vecs[:, np.abs(evals - lam) <= tol].reshape(2 * truncation + 1, 2, -1)
+    weight = np.abs(coeffs).max(axis=(1, 2))
+    modes = (np.arange(2 * truncation + 1) + 1) // 2
+    support = modes[weight > 1e-6 * weight.max()]
+    classes = {min(m % k, -m % k) for m in support.tolist()}
+    assert len(classes) == 1, f"extremal eigenfunctions occupy residue classes {classes}"
+    return classes.pop()
+
+
 def measured_windings(op, truncation):
     """Windings of the window eigenfunctions of the truncated operator, in
     ascending eigenvalue order, measured by counting argument turns.
@@ -140,8 +181,9 @@ def measured_windings(op, truncation):
     (the constant, then sqrt2 cos and sqrt2 sin of each mode m >= 1) on
     e_{c+1}.  Each eigenfunction is evaluated on 16 (T + 1) points; the
     measurement asserts that it stays away from zero, turns by less than
-    pi/2 per step and closes within 1e-2 of a whole turn."""
-    _, vecs = np.linalg.eigh(_real_matrix(op, truncation))
+    pi/2 per step and closes within 1e-2 of a whole turn.  A cover is
+    measured on the full matrix of its tiled operator."""
+    _, vecs = np.linalg.eigh(_full_matrix(op, truncation))
     first = vecs.shape[1] // 4
     coeffs = vecs[:, first : vecs.shape[1] - first].reshape(2 * truncation + 1, 2, -1)
     grid = 16 * (truncation + 1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import loop_orbit, random_symmetric_loop, safe_epsilon
-from oracles import ScalarOracle, omega_oracle
+from oracles import ScalarOracle, extremal_residue_class, omega_oracle, tiled_operator
 from pcurves.errors import (
     DegeneracyError,
     MissingDataError,
@@ -284,6 +284,42 @@ def test_cov_extremal_divisibility():
     h2 = cover_orbit(scalar("h", Fraction(9, 4)), 2)
     assert alpha_strict(h2, "-") == 2
     assert cov_extremal(h2, "-") == 2
+
+
+def test_cov_extremal_is_the_gcd_of_the_cover_and_the_residue_class():
+    # An eigenfunction with modes m = +-r (mod k) is e^{2 pi i r t} f(k t) up
+    # to conjugation, a gcd(k, r)-fold cover; r is read off the eigenvector
+    # of the tiled full matrix, not off the winding.
+    rng = np.random.default_rng(17)
+    bases = [loop_orbit(f"r{i}", random_symmetric_loop(rng)) for i in range(3)]
+    thetas = (Fraction(3, 7), Fraction(5, 4), Fraction(9, 4), Fraction(-5, 3))
+    bases += [scalar(f"s{theta}", theta) for theta in thetas]
+    for base in bases:
+        for k in range(2, 7):
+            cover = cover_orbit(base, k)
+            for side in "-+":
+                r = extremal_residue_class(cover.winding.op, 64, side)
+                cov = cov_extremal(cover, side, truncation=64)
+                assert cov == math.gcd(k, r), (base.id, k, side)
+
+
+def test_crossing_flow_on_covers():
+    # The crossing flow integrates S_k from the cover's Fourier coefficients;
+    # it must agree with the tiled samples' flow and with the windings.
+    rng = np.random.default_rng(19)
+    bases = [random_symmetric_loop(rng) for _ in range(2)]
+    bases.append(AsymptoticOperator.constant(3 * math.pi / 7, 0.0, 3 * math.pi / 7))
+    for i, base in enumerate(bases):
+        for k in range(2, 7):
+            cover = base.pulled_back(k)
+            orbit = loop_orbit(f"c{i}x{k}", cover)
+            tiled = loop_orbit(f"t{i}x{k}", tiled_operator(cover))
+            spec = discretized_spectrum(cover, 64)
+            for preferred in (0.0, 1.1, -2.3):
+                eps = Fraction(safe_epsilon(spec, preferred)).limit_denominator(10**9)
+                flow = conley_zehnder(orbit, Perturbation(eps), CROSSING_FLOW)
+                assert flow == conley_zehnder(tiled, Perturbation(eps), CROSSING_FLOW), (i, k)
+                assert flow == conley_zehnder(orbit, Perturbation(eps), WINDING), (i, k)
 
 
 def test_alpha_strict_with_an_empty_side_asks_for_more_truncation():

@@ -348,13 +348,21 @@ def _set(path, value):
         (_set(["covers", 0, "fiber", 0, "from"], None), "$.covers[0].fiber[0]"),
         (_set(["orbits", 0], 5), "$.orbits[0]"),
         (_set(["orbits", 0, "winding", "samples", 0], [1.0, "x", 1.0]), "$.orbits[0].winding"),
+        (_set(["queries", 0], {"name": "cover_orbit", "orbit": "g_zero", "k": "two"}),
+         "$.queries[0].k"),
+        (_set(["queries", 0], {"name": "cover_orbit", "orbit": "g_zero", "k": 0}),
+         "$.queries[0].k"),
+        (_set(["orbits", 0, "id"], ["a"]), "$.orbits[0]"),
+        (_set(["surfaces", 0, "id"], ["a"]), "$.surfaces[0]"),
+        (_set(["curves", 0, "somewhere_injective"], "no"), "$.curves[0]"),
         ("abc", "--c"),
         ("1/0", "--c"),
     ],
     ids=[
         "cover-not-int", "genus-not-int", "c1_rel-not-int", "puncture-without-sign",
         "fiber-without-from", "orbit-not-object", "sample-row-not-numbers",
-        "kbound-c-not-rational", "kbound-c-zero-den",
+        "query-k-not-int", "query-k-zero", "orbit-id-not-string", "surface-id-not-string",
+        "somewhere-injective-not-bool", "kbound-c-not-rational", "kbound-c-zero-den",
     ],
 )
 def test_cli_malformed_input_is_a_located_validation_error(tmp_path, mutate, where):

@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import loop_orbit, random_symmetric_loop, safe_epsilon
-from oracles import dense_hermitian_eigenvalues, measured_windings, spectrum_windings
-from pcurves.errors import ValidationError
+from oracles import (
+    dense_hermitian_eigenvalues,
+    measured_windings,
+    spectrum_windings,
+    tiled_operator,
+    tiled_rows,
+)
+from pcurves.errors import SpectralError, ValidationError
 from pcurves.orbits import WINDING, Perturbation, conley_zehnder
 from pcurves.spectral import AsymptoticOperator, discretized_spectrum
 
@@ -97,6 +103,62 @@ def test_pulled_back_operator_scales_eigenvalues():
         ), (lam, w)
 
 
+def test_cover_order_validation():
+    op = AsymptoticOperator.constant(0.5, 0.3, -0.2)
+    for cover in (0, -2, 1.5, "2"):
+        with pytest.raises(ValidationError):
+            AsymptoticOperator(op.samples, cover)
+    with pytest.raises(ValidationError):
+        op.pulled_back(0)
+    cover = op.pulled_back(2).pulled_back(3)
+    assert cover.samples == op.samples and cover.cover == 6
+    assert cover.sample_count == 6 * op.sample_count
+    assert cover == op.pulled_back(6) and hash(cover) == hash(op.pulled_back(6))
+    assert cover != op and cover != tiled_operator(cover)
+
+
+def _cover_cases():
+    rng = np.random.default_rng(41)
+    rng4 = np.random.default_rng(4)
+    return {
+        **{f"random{i}": random_symmetric_loop(rng) for i in range(3)},
+        "rng7": random_symmetric_loop(np.random.default_rng(7), degree=2, scale=2.5),
+        # loops 9 and 15 of this sequence are the under-resolved ones below
+        **{f"degree4_{i}": random_symmetric_loop(rng4, degree=4, scale=4.0) for i in range(4)},
+        "scalar": AsymptoticOperator.constant(3 * math.pi / 7, 0.0, 3 * math.pi / 7),
+    }
+
+
+@pytest.mark.parametrize("truncation", [33, 64, 65])
+def test_cover_blocks_match_the_tiled_operator(truncation):
+    # The residue-class blocks and the full matrix of the tiled samples
+    # must give the same windings, multiplicities and eigenvalues.
+    for name, base in _cover_cases().items():
+        for k in range(2, 7):
+            cover = base.pulled_back(k)
+            blocks = discretized_spectrum(cover, truncation)
+            full = discretized_spectrum(tiled_operator(cover), truncation)
+            label = (name, k)
+            assert [p[1:] for p in blocks.eigenpairs] == [p[1:] for p in full.eigenpairs], label
+            lams = np.array([p[0] for p in blocks.eigenpairs])
+            assert np.abs(lams - [p[0] for p in full.eigenpairs]).max() < 1e-10, label
+            assert abs(blocks.diameter - full.diameter) < 1e-10, label
+
+
+@pytest.mark.parametrize("index", [9, 15])
+def test_under_resolved_cover_asks_for_more_truncation(index):
+    # max |S_6| is about 74 and 84: at T = 31 the blocks' windings interleave
+    # inside the window, where the full matrix's count is wrong.
+    rng = np.random.default_rng(4)
+    base = [random_symmetric_loop(rng, degree=4, scale=4.0) for _ in range(index + 1)][-1]
+    cover = base.pulled_back(6)
+    with pytest.raises(SpectralError, match="increase the truncation"):
+        discretized_spectrum(cover, 31)
+    spec = discretized_spectrum(cover, 128)
+    full = discretized_spectrum(tiled_operator(cover), 128)
+    assert [p[1:] for p in spec.eigenpairs] == [p[1:] for p in full.eigenpairs]
+
+
 def test_kernel_detection():
     op = AsymptoticOperator.constant(TWO_PI, 0.0, TWO_PI)
     spec = discretized_spectrum(op, 32)
@@ -139,7 +201,7 @@ def test_real_basis_matches_dense_hermitian_reference(truncation):
     ]
     for op in ops:
         spec = discretized_spectrum(op, truncation)
-        reference = dense_hermitian_eigenvalues(op.samples, truncation)
+        reference = dense_hermitian_eigenvalues(tiled_rows(op), truncation)
         computed = np.array([lam for lam, _, _ in spec.eigenpairs])
         assert np.abs(computed - _reference_pairs(reference, spec)).max() < 1e-10
         assert abs(spec.diameter - (reference[-1] - reference[0])) < 1e-10
