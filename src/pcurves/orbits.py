@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .rationals import exact_int
-from .spectral import DEFAULT_TRUNCATION, GLOBAL_SPECTRUM_CACHE, J0, AsymptoticOperator
+from .spectral import DEFAULT_TRUNCATION, GLOBAL_SPECTRUM_CACHE, AsymptoticOperator
 
 SIDE_MINUS = "-"
 SIDE_PLUS = "+"
@@ -42,6 +42,9 @@ FLOW_STEPS = 2048
 #: degenerate.  The sign of tr - 2 gives the parity; at FLOW_STEPS the
 #: error of the trace stayed below 1e-9 near tr = 2 on random loops of
 #: degree 4 with coefficients up to 4, against 8 times as many steps.
+#: Multiplying the steps as a prefix product instead of one after another
+#: moves the trace by 7e-14 at most where |tr - 2| < 1, and by 3e-10 (4e-14
+#: relative) at tr = 4e4, on 600 loop/epsilon pairs of those loops.
 FLOW_TRACE_TOL = 1e-8
 
 
@@ -345,49 +348,72 @@ def _crossing_flow_cz(op, epsilon):
     det(I - Psi(1)) = 2 - tr Psi(1) < 0, and 2k + 1 when it lies in
     (k, k + 1); the rotation of Psi(t) e1 picks k.
     """
-    n = op.sample_count
-    ks = np.arange(n // 2 + 1)
-    # S(t) = sum of c_k e^{2 pi i k t} over |k| <= N/2, with c_{-k} = conj(c_k)
-    # and the Nyquist mode split evenly between +-N/2, taken as a real sum
-    # over k >= 0.  The complex sum's temporaries are four times larger,
-    # large enough that the allocator maps them afresh on every call.
-    coeffs = 2.0 * op.fourier_coefficients()[ks].reshape(len(ks), 4)
-    coeffs[0] /= 2.0
-    if n % 2 == 0:
-        coeffs[-1] /= 2.0
-    h = 1.0 / FLOW_STEPS
-    starts = np.arange(FLOW_STEPS) * h
-    gauss = math.sqrt(3) / 6
-
-    def generator(t):
-        phase = 2 * np.pi * np.outer(t, ks)
-        s = (np.cos(phase) @ coeffs.real - np.sin(phase) @ coeffs.imag).reshape(-1, 2, 2)
-        return J0 @ (s + epsilon * np.eye(2))
-
-    # Fourth-order Magnus steps from the two Gauss points of each step.  X
-    # is trace-free, so X @ X = -det(X) I and exp(X) = cos(w) I +
-    # (sin(w) / w) X with w = sqrt(det X), real also when det X < 0; every
-    # step lies in Sp(2).
-    a1 = generator(starts + (0.5 - gauss) * h)
-    a2 = generator(starts + (0.5 + gauss) * h)
-    x = 0.5 * h * (a1 + a2) + 0.5 * gauss * h * h * (a2 @ a1 - a1 @ a2)
-    w = np.sqrt(np.linalg.det(x).astype(complex))
-    steps = (
-        np.cos(w).real[:, None, None] * np.eye(2)
-        + np.sinc(w / np.pi).real[:, None, None] * x
-    )
-    psi = np.empty((FLOW_STEPS + 1, 2, 2))
-    psi[0] = np.eye(2)
-    for j in range(FLOW_STEPS):
-        psi[j + 1] = steps[j] @ psi[j]
-    trace = psi[-1, 0, 0] + psi[-1, 1, 1]
+    trace, turns = _crossing_flow(op, epsilon)
     if abs(trace - 2.0) < FLOW_TRACE_TOL:
         raise DegeneracyError("degenerate endpoint: the perturbed orbit has kernel")
-    e1 = psi[:, 0, 0] + 1j * psi[:, 1, 0]
-    turns = float(np.angle(e1[1:] * e1[:-1].conj()).sum()) / (2 * np.pi)
     if trace > 2.0:
         return 2 * round(turns)
     return 2 * math.floor(turns) + 1
+
+
+def _crossing_flow(op, epsilon):
+    """(tr Psi(1), turns of Psi(t) e1 over [0, 1]) for Psi' = J0 (S + epsilon) Psi,
+    Psi(0) = I, from FLOW_STEPS fourth-order Magnus steps of length h.
+
+    The two Gauss points of the steps form two uniform grids t_j = (j + o) h,
+    o = 1/2 -+ sqrt(3)/6.  With S(t) = Re sum of a_k e^{2 pi i k t} over
+    0 <= k <= N/2 (a_0 = c_0, a_k = 2 c_k, the Nyquist mode split evenly
+    between +-N/2), S(t_j) = Re sum of a_k e^{2 pi i k o h} e^{2 pi i k j h},
+    one inverse FFT per grid once mode k is folded onto k mod FLOW_STEPS.
+    A k-fold cover has modes only at multiples of k, and only those are
+    summed.
+    """
+    n, k = op.sample_count, op.cover
+    steps = FLOW_STEPS
+    h = 1.0 / steps
+    gauss = math.sqrt(3) / 6
+    modes = np.arange(0, n // 2 + 1, k)
+    # Rows (s11, s12, s22) of the real-sum coefficients a_k.
+    coeffs = 2.0 * op.fourier_coefficients()[modes].reshape(-1, 4)[:, [0, 1, 3]]
+    coeffs[0] /= 2.0
+    if 2 * modes[-1] == n:
+        coeffs[-1] /= 2.0
+    offsets = np.array([0.5 - gauss, 0.5 + gauss])
+    folded = np.zeros((2, steps, 3), dtype=complex)
+    np.add.at(
+        folded,
+        (slice(None), modes % steps),
+        np.exp(2j * np.pi * h * np.outer(offsets, modes))[:, :, None] * coeffs,
+    )
+    s11, s12, s22 = (steps * np.fft.ifft(folded, axis=1).real).transpose(2, 0, 1)
+    # J0 (S + epsilon) = [[p, q], [r, -p]] at both grids.
+    (p1, p2), (q1, q2), (r1, r2) = -s12, -(s22 + epsilon), s11 + epsilon
+    # Magnus step X = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1], trace-free.  X @
+    # X = -det(X) I, so exp(X) = cos(w) I + (sin(w) / w) X with w = sqrt(det X),
+    # real also when det X < 0; every step lies in Sp(2).
+    comm = 0.5 * gauss * h * h
+    xp = 0.5 * h * (p1 + p2) + comm * (q2 * r1 - q1 * r2)
+    xq = 0.5 * h * (q1 + q2) + 2 * comm * (p2 * q1 - p1 * q2)
+    xr = 0.5 * h * (r1 + r2) + 2 * comm * (r2 * p1 - p2 * r1)
+    w = np.sqrt((-xp * xp - xq * xr).astype(complex))
+    cos, sinc = np.cos(w).real, np.sinc(w / np.pi).real
+    # Entries of the steps, then of the products Psi(t_{j+1}) = E_j ... E_0:
+    # an inclusive prefix product, later steps on the left, in log2(steps)
+    # rounds of one batched product each (Hillis-Steele).
+    a, b, c, d = cos + sinc * xp, sinc * xq, sinc * xr, cos - sinc * xp
+    shift = 1
+    while shift < steps:
+        hi, lo = slice(shift, None), slice(None, -shift)
+        a[hi], b[hi], c[hi], d[hi] = (
+            a[hi] * a[lo] + b[hi] * c[lo],
+            a[hi] * b[lo] + b[hi] * d[lo],
+            c[hi] * a[lo] + d[hi] * c[lo],
+            c[hi] * b[lo] + d[hi] * d[lo],
+        )
+        shift *= 2
+    e1 = np.concatenate([[1.0], a + 1j * c])
+    turns = float(np.angle(e1[1:] * e1[:-1].conj()).sum()) / (2 * np.pi)
+    return float(a[-1] + d[-1]), turns
 
 
 # ---------------------------------------------------------------------------

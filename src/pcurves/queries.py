@@ -126,7 +126,7 @@ def _q_spectrum(scenario, params, truncation):
     orbit = scenario.orbit(params["orbit"])
     if not orbit.is_operator_backed:
         raise ValidationError(f"orbit {orbit.id!r} is not operator-backed")
-    trunc = int(params.get("truncation", truncation))
+    trunc = params.get("truncation", truncation)
     spec = GLOBAL_SPECTRUM_CACHE.get(orbit.winding.op, trunc)
     return {
         "truncation": trunc,
@@ -175,7 +175,7 @@ def _q_nu(scenario, params, truncation):
 )
 def _q_cover_orbit(scenario, params, truncation):
     cov = orbits.cover_orbit(
-        scenario.orbit(params["orbit"]), int(params["k"]), scenario.orbits, truncation
+        scenario.orbit(params["orbit"]), params["k"], scenario.orbits, truncation
     )
     return {
         "id": cov.id,
@@ -206,7 +206,7 @@ def _q_qcover(scenario, params, truncation):
     return orbits.q_of_cover(
         scenario.orbit(params["orbit"]),
         _pert(params),
-        int(params["k"]),
+        params["k"],
         params["side"],
         scenario.orbits,
         truncation,
@@ -252,7 +252,7 @@ def _q_qtilde(scenario, params, truncation):
         _pert(params, "epsilon_m"),
         scenario.orbit(params["orbit_n"]),
         _pert(params, "epsilon_n"),
-        int(params["k"]),
+        params["k"],
         params["sign"],
         scenario.orbits,
         truncation,
@@ -312,7 +312,7 @@ def _q_cn(scenario, params, truncation):
 )
 def _q_kbound(scenario, params, truncation):
     return curves.k_bound(
-        as_fraction(params["c"]), int(params["genus0"]), bool(params["boundary"])
+        as_fraction(params["c"]), params["genus0"], params["boundary"]
     )
 
 
@@ -334,10 +334,10 @@ def _q_trans(scenario, params, truncation):
 )
 def _q_line_bundle(scenario, params, truncation):
     return curves.line_bundle_bounds(
-        int(params["index"]),
+        params["index"],
         as_fraction(params["c1_adjusted"]),
-        int(params["gamma0"]),
-        bool(params["boundary"]),
+        params["gamma0"],
+        params["boundary"],
     )
 
 
@@ -568,7 +568,7 @@ def _q_unique_even(scenario, params, truncation):
 def _q_bad(scenario, params, truncation):
     return classify.is_bad_puncture(
         scenario.orbit(params["orbit"]),
-        int(params["parity"]),
+        params["parity"],
         scenario.orbits,
         truncation,
     )
@@ -624,15 +624,15 @@ def _q_loop_winding(scenario, params, truncation):
 )
 def _q_zero_count(scenario, params, truncation):
     return zeros.zero_count(
-        _bundle(params, has_maslov_boundary=bool(params.get("has_boundary", True)))
+        _bundle(params, has_maslov_boundary=params.get("has_boundary", True))
     )
 
 
 def _bundle(params, **extra):
     return zeros.BundleData(
-        c1=int(params["c1"]),
-        maslov=int(params["maslov"]),
-        boundary_winding=int(params.get("boundary_winding", 0)),
+        c1=params["c1"],
+        maslov=params["maslov"],
+        boundary_winding=params.get("boundary_winding", 0),
         **extra,
     )
 

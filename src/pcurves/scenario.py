@@ -16,6 +16,8 @@ from .curves import ConstraintSet, CurveData
 from .errors import ValidationError
 from .intersections import PairingInput
 from .orbits import (
+    CROSSING_FLOW,
+    WINDING,
     DeclaredMorseBott,
     DeclaredNondegenerate,
     MorseBott,
@@ -103,6 +105,18 @@ def _get(obj, key, location, default=None, required=False, kind=None):
     if wrong:
         raise ValidationError(f"{key!r} must be {_KINDS[kind]}, got {value!r}", location)
     return value
+
+
+#: JSON types of the query parameters that handlers use as they are
+_QUERY_KINDS = {
+    **dict.fromkeys(
+        ("k", "index", "gamma0", "parity", "c1", "maslov", "genus0", "truncation",
+         "boundary_winding"),
+        int,
+    ),
+    "boundary": bool,
+    "has_boundary": bool,
+}
 
 
 def _located(exc, location):
@@ -446,8 +460,17 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
         _require(isinstance(q, dict) and isinstance(q.get("name"), str), "query needs a name", loc)
         missing = REGISTRY.missing_params(q)
         _require(not missing, f"query {q['name']!r} needs {', '.join(missing)}", loc)
-        k = _get(q, "k", f"{loc}.k", kind=int)
+        for key, kind in _QUERY_KINDS.items():
+            _get(q, key, f"{loc}.{key}", kind=kind)
+        k = q.get("k")
         _require(k is None or k >= 1, f"'k' must be >= 1, got {k}", f"{loc}.k")
+        if q["name"] == "conley_zehnder":
+            method = _get(q, "method", f"{loc}.method", default=WINDING)
+            _require(
+                method in (WINDING, CROSSING_FLOW),
+                f"unknown Conley-Zehnder method {method!r}",
+                f"{loc}.method",
+            )
 
     ambient = _get(doc, "ambient", "$")
     _require(

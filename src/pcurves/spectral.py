@@ -68,12 +68,13 @@ class AsymptoticOperator:
             rows.append((float(row[0]), float(row[1]), float(row[2])))
         if len(rows) < MIN_SAMPLES:
             raise ValidationError(f"need at least {MIN_SAMPLES} samples, got {len(rows)}")
-        if not isinstance(self.cover, numbers.Integral) or self.cover < 1:
-            raise ValidationError(f"cover order must be an integer >= 1, got {self.cover!r}")
-        object.__setattr__(self, "samples", tuple(rows))
-        object.__setattr__(self, "cover", int(self.cover))
+        self._set(tuple(rows), _cover_order(self.cover))
+
+    def _set(self, samples, cover):
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "cover", cover)
         # Hashed once: every spectrum cache lookup hashes its operator.
-        object.__setattr__(self, "_hash", hash((self.samples, self.cover)))
+        object.__setattr__(self, "_hash", hash((samples, cover)))
 
     def __hash__(self):
         return self._hash
@@ -119,11 +120,19 @@ class AsymptoticOperator:
     def pulled_back(self, k):
         """Operator of the k-fold covered orbit: S_k(t) = k * S(k t mod 1),
         kept as the same samples with the cover order multiplied by k."""
-        if k < 1:
-            raise ValidationError("cover order must be >= 1")
+        k = _cover_order(k)
         if k == 1:
             return self
-        return AsymptoticOperator(self.samples, self.cover * k)
+        # The samples are validated already; only the cover order is new.
+        pulled = object.__new__(AsymptoticOperator)
+        pulled._set(self.samples, self.cover * k)
+        return pulled
+
+
+def _cover_order(k):
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValidationError(f"cover order must be an integer >= 1, got {k!r}")
+    return int(k)
 
 
 @dataclass(frozen=True)
@@ -147,6 +156,11 @@ class SpectralData:
             if w_prev is not None and w < w_prev:
                 raise ValidationError("windings must be nondecreasing in the eigenvalue")
             w_prev = w
+        # The window's columns, searched by eigenvalue.
+        lams, windings, mults = zip(*self.eigenpairs)
+        object.__setattr__(self, "_lams", np.array(lams))
+        object.__setattr__(self, "_windings", windings)
+        object.__setattr__(self, "_mults", np.array(mults))
 
     @property
     def degeneracy_tol(self):
@@ -158,6 +172,14 @@ class SpectralData:
         for _, w, mult in self.eigenpairs:
             counts[w] = counts.get(w, 0) + mult
         return counts
+
+    def _around(self, x):
+        """(i, j): the eigenvalues below x - tol are [:i], those above x + tol [j:]."""
+        tol = self.degeneracy_tol
+        return (
+            int(np.searchsorted(self._lams, x - tol, side="left")),
+            int(np.searchsorted(self._lams, x + tol, side="right")),
+        )
 
     def alpha_at(self, epsilon):
         """Extremal windings of A + epsilon: windings just below/above -epsilon.
@@ -174,35 +196,38 @@ class SpectralData:
                 f"probe point {x:.6g} outside the reliable window [{lo:.6g}, {hi:.6g}];"
                 " increase the truncation"
             )
-        at = [w for lam, w, _ in self.eigenpairs if abs(lam - x) <= tol]
-        if at:
+        i, j = self._around(x)
+        if i < j:
+            w = self._windings[i]
             raise DegeneracyError(
-                f"operator has an eigenvalue at {x:.6g} (winding {at[0]})", kernel_winding=at[0]
+                f"operator has an eigenvalue at {x:.6g} (winding {w})", kernel_winding=w
             )
-        # The margin above puts the window's first eigenvalue below x and its last above.
-        below = [w for lam, w, _ in self.eigenpairs if lam < x - tol]
-        above = [w for lam, w, _ in self.eigenpairs if lam > x + tol]
-        return max(below), min(above)
+        # Windings are nondecreasing, and the margin above leaves eigenvalues
+        # on both sides of x.
+        return self._windings[i - 1], self._windings[j]
 
     def kernel_dimension(self):
-        return sum(mult for lam, _, mult in self.eigenpairs if abs(lam) <= self.degeneracy_tol)
+        i, j = self._around(0.0)
+        return int(self._mults[i:j].sum())
 
     def gap_around_zero(self):
         """Distance from 0 to the nearest nonzero eigenvalue in the window."""
-        nonzero = [abs(lam) for lam, _, _ in self.eigenpairs if abs(lam) > self.degeneracy_tol]
-        if not nonzero:
+        i, j = self._around(0.0)
+        nearest = np.r_[self._lams[:i][-1:], self._lams[j:][:1]]  # below and above
+        if not len(nearest):
             raise SpectralError("no nonzero eigenvalues inside the window")
-        return min(nonzero)
+        return float(np.abs(nearest).min())
 
 
-def _real_matrix(op, truncation, modes):
+def _real_matrix(coeffs, truncation, modes):
     """Matrix of -J0 d/dt - S(t) in the orthonormal real basis
     {1, sqrt2 cos 2 pi m t, sqrt2 sin 2 pi m t : m in modes} x {e_1, e_2},
     ``modes`` ascending in 0..T; the constant 1 is there when mode 0 is.
 
     The constant comes first, then the cosine and sine of each nonzero mode
-    in ascending order; this order keeps the matrix banded.  With c_k the
-    Fourier coefficients of S (halved at the Nyquist mode k = N/2, zero
+    in ascending order; this order keeps the matrix banded.  ``coeffs`` are
+    the N Fourier coefficients of S as ``fourier_coefficients()`` gives them.
+    With c_k these coefficients (halved at the Nyquist mode k = N/2, zero
     beyond it), multiplication by S has the 2x2 blocks
         <cos_m, S cos_n> = Re(c_{m-n} + c_{m+n}),
         <sin_m, S sin_n> = Re(c_{m-n} - c_{m+n}),
@@ -214,11 +239,11 @@ def _real_matrix(op, truncation, modes):
     eigenvalues; with a set of modes that S does not couple to the others,
     it is that matrix's diagonal block on them.
     """
-    n = op.sample_count
+    n = len(coeffs)
     t = truncation
     top = min(n // 2, 2 * t)
     c = np.zeros((2 * t + 1, 2, 2), dtype=complex)  # c_k for k = 0..2T
-    c[: top + 1] = op.fourier_coefficients()[: top + 1]
+    c[: top + 1] = coeffs[: top + 1]
     if n % 2 == 0 and n // 2 <= 2 * t:
         c[n // 2] /= 2.0
     c = np.concatenate([c[:0:-1].conj(), c])  # c_k for k = -2T..2T at k + 2T
@@ -256,12 +281,13 @@ def discretized_spectrum(op, truncation):
     if truncation < MIN_TRUNCATION:
         raise ValidationError(f"truncation must be >= {MIN_TRUNCATION}")
     k = op.cover
+    coeffs = op.fourier_coefficients()
     modes = np.arange(truncation + 1)
     residue = np.minimum(modes % k, -modes % k)
     evals, windings = [], []
     for r in range(k // 2 + 1):
         block = modes[residue == r]
-        evals.append(np.linalg.eigvalsh(_real_matrix(op, truncation, block)))
+        evals.append(np.linalg.eigvalsh(_real_matrix(coeffs, truncation, block)))
         windings.append(np.repeat(np.sort(np.r_[-block[block > 0], block]), 2))
     evals, windings = np.concatenate(evals), np.concatenate(windings)
     order = np.argsort(evals, kind="stable")

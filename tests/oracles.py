@@ -19,9 +19,15 @@ the kN samples of S_k(t) = k S(k t), whose spectrum is one eigensolve of
 the full matrix, with no residue-class blocks.  The residue class of the
 modes an extremal eigenfunction of that matrix occupies gives its covering
 number independently of its winding.
+
+The sequential flow integrates the crossing flow with the same Magnus steps
+as the package, but sums S at the Gauss points as a dense cos/sin series
+and multiplies the steps one after another, where the package reads S off
+inverse FFTs and multiplies the steps as a prefix product.
 """
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -150,7 +156,8 @@ def tiled_operator(op):
 
 
 def _full_matrix(op, truncation):
-    return _real_matrix(tiled_operator(op), truncation, np.arange(truncation + 1))
+    coeffs = tiled_operator(op).fourier_coefficients()
+    return _real_matrix(coeffs, truncation, np.arange(truncation + 1))
 
 
 def extremal_residue_class(op, truncation, side):
@@ -206,3 +213,44 @@ def spectrum_windings(spec):
     """The windings of a package spectrum, one per eigenvalue counted with
     multiplicity, to set against ``measured_windings``."""
     return [w for _, w, mult in spec.eigenpairs for _ in range(mult)]
+
+
+@functools.lru_cache(maxsize=4)
+def _gauss_point_samples(op, steps):
+    """S at the two Gauss points of each of ``steps`` equal steps of [0, 1], as
+    two arrays of 2x2 matrices, from a dense cos/sin sum over the modes
+    0 <= k <= N/2 (the Nyquist mode split evenly between +-N/2)."""
+    n = op.sample_count
+    ks = np.arange(n // 2 + 1)
+    coeffs = 2.0 * op.fourier_coefficients()[ks].reshape(len(ks), 4)
+    coeffs[0] /= 2.0
+    if n % 2 == 0:
+        coeffs[-1] /= 2.0
+    starts = np.arange(steps) / steps
+    gauss = math.sqrt(3) / 6
+    out = []
+    for offset in (0.5 - gauss, 0.5 + gauss):
+        phase = 2 * np.pi * np.outer(starts + offset / steps, ks)
+        out.append((np.cos(phase) @ coeffs.real - np.sin(phase) @ coeffs.imag).reshape(-1, 2, 2))
+    return out
+
+
+def sequential_flow(op, epsilon, steps=2048):
+    """(tr Psi(1), turns of Psi(t) e1 over [0, 1]) for Psi' = J0 (S + epsilon) Psi,
+    Psi(0) = I, by fourth-order Magnus steps multiplied one after another,
+    each new step on the left, in plain floats."""
+    h = 1.0 / steps
+    gauss = math.sqrt(3) / 6
+    j0 = np.array([[0.0, -1.0], [1.0, 0.0]])
+    a1, a2 = (j0 @ (s + epsilon * np.eye(2)) for s in _gauss_point_samples(op, steps))
+    x = 0.5 * h * (a1 + a2) + 0.5 * gauss * h * h * (a2 @ a1 - a1 @ a2)
+    w = np.sqrt(np.linalg.det(x).astype(complex))
+    step = np.cos(w).real[:, None, None] * np.eye(2) + np.sinc(w / np.pi).real[:, None, None] * x
+    psi = [(1.0, 0.0, 0.0, 1.0)]  # entries (00, 01, 10, 11) of Psi(t_j)
+    for e00, e01, e10, e11 in step.reshape(-1, 4).tolist():
+        a, b, c, d = psi[-1]
+        psi.append((e00 * a + e01 * c, e00 * b + e01 * d, e10 * a + e11 * c, e10 * b + e11 * d))
+    psi = np.array(psi)
+    e1 = psi[:, 0] + 1j * psi[:, 2]
+    turns = float(np.angle(e1[1:] * e1[:-1].conj()).sum()) / (2 * np.pi)
+    return float(psi[-1, 0] + psi[-1, 3]), turns

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import loop_orbit, random_symmetric_loop, safe_epsilon
-from oracles import ScalarOracle, extremal_residue_class, omega_oracle, tiled_operator
+from oracles import (
+    ScalarOracle,
+    extremal_residue_class,
+    omega_oracle,
+    sequential_flow,
+    tiled_operator,
+)
 from pcurves.errors import (
     DegeneracyError,
     MissingDataError,
@@ -14,6 +20,7 @@ from pcurves.errors import (
 )
 from pcurves.orbits import (
     CROSSING_FLOW,
+    FLOW_TRACE_TOL,
     WINDING,
     DeclaredMorseBott,
     DeclaredNondegenerate,
@@ -36,6 +43,7 @@ from pcurves.orbits import (
     q_tilde,
     scalar_orbit,
 )
+from pcurves.orbits import _crossing_flow, _crossing_flow_cz
 from pcurves.spectral import AsymptoticOperator, discretized_spectrum
 
 D = Fraction(1, 8)
@@ -174,6 +182,45 @@ def test_crossing_flow_degenerate_endpoint():
         conley_zehnder(orbit, Perturbation(0), CROSSING_FLOW)
 
 
+def _flow_outcome(trace, turns):
+    """The index read off (tr Psi(1), turns) as the package reads it, or
+    "degenerate"."""
+    if abs(trace - 2.0) < FLOW_TRACE_TOL:
+        return "degenerate"
+    return 2 * round(turns) if trace > 2.0 else 2 * math.floor(turns) + 1
+
+
+def test_crossing_flow_matches_the_sequential_product():
+    # The package multiplies its Magnus steps as a prefix product over S from
+    # inverse FFTs; the reference multiplies them one after another over S
+    # from a dense cos/sin sum.  Criterion 2's loops, then degree-4 loops at
+    # scale 4, whose traces reach 4e4.
+    rng = np.random.default_rng(20260810)
+    ops = [random_symmetric_loop(rng) for _ in range(100)]
+    rng = np.random.default_rng(4)
+    ops += [random_symmetric_loop(rng, degree=4, scale=4) for _ in range(40)]
+    cases = [(op, eps) for op in ops for eps in (0.0, -1.1, 2.3, 0.37)]
+    # Endpoints next to tr Psi(1) = 2: epsilon 1e-4 from an eigenvalue, and
+    # a kernel.
+    for op in ops[:3]:
+        lam = min((lam for lam, _, _ in discretized_spectrum(op, 64).eigenpairs), key=abs)
+        cases += [(op, lam + 1e-4), (op, lam - 1e-4)]
+    cases.append((AsymptoticOperator.constant(0.0, 0.0, 1.3), 0.0))
+    near = 0
+    for op, eps in cases:
+        trace, turns = sequential_flow(op, eps)
+        assert abs(_crossing_flow(op, eps)[0] - trace) < 1e-9, eps
+        try:
+            outcome = _crossing_flow_cz(op, eps)
+        except DegeneracyError:
+            outcome = "degenerate"
+        assert outcome == _flow_outcome(trace, turns), eps
+        near += abs(trace - 2.0) < 1e-3
+    # The seven endpoints built next to 2 (|tr Psi(1) - 2| < 3e-4 or 0), and
+    # one of criterion 2's loops at epsilon 0.37.
+    assert near == 8
+
+
 def test_crossing_flow_needs_operator():
     orbit = OrbitClass(
         id="d", simple_id="d", cover=1,
@@ -309,17 +356,21 @@ def test_crossing_flow_on_covers():
     rng = np.random.default_rng(19)
     bases = [random_symmetric_loop(rng) for _ in range(2)]
     bases.append(AsymptoticOperator.constant(3 * math.pi / 7, 0.0, 3 * math.pi / 7))
-    for i, base in enumerate(bases):
-        for k in range(2, 7):
-            cover = base.pulled_back(k)
-            orbit = loop_orbit(f"c{i}x{k}", cover)
-            tiled = loop_orbit(f"t{i}x{k}", tiled_operator(cover))
-            spec = discretized_spectrum(cover, 64)
-            for preferred in (0.0, 1.1, -2.3):
-                eps = Fraction(safe_epsilon(spec, preferred)).limit_denominator(10**9)
-                flow = conley_zehnder(orbit, Perturbation(eps), CROSSING_FLOW)
-                assert flow == conley_zehnder(tiled, Perturbation(eps), CROSSING_FLOW), (i, k)
-                assert flow == conley_zehnder(orbit, Perturbation(eps), WINDING), (i, k)
+    covers = [(i, base, k) for i, base in enumerate(bases) for k in range(2, 7)]
+    # The first loop at 1024 samples: its 4- and 6-fold covers have modes up
+    # to kN/2 = 2048 and 3072, which the flow folds onto k mod FLOW_STEPS.
+    resampled = random_symmetric_loop(np.random.default_rng(19), n_samples=1024)
+    covers += [(len(bases), resampled, k) for k in (4, 6)]
+    for i, base, k in covers:
+        cover = base.pulled_back(k)
+        orbit = loop_orbit(f"c{i}x{k}", cover)
+        tiled = loop_orbit(f"t{i}x{k}", tiled_operator(cover))
+        spec = discretized_spectrum(cover, 64)
+        for preferred in (0.0, 1.1, -2.3):
+            eps = Fraction(safe_epsilon(spec, preferred)).limit_denominator(10**9)
+            flow = conley_zehnder(orbit, Perturbation(eps), CROSSING_FLOW)
+            assert flow == conley_zehnder(tiled, Perturbation(eps), CROSSING_FLOW), (i, k)
+            assert flow == conley_zehnder(orbit, Perturbation(eps), WINDING), (i, k)
 
 
 def test_alpha_strict_with_an_empty_side_asks_for_more_truncation():

@@ -355,6 +355,14 @@ def _set(path, value):
         (_set(["orbits", 0, "id"], ["a"]), "$.orbits[0]"),
         (_set(["surfaces", 0, "id"], ["a"]), "$.surfaces[0]"),
         (_set(["curves", 0, "somewhere_injective"], "no"), "$.curves[0]"),
+        (_set(["queries", 0], {"name": "line_bundle", "index": "x", "c1_adjusted": 0,
+                               "gamma0": 0, "boundary": False}), "$.queries[0].index"),
+        (_set(["queries", 0], {"name": "line_bundle", "index": 1, "c1_adjusted": 0,
+                               "gamma0": 0, "boundary": "no"}), "$.queries[0].boundary"),
+        (_set(["queries", 0], {"name": "zero_count", "c1": 1, "maslov": 2,
+                               "has_boundary": 1}), "$.queries[0].has_boundary"),
+        (_set(["queries", 0], {"name": "conley_zehnder", "orbit": "g_one",
+                               "method": "flow"}), "$.queries[0].method"),
         ("abc", "--c"),
         ("1/0", "--c"),
     ],
@@ -362,7 +370,9 @@ def _set(path, value):
         "cover-not-int", "genus-not-int", "c1_rel-not-int", "puncture-without-sign",
         "fiber-without-from", "orbit-not-object", "sample-row-not-numbers",
         "query-k-not-int", "query-k-zero", "orbit-id-not-string", "surface-id-not-string",
-        "somewhere-injective-not-bool", "kbound-c-not-rational", "kbound-c-zero-den",
+        "somewhere-injective-not-bool", "query-index-not-int", "query-boundary-not-bool",
+        "query-has-boundary-not-bool", "query-cz-method-unknown", "kbound-c-not-rational",
+        "kbound-c-zero-den",
     ],
 )
 def test_cli_malformed_input_is_a_located_validation_error(tmp_path, mutate, where):
