@@ -2,13 +2,16 @@
 a loaded scenario, and each result carries the formula it used plus its
 echoed inputs, so reports are self-contained and reproducible."""
 
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from fractions import Fraction
 
 from . import classify, covers, curves, intersections, orbits, surfaces, zeros
 from .errors import PCurvesError, ValidationError
-from .orbits import Perturbation
-from .rationals import as_fraction, rational_json
+from .params import (
+    BOOL, COVER, CURVE, IDS, INT, J_MODE, LOOP_SAMPLES, METHOD, ORBIT, ORDER, PARITY,
+    PERTURBATION, RATIONAL, SIGN, SURFACE,
+)
+from .rationals import rational_json
 from .spectral import GLOBAL_SPECTRUM_CACHE
 
 
@@ -31,40 +34,50 @@ def _jsonable(value):
     return str(value)
 
 
-def _pert(params, key="epsilon"):
-    return Perturbation(as_fraction(params.get(key, 0)))
+@dataclass(frozen=True)
+class Query:
+    """A scenario query: its JSON as written, and its parameters as its
+    kind's declaration reads them (None when the kind is unknown)."""
+
+    doc: dict
+    args: dict = None
+
+    @property
+    def name(self):
+        return self.doc["name"]
+
+    def echo(self):
+        """The query's parameters as written, for the report."""
+        return _jsonable({k: v for k, v in self.doc.items() if k != "name"})
 
 
 class QueryRegistry:
     def __init__(self):
         self._handlers = {}
-        self._required = {}
         self.covered_operations = set()
 
-    def register(self, name, formula, operations, required):
-        """``required`` names the parameters every query of this kind needs."""
+    def register(self, name, formula, operations, **params):
+        """``params`` gives each parameter of this query kind its kind from
+        the ``params`` module; the handler is called with the values read."""
         def wrap(fn):
-            self._handlers[name] = (fn, formula)
-            self._required[name] = tuple(required)
+            self._handlers[name] = (fn, formula, params)
             self.covered_operations.update(operations)
             return fn
 
         return wrap
 
-    def missing_params(self, query):
-        """Required parameters the query lacks; an unknown kind fails when run."""
-        return [p for p in self._required.get(query["name"], ()) if p not in query]
+    def params(self, name):
+        """The declared parameters of a query kind, None for an unknown kind."""
+        return self._handlers[name][2] if name in self._handlers else None
 
     def run_one(self, scenario, query, truncation):
-        name = query["name"]
-        if name not in self._handlers:
-            raise ValidationError(f"unknown query kind {name!r}")
-        fn, formula = self._handlers[name]
-        params = {k: v for k, v in query.items() if k != "name"}
-        result = fn(scenario, params, truncation)
+        if query.args is None:
+            raise ValidationError(f"unknown query kind {query.name!r}")
+        fn, formula, _ = self._handlers[query.name]
+        result = fn(scenario, truncation, **query.args)
         return {
-            "name": name,
-            "params": _jsonable(params),
+            "name": query.name,
+            "params": query.echo(),
             "formula": formula,
             "status": "ok",
             "result": _jsonable(result),
@@ -74,59 +87,52 @@ class QueryRegistry:
 REGISTRY = QueryRegistry()
 
 
-def _surface(scenario, params):
-    sid = params["surface"]
-    if sid not in scenario.surfaces:
-        raise ValidationError(f"unknown surface {sid!r}")
-    return scenario.surfaces[sid]
-
-
-@REGISTRY.register("euler_char", "chi = 2 - 2g - m - #punctures", ["euler_char"], ["surface"])
-def _q_euler(scenario, params, truncation):
-    return surfaces.euler_char(_surface(scenario, params))
+@REGISTRY.register("euler_char", "chi = 2 - 2g - m - #punctures", ["euler_char"], surface=SURFACE)
+def _q_euler(scenario, truncation, surface):
+    return surfaces.euler_char(surface)
 
 
 @REGISTRY.register(
     "teichmuller_dim",
     "stable: 6g - 6 + 3m + 2#punctures; else tabulated",
     ["teichmuller_dim"],
-    ["surface"],
+    surface=SURFACE,
 )
-def _q_teich(scenario, params, truncation):
-    return surfaces.teichmuller_dim(_surface(scenario, params))
+def _q_teich(scenario, truncation, surface):
+    return surfaces.teichmuller_dim(surface)
 
 
-@REGISTRY.register("aut_dim", "0 if stable; else tabulated", ["aut_dim"], ["surface"])
-def _q_aut(scenario, params, truncation):
-    return surfaces.aut_dim(_surface(scenario, params))
+@REGISTRY.register("aut_dim", "0 if stable; else tabulated", ["aut_dim"], surface=SURFACE)
+def _q_aut(scenario, truncation, surface):
+    return surfaces.aut_dim(surface)
 
 
 @REGISTRY.register(
     "riemann_hurwitz",
     "Z = -chi(domain) + degree * chi(codomain)",
     ["riemann_hurwitz_punctured"],
-    ["cover"],
+    cover=COVER,
 )
-def _q_rh(scenario, params, truncation):
-    return surfaces.riemann_hurwitz_punctured(scenario.cover_scenario(params["cover"]).cover)
+def _q_rh(scenario, truncation, cover):
+    return surfaces.riemann_hurwitz_punctured(cover.cover)
 
 
-@REGISTRY.register("cover_moduli_dim", "dim = 2 Z(d cover)", ["cover_moduli_dim"], ["cover"])
-def _q_cmd(scenario, params, truncation):
-    return surfaces.cover_moduli_dim(scenario.cover_scenario(params["cover"]).cover)
+@REGISTRY.register("cover_moduli_dim", "dim = 2 Z(d cover)", ["cover_moduli_dim"], cover=COVER)
+def _q_cmd(scenario, truncation, cover):
+    return surfaces.cover_moduli_dim(cover.cover)
 
 
 @REGISTRY.register(
     "spectrum",
     "eigenvalues of the Fourier-truncated operator with windings (reliable window)",
     ["discretized_spectrum"],
-    ["orbit"],
+    orbit=ORBIT,
+    truncation=INT.optional(),
 )
-def _q_spectrum(scenario, params, truncation):
-    orbit = scenario.orbit(params["orbit"])
+def _q_spectrum(scenario, run_truncation, orbit, truncation):
     if not orbit.is_operator_backed:
         raise ValidationError(f"orbit {orbit.id!r} is not operator-backed")
-    trunc = params.get("truncation", truncation)
+    trunc = run_truncation if truncation is None else truncation
     spec = GLOBAL_SPECTRUM_CACHE.get(orbit.winding.op, trunc)
     return {
         "truncation": trunc,
@@ -141,10 +147,11 @@ def _q_spectrum(scenario, params, truncation):
     "alpha",
     "extremal windings below/above the probe point, parity = difference",
     ["alpha_pm"],
-    ["orbit"],
+    orbit=ORBIT,
+    epsilon=PERTURBATION,
 )
-def _q_alpha(scenario, params, truncation):
-    am, ap, p = orbits.alpha_pm(scenario.orbit(params["orbit"]), _pert(params), truncation)
+def _q_alpha(scenario, truncation, orbit, epsilon):
+    am, ap, p = orbits.alpha_pm(orbit, epsilon, truncation)
     return {"alpha_minus": am, "alpha_plus": ap, "parity": p}
 
 
@@ -152,18 +159,19 @@ def _q_alpha(scenario, params, truncation):
     "conley_zehnder",
     "winding method: 2 alpha_- + parity; crossing flow: Robbin-Salamon count",
     ["conley_zehnder"],
-    ["orbit"],
+    orbit=ORBIT,
+    epsilon=PERTURBATION,
+    method=METHOD,
 )
-def _q_cz(scenario, params, truncation):
-    method = params.get("method", orbits.WINDING)
-    return orbits.conley_zehnder(
-        scenario.orbit(params["orbit"]), _pert(params), method, truncation
-    )
+def _q_cz(scenario, truncation, orbit, epsilon, method):
+    return orbits.conley_zehnder(orbit, epsilon, method, truncation)
 
 
-@REGISTRY.register("nu", "nu = alpha(down-perturbed) - alpha(up-perturbed)", ["nu_pm"], ["orbit"])
-def _q_nu(scenario, params, truncation):
-    nm, np_ = orbits.nu_pm(scenario.orbit(params["orbit"]), truncation)
+@REGISTRY.register(
+    "nu", "nu = alpha(down-perturbed) - alpha(up-perturbed)", ["nu_pm"], orbit=ORBIT
+)
+def _q_nu(scenario, truncation, orbit):
+    nm, np_ = orbits.nu_pm(orbit, truncation)
     return {"nu_minus": nm, "nu_plus": np_}
 
 
@@ -171,12 +179,11 @@ def _q_nu(scenario, params, truncation):
     "cover_orbit",
     "k-fold cover: pulled-back operator, eigenvalues scale by k",
     ["cover_orbit"],
-    ["orbit", "k"],
+    orbit=ORBIT,
+    k=ORDER,
 )
-def _q_cover_orbit(scenario, params, truncation):
-    cov = orbits.cover_orbit(
-        scenario.orbit(params["orbit"]), params["k"], scenario.orbits, truncation
-    )
+def _q_cover_orbit(scenario, truncation, orbit, k):
+    cov = orbits.cover_orbit(orbit, k, scenario.orbits, truncation)
     return {
         "id": cov.id,
         "simple": cov.simple_id,
@@ -190,72 +197,61 @@ def _q_cover_orbit(scenario, params, truncation):
     "cov_extremal",
     "largest divisor of the covering number dividing the extremal winding",
     ["cov_extremal"],
-    ["orbit", "side"],
+    orbit=ORBIT,
+    side=SIGN,
 )
-def _q_cov_extremal(scenario, params, truncation):
-    return orbits.cov_extremal(scenario.orbit(params["orbit"]), params["side"], truncation)
+def _q_cov_extremal(scenario, truncation, orbit, side):
+    return orbits.cov_extremal(orbit, side, truncation)
 
 
 @REGISTRY.register(
     "q_cover",
     "alpha(cover + k eps) = k alpha(base + eps) -+ q, q in [0, k-1]",
     ["q_of_cover"],
-    ["orbit", "k", "side"],
+    orbit=ORBIT,
+    epsilon=PERTURBATION,
+    k=ORDER,
+    side=SIGN,
 )
-def _q_qcover(scenario, params, truncation):
-    return orbits.q_of_cover(
-        scenario.orbit(params["orbit"]),
-        _pert(params),
-        params["k"],
-        params["side"],
-        scenario.orbits,
-        truncation,
-    )
+def _q_qcover(scenario, truncation, orbit, epsilon, k, side):
+    return orbits.q_of_cover(orbit, epsilon, k, side, scenario.orbits, truncation)
 
 
 @REGISTRY.register(
     "omega",
     "m n min{(-+ alpha)/m, (-+ alpha)/n}; 0 for distinct orbits",
     ["omega_pair"],
-    ["a", "b", "sign"],
+    a=ORBIT,
+    epsilon_a=PERTURBATION,
+    b=ORBIT,
+    epsilon_b=PERTURBATION,
+    sign=SIGN,
 )
-def _q_omega(scenario, params, truncation):
-    return orbits.omega_pair(
-        scenario.orbit(params["a"]),
-        _pert(params, "epsilon_a"),
-        scenario.orbit(params["b"]),
-        _pert(params, "epsilon_b"),
-        params["sign"],
-        truncation,
-    )
+def _q_omega(scenario, truncation, a, epsilon_a, b, epsilon_b, sign):
+    return orbits.omega_pair(a, epsilon_a, b, epsilon_b, sign, truncation)
 
 
 @REGISTRY.register(
-    "omega_self",
-    "-+ (k-1) alpha + (cov - 1)",
-    ["omega_self"],
-    ["orbit", "sign"],
+    "omega_self", "-+ (k-1) alpha + (cov - 1)", ["omega_self"], orbit=ORBIT, sign=SIGN
 )
-def _q_omega_self(scenario, params, truncation):
-    return orbits.omega_self(scenario.orbit(params["orbit"]), params["sign"], truncation)
+def _q_omega_self(scenario, truncation, orbit, sign):
+    return orbits.omega_self(orbit, sign, truncation)
 
 
 @REGISTRY.register(
     "q_tilde",
     "covering defect of the Omega pairing",
     ["q_tilde"],
-    ["orbit_m", "orbit_n", "k", "sign"],
+    orbit_m=ORBIT,
+    epsilon_m=PERTURBATION,
+    orbit_n=ORBIT,
+    epsilon_n=PERTURBATION,
+    k=ORDER,
+    sign=SIGN,
 )
-def _q_qtilde(scenario, params, truncation):
+def _q_qtilde(scenario, truncation, orbit_m, epsilon_m, orbit_n, epsilon_n, k, sign):
     return orbits.q_tilde(
-        scenario.orbit(params["orbit_m"]),
-        _pert(params, "epsilon_m"),
-        scenario.orbit(params["orbit_n"]),
-        _pert(params, "epsilon_n"),
-        params["k"],
-        params["sign"],
-        scenario.orbits,
-        truncation,
+        orbit_m, epsilon_m, orbit_n, epsilon_n, k, sign, scenario.orbits, truncation
     )
 
 
@@ -263,24 +259,22 @@ def _q_qtilde(scenario, params, truncation):
     "delta_mb",
     "[k (m-1) nu + cov - cov_generic] / 2 at unconstrained ends, else 0",
     ["delta_mb"],
-    ["orbit", "sign"],
+    orbit=ORBIT,
+    epsilon=PERTURBATION,
+    sign=SIGN,
 )
-def _q_delta_mb(scenario, params, truncation):
-    return orbits.delta_mb(
-        scenario.orbit(params["orbit"]), _pert(params), params["sign"], truncation
-    )
-
-
-def _curve(scenario, params, key="curve"):
-    return scenario.curve(params[key])
+def _q_delta_mb(scenario, truncation, orbit, epsilon, sign):
+    return orbits.delta_mb(orbit, epsilon, sign, truncation)
 
 
 @REGISTRY.register(
-    "parity", "(#even, #odd) punctures under the constraint perturbations", ["parity_partition"],
-    ["curve"],
+    "parity",
+    "(#even, #odd) punctures under the constraint perturbations",
+    ["parity_partition"],
+    curve=CURVE,
 )
-def _q_parity(scenario, params, truncation):
-    even, odd = curves.parity_partition(*_curve(scenario, params), truncation)
+def _q_parity(scenario, truncation, curve):
+    even, odd = curves.parity_partition(*curve, truncation)
     return {"even": even, "odd": odd}
 
 
@@ -288,70 +282,67 @@ def _q_parity(scenario, params, truncation):
     "index",
     "ind = (n-3) chi + 2 c1 + boundary Maslov + signed CZ sum",
     ["fredholm_index"],
-    ["curve"],
+    curve=CURVE,
 )
-def _q_index(scenario, params, truncation):
-    return curves.fredholm_index(*_curve(scenario, params), truncation)
+def _q_index(scenario, truncation, curve):
+    return curves.fredholm_index(*curve, truncation)
 
 
 @REGISTRY.register(
     "normal_chern",
     "2 c_N = ind - 2 + 2g + #even + m, cross-checked against the winding form",
     ["normal_chern"],
-    ["curve"],
+    curve=CURVE,
 )
-def _q_cn(scenario, params, truncation):
-    return curves.normal_chern(*_curve(scenario, params), truncation)
+def _q_cn(scenario, truncation, curve):
+    return curves.normal_chern(*curve, truncation)
 
 
 @REGISTRY.register(
     "k_bound",
     "min{k + l : k <= G, 2k + l > 2c}, l even when closed",
     ["k_bound"],
-    ["c", "genus0", "boundary"],
+    c=RATIONAL,
+    genus0=INT,
+    boundary=BOOL,
 )
-def _q_kbound(scenario, params, truncation):
-    return curves.k_bound(
-        as_fraction(params["c"]), params["genus0"], params["boundary"]
-    )
+def _q_kbound(scenario, truncation, c, genus0, boundary):
+    return curves.k_bound(c, genus0, boundary)
 
 
 @REGISTRY.register(
     "transversality",
     "regular when ind > c_N + Z(du); kernel bounds otherwise",
     ["transversality_check"],
-    ["curve"],
+    curve=CURVE,
 )
-def _q_trans(scenario, params, truncation):
-    return curves.transversality_check(*_curve(scenario, params), truncation)
+def _q_trans(scenario, truncation, curve):
+    return curves.transversality_check(*curve, truncation)
 
 
 @REGISTRY.register(
     "line_bundle",
     "injective iff c1 < 0 (ind <= 0); surjective iff ind > c1 (ind >= 0)",
     ["line_bundle_bounds"],
-    ["index", "c1_adjusted", "gamma0", "boundary"],
+    index=INT,
+    c1_adjusted=RATIONAL,
+    gamma0=INT,
+    boundary=BOOL,
 )
-def _q_line_bundle(scenario, params, truncation):
-    return curves.line_bundle_bounds(
-        params["index"],
-        as_fraction(params["c1_adjusted"]),
-        params["gamma0"],
-        params["boundary"],
-    )
+def _q_line_bundle(scenario, truncation, index, c1_adjusted, gamma0, boundary):
+    return curves.line_bundle_bounds(index, c1_adjusted, gamma0, boundary)
 
 
 @REGISTRY.register(
     "index_normal",
     "ind(normal operator) = ind - 2 Z(du); tangent: 3 chi + #punctures + 2 Z(du)",
     ["index_normal_operator"],
-    ["curve"],
+    curve=CURVE,
 )
-def _q_index_normal(scenario, params, truncation):
-    curve, cons = _curve(scenario, params)
+def _q_index_normal(scenario, truncation, curve):
     return {
-        "normal": curves.index_normal_operator(curve, cons, truncation),
-        "tangent": curves.index_tangent_operator(curve),
+        "normal": curves.index_normal_operator(*curve, truncation),
+        "tangent": curves.index_tangent_operator(curve[0]),
     }
 
 
@@ -359,52 +350,49 @@ def _q_index_normal(scenario, params, truncation):
     "critical_bound",
     "somewhere injective and generic: 2 Z(du) <= ind",
     ["critical_bound_check"],
-    ["curve"],
+    curve=CURVE,
 )
-def _q_critical(scenario, params, truncation):
-    return curves.critical_bound_check(*_curve(scenario, params), truncation)
+def _q_critical(scenario, truncation, curve):
+    return curves.critical_bound_check(*curve, truncation)
 
 
 @REGISTRY.register(
     "zero_budget",
     "kernel sections spend Z + Z_infinity = adjusted c1",
     ["adjusted_c1_zero_budget"],
-    ["c1_adjusted"],
+    c1_adjusted=RATIONAL,
 )
-def _q_budget(scenario, params, truncation):
-    return curves.adjusted_c1_zero_budget(as_fraction(params["c1_adjusted"]))
+def _q_budget(scenario, truncation, c1_adjusted):
+    return curves.adjusted_c1_zero_budget(c1_adjusted)
 
 
-def _pairing(scenario, params):
-    return scenario.pairing(params["left"], params["right"])
-
-
-def _self_i(scenario, params, truncation):
-    """i(u|u) of the query's curve."""
-    pairing = scenario.pairing(params["curve"], params["curve"])
-    return intersections.intersection_number(pairing, truncation)
+def _self_i(scenario, curve, truncation):
+    """i(u|u) of a curve, from its declared self-pairing."""
+    return intersections.intersection_number(scenario.pairing(curve, curve), truncation)
 
 
 @REGISTRY.register(
     "intersection",
     "i = relative pairing - sum of Omega terms",
     ["intersection_number"],
-    ["left", "right"],
+    left=CURVE,
+    right=CURVE,
 )
-def _q_intersection(scenario, params, truncation):
-    return intersections.intersection_number(_pairing(scenario, params), truncation)
+def _q_intersection(scenario, truncation, left, right):
+    return intersections.intersection_number(scenario.pairing(left, right), truncation)
 
 
 @REGISTRY.register(
     "asymptotic",
     "asymptotic contributions: per-end-pair fixed and Morse-Bott parts",
     ["asymptotic_intersection"],
-    ["left", "right"],
+    left=CURVE,
+    right=CURVE,
+    geometric_count=INT.optional(),
 )
-def _q_asymptotic(scenario, params, truncation):
-    geometric = params.get("geometric_count")
+def _q_asymptotic(scenario, truncation, left, right, geometric_count):
     return intersections.asymptotic_intersection(
-        _pairing(scenario, params), geometric, truncation
+        scenario.pairing(left, right), geometric_count, truncation
     )
 
 
@@ -412,10 +400,10 @@ def _q_asymptotic(scenario, params, truncation):
     "cov_totals",
     "cov_infinity = sum (cov - 1); cov_morse_bott = sum (cov - 1) nu over unconstrained",
     ["cov_totals"],
-    ["curve"],
+    curve=CURVE,
 )
-def _q_cov_totals(scenario, params, truncation):
-    ci, cm = intersections.cov_totals(*_curve(scenario, params), truncation)
+def _q_cov_totals(scenario, truncation, curve):
+    ci, cm = intersections.cov_totals(*curve, truncation)
     return {"cov_infinity": ci, "cov_morse_bott": cm}
 
 
@@ -423,33 +411,25 @@ def _q_cov_totals(scenario, params, truncation):
     "adjunction_sing",
     "sing = [i(u|u) - c_N - cov_infinity - cov_morse_bott] / 2 >= 0",
     ["adjunction_sing"],
-    ["curve"],
+    curve=CURVE,
 )
-def _q_adj_sing(scenario, params, truncation):
-    curve, cons = _curve(scenario, params)
-    self_i = _self_i(scenario, params, truncation)
-    return intersections.adjunction_sing(curve, cons, self_i, truncation)
+def _q_adj_sing(scenario, truncation, curve):
+    return intersections.adjunction_sing(*curve, _self_i(scenario, curve, truncation), truncation)
 
 
 @REGISTRY.register(
     "sing_decomposition",
     "2 delta_infinity assembled from per-end and per-pair nonnegative terms",
     ["sing_decomposition"],
-    ["curve"],
+    curve=CURVE,
+    delta_u=RATIONAL.optional(),
 )
-def _q_sing_dec(scenario, params, truncation):
-    curve, cons = _curve(scenario, params)
-    delta_u = params.get("delta_u")
+def _q_sing_dec(scenario, truncation, curve, delta_u):
     adj = None
     if delta_u is not None:
-        self_i = _self_i(scenario, params, truncation)
-        adj = intersections.adjunction_sing(curve, cons, self_i, truncation)
+        adj = _q_adj_sing(scenario, truncation, curve)
     return intersections.sing_decomposition(
-        curve,
-        cons,
-        delta_u=as_fraction(delta_u) if delta_u is not None else None,
-        adjunction_value=adj,
-        truncation=truncation,
+        *curve, delta_u=delta_u, adjunction_value=adj, truncation=truncation
     )
 
 
@@ -457,11 +437,10 @@ def _q_sing_dec(scenario, params, truncation):
     "pullback_constraints",
     "a domain puncture is constrained iff its image is",
     ["pullback_constraints"],
-    ["cover"],
+    cover=COVER,
 )
-def _q_pullback(scenario, params, truncation):
-    sc = scenario.cover_scenario(params["cover"])
-    pulled = covers.pullback_constraints(sc.cover, sc.base_constraints)
+def _q_pullback(scenario, truncation, cover):
+    pulled = covers.pullback_constraints(cover.cover, cover.base_constraints)
     return {"constrained": sorted(pulled.constrained)}
 
 
@@ -469,12 +448,10 @@ def _q_pullback(scenario, params, truncation):
     "cn_cover",
     "c_N(cover) = degree * c_N(base) + Z + Q, Q = sum of covering defects",
     ["cn_cover"],
-    ["cover"],
+    cover=COVER,
 )
-def _q_cn_cover(scenario, params, truncation):
-    value, q = covers.cn_cover(
-        scenario.cover_scenario(params["cover"]), scenario.orbits, truncation
-    )
+def _q_cn_cover(scenario, truncation, cover):
+    value, q = covers.cn_cover(cover, scenario.orbits, truncation)
     return {"c_n": value, "q_correction": q}
 
 
@@ -482,15 +459,13 @@ def _q_cn_cover(scenario, params, truncation):
     "i_cover_bound",
     "i(cover | other) = degree * i(base | other) + sum of q-tilde terms >= degree * i",
     ["i_cover_bound"],
-    ["cover", "other"],
+    cover=COVER,
+    other=CURVE,
 )
-def _q_icb(scenario, params, truncation):
-    sc = scenario.cover_scenario(params["cover"])
-    other = scenario.curve(params["other"])
-    base_tag = sc.base_curve.homology_tag
-    pairing = scenario.pairing(base_tag, params["other"])
+def _q_icb(scenario, truncation, cover, other):
+    pairing = scenario.pairing((cover.base_curve, cover.base_constraints), other)
     return covers.i_cover_bound(
-        sc, other, pairing.relative_pairing, scenario.orbits, truncation
+        cover, other, pairing.relative_pairing, scenario.orbits, truncation
     )
 
 
@@ -498,23 +473,27 @@ def _q_icb(scenario, params, truncation):
     "constraint_leq",
     "weaker <= stronger iff every weaker-constrained puncture is stronger-constrained",
     ["constraint_leq"],
-    ["curve", "weaker", "stronger"],
+    curve=CURVE,
+    weaker=IDS,
+    stronger=IDS,
 )
-def _q_cleq(scenario, params, truncation):
-    curve, cons = _curve(scenario, params)
-    weaker = curves.ConstraintSet(frozenset(params["weaker"]), cons.delta)
-    stronger = curves.ConstraintSet(frozenset(params["stronger"]), cons.delta)
-    return covers.constraint_leq(weaker, stronger, curve.surface)
+def _q_cleq(scenario, truncation, curve, weaker, stronger):
+    curve, cons = curve
+    return covers.constraint_leq(
+        curves.ConstraintSet(frozenset(weaker), cons.delta),
+        curves.ConstraintSet(frozenset(stronger), cons.delta),
+        curve.surface,
+    )
 
 
 @REGISTRY.register(
     "enumerate_covers",
     "finite list of codomain sketches with branching orders and constraints",
     ["enumerate_cover_candidates"],
-    ["curve"],
+    curve=CURVE,
 )
-def _q_enum(scenario, params, truncation):
-    curve, cons = _curve(scenario, params)
+def _q_enum(scenario, truncation, curve):
+    curve, cons = curve
     cands = covers.enumerate_cover_candidates(curve.surface, curve.orbit_at, cons)
     return [
         {
@@ -539,39 +518,33 @@ def _q_enum(scenario, params, truncation):
     "nice",
     "somewhere injective with i(u|u) <= 0, ind >= 0, ind > c_N, plus consequences",
     ["is_stable_nicely_embedded"],
-    ["curve"],
+    curve=CURVE,
 )
-def _q_nice(scenario, params, truncation):
-    curve, cons = _curve(scenario, params)
-    self_i = _self_i(scenario, params, truncation)
-    return classify.is_stable_nicely_embedded(curve, cons, self_i, truncation)
+def _q_nice(scenario, truncation, curve):
+    self_i = _self_i(scenario, curve, truncation)
+    return classify.is_stable_nicely_embedded(*curve, self_i, truncation)
 
 
 @REGISTRY.register(
     "unique_even",
     "classify the unique even puncture of an index-1 nicely embedded curve",
     ["unique_even_analysis"],
-    ["curve"],
+    curve=CURVE,
 )
-def _q_unique_even(scenario, params, truncation):
-    curve, cons = _curve(scenario, params)
-    self_i = _self_i(scenario, params, truncation)
-    return classify.unique_even_analysis(curve, cons, self_i, scenario.orbits, truncation)
+def _q_unique_even(scenario, truncation, curve):
+    self_i = _self_i(scenario, curve, truncation)
+    return classify.unique_even_analysis(*curve, self_i, scenario.orbits, truncation)
 
 
 @REGISTRY.register(
     "bad_puncture",
     "even puncture whose orbit doubly covers a nondegenerate odd orbit",
     ["is_bad_puncture"],
-    ["orbit", "parity"],
+    orbit=ORBIT,
+    parity=PARITY,
 )
-def _q_bad(scenario, params, truncation):
-    return classify.is_bad_puncture(
-        scenario.orbit(params["orbit"]),
-        params["parity"],
-        scenario.orbits,
-        truncation,
-    )
+def _q_bad(scenario, truncation, orbit, parity):
+    return classify.is_bad_puncture(orbit, parity, scenario.orbits, truncation)
 
 
 @REGISTRY.register(
@@ -579,12 +552,13 @@ def _q_bad(scenario, params, truncation):
     "degeneration ledger: contradiction branches, or an unbranched cover of "
     "an index-0 nicely embedded curve",
     ["degeneration_screen"],
-    ["cover"],
+    cover=COVER,
+    j_mode=J_MODE.optional(),
 )
-def _q_screen(scenario, params, truncation):
+def _q_screen(scenario, truncation, cover, j_mode):
     return classify.degeneration_screen(
-        scenario.cover_scenario(params["cover"]),
-        j_mode=params.get("j_mode", scenario.j_mode),
+        cover,
+        j_mode=j_mode or scenario.j_mode,
         ambient=scenario.ambient,
         registry=scenario.orbits,
         truncation=truncation,
@@ -595,45 +569,37 @@ def _q_screen(scenario, params, truncation):
     "obstruction",
     "winding obstruction isolating multiple covers in the moduli space",
     ["kernel_section_cover_obstruction"],
-    ["cover"],
+    cover=COVER,
+    j_mode=J_MODE.optional(),
 )
-def _q_obstruction(scenario, params, truncation):
-    if _q_screen(scenario, params, truncation).outcome != classify.UNBRANCHED_COVER_OF_INDEX_ZERO:
+def _q_obstruction(scenario, truncation, cover, j_mode):
+    screen = _q_screen(scenario, truncation, cover, j_mode)
+    if screen.outcome != classify.UNBRANCHED_COVER_OF_INDEX_ZERO:
         raise ValidationError("obstruction analysis needs an unbranched-cover screen verdict")
     return classify.kernel_section_cover_obstruction(
-        scenario.cover_scenario(params["cover"]), registry=scenario.orbits, truncation=truncation
+        cover, registry=scenario.orbits, truncation=truncation
     )
 
 
 @REGISTRY.register(
-    "loop_winding",
-    "accumulated argument increment / 2 pi",
-    ["loop_winding"],
-    ["samples"],
+    "loop_winding", "accumulated argument increment / 2 pi", ["loop_winding"], samples=LOOP_SAMPLES
 )
-def _q_loop_winding(scenario, params, truncation):
-    loop = zeros.SampledLoop(tuple(complex(re, im) for re, im in params["samples"]))
-    return zeros.loop_winding(loop)
+def _q_loop_winding(scenario, truncation, samples):
+    return zeros.loop_winding(zeros.SampledLoop(samples))
 
 
 @REGISTRY.register(
     "zero_count",
     "Z = c1 + maslov/2 + boundary winding",
     ["zero_count"],
-    ["c1", "maslov"],
+    c1=INT,
+    maslov=INT,
+    boundary_winding=INT.optional(0),
+    has_boundary=BOOL.optional(True),
 )
-def _q_zero_count(scenario, params, truncation):
+def _q_zero_count(scenario, truncation, c1, maslov, boundary_winding, has_boundary):
     return zeros.zero_count(
-        _bundle(params, has_maslov_boundary=params.get("has_boundary", True))
-    )
-
-
-def _bundle(params, **extra):
-    return zeros.BundleData(
-        c1=params["c1"],
-        maslov=params["maslov"],
-        boundary_winding=params.get("boundary_winding", 0),
-        **extra,
+        zeros.BundleData(c1, maslov, boundary_winding, has_maslov_boundary=has_boundary)
     )
 
 
@@ -641,10 +607,12 @@ def _bundle(params, **extra):
     "doubling",
     "doubled data (2 c1 + maslov, 0, 2 wind) has twice the zero count",
     ["doubling_check"],
-    ["c1", "maslov"],
+    c1=INT,
+    maslov=INT,
+    boundary_winding=INT.optional(0),
 )
-def _q_doubling(scenario, params, truncation):
-    z_doubled, ok = zeros.doubling_check(_bundle(params))
+def _q_doubling(scenario, truncation, c1, maslov, boundary_winding):
+    z_doubled, ok = zeros.doubling_check(zeros.BundleData(c1, maslov, boundary_winding))
     return {"z_doubled": z_doubled, "ok": ok}
 
 
@@ -657,8 +625,8 @@ def run_queries(scenario, truncation):
             results.append(REGISTRY.run_one(scenario, query, truncation))
         except PCurvesError as exc:
             results.append({
-                "name": query.get("name", "?"),
-                "params": _jsonable({k: v for k, v in query.items() if k != "name"}),
+                "name": query.name,
+                "params": query.echo(),
                 "status": "error",
                 "error": f"{type(exc).__name__}: {exc}",
             })

@@ -10,20 +10,15 @@ from fractions import Fraction
 
 
 def as_fraction(value, location=None):
-    """Coerce ints, Fractions and {num, den} mappings to Fraction."""
+    """Coerce ints, Fractions and {num, den} objects of two integers to Fraction."""
     from .errors import ValidationError
 
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ValidationError("expected a number, got a boolean", location)
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, dict):
-        try:
-            return Fraction(int(value["num"]), int(value["den"]))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad rational object: {exc}", location)
+    if isinstance(value, dict) and set(value) == {"num", "den"}:
+        num, den = value["num"], value["den"]
+        if type(num) is int and type(den) is int and den:
+            return Fraction(num, den)
     raise ValidationError(f"cannot interpret {value!r} as a rational", location)
 
 

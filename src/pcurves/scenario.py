@@ -16,8 +16,6 @@ from .curves import ConstraintSet, CurveData
 from .errors import ValidationError
 from .intersections import PairingInput
 from .orbits import (
-    CROSSING_FLOW,
-    WINDING,
     DeclaredMorseBott,
     DeclaredNondegenerate,
     MorseBott,
@@ -25,12 +23,16 @@ from .orbits import (
     OperatorWinding,
     OrbitClass,
 )
-from .queries import REGISTRY
-from .rationals import as_fraction
+from .params import (
+    BOOL, CURVE, IDS, INT, INTS, J_MODE, LIST, OBJECT, OPERATOR_SAMPLES, ORBIT, ORDER, RATIONAL,
+    REQUIRED, SIGN, STR, SURFACE, one_of,
+)
+from .queries import REGISTRY, Query
 from .spectral import DEFAULT_TRUNCATION, GLOBAL_SPECTRUM_CACHE, AsymptoticOperator
 from .surfaces import BranchedCover, PuncturedSurface
 
 SCHEMA_VERSION = 1
+_AMBIENT = one_of(None, "cobordism", "symplectization", "closed").optional()
 
 _TOP_LEVEL_KEYS = {
     "schema_version",
@@ -54,33 +56,23 @@ class Scenario:
     curves: dict  # id -> (CurveData, ConstraintSet)
     pairings: dict  # (left tag, right tag) -> PairingInput
     covers: dict  # id -> CoverScenario
-    queries: list
+    queries: list  # of Query
     ambient: str = None
     j_mode: str = "homotopy"
-
-    def curve(self, cid):
-        if cid not in self.curves:
-            raise ValidationError(f"unknown curve {cid!r}")
-        return self.curves[cid]
 
     def orbit(self, oid):
         if oid not in self.orbits:
             raise ValidationError(f"unknown orbit {oid!r}")
         return self.orbits[oid]
 
-    def cover_scenario(self, cid):
-        if cid not in self.covers:
-            raise ValidationError(f"unknown cover {cid!r}")
-        return self.covers[cid]
-
     def pairing(self, left, right):
-        key = (left, right)
-        if key in self.pairings:
-            return self.pairings[key]
-        sym = (right, left)
-        if sym in self.pairings:
-            return self.pairings[sym]
-        raise ValidationError(f"no pairing declared for ({left!r}, {right!r})")
+        """The pairing declared for two curves, each (CurveData, ConstraintSet),
+        in either order."""
+        tags = (left[0].homology_tag, right[0].homology_tag)
+        for key in (tags, tags[::-1]):
+            if key in self.pairings:
+                return self.pairings[key]
+        raise ValidationError(f"no pairing declared for {tags}")
 
 
 def _require(cond, msg, location):
@@ -88,35 +80,16 @@ def _require(cond, msg, location):
         raise ValidationError(msg, location)
 
 
-_KINDS = {int: "an integer", bool: "a boolean", str: "a string", list: "a list", dict: "an object"}
-
-
-def _get(obj, key, location, default=None, required=False, kind=None):
-    """``obj[key]``, else ``default`` or, if ``required``, a located error;
-    a present value must be of ``kind`` (a key of ``_KINDS``) when one is given."""
+def _get(obj, key, location, kind, scenario=None):
+    """``obj[key]`` read as ``kind`` (see ``params``); an absent key reads as
+    the kind's default, and is a located error when the kind has none."""
     if key not in obj:
-        if required:
-            raise ValidationError(f"missing key {key!r}", location)
-        return default
-    value = obj[key]
-    wrong = kind is not None and (
-        not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)
-    )
-    if wrong:
-        raise ValidationError(f"{key!r} must be {_KINDS[kind]}, got {value!r}", location)
-    return value
-
-
-#: JSON types of the query parameters that handlers use as they are
-_QUERY_KINDS = {
-    **dict.fromkeys(
-        ("k", "index", "gamma0", "parity", "c1", "maslov", "genus0", "truncation",
-         "boundary_winding"),
-        int,
-    ),
-    "boundary": bool,
-    "has_boundary": bool,
-}
+        _require(kind.default is not REQUIRED, f"missing key {key!r}", location)
+        return kind.default
+    try:
+        return kind.parse(obj[key], scenario)
+    except ValidationError as exc:
+        raise ValidationError(f"{key!r} {exc}", location)
 
 
 def _located(exc, location):
@@ -131,40 +104,67 @@ def _check_keys(obj, allowed, location):
         raise ValidationError(f"unknown keys {sorted(unknown)}", location)
 
 
-def _parse_surface(doc, location):
+def _parse_surface(doc, location, scenario):
     _check_keys(doc, {"id", "genus", "boundary_components", "punctures"}, location)
     punctures = []
-    for i, p in enumerate(_get(doc, "punctures", location, default=[], kind=list)):
+    for i, p in enumerate(_get(doc, "punctures", location, LIST.optional([]))):
         loc = f"{location}.punctures[{i}]"
         _check_keys(p, {"id", "sign"}, loc)
-        pid = _get(p, "id", loc, required=True, kind=str)
-        punctures.append((pid, _get(p, "sign", loc, required=True)))
-    try:
-        return PuncturedSurface(
-            genus=_get(doc, "genus", location, required=True, kind=int),
-            boundary_components=_get(doc, "boundary_components", location, default=0, kind=int),
-            punctures=tuple(punctures),
-        )
-    except ValidationError as exc:
-        raise _located(exc, location)
+        punctures.append((_get(p, "id", loc, STR), _get(p, "sign", loc, SIGN)))
+    return _get(doc, "id", location, STR), PuncturedSurface(
+        genus=_get(doc, "genus", location, INT),
+        boundary_components=_get(doc, "boundary_components", location, INT.optional(0)),
+        punctures=tuple(punctures),
+    )
 
 
 def _parse_kind(doc, location):
     if doc is None:
         return None
     _check_keys(doc, {"type", "manifold_dim", "isotropy"}, location)
-    kind_type = _get(doc, "type", location, required=True)
-    if kind_type == "nondegenerate":
+    if _get(doc, "type", location, one_of("nondegenerate", "morse_bott")) == "nondegenerate":
         return Nondegenerate()
-    if kind_type == "morse_bott":
-        return MorseBott(
-            manifold_dim=_get(doc, "manifold_dim", location, required=True, kind=int),
-            isotropy=_get(doc, "isotropy", location, default=1, kind=int),
+    return MorseBott(
+        manifold_dim=_get(doc, "manifold_dim", location, INT),
+        isotropy=_get(doc, "isotropy", location, INT.optional(1)),
+    )
+
+
+def _parse_winding(doc, location, scenario, operators, simple, cover):
+    """The winding data of an orbit; ``operators`` holds one object per
+    distinct loop, and equal loops get that object."""
+    wtype = _get(doc, "type", location, one_of("operator", "cover", "declared"))
+    if wtype == "declared":
+        _check_keys(
+            doc, {"type", "alpha_minus", "alpha_plus", "minus_delta", "plus_delta"}, location
         )
-    raise ValidationError(f"unknown orbit kind {kind_type!r}", location)
+        if "alpha_minus" in doc:
+            return DeclaredNondegenerate(
+                alpha_minus=_get(doc, "alpha_minus", location, INT),
+                alpha_plus=_get(doc, "alpha_plus", location, INT),
+            )
+        return DeclaredMorseBott(
+            minus_delta=tuple(_get(doc, "minus_delta", location, INTS)),
+            plus_delta=tuple(_get(doc, "plus_delta", location, INTS)),
+        )
+    if wtype == "operator":
+        _check_keys(doc, {"type", "samples"}, location)
+        op = AsymptoticOperator(_get(doc, "samples", location, OPERATOR_SAMPLES))
+    else:
+        _check_keys(doc, {"type"}, location)
+        base = scenario.orbits.get(simple)
+        _require(base is not None, f"simple orbit {simple!r} must be declared first", location)
+        _require(
+            base.is_operator_backed,
+            "winding type 'cover' needs an operator-backed simple orbit",
+            location,
+        )
+        op = base.winding.op.pulled_back(cover)
+    # Spectrum cache hits then find their key by identity, not sample by sample.
+    return OperatorWinding(operators.setdefault(op, op))
 
 
-def _parse_orbit(doc, location, orbits):
+def _parse_orbit(doc, location, scenario, operators):
     _check_keys(
         doc,
         {
@@ -179,63 +179,27 @@ def _parse_orbit(doc, location, orbits):
         },
         location,
     )
-    oid = _get(doc, "id", location, required=True, kind=str)
-    winding_doc = _get(doc, "winding", location, required=True, kind=dict)
-    wtype = _get(winding_doc, "type", f"{location}.winding", required=True)
-    cover = _get(doc, "cover", location, default=1, kind=int)
-    simple = _get(doc, "simple", location, default=oid if cover == 1 else None, kind=str)
+    oid = _get(doc, "id", location, STR)
+    cover = _get(doc, "cover", location, ORDER.optional(1))
+    simple = _get(doc, "simple", location, STR.optional(oid if cover == 1 else None))
     _require(simple is not None, "multiply covered orbit needs a simple id", location)
-    if wtype == "operator":
-        _check_keys(winding_doc, {"type", "samples"}, f"{location}.winding")
-        samples = _get(winding_doc, "samples", f"{location}.winding", required=True, kind=list)
-        try:
-            winding = OperatorWinding(AsymptoticOperator(tuple(tuple(s) for s in samples)))
-        except (ValidationError, TypeError, ValueError) as exc:  # rows that are not 3 numbers
-            raise ValidationError(str(exc), f"{location}.winding")
-    elif wtype == "cover":
-        _check_keys(winding_doc, {"type"}, f"{location}.winding")
-        _require(simple in orbits, f"simple orbit {simple!r} must be declared first", location)
-        base = orbits[simple]
-        _require(
-            base.is_operator_backed,
-            "winding type 'cover' needs an operator-backed simple orbit",
-            location,
-        )
-        winding = OperatorWinding(base.winding.op.pulled_back(cover))
-    elif wtype == "declared":
-        loc = f"{location}.winding"
-        _check_keys(
-            winding_doc, {"type", "alpha_minus", "alpha_plus", "minus_delta", "plus_delta"}, loc
-        )
-        if "alpha_minus" in winding_doc:
-            winding = DeclaredNondegenerate(
-                alpha_minus=_get(winding_doc, "alpha_minus", loc, kind=int),
-                alpha_plus=_get(winding_doc, "alpha_plus", loc, required=True, kind=int),
-            )
-        else:
-            winding = DeclaredMorseBott(
-                minus_delta=tuple(_get(winding_doc, "minus_delta", loc, required=True, kind=list)),
-                plus_delta=tuple(_get(winding_doc, "plus_delta", loc, required=True, kind=list)),
-            )
-    else:
-        raise ValidationError(f"unknown winding type {wtype!r}", f"{location}.winding")
-    generic = _get(doc, "generic_alpha", location, kind=list)
-    try:
-        return OrbitClass(
-            id=oid,
-            simple_id=simple,
-            cover=cover,
-            winding=winding,
-            kind=_parse_kind(_get(doc, "kind", location), f"{location}.kind"),
-            distinct_from=frozenset(_get(doc, "distinct_from", location, default=[], kind=list)),
-            family_id=_get(doc, "family", location),
-            generic_alpha=tuple(generic) if generic is not None else None,
-        )
-    except ValidationError as exc:
-        raise _located(exc, location)
+    winding_doc = _get(doc, "winding", location, OBJECT)
+    generic = _get(doc, "generic_alpha", location, INTS.optional())
+    return oid, OrbitClass(
+        id=oid,
+        simple_id=simple,
+        cover=cover,
+        winding=_parse_winding(
+            winding_doc, f"{location}.winding", scenario, operators, simple, cover
+        ),
+        kind=_parse_kind(doc.get("kind"), f"{location}.kind"),
+        distinct_from=frozenset(_get(doc, "distinct_from", location, IDS.optional(()))),
+        family_id=_get(doc, "family", location, STR.optional()),
+        generic_alpha=tuple(generic) if generic is not None else None,
+    )
 
 
-def _parse_curve(doc, location, surfaces, orbits, delta_gap):
+def _parse_curve(doc, location, scenario):
     _check_keys(
         doc,
         {
@@ -252,43 +216,33 @@ def _parse_curve(doc, location, surfaces, orbits, delta_gap):
         },
         location,
     )
-    sid = _get(doc, "surface", location, required=True, kind=str)
-    _require(sid in surfaces, f"unknown surface {sid!r}", location)
-    surface = surfaces[sid]
-    orbit_map = {}
-    for z, oid in _get(doc, "orbits", location, required=True, kind=dict).items():
-        _require(oid in orbits, f"unknown orbit {oid!r} at puncture {z!r}", location)
-        orbit_map[z] = orbits[oid]
-    delta = as_fraction(_get(doc, "delta", location, default={"num": 1, "den": 8}), location)
+    surface = _get(doc, "surface", location, SURFACE, scenario)
+    orbits = _get(doc, "orbits", location, OBJECT)
+    delta = _get(doc, "delta", location, RATIONAL.optional(Fraction(1, 8)))
     _require(
-        0 < delta < delta_gap,
+        0 < delta < scenario.delta_gap,
         f"constraint weight {delta} must lie in (0, delta_gap)",
         location,
     )
-    try:
-        curve = CurveData(
-            surface=surface,
-            ambient_dim_n=_get(doc, "n", location, default=2, kind=int),
-            orbit_at=orbit_map,
-            c1_rel=_get(doc, "c1_rel", location, required=True, kind=int),
-            maslov_boundary=_get(doc, "maslov_boundary", location, default=0, kind=int),
-            z_du=as_fraction(_get(doc, "z_du", location, default=0), location),
-            somewhere_injective=_get(
-                doc, "somewhere_injective", location, default=True, kind=bool
-            ),
-            homology_tag=_get(doc, "id", location, required=True, kind=str),
-        )
-        constraints = ConstraintSet(
-            constrained=frozenset(_get(doc, "constrained", location, default=[], kind=list)),
-            delta=delta,
-        )
-        constraints.validate_against(surface)
-    except ValidationError as exc:
-        raise _located(exc, location)
-    return curve, constraints
+    curve = CurveData(
+        surface=surface,
+        ambient_dim_n=_get(doc, "n", location, INT.optional(2)),
+        orbit_at={z: _get(orbits, z, location, ORBIT, scenario) for z in orbits},
+        c1_rel=_get(doc, "c1_rel", location, INT),
+        maslov_boundary=_get(doc, "maslov_boundary", location, INT.optional(0)),
+        z_du=_get(doc, "z_du", location, RATIONAL.optional(Fraction(0))),
+        somewhere_injective=_get(doc, "somewhere_injective", location, BOOL.optional(True)),
+        homology_tag=_get(doc, "id", location, STR),
+    )
+    constraints = ConstraintSet(
+        constrained=frozenset(_get(doc, "constrained", location, IDS.optional(()))),
+        delta=delta,
+    )
+    constraints.validate_against(surface)
+    return curve.homology_tag, (curve, constraints)
 
 
-def _parse_cover(doc, location, surfaces, curves, orbits):
+def _parse_cover(doc, location, scenario):
     _check_keys(
         doc,
         {
@@ -303,70 +257,70 @@ def _parse_cover(doc, location, surfaces, curves, orbits):
         },
         location,
     )
-    dom_id = _get(doc, "domain", location, required=True, kind=str)
-    cod_id = _get(doc, "codomain", location, required=True, kind=str)
-    for sid in (dom_id, cod_id):
-        _require(sid in surfaces, f"unknown surface {sid!r}", location)
     fiber = {}
-    for i, entry in enumerate(_get(doc, "fiber", location, required=True, kind=list)):
+    for i, entry in enumerate(_get(doc, "fiber", location, LIST)):
         loc = f"{location}.fiber[{i}]"
         _check_keys(entry, {"from", "to", "order"}, loc)
-        fiber[_get(entry, "from", loc, required=True)] = (
-            _get(entry, "to", loc, required=True),
-            _get(entry, "order", loc, default=1, kind=int),
+        fiber[_get(entry, "from", loc, STR)] = (
+            _get(entry, "to", loc, STR),
+            _get(entry, "order", loc, INT.optional(1)),
         )
-    try:
-        cover = BranchedCover(
-            domain=surfaces[dom_id],
-            codomain=surfaces[cod_id],
-            degree=_get(doc, "degree", location, required=True, kind=int),
-            fiber_map=fiber,
-            interior_branch_count=_get(doc, "interior_branch_count", location, default=0, kind=int),
-        )
-    except ValidationError as exc:
-        raise _located(exc, location)
-    base_id = _get(doc, "base_curve", location, required=True, kind=str)
-    _require(base_id in curves, f"unknown base curve {base_id!r}", location)
-    base_curve, base_cons = curves[base_id]
-    total = _get(doc, "total_constrained", location, kind=list)
-    total_cons = (
-        ConstraintSet(constrained=frozenset(total), delta=base_cons.delta)
-        if total is not None
-        else None
+    base_curve, base_cons = _get(doc, "base_curve", location, CURVE, scenario)
+    total = _get(doc, "total_constrained", location, IDS.optional())
+    cover = BranchedCover(
+        domain=_get(doc, "domain", location, SURFACE, scenario),
+        codomain=_get(doc, "codomain", location, SURFACE, scenario),
+        degree=_get(doc, "degree", location, INT),
+        fiber_map=fiber,
+        interior_branch_count=_get(doc, "interior_branch_count", location, INT.optional(0)),
     )
-    try:
-        return CoverScenario(
-            cover=cover,
-            base_curve=base_curve,
-            base_constraints=base_cons,
-            total_constraints=total_cons,
-        )
-    except ValidationError as exc:
-        raise _located(exc, location)
+    return _get(doc, "id", location, STR), CoverScenario(
+        cover=cover,
+        base_curve=base_curve,
+        base_constraints=base_cons,
+        total_constraints=(
+            ConstraintSet(frozenset(total), base_cons.delta) if total is not None else None
+        ),
+    )
 
 
-def _parse_pairing(doc, location, curves):
+def _parse_pairing(doc, location, scenario):
     _check_keys(
         doc, {"left", "right", "relative_pairing", "end_intersections"}, location
     )
-    left = _get(doc, "left", location, required=True, kind=str)
-    right = _get(doc, "right", location, required=True, kind=str)
-    for cid in (left, right):
-        _require(cid in curves, f"unknown curve {cid!r}", location)
+    left = _get(doc, "left", location, CURVE, scenario)
+    right = _get(doc, "right", location, CURVE, scenario)
     ends = {}
-    for i, entry in enumerate(_get(doc, "end_intersections", location, default=[], kind=list)):
+    for i, entry in enumerate(_get(doc, "end_intersections", location, LIST.optional([]))):
         loc = f"{location}.end_intersections[{i}]"
         _check_keys(entry, {"left_puncture", "right_puncture", "value"}, loc)
-        left_z = _get(entry, "left_puncture", loc, required=True)
-        right_z = _get(entry, "right_puncture", loc, required=True)
-        ends[(left_z, right_z)] = _get(entry, "value", loc, required=True, kind=int)
+        ends[(_get(entry, "left_puncture", loc, STR), _get(entry, "right_puncture", loc, STR))] = (
+            _get(entry, "value", loc, INT)
+        )
     pairing = PairingInput(
-        left=curves[left],
-        right=curves[right],
-        relative_pairing=_get(doc, "relative_pairing", location, required=True, kind=int),
+        left=left,
+        right=right,
+        relative_pairing=_get(doc, "relative_pairing", location, INT),
         declared_end_intersections=ends,
     )
-    return (left, right), pairing
+    return (left[0].homology_tag, right[0].homology_tag), pairing
+
+
+def _parse_query(doc, location, scenario):
+    """A query with its parameters read as its kind declares them; an
+    unknown kind is an error of that query when it runs."""
+    _require(
+        isinstance(doc, dict) and isinstance(doc.get("name"), str), "query needs a name", location
+    )
+    params = REGISTRY.params(doc["name"])
+    if params is None:
+        return Query(doc)
+    missing = [key for key, kind in params.items() if kind.default is REQUIRED and key not in doc]
+    _require(not missing, f"query {doc['name']!r} needs {', '.join(missing)}", location)
+    _check_keys(doc, {"name", *params}, location)
+    return Query(doc, {
+        key: _get(doc, key, f"{location}.{key}", kind, scenario) for key, kind in params.items()
+    })
 
 
 def _certify_orbit(orbit, delta_gap, truncation, location):
@@ -410,85 +364,44 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"not valid JSON: {exc}", str(path_or_dict))
     _check_keys(doc, _TOP_LEVEL_KEYS, "$")
-    version = _get(doc, "schema_version", "$", default=SCHEMA_VERSION)
-    _require(version == SCHEMA_VERSION, f"unsupported schema version {version}", "$")
-    delta_gap = as_fraction(_get(doc, "delta_gap", "$", default={"num": 1, "den": 4}), "$.delta_gap")
-    _require(delta_gap > 0, "delta_gap must be positive", "$.delta_gap")
-
-    surfaces = {}
-    for i, sdoc in enumerate(_get(doc, "surfaces", "$", default=[], kind=list)):
-        loc = f"$.surfaces[{i}]"
-        surface = _parse_surface(sdoc, loc)
-        sid = _get(sdoc, "id", loc, required=True, kind=str)
-        _require(sid not in surfaces, f"duplicate surface id {sid!r}", loc)
-        surfaces[sid] = surface
-
-    orbits = {}
-    for i, odoc in enumerate(_get(doc, "orbits", "$", default=[], kind=list)):
-        loc = f"$.orbits[{i}]"
-        orbit = _parse_orbit(odoc, loc, orbits)
-        _require(orbit.id not in orbits, f"duplicate orbit id {orbit.id!r}", loc)
-        _certify_orbit(orbit, delta_gap, truncation, loc)
-        orbits[orbit.id] = orbit
-
-    curves = {}
-    for i, cdoc in enumerate(_get(doc, "curves", "$", default=[], kind=list)):
-        loc = f"$.curves[{i}]"
-        curve, cons = _parse_curve(cdoc, loc, surfaces, orbits, delta_gap)
-        cid = _get(cdoc, "id", loc, required=True, kind=str)
-        _require(cid not in curves, f"duplicate curve id {cid!r}", loc)
-        curves[cid] = (curve, cons)
-
-    pairings = {}
-    for i, pdoc in enumerate(_get(doc, "pairings", "$", default=[], kind=list)):
-        loc = f"$.pairings[{i}]"
-        key, pairing = _parse_pairing(pdoc, loc, curves)
-        _require(key not in pairings, f"duplicate pairing {key}", loc)
-        pairings[key] = pairing
-
-    covers = {}
-    for i, vdoc in enumerate(_get(doc, "covers", "$", default=[], kind=list)):
-        loc = f"$.covers[{i}]"
-        cover = _parse_cover(vdoc, loc, surfaces, curves, orbits)
-        cid = _get(vdoc, "id", loc, required=True, kind=str)
-        _require(cid not in covers, f"duplicate cover id {cid!r}", loc)
-        covers[cid] = cover
-
-    queries = list(_get(doc, "queries", "$", default=[], kind=list))
-    for i, q in enumerate(queries):
-        loc = f"$.queries[{i}]"
-        _require(isinstance(q, dict) and isinstance(q.get("name"), str), "query needs a name", loc)
-        missing = REGISTRY.missing_params(q)
-        _require(not missing, f"query {q['name']!r} needs {', '.join(missing)}", loc)
-        for key, kind in _QUERY_KINDS.items():
-            _get(q, key, f"{loc}.{key}", kind=kind)
-        k = q.get("k")
-        _require(k is None or k >= 1, f"'k' must be >= 1, got {k}", f"{loc}.k")
-        if q["name"] == "conley_zehnder":
-            method = _get(q, "method", f"{loc}.method", default=WINDING)
-            _require(
-                method in (WINDING, CROSSING_FLOW),
-                f"unknown Conley-Zehnder method {method!r}",
-                f"{loc}.method",
-            )
-
-    ambient = _get(doc, "ambient", "$")
-    _require(
-        ambient in (None, "cobordism", "symplectization", "closed"),
-        f"unknown ambient type {ambient!r}",
-        "$.ambient",
+    _get(doc, "schema_version", "$", one_of(SCHEMA_VERSION).optional())
+    scenario = Scenario(
+        delta_gap=_get(doc, "delta_gap", "$.delta_gap", RATIONAL.optional(Fraction(1, 4))),
+        surfaces={},
+        orbits={},
+        curves={},
+        pairings={},
+        covers={},
+        queries=[],
+        ambient=_get(doc, "ambient", "$.ambient", _AMBIENT),
+        j_mode=_get(doc, "j_mode", "$.j_mode", J_MODE.optional("homotopy")),
     )
-    j_mode = _get(doc, "j_mode", "$", default="homotopy")
-    _require(j_mode in ("homotopy", "fixed"), f"unknown j_mode {j_mode!r}", "$.j_mode")
+    _require(scenario.delta_gap > 0, "delta_gap must be positive", "$.delta_gap")
+    operators = {}
 
-    return Scenario(
-        delta_gap=delta_gap,
-        surfaces=surfaces,
-        orbits=orbits,
-        curves=curves,
-        pairings=pairings,
-        covers=covers,
-        queries=queries,
-        ambient=ambient,
-        j_mode=j_mode,
-    )
+    def parse_orbit(odoc, location, scenario):
+        oid, orbit = _parse_orbit(odoc, location, scenario, operators)
+        _certify_orbit(orbit, scenario.delta_gap, truncation, location)
+        return oid, orbit
+
+    for section, noun, parse in (
+        ("surfaces", "surface id", _parse_surface),
+        ("orbits", "orbit id", parse_orbit),
+        ("curves", "curve id", _parse_curve),
+        ("pairings", "pairing", _parse_pairing),
+        ("covers", "cover id", _parse_cover),
+    ):
+        table = getattr(scenario, section)
+        for i, entry in enumerate(_get(doc, section, "$", LIST.optional([]))):
+            location = f"$.{section}[{i}]"
+            try:
+                key, value = parse(entry, location, scenario)
+            except ValidationError as exc:  # from a constructor, which knows no location
+                raise _located(exc, location)
+            _require(key not in table, f"duplicate {noun} {key!r}", location)
+            table[key] = value
+    scenario.queries = [
+        _parse_query(q, f"$.queries[{i}]", scenario)
+        for i, q in enumerate(_get(doc, "queries", "$", LIST.optional([])))
+    ]
+    return scenario

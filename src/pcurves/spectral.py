@@ -22,7 +22,8 @@ eigenvector is computed.
 A k-fold cover is kept as its simple orbit's samples and k.  S_k(t) =
 k S(k t) has Fourier modes only at multiples of k, so in the real basis,
 where cos and sin of mode m span the modes +-m, the truncated matrix
-splits exactly into one block per residue class m = +-r (mod k), r = 0..k/2.
+splits exactly into one block per residue class m = +-r (mod k), r = 0..k/2,
+that holds a mode |m| <= T.
 The counting argument holds block by block along t S_k: a block's
 eigenvalues, ascending, have the windings +-m of its modes, each twice,
 ascending.  The blocks' eigenvalues are merged by value; if the merged
@@ -274,9 +275,10 @@ def discretized_spectrum(op, truncation):
     """Spectrum of the Fourier-truncated operator with windings.
 
     One eigensolve per residue class of modes m = +-r (mod k), r = 0..k/2,
-    for a k-fold cover.  A block's windings are its modes +-m, each twice,
-    in ascending order.  Only the middle half of all eigenvalues is kept
-    (the reliable window); it must have nondecreasing windings.
+    that holds a mode |m| <= T, for a k-fold cover.  A block's windings are
+    its modes +-m, each twice, in ascending order.  Only the middle half of
+    all eigenvalues is kept (the reliable window); it must have
+    nondecreasing windings.
     """
     if truncation < MIN_TRUNCATION:
         raise ValidationError(f"truncation must be >= {MIN_TRUNCATION}")
@@ -285,7 +287,8 @@ def discretized_spectrum(op, truncation):
     modes = np.arange(truncation + 1)
     residue = np.minimum(modes % k, -modes % k)
     evals, windings = [], []
-    for r in range(k // 2 + 1):
+    # Class r holds mode r exactly when r <= T, and no mode |m| <= T otherwise.
+    for r in range(min(k // 2, truncation) + 1):
         block = modes[residue == r]
         evals.append(np.linalg.eigvalsh(_real_matrix(coeffs, truncation, block)))
         windings.append(np.repeat(np.sort(np.r_[-block[block > 0], block]), 2))

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import subprocess
@@ -5,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcurves.cli import build_report, emit, main, resolve_truncation
 from pcurves.errors import ValidationError
@@ -113,6 +118,13 @@ def test_declared_and_operator_windings_are_exclusive():
         "samples": [[1.0, 0.0, 1.0]] * 16,
     }
     with pytest.raises(ValidationError):
+        load_scenario(doc)
+
+
+def test_boolean_sample_entries_are_rejected():
+    doc = minimal_doc()
+    doc["orbits"][0]["winding"]["samples"][0] = [True, 0.0, True]  # not the row [1.0, 0.0, 1.0]
+    with pytest.raises(ValidationError, match=r"^\$\.orbits\[0\]\.winding: 'samples' must be"):
         load_scenario(doc)
 
 
@@ -365,6 +377,46 @@ def _set(path, value):
                                "method": "flow"}), "$.queries[0].method"),
         ("abc", "--c"),
         ("1/0", "--c"),
+        *[(_set(["queries", 0], {"name": "alpha", "orbit": "g_zero", **q}), f"$.queries[0]{at}")
+          for q, at in [
+              ({"orbit": ["g_zero"]}, ".orbit"),
+              ({"orbit": "nowhere"}, ".orbit"),
+              ({"epsilon": "abc"}, ".epsilon"),
+              ({"bogus_key": 1}, ""),
+          ]],
+        (_set(["queries", 0], {"name": "constraint_leq", "curve": "v", "weaker": [["v0"]],
+                               "stronger": ["v0"]}), "$.queries[0].weaker"),
+        (_set(["queries", 0], {"name": "constraint_leq", "curve": "v", "weaker": "v0",
+                               "stronger": ["v0"]}), "$.queries[0].weaker"),
+        (_set(["queries", 0], {"name": "loop_winding", "samples": [[1]]}),
+         "$.queries[0].samples"),
+        (_set(["queries", 0], {"name": "loop_winding", "samples": "ab"}),
+         "$.queries[0].samples"),
+        (_set(["queries", 0], {"name": "bad_puncture", "orbit": "g_zero_x2", "parity": 7}),
+         "$.queries[0].parity"),
+        (_set(["queries", 0], {"name": "index", "curve": "nowhere"}), "$.queries[0].curve"),
+        (_set(["queries", 0], {"name": "screen", "cover": "nowhere"}), "$.queries[0].cover"),
+        (_set(["queries", 0], {"name": "euler_char", "surface": "nowhere"}),
+         "$.queries[0].surface"),
+        (_set(["queries", 0], {"name": "i_cover_bound", "cover": "phi", "other": "nowhere"}),
+         "$.queries[0].other"),
+        (_set(["queries", 0], {"name": "cov_extremal", "orbit": "g_zero", "side": "x"}),
+         "$.queries[0].side"),
+        (_set(["queries", 0], {"name": "omega_self", "orbit": "g_zero", "sign": "x"}),
+         "$.queries[0].sign"),
+        (_set(["queries", 0], {"name": "screen", "cover": "phi", "j_mode": "bogus"}),
+         "$.queries[0].j_mode"),
+        (_set(["queries", 0], {"name": "sing_decomposition", "curve": "v", "delta_u": "x"}),
+         "$.queries[0].delta_u"),
+        (_set(["orbits", 0, "distinct_from"], [{}]), "$.orbits[0]"),
+        (_set(["orbits", 0, "distinct_from"], [["g_inf"]]), "$.orbits[0]"),
+        (_set(["curves", 0, "constrained"], [["v0"]]), "$.curves[0]"),
+        (_set(["curves", 0, "orbits", "v0"], ["g_zero"]), "$.curves[0]"),
+        (_set(["covers", 0, "fiber", 0, "from"], ["q0"]), "$.covers[0].fiber[0]"),
+        (_set(["covers", 0, "fiber", 0, "to"], ["v0"]), "$.covers[0].fiber[0]"),
+        (_set(["covers", 0, "total_constrained"], [["q0"]]), "$.covers[0]"),
+        # Beyond k = 2T + 2 some residue classes of the cover hold no mode |m| <= T.
+        (_set(["orbits", 5, "cover"], 130), "$.orbits[5]"),
     ],
     ids=[
         "cover-not-int", "genus-not-int", "c1_rel-not-int", "puncture-without-sign",
@@ -372,22 +424,41 @@ def _set(path, value):
         "query-k-not-int", "query-k-zero", "orbit-id-not-string", "surface-id-not-string",
         "somewhere-injective-not-bool", "query-index-not-int", "query-boundary-not-bool",
         "query-has-boundary-not-bool", "query-cz-method-unknown", "kbound-c-not-rational",
-        "kbound-c-zero-den",
+        "kbound-c-zero-den", "query-orbit-list", "query-orbit-unknown",
+        "query-epsilon-not-rational", "query-key-unknown", "query-weaker-nested",
+        "query-weaker-string", "query-samples-short-pair", "query-samples-string",
+        "query-parity-7", "query-curve-unknown", "query-cover-unknown", "query-surface-unknown",
+        "query-other-unknown", "query-side-unknown", "query-sign-unknown", "query-j-mode-unknown",
+        "query-delta-u-not-rational", "distinct-from-dict", "distinct-from-list",
+        "constrained-list", "curve-orbit-list", "fiber-from-list", "fiber-to-list",
+        "total-constrained-list", "cover-beyond-truncation",
     ],
 )
-def test_cli_malformed_input_is_a_located_validation_error(tmp_path, mutate, where):
+def test_cli_malformed_input_is_a_located_validation_error(tmp_path, capsys, mutate, where):
+    # In-process, so an exception that escapes main fails the test by itself.
     if isinstance(mutate, str):
-        proc = run_cli("oracle", "kbound", f"--c={mutate}", "--g", "0")
+        code = main(["oracle", "kbound", f"--c={mutate}", "--g", "0"])
     else:
         doc = foliation_doc()
         mutate(doc)
         f = tmp_path / "bad.scn"
         f.write_text(json.dumps(doc))
-        proc = run_cli("check", str(f))
-    assert proc.returncode == 2
-    assert proc.stderr.startswith(f"validation error: {where}: ".encode())
-    assert proc.stderr.count(where.encode()) == 1
-    assert b"Traceback" not in proc.stderr
+        code = main(["check", str(f)])
+    stderr = capsys.readouterr().err
+    assert code == 2
+    assert stderr.startswith(f"validation error: {where}: ")
+    assert stderr.count(where) == 1
+
+
+def test_cover_orbit_beyond_the_truncation_is_a_query_error(tmp_path, capsysbinary):
+    doc = foliation_doc()
+    doc["queries"] = [{"name": "cover_orbit", "orbit": "g_zero", "k": 130}]
+    f = tmp_path / "k.scn"
+    f.write_text(json.dumps(doc))
+    assert main(["run", str(f), "--format", "json"]) == 1
+    [result] = json.loads(capsysbinary.readouterr().out)["queries"]
+    assert result["status"] == "error"
+    assert result["error"].startswith("SpectralError: ")
 
 
 def test_cli_spectrum():
@@ -436,3 +507,62 @@ def test_cli_import_leaves_scipy_out():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
     assert proc.stdout.strip() == b"[]"
+
+
+#: values a mutation writes over one entry of the scenario
+MUTANT_VALUES = ["x", 1.5, -1, 0, 200, True, None, [], {}, ["a"], [["a"]], {"num": 1, "den": 0}]
+
+
+def _leaves(node, path=()):
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        yield path + (key,), child
+        if isinstance(child, (dict, list)):
+            yield from _leaves(child, path + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """foliation.scn with one query of each kind, and one entry dropped, overwritten
+    with one of MUTANT_VALUES, its id pointed at nothing, or its sample row shortened."""
+    doc = foliation_doc()
+    doc["queries"] += copy.deepcopy(ONE_QUERY_OF_EACH_KIND)
+    how = draw(st.sampled_from(["drop", "overwrite", "dangle", "shorten"]))
+    if how == "dangle":
+        path = draw(st.sampled_from([p for p, v in _leaves(doc) if isinstance(v, str)]))
+    elif how == "shorten":
+        path = draw(st.sampled_from([p for p, v in _leaves(doc) if p[-2:-1] == ("samples",)]))
+    else:  # walk down from the root, stopping at each level below it with probability 1/3
+        path, node = (), doc
+        while isinstance(node, (dict, list)) and node:
+            if path and draw(st.integers(0, 2)) == 0:
+                break
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            path, node = path + (key,), node[key]
+    *parents, last = path
+    parent = doc
+    for key in parents:
+        parent = parent[key]
+    if how == "drop":
+        del parent[last]
+    elif how == "overwrite":
+        parent[last] = draw(st.sampled_from(MUTANT_VALUES))
+    elif how == "dangle":
+        parent[last] = "nowhere"
+    else:
+        parent[last] = parent[last][:-1]
+    return doc
+
+
+def test_mutated_scenarios_end_in_an_exit_code(tmp_path_factory):
+    f = tmp_path_factory.mktemp("fuzz") / "mutated.scn"
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(mutated_scenarios())
+    def check_and_run(doc):
+        f.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
+            for command in ("check", "run"):
+                assert main([command, str(f)]) in (0, 1, 2)
+
+    check_and_run()

@@ -159,6 +159,25 @@ def test_under_resolved_cover_asks_for_more_truncation(index):
     assert [p[1:] for p in spec.eigenpairs] == [p[1:] for p in full.eigenpairs]
 
 
+@pytest.mark.parametrize("k", [34, 51])
+def test_cover_orders_beyond_twice_the_truncation(k):
+    # From k = 2T + 2 on, some residue classes m = +-r (mod k) with r <= k/2
+    # hold no mode |m| <= T, and neither the blocks nor the full matrix have
+    # anything there.
+    for base in (
+        random_symmetric_loop(np.random.default_rng(41), n_samples=16),
+        AsymptoticOperator.constant(TWO_PI, 0.0, TWO_PI, n_samples=16),
+    ):
+        cover = base.pulled_back(k)
+        spec = discretized_spectrum(cover, 16)
+        full = discretized_spectrum(tiled_operator(cover), 16)
+        assert [p[1:] for p in spec.eigenpairs] == [p[1:] for p in full.eigenpairs]
+        dense = dense_hermitian_eigenvalues(tiled_rows(cover), 16)
+        lams = np.repeat([p[0] for p in spec.eigenpairs], [p[2] for p in spec.eigenpairs])
+        first = len(dense) // 4
+        assert np.abs(lams - dense[first:len(dense) - first]).max() < 1e-8
+
+
 def test_kernel_detection():
     op = AsymptoticOperator.constant(TWO_PI, 0.0, TWO_PI)
     spec = discretized_spectrum(op, 32)
