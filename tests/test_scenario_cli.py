@@ -268,6 +268,30 @@ def test_every_query_kind_runs_on_the_bundled_scenario():
             assert result["status"] == "ok", result
 
 
+GOLDEN = Path(__file__).parent / "data"
+
+
+def all_kinds_doc():
+    """foliation.scn plus one query of each kind except ``spectrum``, whose
+    eigenvalues are the only inexact values of a report."""
+    doc = foliation_doc()
+    doc["queries"] += [q for q in ONE_QUERY_OF_EACH_KIND if q["name"] != "spectrum"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, fmt, golden",
+    [
+        (foliation_doc, "json", "foliation_64.json"),
+        (foliation_doc, "text", "foliation_64.txt"),
+        (all_kinds_doc, "json", "all_kinds_64.json"),
+    ],
+)
+def test_reports_match_the_golden_files(doc, fmt, golden):
+    report = build_report(load_scenario(doc(), truncation=64), 64, "flag")
+    assert emit(report, fmt) == (GOLDEN / golden).read_bytes()
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "pcurves.cli", *args],
