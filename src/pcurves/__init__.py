@@ -31,8 +31,7 @@ from .errors import (
 )
 from .orbits import (
     AsymptoticOperator,
-    DeclaredMorseBott,
-    DeclaredNondegenerate,
+    DeclaredWindings,
     MorseBott,
     Nondegenerate,
     OperatorWinding,

@@ -13,12 +13,13 @@ from fractions import Fraction
 
 from .covers import composed_curve
 from .curves import (
+    even_punctures,
     fredholm_index,
     normal_chern,
     parity_partition,
     puncture_perturbations,
 )
-from .errors import ConsistencyError, MissingDataError, ValidationError
+from .errors import ConsistencyError, ValidationError
 from .intersections import adjunction_sing, cov_totals
 from .orbits import (
     SIDE_MINUS,
@@ -28,13 +29,14 @@ from .orbits import (
     alpha_strict,
     cov_extremal,
     cover_orbit,
+    extremal_side,
     generic_cov_extremal,
     generic_cover_number,
     kernel_dim,
-    nu_pm,
+    nu_at,
     q_of_cover,
 )
-from .surfaces import POSITIVE, aut_dim, riemann_hurwitz_punctured
+from .surfaces import aut_dim, riemann_hurwitz_punctured
 
 NICELY_EMBEDDED = "nicely_embedded"
 UNBRANCHED_COVER_OF_INDEX_ZERO = "unbranched_cover_of_index_zero"
@@ -156,12 +158,7 @@ def unique_even_analysis(curve, constraints, self_intersection, registry=None, t
     report = is_stable_nicely_embedded(curve, constraints, self_intersection, truncation)
     if not report.is_nice or report.index != 1:
         raise ValidationError("analysis applies to nicely embedded index-1 curves")
-    perts = puncture_perturbations(curve, constraints)
-    even = [
-        z
-        for z in curve.surface.puncture_ids
-        if alpha_pm(curve.orbit(z), perts[z], truncation)[2] == 0
-    ]
+    even = even_punctures(curve, constraints, truncation)
     if len(even) != 1:
         raise ConsistencyError(
             f"index-1 curve must have exactly one even puncture, found {len(even)}"
@@ -174,8 +171,7 @@ def unique_even_analysis(curve, constraints, self_intersection, registry=None, t
         case = "nondegenerate_even"
     elif kdim == 1:
         case = "morse_bott_2dim"
-        side = SIDE_MINUS if curve.sign(z) == POSITIVE else SIDE_PLUS
-        nu = nu_pm(orbit, truncation)[0 if side == SIDE_MINUS else 1]
+        nu = nu_at(orbit, extremal_side(curve.sign(z)), truncation)
         nu_matches = (nu == 0) == (z in constraints.constrained)
         if not nu_matches:
             raise ConsistencyError(
@@ -343,16 +339,7 @@ def degeneration_screen(
         )
     bad = None
     if ind_u == 1:
-        even = [
-            z
-            for z in composed.surface.puncture_ids
-            if alpha_pm(
-                composed.orbit(z),
-                puncture_perturbations(composed, limit)[z],
-                truncation,
-            )[2]
-            == 0
-        ]
+        even = even_punctures(composed, limit, truncation)
         if len(even) != 1:
             raise ConsistencyError("index-1 cover must have exactly one even puncture")
         bad = even[0]
@@ -404,8 +391,7 @@ def kernel_section_cover_obstruction(
         if k_z == 1:
             continue
         zeta = cover.target_of(z)
-        sign_z = cover.domain.sign_of(z)
-        side = SIDE_MINUS if sign_z == POSITIVE else SIDE_PLUS
+        side = extremal_side(cover.domain.sign_of(z))
         q = q_of_cover(
             base.orbit(zeta),
             cons.perturbation(base, zeta),
@@ -444,7 +430,7 @@ def _forced_cov_contribution(orbit, constrained, side, k_z, truncation):
     extremal winding is divisible by the branching order."""
     if constrained or kernel_dim(orbit, truncation) == 0:
         return max(cov_extremal(orbit, side, truncation) - 1, 0)
-    nu = nu_pm(orbit, truncation)[0 if side == SIDE_MINUS else 1]
+    nu = nu_at(orbit, side, truncation)
     if nu == 0:
         return max(generic_cov_extremal(orbit, side, truncation) - 1, 0)
     return (generic_cover_number(orbit) - 1) * nu

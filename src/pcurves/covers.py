@@ -8,17 +8,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import ConstraintSet, CurveData, normal_chern
-from .errors import ConsistencyError, MissingDataError, ValidationError
+from .errors import ConsistencyError, ValidationError
 from .intersections import PairingInput, intersection_number
-from .orbits import (
-    SIDE_MINUS,
-    SIDE_PLUS,
-    cover_orbit,
-    q_of_cover,
-    q_tilde,
-)
+from .orbits import cover_orbit, extremal_side, q_of_cover, q_tilde
 from .surfaces import (
-    POSITIVE,
     BranchedCover,
     euler_char,
     riemann_hurwitz_punctured,
@@ -110,7 +103,7 @@ def cn_cover(scenario, registry=None, truncation=None):
         k_z = cover.order_at(z)
         if k_z == 1:
             continue
-        side = SIDE_MINUS if cover.domain.sign_of(z) == POSITIVE else SIDE_PLUS
+        side = extremal_side(cover.domain.sign_of(z))
         pert = cons.perturbation(base, zeta)
         q_total += q_of_cover(base.orbit(zeta), pert, k_z, side, registry, truncation)
     z_phi = riemann_hurwitz_punctured(cover)
@@ -184,14 +177,13 @@ def i_cover_bound(scenario, other, base_pairing, registry=None, truncation=None)
             other_orbit = other_curve.orbit(zp)
             if not base_orbit.shares_simple_orbit(other_orbit):
                 continue
-            pair_sign = SIDE_PLUS if sign_z == POSITIVE else SIDE_MINUS
             slack += q_tilde(
                 base_orbit,
                 pert,
                 other_orbit,
                 other_cons.perturbation(other_curve, zp),
                 k_z,
-                pair_sign,
+                sign_z,
                 registry,
                 truncation,
             )

@@ -10,14 +10,14 @@ the two normal-Chern-number formulas and, downstream, adjunction.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, MissingDataError, ValidationError
+from .errors import ConsistencyError, ValidationError
 from .orbits import (
     Perturbation,
     alpha_pm,
     conley_zehnder,
 )
 from .rationals import exact_int, require_half_integer
-from .surfaces import NEGATIVE, POSITIVE, euler_char
+from .surfaces import POSITIVE, euler_char
 
 
 @dataclass(frozen=True)
@@ -96,16 +96,19 @@ def puncture_perturbations(curve, constraints):
     }
 
 
+def even_punctures(curve, constraints, truncation=None):
+    """The punctures whose perturbed orbit has parity 0, in puncture order."""
+    return [
+        z
+        for z, pert in puncture_perturbations(curve, constraints).items()
+        if alpha_pm(curve.orbit(z), pert, truncation)[2] == 0
+    ]
+
+
 def parity_partition(curve, constraints, truncation=None):
     """(#even, #odd) punctures with respect to the constraints."""
-    even = odd = 0
-    for z, pert in puncture_perturbations(curve, constraints).items():
-        _, _, p = alpha_pm(curve.orbit(z), pert, truncation)
-        if p == 0:
-            even += 1
-        else:
-            odd += 1
-    return even, odd
+    even = len(even_punctures(curve, constraints, truncation))
+    return even, curve.surface.n_punctures - even
 
 
 def total_maslov(curve, constraints, truncation=None):

@@ -12,25 +12,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curves import normal_chern, puncture_perturbations
-from .errors import ConsistencyError, MissingDataError, ValidationError
+from .errors import ConsistencyError, ValidationError
 from .orbits import (
-    SIDE_MINUS,
-    SIDE_PLUS,
     cov_extremal,
     delta_mb,
+    extremal_side,
     generic_cov_extremal,
     generic_cover_number,
-    nu_pm,
+    nu_at,
     omega_pair,
     omega_pair_strict,
     omega_self,
 )
 from .surfaces import NEGATIVE, POSITIVE
-
-
-def _pair_sign(sign):
-    """Omega sign selector for a same-sign puncture pair."""
-    return SIDE_PLUS if sign == POSITIVE else SIDE_MINUS
 
 
 @dataclass(frozen=True)
@@ -92,7 +86,7 @@ def omega_sum(pairing, truncation=None):
             perts_l[z],
             curve_r.orbit(zp),
             perts_r[zp],
-            _pair_sign(sign),
+            sign,
             truncation,
         )
     return total
@@ -136,8 +130,8 @@ def asymptotic_intersection(pairing, geometric_count=None, truncation=None):
         end_term = pairing.end_intersection(z, zp)
         if (z, zp) not in pairing.declared_end_intersections:
             used_default = True
-        mb_term = omega_pair_strict(a, b, _pair_sign(sign), truncation) - omega_pair(
-            a, perts_l[z], b, perts_r[zp], _pair_sign(sign), truncation
+        mb_term = omega_pair_strict(a, b, sign, truncation) - omega_pair(
+            a, perts_l[z], b, perts_r[zp], sign, truncation
         )
         if mb_term < 0:
             raise ConsistencyError(
@@ -176,14 +170,13 @@ def cov_totals(curve, constraints, truncation=None):
     cov_mb = 0
     for z in curve.surface.puncture_ids:
         orbit = curve.orbit(z)
-        side = SIDE_MINUS if curve.sign(z) == POSITIVE else SIDE_PLUS
+        side = extremal_side(curve.sign(z))
         constrained = z in constraints.constrained
         if constrained:
             cov_inf += cov_extremal(orbit, side, truncation) - 1
         else:
             cov_inf += generic_cov_extremal(orbit, side, truncation) - 1
-            nu = nu_pm(orbit, truncation)[0 if side == SIDE_MINUS else 1]
-            cov_mb += (generic_cover_number(orbit) - 1) * nu
+            cov_mb += (generic_cover_number(orbit) - 1) * nu_at(orbit, side, truncation)
     return cov_inf, cov_mb
 
 
@@ -249,7 +242,7 @@ def sing_decomposition(
         for zp in ids:
             if z == zp or curve.sign(z) != curve.sign(zp):
                 continue
-            sign = _pair_sign(curve.sign(z))
+            sign = curve.sign(z)
             end_term = pair_end_intersections.get((z, zp), 0)
             if (z, zp) not in pair_end_intersections:
                 used_default = True
@@ -268,7 +261,7 @@ def sing_decomposition(
     end_rows = []
     for z in ids:
         orbit = curve.orbit(z)
-        sign = _pair_sign(curve.sign(z))
+        sign = curve.sign(z)
         minimum = omega_self(orbit, sign, truncation)
         declared = self_end_intersections.get(z, minimum)
         if z not in self_end_intersections:

@@ -24,14 +24,16 @@ from .errors import (
     ConsistencyError,
     DegeneracyError,
     MissingDataError,
-    SpectralError,
     ValidationError,
 )
 from .rationals import exact_int
-from .spectral import DEFAULT_TRUNCATION, GLOBAL_SPECTRUM_CACHE, AsymptoticOperator
-
-SIDE_MINUS = "-"
-SIDE_PLUS = "+"
+from .spectral import (
+    DEFAULT_TRUNCATION,
+    GLOBAL_SPECTRUM_CACHE,
+    SIDE_MINUS,
+    SIDE_PLUS,
+    AsymptoticOperator,
+)
 
 WINDING = "winding"
 CROSSING_FLOW = "crossing_flow"
@@ -50,7 +52,7 @@ FLOW_TRACE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Nondegenerate:
-    pass
+    kernel_dim = 0
 
 
 @dataclass(frozen=True)
@@ -81,26 +83,14 @@ class MorseBott:
 
 
 @dataclass(frozen=True)
-class DeclaredNondegenerate:
-    """Extremal windings (alpha_-, alpha_+); epsilon-independent for small
-    perturbations."""
+class DeclaredWindings:
+    """Declared extremal windings (alpha_-, alpha_+) of the operator perturbed
+    down and up by a small delta: ``minus_delta`` of A - delta, ``plus_delta``
+    of A + delta.
 
-    alpha_minus: int
-    alpha_plus: int
-
-    def __post_init__(self):
-        if self.alpha_plus - self.alpha_minus not in (0, 1):
-            raise ValidationError(
-                "nondegenerate orbit must have alpha_+ - alpha_- in {0, 1}"
-            )
-
-
-@dataclass(frozen=True)
-class DeclaredMorseBott:
-    """Extremal windings of the two perturbed operators.
-
-    ``minus_delta`` and ``plus_delta`` are (alpha_-, alpha_+) of the
-    operator perturbed down/up by a small delta.
+    These answer what the spectrum of an operator-backed orbit answers.  Equal
+    pairs are nondegenerate data; otherwise the drops nu_-, nu_+ of the
+    windings across 0 add up to the dimension of the kernel.
     """
 
     minus_delta: tuple
@@ -112,20 +102,32 @@ class DeclaredMorseBott:
                 raise ValidationError("perturbed winding data must be a pair")
             if pair[1] - pair[0] not in (0, 1):
                 raise ValidationError("perturbed operator parity must be in {0, 1}")
-        nm = self.minus_delta[0] - self.plus_delta[0]
-        np_ = self.minus_delta[1] - self.plus_delta[1]
-        if nm not in (0, 1) or np_ not in (0, 1):
+        if not set(self.nu()) <= {0, 1}:
             raise ValidationError("nu_- and nu_+ must lie in {0, 1}")
-        if nm + np_ == 0:
-            raise ValidationError(
-                "Morse-Bott winding data shows no spectral flow across 0"
-            )
 
-    @property
-    def kernel_dim(self):
-        mu_minus = 2 * self.minus_delta[0] + (self.minus_delta[1] - self.minus_delta[0])
-        mu_plus = 2 * self.plus_delta[0] + (self.plus_delta[1] - self.plus_delta[0])
-        return mu_minus - mu_plus
+    def alpha_at(self, epsilon):
+        if epsilon > 0:
+            return self.plus_delta
+        if epsilon < 0 or not self.kernel_dimension():
+            return self.minus_delta
+        w = self.minus_delta[0]
+        raise DegeneracyError(
+            f"declared windings are degenerate at epsilon = 0 (kernel winding {w})",
+            kernel_winding=w,
+        )
+
+    def alpha_strict(self, side):
+        # Strictly negative spectrum is untouched by a small upward shift.
+        return self.plus_delta[0] if side == SIDE_MINUS else self.minus_delta[1]
+
+    def nu(self):
+        return (
+            self.minus_delta[0] - self.plus_delta[0],
+            self.minus_delta[1] - self.plus_delta[1],
+        )
+
+    def kernel_dimension(self):
+        return sum(self.nu())
 
 
 @dataclass(frozen=True)
@@ -167,27 +169,18 @@ class OrbitClass:
                 f"orbit {self.id!r}: a simply covered orbit is its own simple orbit"
             )
         object.__setattr__(self, "distinct_from", frozenset(self.distinct_from))
-        if isinstance(self.kind, MorseBott):
-            if self.cover % self.kind.isotropy:
-                raise ValidationError(
-                    f"orbit {self.id!r}: isotropy must divide the covering number"
-                )
-            if isinstance(self.winding, DeclaredMorseBott):
-                if self.winding.kernel_dim != self.kind.kernel_dim:
-                    raise ValidationError(
-                        f"orbit {self.id!r}: declared windings give kernel dimension "
-                        f"{self.winding.kernel_dim}, expected {self.kind.kernel_dim}"
-                    )
-            if isinstance(self.winding, DeclaredNondegenerate):
-                raise ValidationError(
-                    f"orbit {self.id!r}: Morse-Bott orbit with nondegenerate winding data"
-                )
-        if isinstance(self.kind, Nondegenerate) and isinstance(
-            self.winding, DeclaredMorseBott
-        ):
+        if isinstance(self.kind, MorseBott) and self.cover % self.kind.isotropy:
             raise ValidationError(
-                f"orbit {self.id!r}: nondegenerate orbit with Morse-Bott winding data"
+                f"orbit {self.id!r}: isotropy must divide the covering number"
             )
+        # Operator kernels are matched to the kind when the scenario loads.
+        if self.kind is not None and not self.is_operator_backed:
+            kdim = self.winding.kernel_dimension()
+            if kdim != self.kind.kernel_dim:
+                raise ValidationError(
+                    f"orbit {self.id!r}: declared windings give kernel dimension "
+                    f"{kdim}, expected {self.kind.kernel_dim}"
+                )
 
     @property
     def is_operator_backed(self):
@@ -205,9 +198,22 @@ class OrbitClass:
         )
 
 
-def _spectrum(orbit, truncation):
-    truncation = truncation or DEFAULT_TRUNCATION
-    return GLOBAL_SPECTRUM_CACHE.get(orbit.winding.op, truncation)
+def _windings(orbit, truncation):
+    """The orbit's winding data: the spectrum of its operator, or its declared
+    windings.  Both answer alpha_at, alpha_strict, nu and kernel_dimension."""
+    if orbit.is_operator_backed:
+        return GLOBAL_SPECTRUM_CACHE.get(orbit.winding.op, truncation or DEFAULT_TRUNCATION)
+    return orbit.winding
+
+
+def _epsilon(pert):
+    return pert.epsilon if isinstance(pert, Perturbation) else Fraction(pert)
+
+
+def extremal_side(sign):
+    """The side of 0 holding the extremal winding at a puncture of this sign:
+    alpha_- at positive punctures, alpha_+ at negative ones."""
+    return SIDE_MINUS if sign == SIDE_PLUS else SIDE_PLUS
 
 
 def alpha_pm(orbit, pert, truncation=None):
@@ -216,12 +222,7 @@ def alpha_pm(orbit, pert, truncation=None):
     The perturbed operator must be nondegenerate; a spectrum point at
     -epsilon raises DegeneracyError naming the kernel winding.
     """
-    eps = pert.epsilon if isinstance(pert, Perturbation) else Fraction(pert)
-    if orbit.is_operator_backed:
-        spec = _spectrum(orbit, truncation)
-        am, ap = spec.alpha_at(float(eps))
-    else:
-        am, ap = _declared_alpha(orbit, eps)
+    am, ap = _windings(orbit, truncation).alpha_at(_epsilon(pert))
     p = ap - am
     if p not in (0, 1):
         raise ConsistencyError(
@@ -229,23 +230,6 @@ def alpha_pm(orbit, pert, truncation=None):
             " winding data is inconsistent"
         )
     return am, ap, p
-
-
-def _declared_alpha(orbit, eps):
-    w = orbit.winding
-    if isinstance(w, DeclaredNondegenerate):
-        return w.alpha_minus, w.alpha_plus
-    if isinstance(w, DeclaredMorseBott):
-        if eps > 0:
-            return tuple(w.plus_delta)
-        if eps < 0:
-            return tuple(w.minus_delta)
-        raise DegeneracyError(
-            f"orbit {orbit.id!r} is degenerate at epsilon = 0 "
-            f"(kernel winding {w.minus_delta[0]})",
-            kernel_winding=w.minus_delta[0],
-        )
-    raise MissingDataError(f"orbit {orbit.id!r} has no winding data")
 
 
 def alpha_strict(orbit, side, truncation=None):
@@ -257,56 +241,24 @@ def alpha_strict(orbit, side, truncation=None):
     """
     if side not in (SIDE_MINUS, SIDE_PLUS):
         raise ValidationError(f"bad side {side!r}")
-    w = orbit.winding
-    if isinstance(w, OperatorWinding):
-        spec = _spectrum(orbit, truncation)
-        sign = -1 if side == SIDE_MINUS else 1
-        windings = [wi for lam, wi, _ in spec.eigenpairs if sign * lam > spec.degeneracy_tol]
-        if not windings:
-            raise SpectralError(
-                f"orbit {orbit.id!r}: the reliable window has no eigenvalue on side"
-                f" {side!r} of 0; increase the truncation"
-            )
-        return max(windings) if side == SIDE_MINUS else min(windings)
-    if isinstance(w, DeclaredNondegenerate):
-        return w.alpha_minus if side == SIDE_MINUS else w.alpha_plus
-    if isinstance(w, DeclaredMorseBott):
-        # Strictly negative spectrum is untouched by a small upward shift.
-        return w.plus_delta[0] if side == SIDE_MINUS else w.minus_delta[1]
-    raise MissingDataError(f"orbit {orbit.id!r} has no winding data")
+    return _windings(orbit, truncation).alpha_strict(side)
 
 
 def nu_pm(orbit, truncation=None):
     """(nu_-, nu_+): drop of each extremal winding across the kernel."""
-    w = orbit.winding
-    if isinstance(w, DeclaredNondegenerate):
-        return (0, 0)
-    if isinstance(w, DeclaredMorseBott):
-        return (
-            w.minus_delta[0] - w.plus_delta[0],
-            w.minus_delta[1] - w.plus_delta[1],
-        )
-    if isinstance(w, OperatorWinding):
-        spec = _spectrum(orbit, truncation)
-        if spec.kernel_dimension() == 0:
-            return (0, 0)
-        probe = spec.gap_around_zero() / 2.0
-        am_lo, ap_lo = spec.alpha_at(-probe)  # A - probe
-        am_hi, ap_hi = spec.alpha_at(probe)   # A + probe
-        nu = (am_lo - am_hi, ap_lo - ap_hi)
-        if nu[0] not in (0, 1) or nu[1] not in (0, 1):
-            raise ConsistencyError(f"orbit {orbit.id!r}: nu outside {{0,1}}: {nu}")
-        return nu
-    raise MissingDataError(f"orbit {orbit.id!r} has no winding data")
+    nu = _windings(orbit, truncation).nu()
+    if not set(nu) <= {0, 1}:
+        raise ConsistencyError(f"orbit {orbit.id!r}: nu outside {{0,1}}: {nu}")
+    return nu
+
+
+def nu_at(orbit, side, truncation=None):
+    """nu on one side: nu_- for '-', nu_+ for '+'."""
+    return nu_pm(orbit, truncation)[0 if side == SIDE_MINUS else 1]
 
 
 def kernel_dim(orbit, truncation=None):
-    w = orbit.winding
-    if isinstance(w, DeclaredNondegenerate):
-        return 0
-    if isinstance(w, DeclaredMorseBott):
-        return w.kernel_dim
-    return _spectrum(orbit, truncation).kernel_dimension()
+    return _windings(orbit, truncation).kernel_dimension()
 
 
 def conley_zehnder(orbit, pert, method=WINDING, truncation=None):
@@ -326,7 +278,7 @@ def conley_zehnder(orbit, pert, method=WINDING, truncation=None):
             raise MissingDataError(
                 "crossing-flow method needs an operator-backed orbit"
             )
-        eps = pert.epsilon if isinstance(pert, Perturbation) else Fraction(pert)
+        eps = _epsilon(pert)
         # A + eps = -J0 d/dt - (S - eps), so the linearized Hamiltonian flow
         # of the perturbed operator runs with the matrix loop S - eps.
         return _crossing_flow_cz(orbit.winding.op, -float(eps))
@@ -368,16 +320,13 @@ def _crossing_flow(op, epsilon):
     A k-fold cover has modes only at multiples of k, and only those are
     summed.
     """
-    n, k = op.sample_count, op.cover
     steps = FLOW_STEPS
     h = 1.0 / steps
     gauss = math.sqrt(3) / 6
-    modes = np.arange(0, n // 2 + 1, k)
+    modes, coeffs = op.fourier_modes()
     # Rows (s11, s12, s22) of the real-sum coefficients a_k.
-    coeffs = 2.0 * op.fourier_coefficients()[modes].reshape(-1, 4)[:, [0, 1, 3]]
+    coeffs = 2.0 * coeffs.reshape(-1, 4)[:, [0, 1, 3]]
     coeffs[0] /= 2.0
-    if 2 * modes[-1] == n:
-        coeffs[-1] /= 2.0
     offsets = np.array([0.5 - gauss, 0.5 + gauss])
     folded = np.zeros((2, steps, 3), dtype=complex)
     np.add.at(
@@ -459,21 +408,25 @@ def _registered_cover(registry, simple_id, cover):
     return None
 
 
-def cov_extremal(orbit, side, truncation=None):
-    """Covering number of the extremal eigenfunctions on the given side.
+def _covering_number(cover, winding):
+    """Covering number of an eigenfunction with this winding on a
+    ``cover``-fold orbit.
 
     An eigenfunction of the covered operator is a d-fold cover exactly when
-    its winding is divisible by d; the covering number of the extremal one
-    is therefore the largest divisor of the orbit's covering number that
-    divides the extremal winding.
+    its winding is divisible by d, so this is the largest divisor of the
+    orbit's covering number that divides the winding (gcd(k, 0) = k).
     """
-    alpha = alpha_strict(orbit, side, truncation)
-    return math.gcd(orbit.cover, abs(alpha)) if alpha else orbit.cover
+    return math.gcd(cover, winding)
+
+
+def cov_extremal(orbit, side, truncation=None):
+    """Covering number of the extremal eigenfunctions on the given side."""
+    return _covering_number(orbit.cover, alpha_strict(orbit, side, truncation))
 
 
 def q_of_cover(orbit, pert, k, side, registry=None, truncation=None):
     """The covering defect q with alpha(+-)(cover^k + k eps) = k alpha(+-) -+ q."""
-    eps = pert.epsilon if isinstance(pert, Perturbation) else Fraction(pert)
+    eps = _epsilon(pert)
     base = alpha_pm(orbit, Perturbation(eps), truncation)
     cov = cover_orbit(orbit, k, registry, truncation)
     covered = alpha_pm(cov, Perturbation(k * eps), truncation)
@@ -494,7 +447,7 @@ def q_of_cover(orbit, pert, k, side, registry=None, truncation=None):
 def _signed_alpha_term(orbit, pert, sign, truncation):
     """(-+ alpha_-+) / cover as an exact fraction, for the Omega pairing;
     ``pert`` None takes the unperturbed operator with its kernel excluded."""
-    side = SIDE_MINUS if sign == SIDE_PLUS else SIDE_PLUS
+    side = extremal_side(sign)
     if pert is None:
         alpha = alpha_strict(orbit, side, truncation)
     else:
@@ -556,7 +509,7 @@ def q_tilde(orbit_m, pert_m, orbit_n, pert_n, k, sign, registry=None, truncation
     """
     if not orbit_m.shares_simple_orbit(orbit_n):
         raise ValidationError("q_tilde needs covers of one simple orbit")
-    side = SIDE_MINUS if sign == SIDE_PLUS else SIDE_PLUS
+    side = extremal_side(sign)
     m = orbit_m.cover
     n = orbit_n.cover
     term_m = _signed_alpha_term(orbit_m, pert_m, sign, truncation)
@@ -578,23 +531,17 @@ def delta_mb(orbit, pert, sign, truncation=None):
     it is [k (m-1) nu + cov - cov_generic] / 2, with the generic-orbit
     covering data declared on the orbit when the isotropy exceeds 1.
     """
-    eps = pert.epsilon if isinstance(pert, Perturbation) else Fraction(pert)
-    if eps > 0:
-        return Fraction(0)
+    eps = _epsilon(pert)
     if eps == 0:
         raise ValidationError("delta_mb needs a signed constraint perturbation")
-    if isinstance(orbit.winding, DeclaredNondegenerate):
-        return Fraction(0)
-    if isinstance(orbit.kind, Nondegenerate):
+    if eps > 0 or kernel_dim(orbit, truncation) == 0:
         return Fraction(0)
     if orbit.kind is None:
-        if orbit.is_operator_backed and kernel_dim(orbit, truncation) == 0:
-            return Fraction(0)
         raise MissingDataError(f"orbit {orbit.id!r}: kind needed for delta_mb")
-    side = SIDE_MINUS if sign == SIDE_PLUS else SIDE_PLUS
+    side = extremal_side(sign)
     m = orbit.kind.isotropy
     k = orbit.cover // m
-    nu = nu_pm(orbit, truncation)[0 if side == SIDE_MINUS else 1]
+    nu = nu_at(orbit, side, truncation)
     cov_here = cov_extremal(orbit, side, truncation)
     # At isotropy 1 the generic orbit carries the same winding data, so the
     # covering terms cancel.
@@ -622,9 +569,8 @@ def generic_cov_extremal(orbit, side, truncation=None):
                 f"orbit {orbit.id!r}: generic-orbit winding data required "
                 "(isotropy > 1)"
             )
-        k = orbit.cover // orbit.kind.isotropy
         g_alpha = orbit.generic_alpha[0 if side == SIDE_MINUS else 1]
-        return math.gcd(k, abs(g_alpha)) if g_alpha else k
+        return _covering_number(orbit.cover // orbit.kind.isotropy, g_alpha)
     return cov_extremal(orbit, side, truncation)
 
 

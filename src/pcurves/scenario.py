@@ -15,14 +15,7 @@ from .covers import CoverScenario
 from .curves import ConstraintSet, CurveData
 from .errors import ValidationError
 from .intersections import PairingInput
-from .orbits import (
-    DeclaredMorseBott,
-    DeclaredNondegenerate,
-    MorseBott,
-    Nondegenerate,
-    OperatorWinding,
-    OrbitClass,
-)
+from .orbits import DeclaredWindings, MorseBott, Nondegenerate, OperatorWinding, OrbitClass
 from .params import (
     BOOL, CURVE, IDS, INT, INTS, J_MODE, LIST, OBJECT, OPERATOR_SAMPLES, ORBIT, ORDER, RATIONAL,
     REQUIRED, SIGN, STR, SURFACE, one_of,
@@ -139,14 +132,18 @@ def _parse_winding(doc, location, scenario, operators, simple, cover):
             doc, {"type", "alpha_minus", "alpha_plus", "minus_delta", "plus_delta"}, location
         )
         if "alpha_minus" in doc:
-            return DeclaredNondegenerate(
-                alpha_minus=_get(doc, "alpha_minus", location, INT),
-                alpha_plus=_get(doc, "alpha_plus", location, INT),
-            )
-        return DeclaredMorseBott(
-            minus_delta=tuple(_get(doc, "minus_delta", location, INTS)),
-            plus_delta=tuple(_get(doc, "plus_delta", location, INTS)),
+            pair = (_get(doc, "alpha_minus", location, INT), _get(doc, "alpha_plus", location, INT))
+            return DeclaredWindings(pair, pair)
+        windings = DeclaredWindings(
+            tuple(_get(doc, "minus_delta", location, INTS)),
+            tuple(_get(doc, "plus_delta", location, INTS)),
         )
+        _require(
+            windings.kernel_dimension() > 0,
+            "Morse-Bott winding data shows no spectral flow across 0",
+            location,
+        )
+        return windings
     if wtype == "operator":
         _check_keys(doc, {"type", "samples"}, location)
         op = AsymptoticOperator(_get(doc, "samples", location, OPERATOR_SAMPLES))
@@ -337,19 +334,12 @@ def _certify_orbit(orbit, delta_gap, truncation, location):
         f"the declared gap {float(delta_gap):.3g}",
         location,
     )
-    if isinstance(orbit.kind, MorseBott):
-        _require(
-            kdim == orbit.kind.kernel_dim,
-            f"orbit {orbit.id!r}: operator kernel dimension {kdim} does not match "
-            f"the declared manifold dimension",
-            location,
-        )
-    elif isinstance(orbit.kind, Nondegenerate):
-        _require(
-            kdim == 0,
-            f"orbit {orbit.id!r}: declared nondegenerate but the operator has a kernel",
-            location,
-        )
+    _require(
+        orbit.kind is None or kdim == orbit.kind.kernel_dim,
+        f"orbit {orbit.id!r}: operator kernel dimension {kdim} does not match "
+        f"the declared kind",
+        location,
+    )
 
 
 def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):

@@ -43,6 +43,10 @@ from .errors import DegeneracyError, SpectralError, ValidationError
 
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
+#: sides of 0 in the spectrum, spelled as puncture signs are
+SIDE_MINUS = "-"
+SIDE_PLUS = "+"
+
 MIN_SAMPLES = 16
 MIN_TRUNCATION = 8
 #: Fourier truncation used when neither the caller nor the environment sets one
@@ -109,14 +113,17 @@ class AsymptoticOperator:
         """S_k(j / (kN)) = k S(j/N mod 1) for j = 0..kN-1."""
         return np.tile(self.cover * self._simple_matrices(), (self.cover, 1, 1))
 
-    def fourier_coefficients(self):
-        """S_hat[m] = (1/kN) sum_j S_k(j/(kN)) e^{-2 pi i m j/(kN)} for m = 0..kN-1,
-        so negative m index modulo kN.  S_k has modes only at multiples of k:
-        S_hat[jk] = k c_j with c_j the coefficients of S, and exact zeros elsewhere."""
-        k = self.cover
-        coeffs = np.zeros((self.sample_count, 2, 2), dtype=complex)
-        coeffs[::k] = k * (np.fft.fft(self._simple_matrices(), axis=0) / len(self.samples))
-        return coeffs
+    def fourier_modes(self):
+        """(m, a_m) for the modes m = jk, j = 0..N/2, of S_k, the only modes
+        0 <= m <= kN/2 where it can be nonzero: a_m = k c_j with c_j the
+        coefficients of S.  At even N the Nyquist mode j = N/2 is halved, so
+        that it is split evenly between +-m."""
+        n, k = len(self.samples), self.cover
+        j = np.arange(n // 2 + 1)
+        coeffs = k * (np.fft.fft(self._simple_matrices(), axis=0)[j] / n)
+        if n % 2 == 0:
+            coeffs[-1] /= 2.0
+        return k * j, coeffs
 
     def pulled_back(self, k):
         """Operator of the k-fold covered orbit: S_k(t) = k * S(k t mod 1),
@@ -143,6 +150,8 @@ class SpectralData:
     ``eigenpairs`` is a tuple of (eigenvalue, winding, multiplicity) sorted by
     eigenvalue, restricted to the middle half of the computed spectrum.
     ``diameter`` is the full computed spectral diameter, used for tolerances.
+    The methods below make every decision that depends on a tolerance: which
+    eigenvalues sit at a point, and so the windings, nu and the kernel.
     """
 
     eigenpairs: tuple
@@ -207,6 +216,28 @@ class SpectralData:
         # on both sides of x.
         return self._windings[i - 1], self._windings[j]
 
+    def alpha_strict(self, side):
+        """Extremal winding of A with the kernel left out: the largest winding
+        below 0 for side '-', the smallest above 0 for side '+'."""
+        i, j = self._around(0.0)
+        if side == SIDE_MINUS and i > 0:
+            return self._windings[i - 1]
+        if side == SIDE_PLUS and j < len(self._lams):
+            return self._windings[j]
+        raise SpectralError(
+            f"the reliable window has no eigenvalue on side {side!r} of 0;"
+            " increase the truncation"
+        )
+
+    def nu(self):
+        """(nu_-, nu_+): the drop of each extremal winding across the kernel,
+        probed at half the gap around 0."""
+        if self.kernel_dimension() == 0:
+            return 0, 0
+        probe = self.gap_around_zero() / 2.0
+        (am_lo, ap_lo), (am_hi, ap_hi) = self.alpha_at(-probe), self.alpha_at(probe)
+        return am_lo - am_hi, ap_lo - ap_hi
+
     def kernel_dimension(self):
         i, j = self._around(0.0)
         return int(self._mults[i:j].sum())
@@ -220,16 +251,15 @@ class SpectralData:
         return float(np.abs(nearest).min())
 
 
-def _real_matrix(coeffs, truncation, modes):
+def _real_matrix(c, truncation, modes):
     """Matrix of -J0 d/dt - S(t) in the orthonormal real basis
     {1, sqrt2 cos 2 pi m t, sqrt2 sin 2 pi m t : m in modes} x {e_1, e_2},
     ``modes`` ascending in 0..T; the constant 1 is there when mode 0 is.
 
     The constant comes first, then the cosine and sine of each nonzero mode
-    in ascending order; this order keeps the matrix banded.  ``coeffs`` are
-    the N Fourier coefficients of S as ``fourier_coefficients()`` gives them.
-    With c_k these coefficients (halved at the Nyquist mode k = N/2, zero
-    beyond it), multiplication by S has the 2x2 blocks
+    in ascending order; this order keeps the matrix banded.  ``c`` holds the
+    Fourier coefficients c_k of S for k = 0..2T (halved at the Nyquist mode
+    k = N/2, zero beyond it), and multiplication by S has the 2x2 blocks
         <cos_m, S cos_n> = Re(c_{m-n} + c_{m+n}),
         <sin_m, S sin_n> = Re(c_{m-n} - c_{m+n}),
         <cos_m, S sin_n> = Im(c_{m-n} - c_{m+n}),
@@ -240,13 +270,7 @@ def _real_matrix(coeffs, truncation, modes):
     eigenvalues; with a set of modes that S does not couple to the others,
     it is that matrix's diagonal block on them.
     """
-    n = len(coeffs)
     t = truncation
-    top = min(n // 2, 2 * t)
-    c = np.zeros((2 * t + 1, 2, 2), dtype=complex)  # c_k for k = 0..2T
-    c[: top + 1] = coeffs[: top + 1]
-    if n % 2 == 0 and n // 2 <= 2 * t:
-        c[n // 2] /= 2.0
     c = np.concatenate([c[:0:-1].conj(), c])  # c_k for k = -2T..2T at k + 2T
     m = np.asarray(modes)
     z = int(m[0] == 0)  # 1 when the block holds the constant
@@ -283,14 +307,16 @@ def discretized_spectrum(op, truncation):
     if truncation < MIN_TRUNCATION:
         raise ValidationError(f"truncation must be >= {MIN_TRUNCATION}")
     k = op.cover
-    coeffs = op.fourier_coefficients()
+    m, a = op.fourier_modes()
+    c = np.zeros((2 * truncation + 1, 2, 2), dtype=complex)  # c_m for m = 0..2T
+    c[m[m <= 2 * truncation]] = a[m <= 2 * truncation]
     modes = np.arange(truncation + 1)
     residue = np.minimum(modes % k, -modes % k)
     evals, windings = [], []
     # Class r holds mode r exactly when r <= T, and no mode |m| <= T otherwise.
     for r in range(min(k // 2, truncation) + 1):
         block = modes[residue == r]
-        evals.append(np.linalg.eigvalsh(_real_matrix(coeffs, truncation, block)))
+        evals.append(np.linalg.eigvalsh(_real_matrix(c, truncation, block)))
         windings.append(np.repeat(np.sort(np.r_[-block[block > 0], block]), 2))
     evals, windings = np.concatenate(evals), np.concatenate(windings)
     order = np.argsort(evals, kind="stable")

@@ -8,8 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from pcurves.curves import ConstraintSet, CurveData
 from pcurves.orbits import (
-    DeclaredMorseBott,
-    DeclaredNondegenerate,
+    DeclaredWindings,
     MorseBott,
     Nondegenerate,
     OperatorWinding,
@@ -72,13 +71,13 @@ def random_declared_orbit(rng, oid, max_cover=3, allow_morse_bott=True):
     if allow_morse_bott and rng.random() < 0.4:
         shape = rng.integers(0, 3)
         if shape == 0:  # 2-dim family, partner eigenvalue below
-            winding = DeclaredMorseBott(minus_delta=(w0, w0 + 1), plus_delta=(w0, w0))
+            winding = DeclaredWindings(minus_delta=(w0, w0 + 1), plus_delta=(w0, w0))
             kind = MorseBott(manifold_dim=2)
         elif shape == 1:  # 2-dim family, partner above
-            winding = DeclaredMorseBott(minus_delta=(w0, w0), plus_delta=(w0 - 1, w0))
+            winding = DeclaredWindings(minus_delta=(w0, w0), plus_delta=(w0 - 1, w0))
             kind = MorseBott(manifold_dim=2)
         else:  # 3-dim family (2-dim kernel)
-            winding = DeclaredMorseBott(
+            winding = DeclaredWindings(
                 minus_delta=(w0, w0 + 1), plus_delta=(w0 - 1, w0)
             )
             kind = MorseBott(manifold_dim=3)
@@ -90,7 +89,7 @@ def random_declared_orbit(rng, oid, max_cover=3, allow_morse_bott=True):
         id=oid,
         simple_id=simple_id,
         cover=cover,
-        winding=DeclaredNondegenerate(alpha_minus=w0, alpha_plus=w0 + p),
+        winding=DeclaredWindings((w0, w0 + p), (w0, w0 + p)),
         kind=Nondegenerate(),
     )
 
@@ -156,13 +155,10 @@ def shifted_declared_orbit(orbit, shift):
     its simple orbit: all windings move by cover * shift."""
     s = orbit.cover * shift
     w = orbit.winding
-    if isinstance(w, DeclaredNondegenerate):
-        new_w = DeclaredNondegenerate(w.alpha_minus + s, w.alpha_plus + s)
-    else:
-        new_w = DeclaredMorseBott(
-            minus_delta=(w.minus_delta[0] + s, w.minus_delta[1] + s),
-            plus_delta=(w.plus_delta[0] + s, w.plus_delta[1] + s),
-        )
+    new_w = DeclaredWindings(
+        minus_delta=(w.minus_delta[0] + s, w.minus_delta[1] + s),
+        plus_delta=(w.plus_delta[0] + s, w.plus_delta[1] + s),
+    )
     generic = orbit.generic_alpha
     if generic is not None:
         k = orbit.cover

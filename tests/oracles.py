@@ -155,9 +155,23 @@ def tiled_operator(op):
     return AsymptoticOperator(tuple(tiled_rows(op)))
 
 
+def tiled_coefficients(op):
+    """Fourier coefficients c_m, m = 0..kN/2, of the kN tiled samples of
+    ``op`` by one FFT, halved at the Nyquist mode of an even kN: the
+    coefficients of the loop with the cover forgotten."""
+    mats = op.matrices()
+    n = len(mats)
+    coeffs = np.fft.fft(mats, axis=0)[: n // 2 + 1] / n
+    if n % 2 == 0:
+        coeffs[-1] /= 2.0
+    return coeffs
+
+
 def _full_matrix(op, truncation):
-    coeffs = tiled_operator(op).fourier_coefficients()
-    return _real_matrix(coeffs, truncation, np.arange(truncation + 1))
+    c = np.zeros((2 * truncation + 1, 2, 2), dtype=complex)
+    coeffs = tiled_coefficients(op)[: 2 * truncation + 1]
+    c[: len(coeffs)] = coeffs
+    return _real_matrix(c, truncation, np.arange(truncation + 1))
 
 
 def extremal_residue_class(op, truncation, side):
@@ -219,13 +233,12 @@ def spectrum_windings(spec):
 def _gauss_point_samples(op, steps):
     """S at the two Gauss points of each of ``steps`` equal steps of [0, 1], as
     two arrays of 2x2 matrices, from a dense cos/sin sum over the modes
-    0 <= k <= N/2 (the Nyquist mode split evenly between +-N/2)."""
-    n = op.sample_count
-    ks = np.arange(n // 2 + 1)
-    coeffs = 2.0 * op.fourier_coefficients()[ks].reshape(len(ks), 4)
+    0 <= k <= N/2 of the tiled samples (the Nyquist mode split evenly
+    between +-N/2)."""
+    coeffs = tiled_coefficients(op)
+    ks = np.arange(len(coeffs))
+    coeffs = 2.0 * coeffs.reshape(len(ks), 4)
     coeffs[0] /= 2.0
-    if n % 2 == 0:
-        coeffs[-1] /= 2.0
     starts = np.arange(steps) / steps
     gauss = math.sqrt(3) / 6
     out = []

@@ -18,8 +18,7 @@ from pcurves.curves import ConstraintSet, CurveData, fredholm_index, normal_cher
 from pcurves.errors import ConsistencyError, ValidationError
 from pcurves.intersections import PairingInput, intersection_number
 from pcurves.orbits import (
-    DeclaredMorseBott,
-    DeclaredNondegenerate,
+    DeclaredWindings,
     MorseBott,
     Nondegenerate,
     OrbitClass,
@@ -128,17 +127,17 @@ def make_index1_base(constrain_even=True):
     one even orbit makes 2 c_N = ind - 2 + 1 with ind = 1."""
     even = OrbitClass(
         id="ev", simple_id="ev", cover=1,
-        winding=DeclaredNondegenerate(1, 1), kind=Nondegenerate(),
+        winding=DeclaredWindings((1, 1), (1, 1)), kind=Nondegenerate(),
         distinct_from=frozenset({"od1", "od2"}),
     )
     odd1 = OrbitClass(
         id="od1", simple_id="od1", cover=1,
-        winding=DeclaredNondegenerate(1, 2), kind=Nondegenerate(),
+        winding=DeclaredWindings((1, 2), (1, 2)), kind=Nondegenerate(),
         distinct_from=frozenset({"ev", "od2"}),
     )
     odd2 = OrbitClass(
         id="od2", simple_id="od2", cover=1,
-        winding=DeclaredNondegenerate(0, 1), kind=Nondegenerate(),
+        winding=DeclaredWindings((0, 1), (0, 1)), kind=Nondegenerate(),
         distinct_from=frozenset({"ev", "od1"}),
     )
     surface = PuncturedSurface(0, 0, (("a", "+"), ("b", "+"), ("c", "-")))
@@ -163,7 +162,7 @@ def test_screen_cn_zero_contradiction():
     # Degree 2, branched over 'a' only; needs the declared cover orbit.
     ev2 = OrbitClass(
         id="ev2", simple_id="ev", cover=2,
-        winding=DeclaredNondegenerate(2, 2), kind=Nondegenerate(),
+        winding=DeclaredWindings((2, 2), (2, 2)), kind=Nondegenerate(),
         distinct_from=frozenset({"od1", "od2"}),
     )
     registry = {"ev": curve.orbit_at["a"], "ev2": ev2}
@@ -186,12 +185,12 @@ def test_screen_index_minus_one_contradiction():
     # generic homotopy, where the step-2 ledger rules it out.
     even = OrbitClass(
         id="ев", simple_id="ев", cover=1,
-        winding=DeclaredNondegenerate(0, 0), kind=Nondegenerate(),
+        winding=DeclaredWindings((0, 0), (0, 0)), kind=Nondegenerate(),
         distinct_from=frozenset({"odx"}),
     )
     odd = OrbitClass(
         id="odx", simple_id="odx", cover=1,
-        winding=DeclaredNondegenerate(1, 2), kind=Nondegenerate(),
+        winding=DeclaredWindings((1, 2), (1, 2)), kind=Nondegenerate(),
         distinct_from=frozenset({"ев"}),
     )
     surface = PuncturedSurface(0, 0, (("a", "-"), ("b", "+")))
@@ -205,7 +204,7 @@ def test_screen_index_minus_one_contradiction():
     dom = PuncturedSurface(0, 0, (("a0", "-"), ("b0", "+"), ("b1", "+")))
     ev2 = OrbitClass(
         id="ев2", simple_id="ев", cover=2,
-        winding=DeclaredNondegenerate(0, 0), kind=Nondegenerate(),
+        winding=DeclaredWindings((0, 0), (0, 0)), kind=Nondegenerate(),
         distinct_from=frozenset({"odx"}),
     )
     registry = {"ев": even, "ев2": ev2, "odx": odd}
@@ -260,21 +259,21 @@ def test_obstruction_negative_case():
     # False.
     sigma = OrbitClass(
         id="sig", simple_id="sig", cover=1,
-        winding=DeclaredNondegenerate(0, 1), kind=Nondegenerate(),
+        winding=DeclaredWindings((0, 1), (0, 1)), kind=Nondegenerate(),
         distinct_from=frozenset({"tau"}),
     )
     # sigma^2 lies in a 2-dim family with isotropy 2; kernel winding 2 with
     # the partner above: alpha(+delta) = (2, 2), alpha(-delta) = (2, 3).
     sigma2 = OrbitClass(
         id="sig2", simple_id="sig", cover=2,
-        winding=DeclaredMorseBott(minus_delta=(2, 3), plus_delta=(2, 2)),
+        winding=DeclaredWindings(minus_delta=(2, 3), plus_delta=(2, 2)),
         kind=MorseBott(manifold_dim=2, isotropy=2),
         generic_alpha=(2, 2),
         distinct_from=frozenset({"tau"}),
     )
     tau = OrbitClass(
         id="tau", simple_id="tau", cover=1,
-        winding=DeclaredNondegenerate(0, 1), kind=Nondegenerate(),
+        winding=DeclaredWindings((0, 1), (0, 1)), kind=Nondegenerate(),
         distinct_from=frozenset({"sig"}),
     )
     cod = PuncturedSurface(0, 0, (("a", "-"), ("b", "-")))
@@ -300,11 +299,11 @@ def test_obstruction_negative_case():
 def test_bad_puncture_cases():
     odd = OrbitClass(
         id="g", simple_id="g", cover=1,
-        winding=DeclaredNondegenerate(1, 2), kind=Nondegenerate(),
+        winding=DeclaredWindings((1, 2), (1, 2)), kind=Nondegenerate(),
     )
     double = OrbitClass(
         id="g2", simple_id="g", cover=2,
-        winding=DeclaredNondegenerate(3, 3), kind=Nondegenerate(),
+        winding=DeclaredWindings((3, 3), (3, 3)), kind=Nondegenerate(),
     )
     registry = {"g": odd, "g2": double}
     assert is_bad_puncture(double, 0, registry)
@@ -312,11 +311,11 @@ def test_bad_puncture_cases():
     assert not is_bad_puncture(odd, 0, registry)  # simply covered
     even_simple = OrbitClass(
         id="h", simple_id="h", cover=1,
-        winding=DeclaredNondegenerate(1, 1), kind=Nondegenerate(),
+        winding=DeclaredWindings((1, 1), (1, 1)), kind=Nondegenerate(),
     )
     double_even = OrbitClass(
         id="h2", simple_id="h", cover=2,
-        winding=DeclaredNondegenerate(2, 2), kind=Nondegenerate(),
+        winding=DeclaredWindings((2, 2), (2, 2)), kind=Nondegenerate(),
     )
     registry2 = {"h": even_simple, "h2": double_even}
     assert not is_bad_puncture(double_even, 0, registry2)  # simple orbit even
@@ -332,7 +331,7 @@ def index_one_curve(even_orbit, constrained_even=True):
 
     odd = OrbitClass(
         id="odd", simple_id="odd", cover=1,
-        winding=DeclaredNondegenerate(0, 1), kind=Nondegenerate(),
+        winding=DeclaredWindings((0, 1), (0, 1)), kind=Nondegenerate(),
         distinct_from=frozenset({even_orbit.simple_id}),
     )
     mu_even = conley_zehnder(even_orbit, Perturbation(D if constrained_even else -D))
@@ -353,7 +352,7 @@ def index_one_curve(even_orbit, constrained_even=True):
 def test_unique_even_simple_nondegenerate():
     even = OrbitClass(
         id="ev", simple_id="ev", cover=1,
-        winding=DeclaredNondegenerate(0, 0), kind=Nondegenerate(),
+        winding=DeclaredWindings((0, 0), (0, 0)), kind=Nondegenerate(),
         distinct_from=frozenset({"odd"}),
     )
     curve, cons = index_one_curve(even)
@@ -367,12 +366,12 @@ def test_unique_even_simple_nondegenerate():
 def test_unique_even_bad_double_cover():
     odd_simple = OrbitClass(
         id="sg", simple_id="sg", cover=1,
-        winding=DeclaredNondegenerate(0, 1), kind=Nondegenerate(),
+        winding=DeclaredWindings((0, 1), (0, 1)), kind=Nondegenerate(),
         distinct_from=frozenset({"odd"}),
     )
     double = OrbitClass(
         id="sg2", simple_id="sg", cover=2,
-        winding=DeclaredNondegenerate(1, 1), kind=Nondegenerate(),
+        winding=DeclaredWindings((1, 1), (1, 1)), kind=Nondegenerate(),
         distinct_from=frozenset({"odd"}),
     )
     registry = {"sg": odd_simple, "sg2": double}
@@ -386,12 +385,12 @@ def test_unique_even_bad_double_cover():
 def test_unique_even_triple_cover_rejected():
     odd_simple = OrbitClass(
         id="tg", simple_id="tg", cover=1,
-        winding=DeclaredNondegenerate(0, 1), kind=Nondegenerate(),
+        winding=DeclaredWindings((0, 1), (0, 1)), kind=Nondegenerate(),
         distinct_from=frozenset({"odd"}),
     )
     triple = OrbitClass(
         id="tg3", simple_id="tg", cover=3,
-        winding=DeclaredNondegenerate(2, 2), kind=Nondegenerate(),
+        winding=DeclaredWindings((2, 2), (2, 2)), kind=Nondegenerate(),
         distinct_from=frozenset({"odd"}),
     )
     registry = {"tg": odd_simple, "tg3": triple}
@@ -405,7 +404,7 @@ def test_unique_even_morse_bott_constraint_link():
     # positive puncture uses nu_-; constrained and nu_- = 0 must agree.
     mb_even = OrbitClass(
         id="mb", simple_id="mb", cover=1,
-        winding=DeclaredMorseBott(minus_delta=(0, 1), plus_delta=(0, 0)),
+        winding=DeclaredWindings(minus_delta=(0, 1), plus_delta=(0, 0)),
         kind=MorseBott(manifold_dim=2),
         distinct_from=frozenset({"odd"}),
     )

@@ -20,7 +20,7 @@ from pcurves.curves import (
     transversality_check,
 )
 from pcurves.errors import ConsistencyError, ValidationError
-from pcurves.orbits import DeclaredNondegenerate, Nondegenerate, OrbitClass
+from pcurves.orbits import DeclaredWindings, Nondegenerate, OrbitClass
 from pcurves.surfaces import PuncturedSurface
 
 D = Fraction(1, 8)
@@ -31,7 +31,7 @@ def declared_orbit(oid, alpha_minus, alpha_plus, cover=1, distinct=()):
         id=oid,
         simple_id=oid if cover == 1 else f"{oid}_simple",
         cover=cover,
-        winding=DeclaredNondegenerate(alpha_minus, alpha_plus),
+        winding=DeclaredWindings((alpha_minus, alpha_plus), (alpha_minus, alpha_plus)),
         kind=Nondegenerate(),
         distinct_from=frozenset(distinct),
     )

@@ -17,8 +17,7 @@ from pcurves.intersections import (
     sing_decomposition,
 )
 from pcurves.orbits import (
-    DeclaredMorseBott,
-    DeclaredNondegenerate,
+    DeclaredWindings,
     MorseBott,
     Nondegenerate,
     OrbitClass,
@@ -35,7 +34,7 @@ def orbit(oid, am, ap, cover=1, distinct=()):
         id=oid,
         simple_id=oid if cover == 1 else f"{oid}_s",
         cover=cover,
-        winding=DeclaredNondegenerate(am, ap),
+        winding=DeclaredWindings((am, ap), (am, ap)),
         kind=Nondegenerate(),
         distinct_from=frozenset(distinct),
     )
@@ -122,7 +121,7 @@ def test_cov_totals_even_double_cover():
     # gamma^2 with even extremal winding on the relevant side contributes 1.
     even2 = OrbitClass(
         id="e2", simple_id="e", cover=2,
-        winding=DeclaredNondegenerate(2, 3), kind=Nondegenerate(),
+        winding=DeclaredWindings((2, 3), (2, 3)), kind=Nondegenerate(),
     )
     curve, cons = curve_with({"x": even2}, {"x": "+"}, 1, "C", constrained=("x",))
     # positive puncture: side '-': alpha_- = 2: gcd(2, 2) = 2: cov - 1 = 1.
@@ -133,7 +132,7 @@ def test_cov_totals_morse_bott_weight():
     # Unconstrained 2-dim family orbit with nu on the counted side.
     mb = OrbitClass(
         id="m2", simple_id="m", cover=2,
-        winding=DeclaredMorseBott(minus_delta=(2, 3), plus_delta=(2, 2)),
+        winding=DeclaredWindings(minus_delta=(2, 3), plus_delta=(2, 2)),
         kind=MorseBott(manifold_dim=2, isotropy=1),
     )
     curve, cons = curve_with({"x": mb}, {"x": "-"}, 1, "C")

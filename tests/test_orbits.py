@@ -22,8 +22,7 @@ from pcurves.orbits import (
     CROSSING_FLOW,
     FLOW_TRACE_TOL,
     WINDING,
-    DeclaredMorseBott,
-    DeclaredNondegenerate,
+    DeclaredWindings,
     MorseBott,
     Nondegenerate,
     OrbitClass,
@@ -89,7 +88,7 @@ def test_alpha_matches_exact_oracle_on_scalar_grid():
 def test_alpha_declared_nondegenerate():
     orbit = OrbitClass(
         id="d", simple_id="d", cover=1,
-        winding=DeclaredNondegenerate(alpha_minus=2, alpha_plus=2),
+        winding=DeclaredWindings((2, 2), (2, 2)),
         kind=Nondegenerate(),
     )
     assert alpha_pm(orbit, Perturbation(0)) == (2, 2, 0)
@@ -104,7 +103,7 @@ def test_alpha_degenerate_errors():
     assert err.value.kernel_winding == 1
     mb = OrbitClass(
         id="m", simple_id="m", cover=1,
-        winding=DeclaredMorseBott(minus_delta=(1, 2), plus_delta=(0, 1)),
+        winding=DeclaredWindings(minus_delta=(1, 2), plus_delta=(0, 1)),
         kind=MorseBott(manifold_dim=3),
     )
     with pytest.raises(DegeneracyError):
@@ -115,9 +114,9 @@ def test_alpha_degenerate_errors():
 
 def test_declared_parity_validation():
     with pytest.raises(ValidationError):
-        DeclaredNondegenerate(alpha_minus=0, alpha_plus=2)
+        DeclaredWindings((0, 2), (0, 2))
     with pytest.raises(ValidationError):
-        DeclaredMorseBott(minus_delta=(0, 1), plus_delta=(0, 1))  # no flow
+        DeclaredWindings(minus_delta=(1, 2), plus_delta=(0, 0))  # nu_+ = 2
 
 
 # -- Conley-Zehnder index ---------------------------------------------------
@@ -224,7 +223,7 @@ def test_crossing_flow_matches_the_sequential_product():
 def test_crossing_flow_needs_operator():
     orbit = OrbitClass(
         id="d", simple_id="d", cover=1,
-        winding=DeclaredNondegenerate(alpha_minus=0, alpha_plus=1),
+        winding=DeclaredWindings((0, 1), (0, 1)),
     )
     with pytest.raises(MissingDataError):
         conley_zehnder(orbit, Perturbation(0), CROSSING_FLOW)
@@ -246,7 +245,7 @@ def test_nu_kernel_above_alpha():
 def test_nu_declared_morse_bott():
     mb = OrbitClass(
         id="m", simple_id="m", cover=1,
-        winding=DeclaredMorseBott(minus_delta=(3, 4), plus_delta=(3, 3)),
+        winding=DeclaredWindings(minus_delta=(3, 4), plus_delta=(3, 3)),
         kind=MorseBott(manifold_dim=2),
     )
     assert nu_pm(mb) == (0, 1)
@@ -301,13 +300,13 @@ def test_cover_of_even_orbit_is_even():
 def test_cover_declared_requires_registry():
     base = OrbitClass(
         id="d", simple_id="d", cover=1,
-        winding=DeclaredNondegenerate(alpha_minus=0, alpha_plus=1),
+        winding=DeclaredWindings((0, 1), (0, 1)),
     )
     with pytest.raises(MissingDataError):
         cover_orbit(base, 2)
     declared_cover = OrbitClass(
         id="d2", simple_id="d", cover=2,
-        winding=DeclaredNondegenerate(alpha_minus=1, alpha_plus=1),
+        winding=DeclaredWindings((1, 1), (1, 1)),
     )
     registry = {"d": base, "d2": declared_cover}
     assert cover_orbit(base, 2, registry) is declared_cover
@@ -414,7 +413,7 @@ def test_omega_distinct_orbits():
     a = scalar("a", Fraction(1, 3))
     b = OrbitClass(
         id="b", simple_id="b", cover=1,
-        winding=DeclaredNondegenerate(alpha_minus=0, alpha_plus=1),
+        winding=DeclaredWindings((0, 1), (0, 1)),
         distinct_from=frozenset({"a"}),
     )
     assert omega_pair(a, Perturbation(0), b, Perturbation(0), "+") == 0
@@ -490,13 +489,13 @@ def test_omega_self_simple():
 def test_omega_self_declared_double_covers():
     odd = OrbitClass(
         id="o2", simple_id="o", cover=2,
-        winding=DeclaredNondegenerate(alpha_minus=1, alpha_plus=1),
+        winding=DeclaredWindings((1, 1), (1, 1)),
     )
     # alpha = 1 odd: cov = 1: Omega_+ = -(2-1)*1 + 0 = -1.
     assert omega_self(odd, "+") == -1
     even = OrbitClass(
         id="e2", simple_id="e", cover=2,
-        winding=DeclaredNondegenerate(alpha_minus=2, alpha_plus=2),
+        winding=DeclaredWindings((2, 2), (2, 2)),
     )
     # alpha_+ = 2 even: cov = 2: Omega_- = (2-1)*2 + (2-1) = 3.
     assert omega_self(even, "-") == 3
@@ -559,7 +558,7 @@ def test_delta_mb_exceptional_equal_covs():
     # relevant side and matching generic covering data: no defect.
     orbit = OrbitClass(
         id="x", simple_id="xs", cover=2,
-        winding=DeclaredMorseBott(minus_delta=(3, 3), plus_delta=(2, 3)),
+        winding=DeclaredWindings(minus_delta=(3, 3), plus_delta=(2, 3)),
         kind=MorseBott(manifold_dim=2, isotropy=2),
         generic_alpha=(3, 3),
     )
@@ -573,7 +572,7 @@ def test_delta_mb_positive_defect():
     # divisibility, shrinking its cov: defect (cov - cov_generic)/2 + nu term.
     orbit = OrbitClass(
         id="x", simple_id="xs", cover=4,
-        winding=DeclaredMorseBott(minus_delta=(4, 5), plus_delta=(4, 4)),
+        winding=DeclaredWindings(minus_delta=(4, 5), plus_delta=(4, 4)),
         kind=MorseBott(manifold_dim=2, isotropy=2),
         generic_alpha=(4, 3),
     )
@@ -586,7 +585,7 @@ def test_delta_mb_positive_defect():
 def test_delta_mb_missing_generic_data():
     orbit = OrbitClass(
         id="x", simple_id="xs", cover=2,
-        winding=DeclaredMorseBott(minus_delta=(3, 3), plus_delta=(2, 3)),
+        winding=DeclaredWindings(minus_delta=(3, 3), plus_delta=(2, 3)),
         kind=MorseBott(manifold_dim=2, isotropy=2),
     )
     with pytest.raises(MissingDataError):
@@ -600,7 +599,7 @@ def test_isotropy_must_divide_cover():
     with pytest.raises(ValidationError):
         OrbitClass(
             id="x", simple_id="xs", cover=3,
-            winding=DeclaredMorseBott(minus_delta=(1, 1), plus_delta=(0, 1)),
+            winding=DeclaredWindings(minus_delta=(1, 1), plus_delta=(0, 1)),
             kind=MorseBott(manifold_dim=2, isotropy=2),
         )
 
@@ -614,7 +613,7 @@ def test_kernel_dim_mismatch_rejected():
     with pytest.raises(ValidationError):
         OrbitClass(
             id="x", simple_id="x", cover=1,
-            winding=DeclaredMorseBott(minus_delta=(1, 2), plus_delta=(0, 1)),
+            winding=DeclaredWindings(minus_delta=(1, 2), plus_delta=(0, 1)),
             kind=MorseBott(manifold_dim=2),  # declared data has a 2-dim kernel
         )
 

@@ -15,6 +15,7 @@ from pcurves.cli import build_report, emit, main, resolve_truncation
 from pcurves.errors import ValidationError
 from pcurves.queries import REGISTRY, run_queries
 from pcurves.scenario import load_scenario
+from pcurves.spectral import GLOBAL_SPECTRUM_CACHE
 
 FOLIATION = Path(__file__).parent.parent / "src" / "pcurves" / "data" / "foliation.scn"
 
@@ -268,6 +269,47 @@ def test_every_query_kind_runs_on_the_bundled_scenario():
             assert result["status"] == "ok", result
 
 
+def declared_from_spectra(doc, truncation):
+    """``doc`` with the winding of each operator-backed orbit replaced by its
+    declared windings of A -+ delta, read off its own spectrum at a delta
+    inside the certified gap."""
+    scenario = load_scenario(doc, truncation=truncation)
+    delta = float(scenario.delta_gap) / 2
+    for entry in doc["orbits"]:
+        orbit = scenario.orbits[entry["id"]]
+        if orbit.is_operator_backed:
+            spec = GLOBAL_SPECTRUM_CACHE.get(orbit.winding.op, truncation)
+            below, above = spec.alpha_at(-delta), spec.alpha_at(delta)
+            entry["winding"] = (
+                {"type": "declared", "minus_delta": list(below), "plus_delta": list(above)}
+                if below != above
+                else {"type": "declared", "alpha_minus": below[0], "alpha_plus": below[1]}
+            )
+    return doc
+
+
+def test_declared_windings_read_off_the_spectra_answer_alike():
+    # Both sources of winding data answer alpha_at, alpha_strict, nu and
+    # kernel_dimension, so every query that does not read the spectrum
+    # itself gives the same result from either.
+    doc = foliation_doc()
+    doc["queries"] += [
+        q for q in ONE_QUERY_OF_EACH_KIND
+        if q["name"] != "spectrum" and q.get("method") != "crossing_flow"
+    ]
+    declared = declared_from_spectra(copy.deepcopy(doc), 64)
+    assert all(o["winding"]["type"] == "declared" for o in declared["orbits"])
+    spectral_results = run_queries(load_scenario(doc, truncation=64), 64)
+    declared_results = run_queries(load_scenario(declared, truncation=64), 64)
+    for ours, theirs in zip(spectral_results, declared_results):
+        if ours["name"] == "cover_orbit":
+            # The operator's cover is named after its pull-back, the declared
+            # one is the scenario's own orbit.
+            assert ours["result"].pop("id") == "g_zero~x2"
+            assert theirs["result"].pop("id") == "g_zero_x2"
+        assert ours == theirs
+
+
 GOLDEN = Path(__file__).parent / "data"
 
 
@@ -441,6 +483,9 @@ def _set(path, value):
         (_set(["covers", 0, "total_constrained"], [["q0"]]), "$.covers[0]"),
         # Beyond k = 2T + 2 some residue classes of the cover hold no mode |m| <= T.
         (_set(["orbits", 5, "cover"], 130), "$.orbits[5]"),
+        # Perturbed windings that do not move across 0 declare no kernel.
+        (_set(["orbits", 0, "winding"], {"type": "declared", "minus_delta": [0, 1],
+                                         "plus_delta": [0, 1]}), "$.orbits[0].winding"),
     ],
     ids=[
         "cover-not-int", "genus-not-int", "c1_rel-not-int", "puncture-without-sign",
@@ -455,7 +500,7 @@ def _set(path, value):
         "query-other-unknown", "query-side-unknown", "query-sign-unknown", "query-j-mode-unknown",
         "query-delta-u-not-rational", "distinct-from-dict", "distinct-from-list",
         "constrained-list", "curve-orbit-list", "fiber-from-list", "fiber-to-list",
-        "total-constrained-list", "cover-beyond-truncation",
+        "total-constrained-list", "cover-beyond-truncation", "declared-no-flow",
     ],
 )
 def test_cli_malformed_input_is_a_located_validation_error(tmp_path, capsys, mutate, where):

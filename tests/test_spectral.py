@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from oracles import (
     tiled_rows,
 )
 from pcurves.errors import SpectralError, ValidationError
-from pcurves.orbits import WINDING, Perturbation, conley_zehnder
+from pcurves.orbits import WINDING, Perturbation, _crossing_flow, conley_zehnder
 from pcurves.spectral import AsymptoticOperator, discretized_spectrum
 
 TWO_PI = 2 * math.pi
@@ -176,6 +177,22 @@ def test_cover_orders_beyond_twice_the_truncation(k):
         lams = np.repeat([p[0] for p in spec.eigenpairs], [p[2] for p in spec.eigenpairs])
         first = len(dense) // 4
         assert np.abs(lams - dense[first:len(dense) - first]).max() < 1e-8
+
+
+def test_high_cover_orders_allocate_only_the_simple_loop():
+    # A k-fold cover's spectrum and crossing flow read the simple loop's
+    # coefficients at multiples of k; nothing of size kN is built.  At
+    # k = 1e4 on 32 samples a (kN, 2, 2) complex array alone takes 20 MB.
+    cover = random_symmetric_loop(np.random.default_rng(5), n_samples=32, scale=1e-6)
+    cover = cover.pulled_back(10**4)
+    for run in (lambda: discretized_spectrum(cover, 16), lambda: _crossing_flow(cover, 0.3)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 def test_kernel_detection():
