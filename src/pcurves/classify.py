@@ -58,15 +58,15 @@ class NiceReport:
     cov_morse_bott: int = None
 
 
-def is_stable_nicely_embedded(curve, constraints, self_intersection, truncation=None):
+def is_stable_nicely_embedded(curve, constraints, self_intersection):
     """Check the defining inequalities i <= 0, ind >= 0, ind > c_N, and all
     their combinatorial consequences (genus 0, the even-puncture rule,
     index range, the c_N value, vanishing singularity and covering totals)."""
     if not curve.somewhere_injective:
         raise ValidationError("nice embedding applies to somewhere injective curves")
-    ind = fredholm_index(curve, constraints, truncation)
-    c_n = normal_chern(curve, constraints, truncation)
-    gamma0, _ = parity_partition(curve, constraints, truncation)
+    ind = fredholm_index(curve, constraints)
+    c_n = normal_chern(curve, constraints)
+    gamma0, _ = parity_partition(curve, constraints)
     failed = []
     if self_intersection > 0:
         failed.append(f"self-intersection {self_intersection} > 0")
@@ -89,8 +89,8 @@ def is_stable_nicely_embedded(curve, constraints, self_intersection, truncation=
             failed.append(f"index {ind} outside {{0, 1, 2}}")
         if c_n not in (Fraction(-1), Fraction(0)):
             failed.append(f"c_N = {c_n} outside {{-1, 0}}")
-        cov_inf, cov_mb = cov_totals(curve, constraints, truncation)
-        sing = adjunction_sing(curve, constraints, self_intersection, truncation)
+        cov_inf, cov_mb = cov_totals(curve, constraints)
+        sing = adjunction_sing(curve, constraints, self_intersection)
         if sing != 0:
             failed.append(f"singularity index {sing} nonzero")
         if ind in (1, 2):
@@ -117,30 +117,30 @@ def is_stable_nicely_embedded(curve, constraints, self_intersection, truncation=
     )
 
 
-def is_bad_puncture(orbit, parity_at_puncture, registry=None, truncation=None):
+def is_bad_puncture(orbit, parity_at_puncture, registry=None):
     """Even puncture whose orbit doubly covers a nondegenerate odd orbit."""
     if parity_at_puncture != 0:
         return False
     if orbit.cover % 2:
         return False
-    half = _underlying_orbit(orbit, orbit.cover // 2, registry, truncation)
+    half = _underlying_orbit(orbit, orbit.cover // 2, registry)
     if half is None:
         return False
-    if kernel_dim(half, truncation) != 0:
+    if kernel_dim(half) != 0:
         return False
-    am = alpha_strict(half, SIDE_MINUS, truncation)
-    ap = alpha_strict(half, SIDE_PLUS, truncation)
+    am = alpha_strict(half, SIDE_MINUS)
+    ap = alpha_strict(half, SIDE_PLUS)
     return ap - am == 1
 
 
-def _underlying_orbit(orbit, target_cover, registry=None, truncation=None):
+def _underlying_orbit(orbit, target_cover, registry=None):
     """The intermediate cover of the same simple orbit, if resolvable."""
     if orbit.cover == target_cover:
         return orbit
     found = _registered_cover(registry, orbit.simple_id, target_cover)
     simple = (registry or {}).get(orbit.simple_id)
     if found is None and simple is not None and simple.is_operator_backed:
-        found = cover_orbit(simple, target_cover, registry, truncation)
+        found = cover_orbit(simple, target_cover, registry)
     return found
 
 
@@ -153,25 +153,25 @@ class EvenPunctureReport:
     nu_matches_constraint: bool = None
 
 
-def unique_even_analysis(curve, constraints, self_intersection, registry=None, truncation=None):
+def unique_even_analysis(curve, constraints, self_intersection, registry=None):
     """Classify the unique even puncture of an index-1 nicely embedded curve."""
-    report = is_stable_nicely_embedded(curve, constraints, self_intersection, truncation)
+    report = is_stable_nicely_embedded(curve, constraints, self_intersection)
     if not report.is_nice or report.index != 1:
         raise ValidationError("analysis applies to nicely embedded index-1 curves")
-    even = even_punctures(curve, constraints, truncation)
+    even = even_punctures(curve, constraints)
     if len(even) != 1:
         raise ConsistencyError(
             f"index-1 curve must have exactly one even puncture, found {len(even)}"
         )
     z = even[0]
     orbit = curve.orbit(z)
-    kdim = kernel_dim(orbit, truncation)
+    kdim = kernel_dim(orbit)
     nu_matches = None
     if kdim == 0:
         case = "nondegenerate_even"
     elif kdim == 1:
         case = "morse_bott_2dim"
-        nu = nu_at(orbit, extremal_side(curve.sign(z)), truncation)
+        nu = nu_at(orbit, extremal_side(curve.sign(z)))
         nu_matches = (nu == 0) == (z in constraints.constrained)
         if not nu_matches:
             raise ConsistencyError(
@@ -188,7 +188,7 @@ def unique_even_analysis(curve, constraints, self_intersection, registry=None, t
         )
     bad = False
     if orbit.cover == 2:
-        bad = is_bad_puncture(orbit, 0, registry, truncation)
+        bad = is_bad_puncture(orbit, 0, registry)
         if not bad:
             raise ConsistencyError(
                 f"doubly covered even puncture {z!r} must cover a nondegenerate "
@@ -232,7 +232,6 @@ def degeneration_screen(
     j_mode="homotopy",
     ambient=None,
     registry=None,
-    truncation=None,
 ):
     """Combinatorial screen for limits of stable nicely embedded families.
 
@@ -255,8 +254,8 @@ def degeneration_screen(
         raise ValidationError("screen needs a somewhere injective base curve")
     cover = scenario.cover
     limit = limit_constraints or scenario.total_constraints
-    ind_v = fredholm_index(base, cons, truncation)
-    c_n_v = normal_chern(base, cons, truncation)
+    ind_v = fredholm_index(base, cons)
+    c_n_v = normal_chern(base, cons)
     if ind_v < -1:
         raise ValidationError(
             f"base index {ind_v} below the generic lower bound -1; bad scenario"
@@ -320,8 +319,8 @@ def degeneration_screen(
         raise ConsistencyError(
             f"base with c_N = {c_n_v} and index {ind_v} fits no branch of the screen"
         )
-    composed = composed_curve(scenario, registry, truncation)
-    ind_u = fredholm_index(composed, limit, truncation)
+    composed = composed_curve(scenario, registry)
+    ind_u = fredholm_index(composed, limit)
     z_phi = riemann_hurwitz_punctured(cover)
     if z_phi > 0 or ind_u == 0:
         family_dim = 2 * z_phi + aut_dim(cover.domain) + 1
@@ -339,11 +338,11 @@ def degeneration_screen(
         )
     bad = None
     if ind_u == 1:
-        even = even_punctures(composed, limit, truncation)
+        even = even_punctures(composed, limit)
         if len(even) != 1:
             raise ConsistencyError("index-1 cover must have exactly one even puncture")
         bad = even[0]
-        if not is_bad_puncture(composed.orbit(bad), 0, registry, truncation):
+        if not is_bad_puncture(composed.orbit(bad), 0, registry):
             raise ConsistencyError(
                 f"the even puncture {bad!r} of an index-1 multiple cover must be bad"
             )
@@ -365,9 +364,7 @@ class ObstructionReport:
     rows: tuple  # (puncture, k_z, mechanism)
 
 
-def kernel_section_cover_obstruction(
-    scenario, limit_constraints=None, registry=None, truncation=None
-):
+def kernel_section_cover_obstruction(scenario, limit_constraints=None, registry=None):
     """Winding obstruction to multiply covered kernel sections.
 
     At a puncture with branching order k > 1, a covered kernel section
@@ -381,7 +378,7 @@ def kernel_section_cover_obstruction(
     base = scenario.base_curve
     cons = scenario.base_constraints
     limit = limit_constraints or scenario.total_constraints
-    composed = composed_curve(scenario, registry, truncation)
+    composed = composed_curve(scenario, registry)
     perts = puncture_perturbations(composed, limit)
     rows = []
     fires = False
@@ -398,14 +395,13 @@ def kernel_section_cover_obstruction(
             k_z,
             side,
             registry,
-            truncation,
         )
         if q != 0:
             rows.append((z, k_z, f"covering defect q = {q} != 0 blocks extremal winding"))
             fires = True
             continue
         orbit_z = composed.orbit(z)
-        am, ap, _ = alpha_pm(orbit_z, perts[z], truncation)
+        am, ap, _ = alpha_pm(orbit_z, perts[z])
         alpha = am if side == SIDE_MINUS else ap
         if alpha % k_z:
             rows.append(
@@ -414,7 +410,7 @@ def kernel_section_cover_obstruction(
             fires = True
             continue
         forced = _forced_cov_contribution(
-            orbit_z, z in limit.constrained, side, k_z, truncation
+            orbit_z, z in limit.constrained, side, k_z
         )
         forced_total += forced
         rows.append(
@@ -425,12 +421,12 @@ def kernel_section_cover_obstruction(
     return ObstructionReport(fires=fires, forced_total=forced_total, rows=tuple(rows))
 
 
-def _forced_cov_contribution(orbit, constrained, side, k_z, truncation):
+def _forced_cov_contribution(orbit, constrained, side, k_z):
     """Lower bound for the covering totals contributed by one puncture whose
     extremal winding is divisible by the branching order."""
-    if constrained or kernel_dim(orbit, truncation) == 0:
-        return max(cov_extremal(orbit, side, truncation) - 1, 0)
-    nu = nu_at(orbit, side, truncation)
+    if constrained or kernel_dim(orbit) == 0:
+        return max(cov_extremal(orbit, side) - 1, 0)
+    nu = nu_at(orbit, side)
     if nu == 0:
-        return max(generic_cov_extremal(orbit, side, truncation) - 1, 0)
+        return max(generic_cov_extremal(orbit, side) - 1, 0)
     return (generic_cover_number(orbit) - 1) * nu

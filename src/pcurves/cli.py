@@ -42,7 +42,10 @@ def resolve_truncation(flag_value):
 
 
 def build_report(scenario, truncation, truncation_source):
-    results = run_queries(scenario, truncation)
+    """The report of the scenario's queries; ``truncation`` and its source
+    fill the header, and the scenario's orbits carry the truncation they were
+    loaded with."""
+    results = run_queries(scenario)
     status = "ok" if all(r["status"] == "ok" for r in results) else "error"
     return {
         "schema_version": SCHEMA_VERSION,

@@ -64,7 +64,7 @@ def pullback_constraints(cover, base_constraints):
     return ConstraintSet(constrained=constrained, delta=base_constraints.delta)
 
 
-def composed_curve(scenario, registry=None, truncation=None):
+def composed_curve(scenario, registry=None):
     """Curve data of (base o cover): Chern number and critical count scale
     by the degree, orbits become the prescribed covers."""
     cover = scenario.cover
@@ -73,7 +73,7 @@ def composed_curve(scenario, registry=None, truncation=None):
     orbits = {}
     for z in cover.domain.puncture_ids:
         zeta = cover.target_of(z)
-        orbits[z] = cover_orbit(base.orbit(zeta), cover.order_at(z), registry, truncation)
+        orbits[z] = cover_orbit(base.orbit(zeta), cover.order_at(z), registry)
     return CurveData(
         surface=cover.domain,
         ambient_dim_n=base.ambient_dim_n,
@@ -86,7 +86,7 @@ def composed_curve(scenario, registry=None, truncation=None):
     )
 
 
-def cn_cover(scenario, registry=None, truncation=None):
+def cn_cover(scenario, registry=None):
     """(c_N of the composed curve, the nonnegative correction Q).
 
     c_N(composed) = degree * c_N(base) + Z(d cover) + Q with Q the sum of
@@ -105,16 +105,12 @@ def cn_cover(scenario, registry=None, truncation=None):
             continue
         side = extremal_side(cover.domain.sign_of(z))
         pert = cons.perturbation(base, zeta)
-        q_total += q_of_cover(base.orbit(zeta), pert, k_z, side, registry, truncation)
+        q_total += q_of_cover(base.orbit(zeta), pert, k_z, side, registry)
     z_phi = riemann_hurwitz_punctured(cover)
     value = (
-        cover.degree * normal_chern(base, cons, truncation) + z_phi + q_total
+        cover.degree * normal_chern(base, cons) + z_phi + q_total
     )
-    direct = normal_chern(
-        composed_curve(scenario, registry, truncation),
-        pullback_constraints(cover, cons),
-        truncation,
-    )
+    direct = normal_chern(composed_curve(scenario, registry), pullback_constraints(cover, cons))
     if direct != value:
         raise ConsistencyError(
             f"covering formula gives c_N = {value} but the composed curve "
@@ -136,7 +132,7 @@ class CoverBoundReport:
             raise ConsistencyError("covering inequality violated")
 
 
-def i_cover_bound(scenario, other, base_pairing, registry=None, truncation=None):
+def i_cover_bound(scenario, other, base_pairing, registry=None):
     """Covering inequality i(composed | other) >= degree * i(base | other).
 
     ``base_pairing`` is the declared relative pairing of the base curve with
@@ -148,7 +144,7 @@ def i_cover_bound(scenario, other, base_pairing, registry=None, truncation=None)
     cover = scenario.cover
     base = scenario.base_curve
     cons = scenario.base_constraints
-    composed = composed_curve(scenario, registry, truncation)
+    composed = composed_curve(scenario, registry)
     pulled = pullback_constraints(cover, cons)
 
     base_pair = PairingInput(
@@ -159,8 +155,8 @@ def i_cover_bound(scenario, other, base_pairing, registry=None, truncation=None)
         left=(composed, pulled), right=(other_curve, other_cons),
         relative_pairing=cover.degree * base_pairing,
     )
-    lhs = intersection_number(comp_pair, truncation)
-    rhs = cover.degree * intersection_number(base_pair, truncation)
+    lhs = intersection_number(comp_pair)
+    rhs = cover.degree * intersection_number(base_pair)
 
     slack = 0
     for z in cover.domain.puncture_ids:
@@ -185,7 +181,6 @@ def i_cover_bound(scenario, other, base_pairing, registry=None, truncation=None)
                 k_z,
                 sign_z,
                 registry,
-                truncation,
             )
     return CoverBoundReport(lhs=lhs, rhs=rhs, slack=slack)
 

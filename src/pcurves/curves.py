@@ -96,26 +96,26 @@ def puncture_perturbations(curve, constraints):
     }
 
 
-def even_punctures(curve, constraints, truncation=None):
+def even_punctures(curve, constraints):
     """The punctures whose perturbed orbit has parity 0, in puncture order."""
     return [
         z
         for z, pert in puncture_perturbations(curve, constraints).items()
-        if alpha_pm(curve.orbit(z), pert, truncation)[2] == 0
+        if alpha_pm(curve.orbit(z), pert)[2] == 0
     ]
 
 
-def parity_partition(curve, constraints, truncation=None):
+def parity_partition(curve, constraints):
     """(#even, #odd) punctures with respect to the constraints."""
-    even = len(even_punctures(curve, constraints, truncation))
+    even = len(even_punctures(curve, constraints))
     return even, curve.surface.n_punctures - even
 
 
-def total_maslov(curve, constraints, truncation=None):
+def total_maslov(curve, constraints):
     """Boundary Maslov total plus the signed sum of perturbed CZ indices."""
     total = curve.maslov_boundary
     for z, pert in puncture_perturbations(curve, constraints).items():
-        mu = conley_zehnder(curve.orbit(z), pert, truncation=truncation)
+        mu = conley_zehnder(curve.orbit(z), pert)
         if curve.sign(z) == POSITIVE:
             total += mu
         else:
@@ -123,25 +123,25 @@ def total_maslov(curve, constraints, truncation=None):
     return total
 
 
-def fredholm_index(curve, constraints, truncation=None):
+def fredholm_index(curve, constraints):
     """(n - 3) chi + 2 c1 + total Maslov."""
     chi = euler_char(curve.surface)
     return (
         (curve.ambient_dim_n - 3) * chi
         + 2 * curve.c1_rel
-        + total_maslov(curve, constraints, truncation)
+        + total_maslov(curve, constraints)
     )
 
 
-def _normal_chern_from_index(curve, constraints, truncation=None):
-    ind = fredholm_index(curve, constraints, truncation)
-    gamma0, _ = parity_partition(curve, constraints, truncation)
+def _normal_chern_from_index(curve, constraints):
+    ind = fredholm_index(curve, constraints)
+    gamma0, _ = parity_partition(curve, constraints)
     g = curve.surface.genus
     m = curve.surface.boundary_components
     return Fraction(ind - 2 + 2 * g + gamma0 + m, 2)
 
 
-def _normal_chern_from_windings(curve, constraints, truncation=None):
+def _normal_chern_from_windings(curve, constraints):
     if curve.ambient_dim_n != 2:
         raise ValidationError(
             "the winding form of the normal Chern number needs ambient dimension 2"
@@ -150,7 +150,7 @@ def _normal_chern_from_windings(curve, constraints, truncation=None):
         curve.maslov_boundary, 2
     )
     for z, pert in puncture_perturbations(curve, constraints).items():
-        am, ap, _ = alpha_pm(curve.orbit(z), pert, truncation)
+        am, ap, _ = alpha_pm(curve.orbit(z), pert)
         if curve.sign(z) == POSITIVE:
             total += am
         else:
@@ -158,16 +158,16 @@ def _normal_chern_from_windings(curve, constraints, truncation=None):
     return total
 
 
-def normal_chern(curve, constraints, truncation=None):
+def normal_chern(curve, constraints):
     """Normal first Chern number, computed two independent ways.
 
     2 c_N = ind - 2 + 2g + #even + m, and (in ambient dimension 2) the
     winding form c1 - chi + mu_boundary/2 + sum of extremal windings; a
     disagreement means the declared data is incoherent.
     """
-    value = _normal_chern_from_index(curve, constraints, truncation)
+    value = _normal_chern_from_index(curve, constraints)
     if curve.ambient_dim_n == 2:
-        other = _normal_chern_from_windings(curve, constraints, truncation)
+        other = _normal_chern_from_windings(curve, constraints)
         if other != value:
             raise ConsistencyError(
                 f"normal Chern number mismatch: index form gives {value}, "
@@ -213,16 +213,16 @@ class TransversalityReport:
             raise ConsistencyError("kernel bounds out of order")
 
 
-def transversality_check(curve, constraints, truncation=None):
+def transversality_check(curve, constraints):
     """Automatic-transversality criterion with kernel-dimension bounds.
 
     The criterion ind > c_N + Z(du) guarantees regularity; in that case the
     kernel dimension (modulo automorphisms) is exactly max(ind, 2 Z(du)).
     Otherwise the two-case bounds apply, split at ind vs 2 Z(du).
     """
-    ind = fredholm_index(curve, constraints, truncation)
-    c_n = normal_chern(curve, constraints, truncation)
-    gamma0, gamma1 = parity_partition(curve, constraints, truncation)
+    ind = fredholm_index(curve, constraints)
+    c_n = normal_chern(curve, constraints)
+    gamma0, gamma1 = parity_partition(curve, constraints)
     z = curve.z_du
     g = curve.surface.genus
     m = curve.surface.boundary_components
@@ -232,7 +232,7 @@ def transversality_check(curve, constraints, truncation=None):
     # Reformulations; they must agree with the direct test.
     genus_form = ind > 2 * g + gamma0 + m - 2 + 2 * z
     winding_form = (
-        2 * curve.c1_rel + total_maslov(curve, constraints, truncation) + gamma1
+        2 * curve.c1_rel + total_maslov(curve, constraints) + gamma1
         > 2 * z
     )
     if genus_form != met or (curve.ambient_dim_n == 2 and winding_form != met):
@@ -306,9 +306,9 @@ def line_bundle_bounds(ind_d, c1_adj, gamma0_count, has_boundary):
     )
 
 
-def index_normal_operator(curve, constraints, truncation=None):
+def index_normal_operator(curve, constraints):
     """Index of the normal operator: ind(u) - 2 Z(du)."""
-    value = fredholm_index(curve, constraints, truncation) - 2 * curve.z_du
+    value = fredholm_index(curve, constraints) - 2 * curve.z_du
     return exact_int(value, "normal operator index")
 
 
@@ -319,12 +319,12 @@ def index_tangent_operator(curve):
     return exact_int(value, "tangent operator index")
 
 
-def critical_bound_check(curve, constraints, truncation=None):
+def critical_bound_check(curve, constraints):
     """Somewhere injective curves satisfy 2 Z(du) <= ind for generic data;
     False flags data that no generic almost complex structure produces."""
     if not curve.somewhere_injective:
         raise ValidationError("critical bound applies to somewhere injective curves")
-    return 2 * curve.z_du <= fredholm_index(curve, constraints, truncation)
+    return 2 * curve.z_du <= fredholm_index(curve, constraints)
 
 
 @dataclass(frozen=True)

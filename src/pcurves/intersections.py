@@ -72,7 +72,7 @@ class PairingInput:
         return value
 
 
-def omega_sum(pairing, truncation=None):
+def omega_sum(pairing):
     """Sum of Omega terms over all same-sign end pairs, at the constrained
     perturbations."""
     curve_l, cons_l = pairing.left
@@ -87,15 +87,14 @@ def omega_sum(pairing, truncation=None):
             curve_r.orbit(zp),
             perts_r[zp],
             sign,
-            truncation,
         )
     return total
 
 
-def intersection_number(pairing, truncation=None):
+def intersection_number(pairing):
     """The homotopy-invariant pairing: declared relative count minus the
     Omega sum.  Also meaningful as a self-intersection number."""
-    return pairing.relative_pairing - omega_sum(pairing, truncation)
+    return pairing.relative_pairing - omega_sum(pairing)
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ class AsymptoticReport:
     geometric_count_consistent: bool = None
 
 
-def asymptotic_intersection(pairing, geometric_count=None, truncation=None):
+def asymptotic_intersection(pairing, geometric_count=None):
     """Total asymptotic contribution hidden at infinity, decomposed per
     same-sign end pair into the fixed-orbit part and the Morse-Bott part.
 
@@ -130,8 +129,8 @@ def asymptotic_intersection(pairing, geometric_count=None, truncation=None):
         end_term = pairing.end_intersection(z, zp)
         if (z, zp) not in pairing.declared_end_intersections:
             used_default = True
-        mb_term = omega_pair_strict(a, b, sign, truncation) - omega_pair(
-            a, perts_l[z], b, perts_r[zp], sign, truncation
+        mb_term = omega_pair_strict(a, b, sign) - omega_pair(
+            a, perts_l[z], b, perts_r[zp], sign
         )
         if mb_term < 0:
             raise ConsistencyError(
@@ -143,7 +142,7 @@ def asymptotic_intersection(pairing, geometric_count=None, truncation=None):
     consistent = None
     if geometric_count is not None:
         consistent = (
-            intersection_number(pairing, truncation) == geometric_count + total
+            intersection_number(pairing) == geometric_count + total
         )
         if not consistent:
             raise ConsistencyError(
@@ -158,7 +157,7 @@ def asymptotic_intersection(pairing, geometric_count=None, truncation=None):
     )
 
 
-def cov_totals(curve, constraints, truncation=None):
+def cov_totals(curve, constraints):
     """(cov_infinity, cov_morse_bott) of the curve's asymptotic orbit set.
 
     cov_infinity sums cov(extremal eigenfunction of the generic perturbed
@@ -173,14 +172,14 @@ def cov_totals(curve, constraints, truncation=None):
         side = extremal_side(curve.sign(z))
         constrained = z in constraints.constrained
         if constrained:
-            cov_inf += cov_extremal(orbit, side, truncation) - 1
+            cov_inf += cov_extremal(orbit, side) - 1
         else:
-            cov_inf += generic_cov_extremal(orbit, side, truncation) - 1
-            cov_mb += (generic_cover_number(orbit) - 1) * nu_at(orbit, side, truncation)
+            cov_inf += generic_cov_extremal(orbit, side) - 1
+            cov_mb += (generic_cover_number(orbit) - 1) * nu_at(orbit, side)
     return cov_inf, cov_mb
 
 
-def adjunction_sing(curve, constraints, self_intersection, truncation=None):
+def adjunction_sing(curve, constraints, self_intersection):
     """Singularity index from the adjunction formula:
     sing = [i(u|u) - c_N - cov_infinity - cov_morse_bott] / 2.
 
@@ -189,8 +188,8 @@ def adjunction_sing(curve, constraints, self_intersection, truncation=None):
     """
     if not curve.somewhere_injective:
         raise ValidationError("adjunction applies to somewhere injective curves")
-    c_n = normal_chern(curve, constraints, truncation)
-    cov_inf, cov_mb = cov_totals(curve, constraints, truncation)
+    c_n = normal_chern(curve, constraints)
+    cov_inf, cov_mb = cov_totals(curve, constraints)
     sing = Fraction(self_intersection - c_n - cov_inf - cov_mb, 2)
     if sing < 0:
         raise ConsistencyError(
@@ -218,7 +217,6 @@ def sing_decomposition(
     pair_end_intersections=None,
     delta_u=None,
     adjunction_value=None,
-    truncation=None,
 ):
     """Assemble 2 delta_infinity(u; c) from per-end data.
 
@@ -246,10 +244,8 @@ def sing_decomposition(
             end_term = pair_end_intersections.get((z, zp), 0)
             if (z, zp) not in pair_end_intersections:
                 used_default = True
-            mb_term = omega_pair_strict(
-                curve.orbit(z), curve.orbit(zp), sign, truncation
-            ) - omega_pair(
-                curve.orbit(z), perts[z], curve.orbit(zp), perts[zp], sign, truncation
+            mb_term = omega_pair_strict(curve.orbit(z), curve.orbit(zp), sign) - omega_pair(
+                curve.orbit(z), perts[z], curve.orbit(zp), perts[zp], sign
             )
             if end_term < 0 or mb_term < 0:
                 raise ConsistencyError(
@@ -262,7 +258,7 @@ def sing_decomposition(
     for z in ids:
         orbit = curve.orbit(z)
         sign = curve.sign(z)
-        minimum = omega_self(orbit, sign, truncation)
+        minimum = omega_self(orbit, sign)
         declared = self_end_intersections.get(z, minimum)
         if z not in self_end_intersections:
             used_default = True
@@ -272,7 +268,7 @@ def sing_decomposition(
                 f"declared self asymptotic intersection at {z!r} is below "
                 "its theoretical minimum"
             )
-        two_delta_mb = 2 * delta_mb(orbit, perts[z], curve.sign(z), truncation)
+        two_delta_mb = 2 * delta_mb(orbit, perts[z], curve.sign(z))
         end_rows.append((z, Fraction(two_delta_inf), two_delta_mb))
         total += two_delta_inf + two_delta_mb
 

@@ -15,7 +15,7 @@ against the same frame.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -132,7 +132,11 @@ class DeclaredWindings:
 
 @dataclass(frozen=True)
 class OperatorWinding:
+    """An asymptotic operator, read at Fourier truncation ``truncation``: its
+    spectrum answers what declared windings answer."""
+
     op: AsymptoticOperator
+    truncation: int = DEFAULT_TRUNCATION
 
 
 @dataclass(frozen=True)
@@ -198,12 +202,22 @@ class OrbitClass:
         )
 
 
-def _windings(orbit, truncation):
-    """The orbit's winding data: the spectrum of its operator, or its declared
-    windings.  Both answer alpha_at, alpha_strict, nu and kernel_dimension."""
+def _windings(orbit):
+    """The orbit's winding data: the spectrum of its operator at its
+    truncation, or its declared windings.  Both answer alpha_at,
+    alpha_strict, nu and kernel_dimension."""
     if orbit.is_operator_backed:
-        return GLOBAL_SPECTRUM_CACHE.get(orbit.winding.op, truncation or DEFAULT_TRUNCATION)
+        return GLOBAL_SPECTRUM_CACHE.get(orbit.winding.op, orbit.winding.truncation)
     return orbit.winding
+
+
+def _at(orbit, truncation):
+    """The orbit read at ``truncation``; None keeps its own.  This is the
+    per-call ``truncation=`` of conley_zehnder, cov_extremal, q_of_cover,
+    omega_pair, omega_self and q_tilde, which perfbench/worker.py passes."""
+    if truncation is None or not orbit.is_operator_backed:
+        return orbit
+    return replace(orbit, winding=replace(orbit.winding, truncation=truncation))
 
 
 def _epsilon(pert):
@@ -216,13 +230,13 @@ def extremal_side(sign):
     return SIDE_MINUS if sign == SIDE_PLUS else SIDE_PLUS
 
 
-def alpha_pm(orbit, pert, truncation=None):
+def alpha_pm(orbit, pert):
     """Extremal windings (alpha_-, alpha_+, parity) of A + epsilon.
 
     The perturbed operator must be nondegenerate; a spectrum point at
     -epsilon raises DegeneracyError naming the kernel winding.
     """
-    am, ap = _windings(orbit, truncation).alpha_at(_epsilon(pert))
+    am, ap = _windings(orbit).alpha_at(_epsilon(pert))
     p = ap - am
     if p not in (0, 1):
         raise ConsistencyError(
@@ -232,7 +246,7 @@ def alpha_pm(orbit, pert, truncation=None):
     return am, ap, p
 
 
-def alpha_strict(orbit, side, truncation=None):
+def alpha_strict(orbit, side):
     """Extremal winding of the unperturbed operator, kernel excluded.
 
     For side '-' this is the largest winding among strictly negative
@@ -241,24 +255,24 @@ def alpha_strict(orbit, side, truncation=None):
     """
     if side not in (SIDE_MINUS, SIDE_PLUS):
         raise ValidationError(f"bad side {side!r}")
-    return _windings(orbit, truncation).alpha_strict(side)
+    return _windings(orbit).alpha_strict(side)
 
 
-def nu_pm(orbit, truncation=None):
+def nu_pm(orbit):
     """(nu_-, nu_+): drop of each extremal winding across the kernel."""
-    nu = _windings(orbit, truncation).nu()
+    nu = _windings(orbit).nu()
     if not set(nu) <= {0, 1}:
         raise ConsistencyError(f"orbit {orbit.id!r}: nu outside {{0,1}}: {nu}")
     return nu
 
 
-def nu_at(orbit, side, truncation=None):
+def nu_at(orbit, side):
     """nu on one side: nu_- for '-', nu_+ for '+'."""
-    return nu_pm(orbit, truncation)[0 if side == SIDE_MINUS else 1]
+    return nu_pm(orbit)[0 if side == SIDE_MINUS else 1]
 
 
-def kernel_dim(orbit, truncation=None):
-    return _windings(orbit, truncation).kernel_dimension()
+def kernel_dim(orbit):
+    return _windings(orbit).kernel_dimension()
 
 
 def conley_zehnder(orbit, pert, method=WINDING, truncation=None):
@@ -271,7 +285,7 @@ def conley_zehnder(orbit, pert, method=WINDING, truncation=None):
     nondegenerate data.
     """
     if method == WINDING:
-        am, _, p = alpha_pm(orbit, pert, truncation)
+        am, _, p = alpha_pm(_at(orbit, truncation), pert)
         return 2 * am + p
     if method == CROSSING_FLOW:
         if not orbit.is_operator_backed:
@@ -369,12 +383,12 @@ def _crossing_flow(op, epsilon):
 # Covers
 
 
-def cover_orbit(orbit, k, registry=None, truncation=None):
+def cover_orbit(orbit, k, registry=None):
     """The k-fold cover of an orbit, inheriting the trivialization.
 
     Operator-backed orbits get the pulled-back operator (eigenvalues scale
-    by k).  Declared orbits are looked up in ``registry`` by simple orbit
-    and covering number.
+    by k), read at the orbit's truncation.  Declared orbits are looked up in
+    ``registry`` by simple orbit and covering number.
     """
     if k < 1:
         raise ValidationError("cover order must be >= 1")
@@ -386,7 +400,7 @@ def cover_orbit(orbit, k, registry=None, truncation=None):
             id=f"{orbit.id}~x{k}",
             simple_id=orbit.simple_id,
             cover=orbit.cover * k,
-            winding=OperatorWinding(op),
+            winding=replace(orbit.winding, op=op),
             kind=None,
             distinct_from=orbit.distinct_from,
             family_id=orbit.family_id,
@@ -421,15 +435,16 @@ def _covering_number(cover, winding):
 
 def cov_extremal(orbit, side, truncation=None):
     """Covering number of the extremal eigenfunctions on the given side."""
-    return _covering_number(orbit.cover, alpha_strict(orbit, side, truncation))
+    return _covering_number(orbit.cover, alpha_strict(_at(orbit, truncation), side))
 
 
 def q_of_cover(orbit, pert, k, side, registry=None, truncation=None):
     """The covering defect q with alpha(+-)(cover^k + k eps) = k alpha(+-) -+ q."""
+    orbit = _at(orbit, truncation)
     eps = _epsilon(pert)
-    base = alpha_pm(orbit, Perturbation(eps), truncation)
-    cov = cover_orbit(orbit, k, registry, truncation)
-    covered = alpha_pm(cov, Perturbation(k * eps), truncation)
+    base = alpha_pm(orbit, Perturbation(eps))
+    cov = cover_orbit(orbit, k, registry)
+    covered = alpha_pm(cov, Perturbation(k * eps))
     if side == SIDE_MINUS:
         q = covered[0] - k * base[0]
     elif side == SIDE_PLUS:
@@ -444,14 +459,14 @@ def q_of_cover(orbit, pert, k, side, registry=None, truncation=None):
     return q
 
 
-def _signed_alpha_term(orbit, pert, sign, truncation):
+def _signed_alpha_term(orbit, pert, sign):
     """(-+ alpha_-+) / cover as an exact fraction, for the Omega pairing;
     ``pert`` None takes the unperturbed operator with its kernel excluded."""
     side = extremal_side(sign)
     if pert is None:
-        alpha = alpha_strict(orbit, side, truncation)
+        alpha = alpha_strict(orbit, side)
     else:
-        am, ap, _ = alpha_pm(orbit, pert, truncation)
+        am, ap, _ = alpha_pm(orbit, pert)
         alpha = am if side == SIDE_MINUS else ap
     return Fraction(-alpha if sign == SIDE_PLUS else alpha, orbit.cover)
 
@@ -476,27 +491,28 @@ def omega_pair(a, pert_a, b, pert_b, sign, truncation=None):
     """
     if not _check_comparable(a, b):
         return 0
-    ta = _signed_alpha_term(a, pert_a, sign, truncation)
-    tb = _signed_alpha_term(b, pert_b, sign, truncation)
+    ta = _signed_alpha_term(_at(a, truncation), pert_a, sign)
+    tb = _signed_alpha_term(_at(b, truncation), pert_b, sign)
     return exact_int(a.cover * b.cover * min(ta, tb), "Omega")
 
 
-def omega_pair_strict(a, b, sign, truncation=None):
+def omega_pair_strict(a, b, sign):
     """Omega at zero perturbation (kernel excluded); defined also for
     Morse-Bott orbits."""
-    return omega_pair(a, None, b, None, sign, truncation)
+    return omega_pair(a, None, b, None, sign)
 
 
 def omega_self(orbit, sign, truncation=None):
     """Self-intersection analogue of Omega for one orbit end."""
+    orbit = _at(orbit, truncation)
     k = orbit.cover
     if sign == SIDE_PLUS:
-        alpha = alpha_strict(orbit, SIDE_MINUS, truncation)
-        cov = cov_extremal(orbit, SIDE_MINUS, truncation)
+        alpha = alpha_strict(orbit, SIDE_MINUS)
+        cov = cov_extremal(orbit, SIDE_MINUS)
         return -(k - 1) * alpha + (cov - 1)
     if sign == SIDE_MINUS:
-        alpha = alpha_strict(orbit, SIDE_PLUS, truncation)
-        cov = cov_extremal(orbit, SIDE_PLUS, truncation)
+        alpha = alpha_strict(orbit, SIDE_PLUS)
+        cov = cov_extremal(orbit, SIDE_PLUS)
         return (k - 1) * alpha + (cov - 1)
     raise ValidationError(f"bad sign {sign!r}")
 
@@ -509,12 +525,13 @@ def q_tilde(orbit_m, pert_m, orbit_n, pert_n, k, sign, registry=None, truncation
     """
     if not orbit_m.shares_simple_orbit(orbit_n):
         raise ValidationError("q_tilde needs covers of one simple orbit")
+    orbit_m, orbit_n = _at(orbit_m, truncation), _at(orbit_n, truncation)
     side = extremal_side(sign)
     m = orbit_m.cover
     n = orbit_n.cover
-    term_m = _signed_alpha_term(orbit_m, pert_m, sign, truncation)
-    term_n = _signed_alpha_term(orbit_n, pert_n, sign, truncation)
-    q = q_of_cover(orbit_m, pert_m, k, side, registry, truncation)
+    term_m = _signed_alpha_term(orbit_m, pert_m, sign)
+    term_n = _signed_alpha_term(orbit_n, pert_n, sign)
+    q = q_of_cover(orbit_m, pert_m, k, side, registry)
     first = min(term_m, term_n)
     second = min(term_m - Fraction(q, k * m), term_n)
     value = exact_int(k * m * n * (first - second), "q_tilde")
@@ -523,7 +540,7 @@ def q_tilde(orbit_m, pert_m, orbit_n, pert_n, k, sign, registry=None, truncation
     return value
 
 
-def delta_mb(orbit, pert, sign, truncation=None):
+def delta_mb(orbit, pert, sign):
     """Morse-Bott self-intersection defect of one constrained/unconstrained end.
 
     Zero at constrained ends (positive perturbation).  At unconstrained ends
@@ -534,18 +551,18 @@ def delta_mb(orbit, pert, sign, truncation=None):
     eps = _epsilon(pert)
     if eps == 0:
         raise ValidationError("delta_mb needs a signed constraint perturbation")
-    if eps > 0 or kernel_dim(orbit, truncation) == 0:
+    if eps > 0 or kernel_dim(orbit) == 0:
         return Fraction(0)
     if orbit.kind is None:
         raise MissingDataError(f"orbit {orbit.id!r}: kind needed for delta_mb")
     side = extremal_side(sign)
     m = orbit.kind.isotropy
     k = orbit.cover // m
-    nu = nu_at(orbit, side, truncation)
-    cov_here = cov_extremal(orbit, side, truncation)
+    nu = nu_at(orbit, side)
+    cov_here = cov_extremal(orbit, side)
     # At isotropy 1 the generic orbit carries the same winding data, so the
     # covering terms cancel.
-    cov_generic = generic_cov_extremal(orbit, side, truncation)
+    cov_generic = generic_cov_extremal(orbit, side)
     if cov_here < cov_generic:
         raise ConsistencyError(
             f"orbit {orbit.id!r}: cov{side} = {cov_here} smaller than the "
@@ -557,7 +574,7 @@ def delta_mb(orbit, pert, sign, truncation=None):
     return value
 
 
-def generic_cov_extremal(orbit, side, truncation=None):
+def generic_cov_extremal(orbit, side):
     """cov of the extremal eigenfunction of the generic nearby orbit's cover.
 
     Equals the orbit's own cov for nondegenerate orbits and isotropy-1
@@ -571,7 +588,7 @@ def generic_cov_extremal(orbit, side, truncation=None):
             )
         g_alpha = orbit.generic_alpha[0 if side == SIDE_MINUS else 1]
         return _covering_number(orbit.cover // orbit.kind.isotropy, g_alpha)
-    return cov_extremal(orbit, side, truncation)
+    return cov_extremal(orbit, side)
 
 
 def generic_cover_number(orbit):

@@ -70,11 +70,11 @@ class QueryRegistry:
         """The declared parameters of a query kind, None for an unknown kind."""
         return self._handlers[name][2] if name in self._handlers else None
 
-    def run_one(self, scenario, query, truncation):
+    def run_one(self, scenario, query):
         if query.args is None:
             raise ValidationError(f"unknown query kind {query.name!r}")
         fn, formula, _ = self._handlers[query.name]
-        result = fn(scenario, truncation, **query.args)
+        result = fn(scenario, **query.args)
         return {
             "name": query.name,
             "params": query.echo(),
@@ -88,7 +88,7 @@ REGISTRY = QueryRegistry()
 
 
 @REGISTRY.register("euler_char", "chi = 2 - 2g - m - #punctures", ["euler_char"], surface=SURFACE)
-def _q_euler(scenario, truncation, surface):
+def _q_euler(scenario, surface):
     return surfaces.euler_char(surface)
 
 
@@ -98,12 +98,12 @@ def _q_euler(scenario, truncation, surface):
     ["teichmuller_dim"],
     surface=SURFACE,
 )
-def _q_teich(scenario, truncation, surface):
+def _q_teich(scenario, surface):
     return surfaces.teichmuller_dim(surface)
 
 
 @REGISTRY.register("aut_dim", "0 if stable; else tabulated", ["aut_dim"], surface=SURFACE)
-def _q_aut(scenario, truncation, surface):
+def _q_aut(scenario, surface):
     return surfaces.aut_dim(surface)
 
 
@@ -113,12 +113,12 @@ def _q_aut(scenario, truncation, surface):
     ["riemann_hurwitz_punctured"],
     cover=COVER,
 )
-def _q_rh(scenario, truncation, cover):
+def _q_rh(scenario, cover):
     return surfaces.riemann_hurwitz_punctured(cover.cover)
 
 
 @REGISTRY.register("cover_moduli_dim", "dim = 2 Z(d cover)", ["cover_moduli_dim"], cover=COVER)
-def _q_cmd(scenario, truncation, cover):
+def _q_cmd(scenario, cover):
     return surfaces.cover_moduli_dim(cover.cover)
 
 
@@ -129,13 +129,14 @@ def _q_cmd(scenario, truncation, cover):
     orbit=ORBIT,
     truncation=INT.optional(),
 )
-def _q_spectrum(scenario, run_truncation, orbit, truncation):
+def _q_spectrum(scenario, orbit, truncation):
     if not orbit.is_operator_backed:
         raise ValidationError(f"orbit {orbit.id!r} is not operator-backed")
-    trunc = run_truncation if truncation is None else truncation
-    spec = GLOBAL_SPECTRUM_CACHE.get(orbit.winding.op, trunc)
+    if truncation is None:
+        truncation = orbit.winding.truncation
+    spec = GLOBAL_SPECTRUM_CACHE.get(orbit.winding.op, truncation)
     return {
-        "truncation": trunc,
+        "truncation": truncation,
         "eigenpairs": [
             {"eigenvalue": lam, "winding": w, "multiplicity": mult}
             for lam, w, mult in spec.eigenpairs
@@ -150,8 +151,8 @@ def _q_spectrum(scenario, run_truncation, orbit, truncation):
     orbit=ORBIT,
     epsilon=PERTURBATION,
 )
-def _q_alpha(scenario, truncation, orbit, epsilon):
-    am, ap, p = orbits.alpha_pm(orbit, epsilon, truncation)
+def _q_alpha(scenario, orbit, epsilon):
+    am, ap, p = orbits.alpha_pm(orbit, epsilon)
     return {"alpha_minus": am, "alpha_plus": ap, "parity": p}
 
 
@@ -163,15 +164,15 @@ def _q_alpha(scenario, truncation, orbit, epsilon):
     epsilon=PERTURBATION,
     method=METHOD,
 )
-def _q_cz(scenario, truncation, orbit, epsilon, method):
-    return orbits.conley_zehnder(orbit, epsilon, method, truncation)
+def _q_cz(scenario, orbit, epsilon, method):
+    return orbits.conley_zehnder(orbit, epsilon, method)
 
 
 @REGISTRY.register(
     "nu", "nu = alpha(down-perturbed) - alpha(up-perturbed)", ["nu_pm"], orbit=ORBIT
 )
-def _q_nu(scenario, truncation, orbit):
-    nm, np_ = orbits.nu_pm(orbit, truncation)
+def _q_nu(scenario, orbit):
+    nm, np_ = orbits.nu_pm(orbit)
     return {"nu_minus": nm, "nu_plus": np_}
 
 
@@ -182,14 +183,14 @@ def _q_nu(scenario, truncation, orbit):
     orbit=ORBIT,
     k=ORDER,
 )
-def _q_cover_orbit(scenario, truncation, orbit, k):
-    cov = orbits.cover_orbit(orbit, k, scenario.orbits, truncation)
+def _q_cover_orbit(scenario, orbit, k):
+    cov = orbits.cover_orbit(orbit, k, scenario.orbits)
     return {
         "id": cov.id,
         "simple": cov.simple_id,
         "cover": cov.cover,
-        "alpha_minus_strict": orbits.alpha_strict(cov, orbits.SIDE_MINUS, truncation),
-        "alpha_plus_strict": orbits.alpha_strict(cov, orbits.SIDE_PLUS, truncation),
+        "alpha_minus_strict": orbits.alpha_strict(cov, orbits.SIDE_MINUS),
+        "alpha_plus_strict": orbits.alpha_strict(cov, orbits.SIDE_PLUS),
     }
 
 
@@ -200,8 +201,8 @@ def _q_cover_orbit(scenario, truncation, orbit, k):
     orbit=ORBIT,
     side=SIGN,
 )
-def _q_cov_extremal(scenario, truncation, orbit, side):
-    return orbits.cov_extremal(orbit, side, truncation)
+def _q_cov_extremal(scenario, orbit, side):
+    return orbits.cov_extremal(orbit, side)
 
 
 @REGISTRY.register(
@@ -213,8 +214,8 @@ def _q_cov_extremal(scenario, truncation, orbit, side):
     k=ORDER,
     side=SIGN,
 )
-def _q_qcover(scenario, truncation, orbit, epsilon, k, side):
-    return orbits.q_of_cover(orbit, epsilon, k, side, scenario.orbits, truncation)
+def _q_qcover(scenario, orbit, epsilon, k, side):
+    return orbits.q_of_cover(orbit, epsilon, k, side, scenario.orbits)
 
 
 @REGISTRY.register(
@@ -227,15 +228,15 @@ def _q_qcover(scenario, truncation, orbit, epsilon, k, side):
     epsilon_b=PERTURBATION,
     sign=SIGN,
 )
-def _q_omega(scenario, truncation, a, epsilon_a, b, epsilon_b, sign):
-    return orbits.omega_pair(a, epsilon_a, b, epsilon_b, sign, truncation)
+def _q_omega(scenario, a, epsilon_a, b, epsilon_b, sign):
+    return orbits.omega_pair(a, epsilon_a, b, epsilon_b, sign)
 
 
 @REGISTRY.register(
     "omega_self", "-+ (k-1) alpha + (cov - 1)", ["omega_self"], orbit=ORBIT, sign=SIGN
 )
-def _q_omega_self(scenario, truncation, orbit, sign):
-    return orbits.omega_self(orbit, sign, truncation)
+def _q_omega_self(scenario, orbit, sign):
+    return orbits.omega_self(orbit, sign)
 
 
 @REGISTRY.register(
@@ -249,10 +250,8 @@ def _q_omega_self(scenario, truncation, orbit, sign):
     k=ORDER,
     sign=SIGN,
 )
-def _q_qtilde(scenario, truncation, orbit_m, epsilon_m, orbit_n, epsilon_n, k, sign):
-    return orbits.q_tilde(
-        orbit_m, epsilon_m, orbit_n, epsilon_n, k, sign, scenario.orbits, truncation
-    )
+def _q_qtilde(scenario, orbit_m, epsilon_m, orbit_n, epsilon_n, k, sign):
+    return orbits.q_tilde(orbit_m, epsilon_m, orbit_n, epsilon_n, k, sign, scenario.orbits)
 
 
 @REGISTRY.register(
@@ -263,8 +262,8 @@ def _q_qtilde(scenario, truncation, orbit_m, epsilon_m, orbit_n, epsilon_n, k, s
     epsilon=PERTURBATION,
     sign=SIGN,
 )
-def _q_delta_mb(scenario, truncation, orbit, epsilon, sign):
-    return orbits.delta_mb(orbit, epsilon, sign, truncation)
+def _q_delta_mb(scenario, orbit, epsilon, sign):
+    return orbits.delta_mb(orbit, epsilon, sign)
 
 
 @REGISTRY.register(
@@ -273,8 +272,8 @@ def _q_delta_mb(scenario, truncation, orbit, epsilon, sign):
     ["parity_partition"],
     curve=CURVE,
 )
-def _q_parity(scenario, truncation, curve):
-    even, odd = curves.parity_partition(*curve, truncation)
+def _q_parity(scenario, curve):
+    even, odd = curves.parity_partition(*curve)
     return {"even": even, "odd": odd}
 
 
@@ -284,8 +283,8 @@ def _q_parity(scenario, truncation, curve):
     ["fredholm_index"],
     curve=CURVE,
 )
-def _q_index(scenario, truncation, curve):
-    return curves.fredholm_index(*curve, truncation)
+def _q_index(scenario, curve):
+    return curves.fredholm_index(*curve)
 
 
 @REGISTRY.register(
@@ -294,8 +293,8 @@ def _q_index(scenario, truncation, curve):
     ["normal_chern"],
     curve=CURVE,
 )
-def _q_cn(scenario, truncation, curve):
-    return curves.normal_chern(*curve, truncation)
+def _q_cn(scenario, curve):
+    return curves.normal_chern(*curve)
 
 
 @REGISTRY.register(
@@ -306,7 +305,7 @@ def _q_cn(scenario, truncation, curve):
     genus0=INT,
     boundary=BOOL,
 )
-def _q_kbound(scenario, truncation, c, genus0, boundary):
+def _q_kbound(scenario, c, genus0, boundary):
     return curves.k_bound(c, genus0, boundary)
 
 
@@ -316,8 +315,8 @@ def _q_kbound(scenario, truncation, c, genus0, boundary):
     ["transversality_check"],
     curve=CURVE,
 )
-def _q_trans(scenario, truncation, curve):
-    return curves.transversality_check(*curve, truncation)
+def _q_trans(scenario, curve):
+    return curves.transversality_check(*curve)
 
 
 @REGISTRY.register(
@@ -329,7 +328,7 @@ def _q_trans(scenario, truncation, curve):
     gamma0=INT,
     boundary=BOOL,
 )
-def _q_line_bundle(scenario, truncation, index, c1_adjusted, gamma0, boundary):
+def _q_line_bundle(scenario, index, c1_adjusted, gamma0, boundary):
     return curves.line_bundle_bounds(index, c1_adjusted, gamma0, boundary)
 
 
@@ -339,9 +338,9 @@ def _q_line_bundle(scenario, truncation, index, c1_adjusted, gamma0, boundary):
     ["index_normal_operator"],
     curve=CURVE,
 )
-def _q_index_normal(scenario, truncation, curve):
+def _q_index_normal(scenario, curve):
     return {
-        "normal": curves.index_normal_operator(*curve, truncation),
+        "normal": curves.index_normal_operator(*curve),
         "tangent": curves.index_tangent_operator(curve[0]),
     }
 
@@ -352,8 +351,8 @@ def _q_index_normal(scenario, truncation, curve):
     ["critical_bound_check"],
     curve=CURVE,
 )
-def _q_critical(scenario, truncation, curve):
-    return curves.critical_bound_check(*curve, truncation)
+def _q_critical(scenario, curve):
+    return curves.critical_bound_check(*curve)
 
 
 @REGISTRY.register(
@@ -362,13 +361,13 @@ def _q_critical(scenario, truncation, curve):
     ["adjusted_c1_zero_budget"],
     c1_adjusted=RATIONAL,
 )
-def _q_budget(scenario, truncation, c1_adjusted):
+def _q_budget(scenario, c1_adjusted):
     return curves.adjusted_c1_zero_budget(c1_adjusted)
 
 
-def _self_i(scenario, curve, truncation):
+def _self_i(scenario, curve):
     """i(u|u) of a curve, from its declared self-pairing."""
-    return intersections.intersection_number(scenario.pairing(curve, curve), truncation)
+    return intersections.intersection_number(scenario.pairing(curve, curve))
 
 
 @REGISTRY.register(
@@ -378,8 +377,8 @@ def _self_i(scenario, curve, truncation):
     left=CURVE,
     right=CURVE,
 )
-def _q_intersection(scenario, truncation, left, right):
-    return intersections.intersection_number(scenario.pairing(left, right), truncation)
+def _q_intersection(scenario, left, right):
+    return intersections.intersection_number(scenario.pairing(left, right))
 
 
 @REGISTRY.register(
@@ -390,10 +389,8 @@ def _q_intersection(scenario, truncation, left, right):
     right=CURVE,
     geometric_count=INT.optional(),
 )
-def _q_asymptotic(scenario, truncation, left, right, geometric_count):
-    return intersections.asymptotic_intersection(
-        scenario.pairing(left, right), geometric_count, truncation
-    )
+def _q_asymptotic(scenario, left, right, geometric_count):
+    return intersections.asymptotic_intersection(scenario.pairing(left, right), geometric_count)
 
 
 @REGISTRY.register(
@@ -402,8 +399,8 @@ def _q_asymptotic(scenario, truncation, left, right, geometric_count):
     ["cov_totals"],
     curve=CURVE,
 )
-def _q_cov_totals(scenario, truncation, curve):
-    ci, cm = intersections.cov_totals(*curve, truncation)
+def _q_cov_totals(scenario, curve):
+    ci, cm = intersections.cov_totals(*curve)
     return {"cov_infinity": ci, "cov_morse_bott": cm}
 
 
@@ -413,8 +410,8 @@ def _q_cov_totals(scenario, truncation, curve):
     ["adjunction_sing"],
     curve=CURVE,
 )
-def _q_adj_sing(scenario, truncation, curve):
-    return intersections.adjunction_sing(*curve, _self_i(scenario, curve, truncation), truncation)
+def _q_adj_sing(scenario, curve):
+    return intersections.adjunction_sing(*curve, _self_i(scenario, curve))
 
 
 @REGISTRY.register(
@@ -424,13 +421,11 @@ def _q_adj_sing(scenario, truncation, curve):
     curve=CURVE,
     delta_u=RATIONAL.optional(),
 )
-def _q_sing_dec(scenario, truncation, curve, delta_u):
+def _q_sing_dec(scenario, curve, delta_u):
     adj = None
     if delta_u is not None:
-        adj = _q_adj_sing(scenario, truncation, curve)
-    return intersections.sing_decomposition(
-        *curve, delta_u=delta_u, adjunction_value=adj, truncation=truncation
-    )
+        adj = _q_adj_sing(scenario, curve)
+    return intersections.sing_decomposition(*curve, delta_u=delta_u, adjunction_value=adj)
 
 
 @REGISTRY.register(
@@ -439,7 +434,7 @@ def _q_sing_dec(scenario, truncation, curve, delta_u):
     ["pullback_constraints"],
     cover=COVER,
 )
-def _q_pullback(scenario, truncation, cover):
+def _q_pullback(scenario, cover):
     pulled = covers.pullback_constraints(cover.cover, cover.base_constraints)
     return {"constrained": sorted(pulled.constrained)}
 
@@ -450,8 +445,8 @@ def _q_pullback(scenario, truncation, cover):
     ["cn_cover"],
     cover=COVER,
 )
-def _q_cn_cover(scenario, truncation, cover):
-    value, q = covers.cn_cover(cover, scenario.orbits, truncation)
+def _q_cn_cover(scenario, cover):
+    value, q = covers.cn_cover(cover, scenario.orbits)
     return {"c_n": value, "q_correction": q}
 
 
@@ -462,11 +457,9 @@ def _q_cn_cover(scenario, truncation, cover):
     cover=COVER,
     other=CURVE,
 )
-def _q_icb(scenario, truncation, cover, other):
+def _q_icb(scenario, cover, other):
     pairing = scenario.pairing((cover.base_curve, cover.base_constraints), other)
-    return covers.i_cover_bound(
-        cover, other, pairing.relative_pairing, scenario.orbits, truncation
-    )
+    return covers.i_cover_bound(cover, other, pairing.relative_pairing, scenario.orbits)
 
 
 @REGISTRY.register(
@@ -477,7 +470,7 @@ def _q_icb(scenario, truncation, cover, other):
     weaker=IDS,
     stronger=IDS,
 )
-def _q_cleq(scenario, truncation, curve, weaker, stronger):
+def _q_cleq(scenario, curve, weaker, stronger):
     curve, cons = curve
     return covers.constraint_leq(
         curves.ConstraintSet(frozenset(weaker), cons.delta),
@@ -492,7 +485,7 @@ def _q_cleq(scenario, truncation, curve, weaker, stronger):
     ["enumerate_cover_candidates"],
     curve=CURVE,
 )
-def _q_enum(scenario, truncation, curve):
+def _q_enum(scenario, curve):
     curve, cons = curve
     cands = covers.enumerate_cover_candidates(curve.surface, curve.orbit_at, cons)
     return [
@@ -520,9 +513,9 @@ def _q_enum(scenario, truncation, curve):
     ["is_stable_nicely_embedded"],
     curve=CURVE,
 )
-def _q_nice(scenario, truncation, curve):
-    self_i = _self_i(scenario, curve, truncation)
-    return classify.is_stable_nicely_embedded(*curve, self_i, truncation)
+def _q_nice(scenario, curve):
+    self_i = _self_i(scenario, curve)
+    return classify.is_stable_nicely_embedded(*curve, self_i)
 
 
 @REGISTRY.register(
@@ -531,9 +524,9 @@ def _q_nice(scenario, truncation, curve):
     ["unique_even_analysis"],
     curve=CURVE,
 )
-def _q_unique_even(scenario, truncation, curve):
-    self_i = _self_i(scenario, curve, truncation)
-    return classify.unique_even_analysis(*curve, self_i, scenario.orbits, truncation)
+def _q_unique_even(scenario, curve):
+    self_i = _self_i(scenario, curve)
+    return classify.unique_even_analysis(*curve, self_i, scenario.orbits)
 
 
 @REGISTRY.register(
@@ -543,8 +536,8 @@ def _q_unique_even(scenario, truncation, curve):
     orbit=ORBIT,
     parity=PARITY,
 )
-def _q_bad(scenario, truncation, orbit, parity):
-    return classify.is_bad_puncture(orbit, parity, scenario.orbits, truncation)
+def _q_bad(scenario, orbit, parity):
+    return classify.is_bad_puncture(orbit, parity, scenario.orbits)
 
 
 @REGISTRY.register(
@@ -555,13 +548,12 @@ def _q_bad(scenario, truncation, orbit, parity):
     cover=COVER,
     j_mode=J_MODE.optional(),
 )
-def _q_screen(scenario, truncation, cover, j_mode):
+def _q_screen(scenario, cover, j_mode):
     return classify.degeneration_screen(
         cover,
         j_mode=j_mode or scenario.j_mode,
         ambient=scenario.ambient,
         registry=scenario.orbits,
-        truncation=truncation,
     )
 
 
@@ -572,19 +564,17 @@ def _q_screen(scenario, truncation, cover, j_mode):
     cover=COVER,
     j_mode=J_MODE.optional(),
 )
-def _q_obstruction(scenario, truncation, cover, j_mode):
-    screen = _q_screen(scenario, truncation, cover, j_mode)
+def _q_obstruction(scenario, cover, j_mode):
+    screen = _q_screen(scenario, cover, j_mode)
     if screen.outcome != classify.UNBRANCHED_COVER_OF_INDEX_ZERO:
         raise ValidationError("obstruction analysis needs an unbranched-cover screen verdict")
-    return classify.kernel_section_cover_obstruction(
-        cover, registry=scenario.orbits, truncation=truncation
-    )
+    return classify.kernel_section_cover_obstruction(cover, registry=scenario.orbits)
 
 
 @REGISTRY.register(
     "loop_winding", "accumulated argument increment / 2 pi", ["loop_winding"], samples=LOOP_SAMPLES
 )
-def _q_loop_winding(scenario, truncation, samples):
+def _q_loop_winding(scenario, samples):
     return zeros.loop_winding(zeros.SampledLoop(samples))
 
 
@@ -597,7 +587,7 @@ def _q_loop_winding(scenario, truncation, samples):
     boundary_winding=INT.optional(0),
     has_boundary=BOOL.optional(True),
 )
-def _q_zero_count(scenario, truncation, c1, maslov, boundary_winding, has_boundary):
+def _q_zero_count(scenario, c1, maslov, boundary_winding, has_boundary):
     return zeros.zero_count(
         zeros.BundleData(c1, maslov, boundary_winding, has_maslov_boundary=has_boundary)
     )
@@ -611,18 +601,18 @@ def _q_zero_count(scenario, truncation, c1, maslov, boundary_winding, has_bounda
     maslov=INT,
     boundary_winding=INT.optional(0),
 )
-def _q_doubling(scenario, truncation, c1, maslov, boundary_winding):
+def _q_doubling(scenario, c1, maslov, boundary_winding):
     z_doubled, ok = zeros.doubling_check(zeros.BundleData(c1, maslov, boundary_winding))
     return {"z_doubled": z_doubled, "ok": ok}
 
 
-def run_queries(scenario, truncation):
+def run_queries(scenario):
     """Execute the scenario's queries in declaration order; errors are
     recorded per query and the run continues."""
     results = []
     for query in scenario.queries:
         try:
-            results.append(REGISTRY.run_one(scenario, query, truncation))
+            results.append(REGISTRY.run_one(scenario, query))
         except PCurvesError as exc:
             results.append({
                 "name": query.name,

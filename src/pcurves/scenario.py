@@ -123,13 +123,19 @@ def _parse_kind(doc, location):
     )
 
 
-def _parse_winding(doc, location, scenario, operators, simple, cover):
-    """The winding data of an orbit; ``operators`` holds one object per
-    distinct loop, and equal loops get that object."""
+def _parse_winding(doc, location, scenario, operator_winding, simple, cover):
+    """The winding data of an orbit; ``operator_winding(op)`` is the winding
+    of an operator in this run."""
     wtype = _get(doc, "type", location, one_of("operator", "cover", "declared"))
     if wtype == "declared":
         _check_keys(
             doc, {"type", "alpha_minus", "alpha_plus", "minus_delta", "plus_delta"}, location
+        )
+        _require(
+            set(doc) - {"type"} in ({"alpha_minus", "alpha_plus"}, {"minus_delta", "plus_delta"}),
+            "declared windings need exactly alpha_minus and alpha_plus,"
+            " or exactly minus_delta and plus_delta",
+            location,
         )
         if "alpha_minus" in doc:
             pair = (_get(doc, "alpha_minus", location, INT), _get(doc, "alpha_plus", location, INT))
@@ -157,11 +163,10 @@ def _parse_winding(doc, location, scenario, operators, simple, cover):
             location,
         )
         op = base.winding.op.pulled_back(cover)
-    # Spectrum cache hits then find their key by identity, not sample by sample.
-    return OperatorWinding(operators.setdefault(op, op))
+    return operator_winding(op)
 
 
-def _parse_orbit(doc, location, scenario, operators):
+def _parse_orbit(doc, location, scenario, operator_winding):
     _check_keys(
         doc,
         {
@@ -187,7 +192,7 @@ def _parse_orbit(doc, location, scenario, operators):
         simple_id=simple,
         cover=cover,
         winding=_parse_winding(
-            winding_doc, f"{location}.winding", scenario, operators, simple, cover
+            winding_doc, f"{location}.winding", scenario, operator_winding, simple, cover
         ),
         kind=_parse_kind(doc.get("kind"), f"{location}.kind"),
         distinct_from=frozenset(_get(doc, "distinct_from", location, IDS.optional(()))),
@@ -320,12 +325,12 @@ def _parse_query(doc, location, scenario):
     })
 
 
-def _certify_orbit(orbit, delta_gap, truncation, location):
+def _certify_orbit(orbit, delta_gap, location):
     """Operator-backed orbits must have no spectrum in the punctured gap
     (-delta_gap, delta_gap) except an exact kernel matching the kind."""
     if not orbit.is_operator_backed:
         return
-    spec = GLOBAL_SPECTRUM_CACHE.get(orbit.winding.op, truncation)
+    spec = GLOBAL_SPECTRUM_CACHE.get(orbit.winding.op, orbit.winding.truncation)
     kdim = spec.kernel_dimension()
     gap = spec.gap_around_zero()
     _require(
@@ -344,7 +349,8 @@ def _certify_orbit(orbit, delta_gap, truncation, location):
 
 def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
     """Parse and fully validate a scenario; raises ValidationError with a
-    document path on the first problem."""
+    document path on the first problem.  Operator-backed orbits are read at
+    ``truncation``."""
     if isinstance(path_or_dict, dict):
         doc = path_or_dict
     else:
@@ -369,9 +375,14 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
     _require(scenario.delta_gap > 0, "delta_gap must be positive", "$.delta_gap")
     operators = {}
 
+    def operator_winding(op):
+        # One object per distinct loop: spectrum cache hits then find their
+        # key by identity, not sample by sample.
+        return OperatorWinding(operators.setdefault(op, op), truncation)
+
     def parse_orbit(odoc, location, scenario):
-        oid, orbit = _parse_orbit(odoc, location, scenario, operators)
-        _certify_orbit(orbit, scenario.delta_gap, truncation, location)
+        oid, orbit = _parse_orbit(odoc, location, scenario, operator_winding)
+        _certify_orbit(orbit, scenario.delta_gap, location)
         return oid, orbit
 
     for section, noun, parse in (

@@ -25,6 +25,7 @@ from pcurves.orbits import (
     DeclaredWindings,
     MorseBott,
     Nondegenerate,
+    OperatorWinding,
     OrbitClass,
     Perturbation,
     alpha_pm,
@@ -375,10 +376,11 @@ def test_crossing_flow_on_covers():
 def test_alpha_strict_with_an_empty_side_asks_for_more_truncation():
     # S = 13 pi Id at truncation 8: the reliable window holds windings -4..4
     # with eigenvalues 2 pi w - 13 pi < 0, so nothing lies above 0.
-    g = scalar("g", 13)
-    assert alpha_strict(g, "-", truncation=8) == 4
+    op = scalar("g", 13).winding.op
+    g = OrbitClass(id="g", simple_id="g", cover=1, winding=OperatorWinding(op, truncation=8))
+    assert alpha_strict(g, "-") == 4
     with pytest.raises(SpectralError, match="increase the truncation"):
-        alpha_strict(g, "+", truncation=8)
+        alpha_strict(g, "+")
 
 
 # -- q ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pcurves.cli import build_report, emit, main, resolve_truncation
 from pcurves.errors import ValidationError
 from pcurves.queries import REGISTRY, run_queries
 from pcurves.scenario import load_scenario
-from pcurves.spectral import GLOBAL_SPECTRUM_CACHE
+from pcurves.spectral import GLOBAL_SPECTRUM_CACHE, SpectrumCache
 
 FOLIATION = Path(__file__).parent.parent / "src" / "pcurves" / "data" / "foliation.scn"
 
@@ -260,7 +260,7 @@ def test_every_query_kind_runs_on_the_bundled_scenario():
     doc = foliation_doc()
     doc["queries"] += ONE_QUERY_OF_EACH_KIND
     # run_queries records only PCurvesErrors; any other exception fails here.
-    results = run_queries(load_scenario(doc), 64)[-len(ONE_QUERY_OF_EACH_KIND):]
+    results = run_queries(load_scenario(doc))[-len(ONE_QUERY_OF_EACH_KIND):]
     for result in results:
         if result["name"] in PRECONDITION_ERRORS:
             assert result["status"] == "error"
@@ -299,8 +299,8 @@ def test_declared_windings_read_off_the_spectra_answer_alike():
     ]
     declared = declared_from_spectra(copy.deepcopy(doc), 64)
     assert all(o["winding"]["type"] == "declared" for o in declared["orbits"])
-    spectral_results = run_queries(load_scenario(doc, truncation=64), 64)
-    declared_results = run_queries(load_scenario(declared, truncation=64), 64)
+    spectral_results = run_queries(load_scenario(doc, truncation=64))
+    declared_results = run_queries(load_scenario(declared, truncation=64))
     for ours, theirs in zip(spectral_results, declared_results):
         if ours["name"] == "cover_orbit":
             # The operator's cover is named after its pull-back, the declared
@@ -332,6 +332,24 @@ def all_kinds_doc():
 def test_reports_match_the_golden_files(doc, fmt, golden):
     report = build_report(load_scenario(doc(), truncation=64), 64, "flag")
     assert emit(report, fmt) == (GOLDEN / golden).read_bytes()
+
+
+def test_a_run_reads_every_spectrum_at_its_own_truncation(monkeypatch):
+    # A path that lost the run's truncation would read the default 64, which
+    # the golden reports at T = 64 cannot see.
+    asked = []
+    get = SpectrumCache.get
+
+    def recording_get(self, op, truncation):
+        asked.append(truncation)
+        return get(self, op, truncation)
+
+    monkeypatch.setattr(SpectrumCache, "get", recording_get)
+    report = build_report(load_scenario(all_kinds_doc(), truncation=80), 80, "flag")
+    assert asked and set(asked) == {80}
+    # Apart from its header, the report does not depend on the truncation.
+    report["truncation"] = 64
+    assert emit(report, "json") == (GOLDEN / "all_kinds_64.json").read_bytes()
 
 
 def run_cli(*args):
@@ -486,6 +504,13 @@ def _set(path, value):
         # Perturbed windings that do not move across 0 declare no kernel.
         (_set(["orbits", 0, "winding"], {"type": "declared", "minus_delta": [0, 1],
                                          "plus_delta": [0, 1]}), "$.orbits[0].winding"),
+        # A declared winding is spelled one way or the other, never both.
+        (_set(["orbits", 0, "winding"], {"type": "declared", "alpha_minus": 0, "alpha_plus": 1,
+                                         "minus_delta": [5, 6], "plus_delta": [0, 0]}),
+         "$.orbits[0].winding"),
+        (_set(["orbits", 0, "winding"], {"type": "declared", "alpha_plus": 1,
+                                         "minus_delta": [0, 1], "plus_delta": [-1, 0]}),
+         "$.orbits[0].winding"),
     ],
     ids=[
         "cover-not-int", "genus-not-int", "c1_rel-not-int", "puncture-without-sign",
@@ -501,6 +526,7 @@ def _set(path, value):
         "query-delta-u-not-rational", "distinct-from-dict", "distinct-from-list",
         "constrained-list", "curve-orbit-list", "fiber-from-list", "fiber-to-list",
         "total-constrained-list", "cover-beyond-truncation", "declared-no-flow",
+        "declared-both-spellings", "declared-alpha-plus-with-deltas",
     ],
 )
 def test_cli_malformed_input_is_a_located_validation_error(tmp_path, capsys, mutate, where):
