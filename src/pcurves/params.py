@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from .errors import ValidationError
 from .orbits import CROSSING_FLOW, WINDING, Perturbation
 from .rationals import as_fraction
+from .spectral import MIN_TRUNCATION
 
 #: the default of a value that may not be absent
 REQUIRED = object()
@@ -80,6 +81,9 @@ def _named(table, noun):
 
 INT = _checked(_is_int, "an integer")
 ORDER = _checked(lambda v: _is_int(v) and v >= 1, "an integer >= 1")  # of a cover
+TRUNCATION = _checked(  # of a Fourier truncation
+    lambda v: _is_int(v) and v >= MIN_TRUNCATION, f"an integer >= {MIN_TRUNCATION}"
+)
 BOOL = _checked(lambda v: isinstance(v, bool), "a boolean")
 STR = _checked(lambda v: isinstance(v, str), "a string")
 LIST = _checked(lambda v: isinstance(v, list), "a list")

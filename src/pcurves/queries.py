@@ -9,7 +9,7 @@ from . import classify, covers, curves, intersections, orbits, surfaces, zeros
 from .errors import PCurvesError, ValidationError
 from .params import (
     BOOL, COVER, CURVE, IDS, INT, J_MODE, LOOP_SAMPLES, METHOD, ORBIT, ORDER, PARITY,
-    PERTURBATION, RATIONAL, SIGN, SURFACE,
+    PERTURBATION, RATIONAL, SIGN, SURFACE, TRUNCATION,
 )
 from .rationals import rational_json
 from .spectral import GLOBAL_SPECTRUM_CACHE
@@ -127,7 +127,7 @@ def _q_cmd(scenario, cover):
     "eigenvalues of the Fourier-truncated operator with windings (reliable window)",
     ["discretized_spectrum"],
     orbit=ORBIT,
-    truncation=INT.optional(),
+    truncation=TRUNCATION.optional(),
 )
 def _q_spectrum(scenario, orbit, truncation):
     if not orbit.is_operator_backed:

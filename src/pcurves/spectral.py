@@ -266,33 +266,33 @@ def _real_matrix(c, truncation, modes):
     with the constant mode's rows and columns scaled by 1/sqrt2, and
     -J0 d/dt couples cos_m and sin_m through -+2 pi m J0.  With all modes
     0..T this is the Fourier-truncated complex Hermitian matrix on modes
-    |m| <= T written in a real basis of the same span, so it has the same
-    eigenvalues; with a set of modes that S does not couple to the others,
-    it is that matrix's diagonal block on them.
+    |m| <= T in a real basis of the same span, so it has the same
+    eigenvalues; with modes that S does not couple to the others, it is
+    that matrix's diagonal block on them.
+
+    -S's 4x4 block on (cos_m, sin_m) x (cos_n, sin_n) x {e_1, e_2} is a term
+    of c_{m-n} plus one of c_{m+n} (c_k is symmetric, c_{-k} = conj(c_k)).
+    Both terms are tabled by k = -2T..2T as [k, cos/sin, e_a, cos/sin, e_b],
+    and each table is gathered once, by m - n and by m + n, into the sum.
     """
     t = truncation
     c = np.concatenate([c[:0:-1].conj(), c])  # c_k for k = -2T..2T at k + 2T
-    m = np.asarray(modes)
-    z = int(m[0] == 0)  # 1 when the block holds the constant
-    diff = c[m[:, None] - m[None, :] + 2 * t]
-    plus = c[m[:, None] + m[None, :] + 2 * t]
-    cs = (diff - plus).imag[:, z:]
-    cos = np.maximum(2 * np.arange(len(m)) - z, 0)
-    sin = cos[z:] + 1
-    dim = 2 * len(m) - z
-    blocks = np.empty((dim, dim, 2, 2))
-    blocks[np.ix_(cos, cos)] = (diff + plus).real
-    blocks[np.ix_(cos, sin)] = cs
-    blocks[np.ix_(sin, cos)] = cs.transpose(1, 0, 3, 2)
-    blocks[np.ix_(sin, sin)] = (diff - plus).real[z:, z:]
+    diff = np.stack([np.stack([-c.real, -c.imag], 2), np.stack([c.imag, -c.real], 2)], 1)
+    plus = np.stack([np.stack([-c.real, c.imag], 2), np.stack([c.imag, c.real], 2)], 1)
+    z = int(modes[0] == 0)  # 1 when the block holds the constant
+    m = np.asarray(modes[z:])  # the modes with a cosine and a sine
+    mat = np.empty((4 * len(m) + 2 * z,) * 2)
+    tiles = mat[2 * z :, 2 * z :].reshape(len(m), 2, 2, len(m), 2, 2).transpose(0, 3, 1, 2, 4, 5)
+    np.add(diff[m[:, None] - m + 2 * t], plus[m[:, None] + m + 2 * t], out=tiles)
     if z:
-        blocks[0] /= np.sqrt(2.0)
-        blocks[:, 0] /= np.sqrt(2.0)
-    mat = -blocks.transpose(0, 2, 1, 3)
-    cos, m = cos[z:], m[z:]
-    mat[cos, :, sin, :] -= (2 * np.pi * m)[:, None, None] * J0
-    mat[sin, :, cos, :] += (2 * np.pi * m)[:, None, None] * J0
-    return mat.reshape(2 * dim, 2 * dim)
+        column = diff[2 * t + m, :, :, 0] + plus[2 * t + m, :, :, 0]  # [m, cos/sin, e_a, e_b]
+        mat[2:, :2] = column.reshape(-1, 2) / np.sqrt(2.0)
+        mat[:2, 2:] = mat[2:, :2].T
+        mat[:2, :2] = (diff[2 * t, 0, :, 0] + plus[2 * t, 0, :, 0]) / np.sqrt(2.0) / np.sqrt(2.0)
+    i, w = np.arange(len(m)), (2 * np.pi * m)[:, None, None] * J0
+    tiles[i, i, 0, :, 1] -= w
+    tiles[i, i, 1, :, 0] += w
+    return mat
 
 
 def discretized_spectrum(op, truncation):

@@ -9,6 +9,12 @@ The dense-Hermitian oracle discretizes -J0 d/dt - S(t) in the complex
 Fourier basis e^{2 pi i m t}, |m| <= T, entry by entry, as a reference for
 the package's real cos/sin basis.
 
+The scatter construction builds the package's real cos/sin matrix another
+way: complex gathers of c_{m-n} and c_{m+n}, their sums and differences
+scattered into the cos-cos, cos-sin, sin-cos and sin-sin blocks, then one
+negated transposed copy.  It is the reference that the package's
+two-table assembly must match entry for entry.
+
 The winding measurement computes eigenvectors of the package's real matrix
 and counts the turning of each window eigenfunction on a fine grid, as a
 check of the package's windings, which are counted from the eigenvalue
@@ -33,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from pcurves.spectral import AsymptoticOperator, _real_matrix
+from pcurves.spectral import J0, AsymptoticOperator, _real_matrix
 
 
 class ScalarOracle:
@@ -142,6 +148,35 @@ def dense_hermitian_eigenvalues(samples, truncation):
                         entry -= 2j * math.pi * m * j0[r][c]
                     h[2 * i + r, 2 * j + c] = entry
     return np.linalg.eigvalsh(h)
+
+
+def scatter_real_matrix(c, truncation, modes):
+    """The matrix of ``spectral._real_matrix(c, truncation, modes)``, built by
+    scattering the four cos/sin blocks of -S into a (dim, dim, 2, 2) array
+    and transposing it into the interleaved layout."""
+    t = truncation
+    c = np.concatenate([c[:0:-1].conj(), c])  # c_k for k = -2T..2T at k + 2T
+    m = np.asarray(modes)
+    z = int(m[0] == 0)  # 1 when the block holds the constant
+    diff = c[m[:, None] - m[None, :] + 2 * t]
+    plus = c[m[:, None] + m[None, :] + 2 * t]
+    cs = (diff - plus).imag[:, z:]
+    cos = np.maximum(2 * np.arange(len(m)) - z, 0)
+    sin = cos[z:] + 1
+    dim = 2 * len(m) - z
+    blocks = np.empty((dim, dim, 2, 2))
+    blocks[np.ix_(cos, cos)] = (diff + plus).real
+    blocks[np.ix_(cos, sin)] = cs
+    blocks[np.ix_(sin, cos)] = cs.transpose(1, 0, 3, 2)
+    blocks[np.ix_(sin, sin)] = (diff - plus).real[z:, z:]
+    if z:
+        blocks[0] /= np.sqrt(2.0)
+        blocks[:, 0] /= np.sqrt(2.0)
+    mat = -blocks.transpose(0, 2, 1, 3)
+    cos, m = cos[z:], m[z:]
+    mat[cos, :, sin, :] -= (2 * np.pi * m)[:, None, None] * J0
+    mat[sin, :, cos, :] += (2 * np.pi * m)[:, None, None] * J0
+    return mat.reshape(2 * dim, 2 * dim)
 
 
 def tiled_rows(op):

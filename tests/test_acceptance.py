@@ -22,7 +22,7 @@ from oracles import (
     spectrum_windings,
 )
 from pcurves.cli import build_report
-from pcurves.covers import CoverScenario, composed_curve, cn_cover, pullback_constraints
+from pcurves.covers import CoverScenario, cn_cover
 from pcurves.curves import (
     ConstraintSet,
     CurveData,

@@ -15,8 +15,7 @@ from pcurves.classify import (
 )
 from pcurves.covers import CoverScenario
 from pcurves.curves import ConstraintSet, CurveData, fredholm_index, normal_chern
-from pcurves.errors import ConsistencyError, ValidationError
-from pcurves.intersections import PairingInput, intersection_number
+from pcurves.errors import ConsistencyError
 from pcurves.orbits import (
     DeclaredWindings,
     MorseBott,

@@ -12,9 +12,9 @@ from pcurves.covers import (
     i_cover_bound,
     pullback_constraints,
 )
-from pcurves.curves import ConstraintSet, CurveData, fredholm_index, normal_chern
+from pcurves.curves import ConstraintSet, CurveData, normal_chern
 from pcurves.intersections import PairingInput, intersection_number
-from pcurves.orbits import OrbitClass, cover_orbit, scalar_orbit
+from pcurves.orbits import cover_orbit, scalar_orbit
 from pcurves.surfaces import BranchedCover, PuncturedSurface
 
 D = Fraction(1, 8)

@@ -19,7 +19,7 @@ from pcurves.curves import (
     parity_partition,
     transversality_check,
 )
-from pcurves.errors import ConsistencyError, ValidationError
+from pcurves.errors import ValidationError
 from pcurves.orbits import DeclaredWindings, Nondegenerate, OrbitClass
 from pcurves.surfaces import PuncturedSurface
 

@@ -492,6 +492,9 @@ def _set(path, value):
          "$.queries[0].j_mode"),
         (_set(["queries", 0], {"name": "sing_decomposition", "curve": "v", "delta_u": "x"}),
          "$.queries[0].delta_u"),
+        # The spectrum query's own truncation obeys the oracle's minimum.
+        (_set(["queries", 0], {"name": "spectrum", "orbit": "g_zero", "truncation": 4}),
+         "$.queries[0].truncation"),
         (_set(["orbits", 0, "distinct_from"], [{}]), "$.orbits[0]"),
         (_set(["orbits", 0, "distinct_from"], [["g_inf"]]), "$.orbits[0]"),
         (_set(["curves", 0, "constrained"], [["v0"]]), "$.curves[0]"),
@@ -523,8 +526,9 @@ def _set(path, value):
         "query-weaker-string", "query-samples-short-pair", "query-samples-string",
         "query-parity-7", "query-curve-unknown", "query-cover-unknown", "query-surface-unknown",
         "query-other-unknown", "query-side-unknown", "query-sign-unknown", "query-j-mode-unknown",
-        "query-delta-u-not-rational", "distinct-from-dict", "distinct-from-list",
-        "constrained-list", "curve-orbit-list", "fiber-from-list", "fiber-to-list",
+        "query-delta-u-not-rational", "query-truncation-below-minimum", "distinct-from-dict",
+        "distinct-from-list", "constrained-list", "curve-orbit-list", "fiber-from-list",
+        "fiber-to-list",
         "total-constrained-list", "cover-beyond-truncation", "declared-no-flow",
         "declared-both-spellings", "declared-alpha-plus-with-deltas",
     ],

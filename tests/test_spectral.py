@@ -9,10 +9,12 @@ from conftest import loop_orbit, random_symmetric_loop, safe_epsilon
 from oracles import (
     dense_hermitian_eigenvalues,
     measured_windings,
+    scatter_real_matrix,
     spectrum_windings,
     tiled_operator,
     tiled_rows,
 )
+from pcurves import spectral
 from pcurves.errors import SpectralError, ValidationError
 from pcurves.orbits import WINDING, Perturbation, _crossing_flow, conley_zehnder
 from pcurves.spectral import AsymptoticOperator, discretized_spectrum
@@ -241,6 +243,56 @@ def test_real_basis_matches_dense_hermitian_reference(truncation):
         computed = np.array([lam for lam, _, _ in spec.eigenpairs])
         assert np.abs(computed - _reference_pairs(reference, spec)).max() < 1e-10
         assert abs(spec.diameter - (reference[-1] - reference[0])) < 1e-10
+
+
+def _built_blocks(op, truncation, monkeypatch):
+    """The arguments (c, truncation, modes) of every ``_real_matrix`` call of
+    one ``discretized_spectrum``."""
+    calls, build = [], spectral._real_matrix
+
+    def record(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(spectral, "_real_matrix", record)
+    discretized_spectrum(op, truncation)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("truncation", [16, 33, 64, 128])
+def test_real_matrix_equals_the_scatter_reference(truncation, monkeypatch):
+    # Entry for entry, not within a tolerance: equal matrices have equal
+    # eigenvalues, so reports do not depend on how the matrix is assembled.
+    rng = np.random.default_rng(truncation)
+    base = random_symmetric_loop(rng, scale=0.5)
+    ops = {
+        "simple": random_symmetric_loop(rng),
+        "degree4_odd_samples": random_symmetric_loop(rng, degree=4, n_samples=33),
+        "constant": AsymptoticOperator.constant(0.5, 0.3, -0.2),
+        # from k = 2T + 2 on, every block holds a single mode
+        **{f"cover{k}": base.pulled_back(k) for k in (2, 3, 4, 6, 2 * truncation + 2)},
+    }
+    for name, op in ops.items():
+        blocks = _built_blocks(op, truncation, monkeypatch)
+        assert len(blocks) == min(op.cover // 2, truncation) + 1, name
+        for args in blocks:
+            mat = spectral._real_matrix(*args)
+            assert np.array_equal(mat, scatter_real_matrix(*args)), (name, args[2][:2])
+
+
+def test_real_matrix_peak_memory_is_its_two_gathers(monkeypatch):
+    # Two gathers of the matrix's size are added into it; the scatter
+    # construction peaks at 4.5 times the matrix.
+    op = random_symmetric_loop(np.random.default_rng(3))
+    (args,) = _built_blocks(op, 128, monkeypatch)
+    tracemalloc.start()
+    try:
+        mat = spectral._real_matrix(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mat.shape == (514, 514) and peak <= 3.5 * mat.nbytes
 
 
 def _rotated_twin(op, s):
