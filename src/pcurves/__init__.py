@@ -42,6 +42,7 @@ from .orbits import (
     cov_extremal,
     cover_orbit,
     delta_mb,
+    linked,
     nu_pm,
     omega_pair,
     omega_self,

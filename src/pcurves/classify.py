@@ -24,7 +24,6 @@ from .intersections import adjunction_sing, cov_totals
 from .orbits import (
     SIDE_MINUS,
     SIDE_PLUS,
-    _registered_cover,
     alpha_pm,
     alpha_strict,
     cov_extremal,
@@ -117,13 +116,13 @@ def is_stable_nicely_embedded(curve, constraints, self_intersection):
     )
 
 
-def is_bad_puncture(orbit, parity_at_puncture, registry=None):
+def is_bad_puncture(orbit, parity_at_puncture):
     """Even puncture whose orbit doubly covers a nondegenerate odd orbit."""
     if parity_at_puncture != 0:
         return False
     if orbit.cover % 2:
         return False
-    half = _underlying_orbit(orbit, orbit.cover // 2, registry)
+    half = _underlying_orbit(orbit, orbit.cover // 2)
     if half is None:
         return False
     if kernel_dim(half) != 0:
@@ -133,14 +132,14 @@ def is_bad_puncture(orbit, parity_at_puncture, registry=None):
     return ap - am == 1
 
 
-def _underlying_orbit(orbit, target_cover, registry=None):
+def _underlying_orbit(orbit, target_cover):
     """The intermediate cover of the same simple orbit, if resolvable."""
     if orbit.cover == target_cover:
         return orbit
-    found = _registered_cover(registry, orbit.simple_id, target_cover)
-    simple = (registry or {}).get(orbit.simple_id)
+    found = orbit.tower.get(target_cover)
+    simple = orbit.tower.get(1)
     if found is None and simple is not None and simple.is_operator_backed:
-        found = cover_orbit(simple, target_cover, registry)
+        found = cover_orbit(simple, target_cover)
     return found
 
 
@@ -153,7 +152,7 @@ class EvenPunctureReport:
     nu_matches_constraint: bool = None
 
 
-def unique_even_analysis(curve, constraints, self_intersection, registry=None):
+def unique_even_analysis(curve, constraints, self_intersection):
     """Classify the unique even puncture of an index-1 nicely embedded curve."""
     report = is_stable_nicely_embedded(curve, constraints, self_intersection)
     if not report.is_nice or report.index != 1:
@@ -188,7 +187,7 @@ def unique_even_analysis(curve, constraints, self_intersection, registry=None):
         )
     bad = False
     if orbit.cover == 2:
-        bad = is_bad_puncture(orbit, 0, registry)
+        bad = is_bad_puncture(orbit, 0)
         if not bad:
             raise ConsistencyError(
                 f"doubly covered even puncture {z!r} must cover a nondegenerate "
@@ -231,7 +230,6 @@ def degeneration_screen(
     limit_constraints=None,
     j_mode="homotopy",
     ambient=None,
-    registry=None,
 ):
     """Combinatorial screen for limits of stable nicely embedded families.
 
@@ -319,7 +317,7 @@ def degeneration_screen(
         raise ConsistencyError(
             f"base with c_N = {c_n_v} and index {ind_v} fits no branch of the screen"
         )
-    composed = composed_curve(scenario, registry)
+    composed = composed_curve(scenario)
     ind_u = fredholm_index(composed, limit)
     z_phi = riemann_hurwitz_punctured(cover)
     if z_phi > 0 or ind_u == 0:
@@ -342,7 +340,7 @@ def degeneration_screen(
         if len(even) != 1:
             raise ConsistencyError("index-1 cover must have exactly one even puncture")
         bad = even[0]
-        if not is_bad_puncture(composed.orbit(bad), 0, registry):
+        if not is_bad_puncture(composed.orbit(bad), 0):
             raise ConsistencyError(
                 f"the even puncture {bad!r} of an index-1 multiple cover must be bad"
             )
@@ -364,7 +362,7 @@ class ObstructionReport:
     rows: tuple  # (puncture, k_z, mechanism)
 
 
-def kernel_section_cover_obstruction(scenario, limit_constraints=None, registry=None):
+def kernel_section_cover_obstruction(scenario, limit_constraints=None):
     """Winding obstruction to multiply covered kernel sections.
 
     At a puncture with branching order k > 1, a covered kernel section
@@ -378,7 +376,7 @@ def kernel_section_cover_obstruction(scenario, limit_constraints=None, registry=
     base = scenario.base_curve
     cons = scenario.base_constraints
     limit = limit_constraints or scenario.total_constraints
-    composed = composed_curve(scenario, registry)
+    composed = composed_curve(scenario)
     perts = puncture_perturbations(composed, limit)
     rows = []
     fires = False
@@ -389,13 +387,7 @@ def kernel_section_cover_obstruction(scenario, limit_constraints=None, registry=
             continue
         zeta = cover.target_of(z)
         side = extremal_side(cover.domain.sign_of(z))
-        q = q_of_cover(
-            base.orbit(zeta),
-            cons.perturbation(base, zeta),
-            k_z,
-            side,
-            registry,
-        )
+        q = q_of_cover(base.orbit(zeta), cons.perturbation(base, zeta), k_z, side)
         if q != 0:
             rows.append((z, k_z, f"covering defect q = {q} != 0 blocks extremal winding"))
             fires = True
@@ -409,9 +401,7 @@ def kernel_section_cover_obstruction(scenario, limit_constraints=None, registry=
             )
             fires = True
             continue
-        forced = _forced_cov_contribution(
-            orbit_z, z in limit.constrained, side, k_z
-        )
+        forced = _forced_cov_contribution(orbit_z, z in limit.constrained, side)
         forced_total += forced
         rows.append(
             (z, k_z, f"divisibility holds; forced covering contribution {forced}")
@@ -421,7 +411,7 @@ def kernel_section_cover_obstruction(scenario, limit_constraints=None, registry=
     return ObstructionReport(fires=fires, forced_total=forced_total, rows=tuple(rows))
 
 
-def _forced_cov_contribution(orbit, constrained, side, k_z):
+def _forced_cov_contribution(orbit, constrained, side):
     """Lower bound for the covering totals contributed by one puncture whose
     extremal winding is divisible by the branching order."""
     if constrained or kernel_dim(orbit) == 0:

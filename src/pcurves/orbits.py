@@ -15,7 +15,7 @@ against the same frame.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -164,6 +164,8 @@ class OrbitClass:
     family_id: str = None
     generic_alpha: tuple = None  # strict extremal windings of the perturbed
     # generic orbit's cover (needed when isotropy >= 2)
+    # covering number -> declared orbit over this simple orbit (see ``linked``)
+    tower: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.cover < 1:
@@ -383,12 +385,26 @@ def _crossing_flow(op, epsilon):
 # Covers
 
 
-def cover_orbit(orbit, k, registry=None):
+def linked(orbits, towers=None):
+    """Copies of ``orbits`` that find their declared covers: each carries the
+    tower of its simple orbit, which maps a covering number to the first
+    orbit given over that simple orbit with it.  ``towers`` (simple id ->
+    tower) is extended in place, so orbits linked one at a time share it."""
+    towers = {} if towers is None else towers
+    copies = []
+    for orbit in orbits:
+        tower = towers.setdefault(orbit.simple_id, {})
+        copies.append(replace(orbit, tower=tower))
+        tower.setdefault(orbit.cover, copies[-1])
+    return copies
+
+
+def cover_orbit(orbit, k):
     """The k-fold cover of an orbit, inheriting the trivialization.
 
     Operator-backed orbits get the pulled-back operator (eigenvalues scale
-    by k), read at the orbit's truncation.  Declared orbits are looked up in
-    ``registry`` by simple orbit and covering number.
+    by k), read at the orbit's truncation.  Declared orbits find the
+    declared cover in their tower.
     """
     if k < 1:
         raise ValidationError("cover order must be >= 1")
@@ -404,22 +420,14 @@ def cover_orbit(orbit, k, registry=None):
             kind=None,
             distinct_from=orbit.distinct_from,
             family_id=orbit.family_id,
+            tower=orbit.tower,
         )
-    found = _registered_cover(registry, orbit.simple_id, orbit.cover * k)
+    found = orbit.tower.get(orbit.cover * k)
     if found is not None:
         return found
     raise MissingDataError(
         f"no declared data for the {k}-fold cover of orbit {orbit.id!r}"
     )
-
-
-def _registered_cover(registry, simple_id, cover):
-    """The orbit of ``registry`` over ``simple_id`` with covering number
-    ``cover``, or None."""
-    for cand in (registry or {}).values():
-        if cand.simple_id == simple_id and cand.cover == cover:
-            return cand
-    return None
 
 
 def _covering_number(cover, winding):
@@ -438,12 +446,12 @@ def cov_extremal(orbit, side, truncation=None):
     return _covering_number(orbit.cover, alpha_strict(_at(orbit, truncation), side))
 
 
-def q_of_cover(orbit, pert, k, side, registry=None, truncation=None):
+def q_of_cover(orbit, pert, k, side, truncation=None):
     """The covering defect q with alpha(+-)(cover^k + k eps) = k alpha(+-) -+ q."""
     orbit = _at(orbit, truncation)
     eps = _epsilon(pert)
     base = alpha_pm(orbit, Perturbation(eps))
-    cov = cover_orbit(orbit, k, registry)
+    cov = cover_orbit(orbit, k)
     covered = alpha_pm(cov, Perturbation(k * eps))
     if side == SIDE_MINUS:
         q = covered[0] - k * base[0]
@@ -517,7 +525,7 @@ def omega_self(orbit, sign, truncation=None):
     raise ValidationError(f"bad sign {sign!r}")
 
 
-def q_tilde(orbit_m, pert_m, orbit_n, pert_n, k, sign, registry=None, truncation=None):
+def q_tilde(orbit_m, pert_m, orbit_n, pert_n, k, sign, truncation=None):
     """Covering defect of the Omega pairing.
 
     For covers m, n of one simple orbit, Omega(cover^{km} + k delta, cover^n
@@ -531,7 +539,7 @@ def q_tilde(orbit_m, pert_m, orbit_n, pert_n, k, sign, registry=None, truncation
     n = orbit_n.cover
     term_m = _signed_alpha_term(orbit_m, pert_m, sign)
     term_n = _signed_alpha_term(orbit_n, pert_n, sign)
-    q = q_of_cover(orbit_m, pert_m, k, side, registry)
+    q = q_of_cover(orbit_m, pert_m, k, side)
     first = min(term_m, term_n)
     second = min(term_m - Fraction(q, k * m), term_n)
     value = exact_int(k * m * n * (first - second), "q_tilde")

@@ -184,7 +184,7 @@ def _q_nu(scenario, orbit):
     k=ORDER,
 )
 def _q_cover_orbit(scenario, orbit, k):
-    cov = orbits.cover_orbit(orbit, k, scenario.orbits)
+    cov = orbits.cover_orbit(orbit, k)
     return {
         "id": cov.id,
         "simple": cov.simple_id,
@@ -215,7 +215,7 @@ def _q_cov_extremal(scenario, orbit, side):
     side=SIGN,
 )
 def _q_qcover(scenario, orbit, epsilon, k, side):
-    return orbits.q_of_cover(orbit, epsilon, k, side, scenario.orbits)
+    return orbits.q_of_cover(orbit, epsilon, k, side)
 
 
 @REGISTRY.register(
@@ -251,7 +251,7 @@ def _q_omega_self(scenario, orbit, sign):
     sign=SIGN,
 )
 def _q_qtilde(scenario, orbit_m, epsilon_m, orbit_n, epsilon_n, k, sign):
-    return orbits.q_tilde(orbit_m, epsilon_m, orbit_n, epsilon_n, k, sign, scenario.orbits)
+    return orbits.q_tilde(orbit_m, epsilon_m, orbit_n, epsilon_n, k, sign)
 
 
 @REGISTRY.register(
@@ -446,7 +446,7 @@ def _q_pullback(scenario, cover):
     cover=COVER,
 )
 def _q_cn_cover(scenario, cover):
-    value, q = covers.cn_cover(cover, scenario.orbits)
+    value, q = covers.cn_cover(cover)
     return {"c_n": value, "q_correction": q}
 
 
@@ -459,7 +459,7 @@ def _q_cn_cover(scenario, cover):
 )
 def _q_icb(scenario, cover, other):
     pairing = scenario.pairing((cover.base_curve, cover.base_constraints), other)
-    return covers.i_cover_bound(cover, other, pairing.relative_pairing, scenario.orbits)
+    return covers.i_cover_bound(cover, other, pairing.relative_pairing)
 
 
 @REGISTRY.register(
@@ -526,7 +526,7 @@ def _q_nice(scenario, curve):
 )
 def _q_unique_even(scenario, curve):
     self_i = _self_i(scenario, curve)
-    return classify.unique_even_analysis(*curve, self_i, scenario.orbits)
+    return classify.unique_even_analysis(*curve, self_i)
 
 
 @REGISTRY.register(
@@ -537,7 +537,7 @@ def _q_unique_even(scenario, curve):
     parity=PARITY,
 )
 def _q_bad(scenario, orbit, parity):
-    return classify.is_bad_puncture(orbit, parity, scenario.orbits)
+    return classify.is_bad_puncture(orbit, parity)
 
 
 @REGISTRY.register(
@@ -550,10 +550,7 @@ def _q_bad(scenario, orbit, parity):
 )
 def _q_screen(scenario, cover, j_mode):
     return classify.degeneration_screen(
-        cover,
-        j_mode=j_mode or scenario.j_mode,
-        ambient=scenario.ambient,
-        registry=scenario.orbits,
+        cover, j_mode=j_mode or scenario.j_mode, ambient=scenario.ambient
     )
 
 
@@ -568,7 +565,7 @@ def _q_obstruction(scenario, cover, j_mode):
     screen = _q_screen(scenario, cover, j_mode)
     if screen.outcome != classify.UNBRANCHED_COVER_OF_INDEX_ZERO:
         raise ValidationError("obstruction analysis needs an unbranched-cover screen verdict")
-    return classify.kernel_section_cover_obstruction(cover, registry=scenario.orbits)
+    return classify.kernel_section_cover_obstruction(cover)
 
 
 @REGISTRY.register(

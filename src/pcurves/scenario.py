@@ -15,7 +15,7 @@ from .covers import CoverScenario
 from .curves import ConstraintSet, CurveData
 from .errors import ValidationError
 from .intersections import PairingInput
-from .orbits import DeclaredWindings, MorseBott, Nondegenerate, OperatorWinding, OrbitClass
+from .orbits import DeclaredWindings, MorseBott, Nondegenerate, OperatorWinding, OrbitClass, linked
 from .params import (
     BOOL, CURVE, IDS, INT, INTS, J_MODE, LIST, OBJECT, OPERATOR_SAMPLES, ORBIT, ORDER, RATIONAL,
     REQUIRED, SIGN, STR, SURFACE, one_of,
@@ -116,6 +116,7 @@ def _parse_kind(doc, location):
         return None
     _check_keys(doc, {"type", "manifold_dim", "isotropy"}, location)
     if _get(doc, "type", location, one_of("nondegenerate", "morse_bott")) == "nondegenerate":
+        _require(set(doc) == {"type"}, "nondegenerate takes no manifold_dim or isotropy", location)
         return Nondegenerate()
     return MorseBott(
         manifold_dim=_get(doc, "manifold_dim", location, INT),
@@ -374,6 +375,7 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
     )
     _require(scenario.delta_gap > 0, "delta_gap must be positive", "$.delta_gap")
     operators = {}
+    towers = {}
 
     def operator_winding(op):
         # One object per distinct loop: spectrum cache hits then find their
@@ -383,6 +385,13 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
     def parse_orbit(odoc, location, scenario):
         oid, orbit = _parse_orbit(odoc, location, scenario, operator_winding)
         _certify_orbit(orbit, scenario.delta_gap, location)
+        [orbit] = linked([orbit], towers)
+        first = orbit.tower[orbit.cover]
+        _require(
+            first is orbit,
+            f"cover {orbit.cover} of {orbit.simple_id!r} is already declared as {first.id!r}",
+            location,
+        )
         return oid, orbit
 
     for section, noun, parse in (

@@ -22,6 +22,7 @@ from pcurves.orbits import (
     Nondegenerate,
     OrbitClass,
     cover_orbit,
+    linked,
     scalar_orbit,
 )
 from pcurves.surfaces import BranchedCover, PuncturedSurface
@@ -32,15 +33,16 @@ TWO_PI = 2 * math.pi
 
 def foliation_fixture():
     """The bundled example: embedded 3-punctured base and its double cover."""
-    simples = {}
     names = ["gz", "gi", "go", "gp", "gm"]
-    for name in names:
-        simples[name] = scalar_orbit(
+    simples = dict(zip(names, linked(
+        scalar_orbit(
             name, TWO_PI,
             distinct_from=tuple(m for m in names if m != name),
             family_id={"gz": "end0", "gi": "endinf"}.get(name, "end1"),
             kind=MorseBott(manifold_dim=3, isotropy=1),
         )
+        for name in names
+    )))
     gz2 = cover_orbit(simples["gz"], 2)
     gi2 = cover_orbit(simples["gi"], 2)
 
@@ -70,10 +72,7 @@ def foliation_fixture():
         interior_branch_count=0,
     )
     scen = CoverScenario(cover=cover, base_curve=v, base_constraints=v_cons)
-    registry = dict(simples)
-    registry[gz2.id] = gz2
-    registry[gi2.id] = gi2
-    return v, v_cons, u_zeta, u_cons, scen, registry
+    return v, v_cons, u_zeta, u_cons, scen
 
 
 def test_nice_embedded_base_curve():
@@ -86,7 +85,7 @@ def test_nice_embedded_base_curve():
 
 
 def test_nice_embedded_index_two():
-    _, _, u, u_cons, _, _ = foliation_fixture()
+    _, _, u, u_cons, _ = foliation_fixture()
     report = is_stable_nicely_embedded(u, u_cons, self_intersection=0)
     assert report.is_nice
     assert report.index == 2
@@ -102,8 +101,8 @@ def test_not_nice_positive_self_intersection():
 
 
 def test_screen_foliation_cover():
-    *_, scen, registry = foliation_fixture()
-    verdict = degeneration_screen(scen, registry=registry)
+    *_, scen = foliation_fixture()
+    verdict = degeneration_screen(scen)
     assert verdict.outcome == UNBRANCHED_COVER_OF_INDEX_ZERO
     assert verdict.index_base == 0
     assert verdict.c_n_base == -1
@@ -121,14 +120,21 @@ def test_screen_degree_one():
     assert degeneration_screen(scen).outcome == NICELY_EMBEDDED
 
 
-def make_index1_base(constrain_even=True):
+def make_index1_base():
     """Base curve with c_N = 0 for the screen's step-1 contradiction:
-    one even orbit makes 2 c_N = ind - 2 + 1 with ind = 1."""
+    one even orbit makes 2 c_N = ind - 2 + 1 with ind = 1.  The even orbit
+    has a declared double cover."""
     even = OrbitClass(
         id="ev", simple_id="ev", cover=1,
         winding=DeclaredWindings((1, 1), (1, 1)), kind=Nondegenerate(),
         distinct_from=frozenset({"od1", "od2"}),
     )
+    ev2 = OrbitClass(
+        id="ev2", simple_id="ev", cover=2,
+        winding=DeclaredWindings((2, 2), (2, 2)), kind=Nondegenerate(),
+        distinct_from=frozenset({"od1", "od2"}),
+    )
+    even, _ = linked([even, ev2])
     odd1 = OrbitClass(
         id="od1", simple_id="od1", cover=1,
         winding=DeclaredWindings((1, 2), (1, 2)), kind=Nondegenerate(),
@@ -158,13 +164,7 @@ def test_screen_cn_zero_contradiction():
     dom = PuncturedSurface(
         0, 0, (("a0", "+"), ("b0", "+"), ("b1", "+"), ("c0", "-"), ("c1", "-")),
     )
-    # Degree 2, branched over 'a' only; needs the declared cover orbit.
-    ev2 = OrbitClass(
-        id="ev2", simple_id="ev", cover=2,
-        winding=DeclaredWindings((2, 2), (2, 2)), kind=Nondegenerate(),
-        distinct_from=frozenset({"od1", "od2"}),
-    )
-    registry = {"ev": curve.orbit_at["a"], "ev2": ev2}
+    # Degree 2, branched over 'a' only, where the base declares the cover orbit.
     cover = BranchedCover(
         domain=dom, codomain=curve.surface, degree=2,
         fiber_map={
@@ -174,7 +174,7 @@ def test_screen_cn_zero_contradiction():
         interior_branch_count=1,
     )
     scen = CoverScenario(cover=cover, base_curve=curve, base_constraints=cons)
-    verdict = degeneration_screen(scen, registry=registry)
+    verdict = degeneration_screen(scen)
     assert verdict.outcome == CONTRADICTION
     assert "2*deg - 2" in verdict.witness
 
@@ -192,6 +192,12 @@ def test_screen_index_minus_one_contradiction():
         winding=DeclaredWindings((1, 2), (1, 2)), kind=Nondegenerate(),
         distinct_from=frozenset({"ев"}),
     )
+    ev2 = OrbitClass(
+        id="ев2", simple_id="ев", cover=2,
+        winding=DeclaredWindings((0, 0), (0, 0)), kind=Nondegenerate(),
+        distinct_from=frozenset({"odx"}),
+    )
+    even, _, odd = linked([even, ev2, odd])
     surface = PuncturedSurface(0, 0, (("a", "-"), ("b", "+")))
     # chi = 0; mu(b) - mu(a) = 3 - 0, so ind = 2 c1 + 3 = -1 at c1 = -2.
     curve = CurveData(
@@ -201,22 +207,16 @@ def test_screen_index_minus_one_contradiction():
     cons = ConstraintSet(constrained=frozenset({"a", "b"}), delta=D)
     assert fredholm_index(curve, cons) == -1
     dom = PuncturedSurface(0, 0, (("a0", "-"), ("b0", "+"), ("b1", "+")))
-    ev2 = OrbitClass(
-        id="ев2", simple_id="ев", cover=2,
-        winding=DeclaredWindings((0, 0), (0, 0)), kind=Nondegenerate(),
-        distinct_from=frozenset({"odx"}),
-    )
-    registry = {"ев": even, "ев2": ev2, "odx": odd}
     cover = BranchedCover(
         domain=dom, codomain=surface, degree=2,
         fiber_map={"a0": ("a", 2), "b0": ("b", 1), "b1": ("b", 1)},
         interior_branch_count=1,
     )
     scen = CoverScenario(cover=cover, base_curve=curve, base_constraints=cons)
-    verdict = degeneration_screen(scen, j_mode="homotopy", registry=registry)
+    verdict = degeneration_screen(scen, j_mode="homotopy")
     assert verdict.outcome == CONTRADICTION
     assert "deg - 1" in verdict.witness
-    fixed = degeneration_screen(scen, j_mode="fixed", registry=registry)
+    fixed = degeneration_screen(scen, j_mode="fixed")
     assert fixed.outcome == CONTRADICTION
     assert "fixed generic" in fixed.witness
 
@@ -224,8 +224,7 @@ def test_screen_index_minus_one_contradiction():
 def test_screen_branched_cover_contradiction():
     # Same foliation base but a branched candidate: step 5's dimension
     # comparison rules it out.
-    v, v_cons, *_rest = foliation_fixture()
-    registry = _rest[-1]
+    v, v_cons, *_ = foliation_fixture()
     dom = PuncturedSurface(
         0, 0, (("q0", "-"), ("q1", "-"), ("qm1", "-"), ("qi0", "-"), ("qi1", "-")),
     )
@@ -238,14 +237,14 @@ def test_screen_branched_cover_contradiction():
         interior_branch_count=1,
     )
     scen = CoverScenario(cover=cover, base_curve=v, base_constraints=v_cons)
-    verdict = degeneration_screen(scen, registry=registry)
+    verdict = degeneration_screen(scen)
     assert verdict.outcome == CONTRADICTION
     assert "branched" in verdict.witness
 
 
 def test_obstruction_foliation():
-    *_, scen, registry = foliation_fixture()
-    report = kernel_section_cover_obstruction(scen, registry=registry)
+    *_, scen = foliation_fixture()
+    report = kernel_section_cover_obstruction(scen)
     assert report.fires
     assert all("q = 1" in row[2] for row in report.rows)
 
@@ -275,13 +274,13 @@ def test_obstruction_negative_case():
         winding=DeclaredWindings((0, 1), (0, 1)), kind=Nondegenerate(),
         distinct_from=frozenset({"sig"}),
     )
+    sigma, sigma2, tau = linked([sigma, sigma2, tau])
     cod = PuncturedSurface(0, 0, (("a", "-"), ("b", "-")))
     base = CurveData(
         surface=cod, ambient_dim_n=2, orbit_at={"a": sigma, "b": tau},
         c1_rel=1, homology_tag="base",
     )
     cons = ConstraintSet(constrained=frozenset(), delta=D)
-    registry = {"sig": sigma, "sig2": sigma2, "tau": tau}
     dom = PuncturedSurface(0, 0, (("a0", "-"), ("b0", "-"), ("b1", "-")))
     cover = BranchedCover(
         domain=dom, codomain=cod, degree=2,
@@ -289,7 +288,7 @@ def test_obstruction_negative_case():
         interior_branch_count=1,
     )
     scen = CoverScenario(cover=cover, base_curve=base, base_constraints=cons)
-    report = kernel_section_cover_obstruction(scen, registry=registry)
+    report = kernel_section_cover_obstruction(scen)
     assert not report.fires
     assert report.forced_total == 0
     assert "divisibility holds" in report.rows[0][2]
@@ -304,10 +303,11 @@ def test_bad_puncture_cases():
         id="g2", simple_id="g", cover=2,
         winding=DeclaredWindings((3, 3), (3, 3)), kind=Nondegenerate(),
     )
-    registry = {"g": odd, "g2": double}
-    assert is_bad_puncture(double, 0, registry)
-    assert not is_bad_puncture(double, 1, registry)  # odd parity
-    assert not is_bad_puncture(odd, 0, registry)  # simply covered
+    assert not is_bad_puncture(double, 0)  # no simple orbit to read
+    odd, double = linked([odd, double])
+    assert is_bad_puncture(double, 0)
+    assert not is_bad_puncture(double, 1)  # odd parity
+    assert not is_bad_puncture(odd, 0)  # simply covered
     even_simple = OrbitClass(
         id="h", simple_id="h", cover=1,
         winding=DeclaredWindings((1, 1), (1, 1)), kind=Nondegenerate(),
@@ -316,8 +316,8 @@ def test_bad_puncture_cases():
         id="h2", simple_id="h", cover=2,
         winding=DeclaredWindings((2, 2), (2, 2)), kind=Nondegenerate(),
     )
-    registry2 = {"h": even_simple, "h2": double_even}
-    assert not is_bad_puncture(double_even, 0, registry2)  # simple orbit even
+    even_simple, double_even = linked([even_simple, double_even])
+    assert not is_bad_puncture(double_even, 0)  # simple orbit even
 
 
 def index_one_curve(even_orbit, constrained_even=True):
@@ -373,12 +373,12 @@ def test_unique_even_bad_double_cover():
         winding=DeclaredWindings((1, 1), (1, 1)), kind=Nondegenerate(),
         distinct_from=frozenset({"odd"}),
     )
-    registry = {"sg": odd_simple, "sg2": double}
+    odd_simple, double = linked([odd_simple, double])
     curve, cons = index_one_curve(double)
-    report = unique_even_analysis(curve, cons, 0, registry=registry)
+    report = unique_even_analysis(curve, cons, 0)
     assert report.cover == 2
     assert report.bad
-    assert is_bad_puncture(double, 0, registry)
+    assert is_bad_puncture(double, 0)
 
 
 def test_unique_even_triple_cover_rejected():
@@ -392,10 +392,10 @@ def test_unique_even_triple_cover_rejected():
         winding=DeclaredWindings((2, 2), (2, 2)), kind=Nondegenerate(),
         distinct_from=frozenset({"odd"}),
     )
-    registry = {"tg": odd_simple, "tg3": triple}
+    odd_simple, triple = linked([odd_simple, triple])
     curve, cons = index_one_curve(triple)
     with pytest.raises(ConsistencyError):
-        unique_even_analysis(curve, cons, 0, registry=registry)
+        unique_even_analysis(curve, cons, 0)
 
 
 def test_unique_even_morse_bott_constraint_link():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,7 @@ from pcurves.orbits import (
     cover_orbit,
     delta_mb,
     kernel_dim,
+    linked,
     nu_pm,
     omega_pair,
     omega_pair_strict,
@@ -43,7 +45,8 @@ from pcurves.orbits import (
     q_tilde,
     scalar_orbit,
 )
-from pcurves.orbits import _crossing_flow, _crossing_flow_cz
+from pcurves.classify import is_bad_puncture
+from pcurves.orbits import _at, _crossing_flow, _crossing_flow_cz
 from pcurves.spectral import AsymptoticOperator, discretized_spectrum
 
 D = Fraction(1, 8)
@@ -298,7 +301,7 @@ def test_cover_of_even_orbit_is_even():
             assert amk == k * w
 
 
-def test_cover_declared_requires_registry():
+def test_declared_cover_is_found_through_linked():
     base = OrbitClass(
         id="d", simple_id="d", cover=1,
         winding=DeclaredWindings((0, 1), (0, 1)),
@@ -309,8 +312,42 @@ def test_cover_declared_requires_registry():
         id="d2", simple_id="d", cover=2,
         winding=DeclaredWindings((1, 1), (1, 1)),
     )
-    registry = {"d": base, "d2": declared_cover}
-    assert cover_orbit(base, 2, registry) is declared_cover
+    base, declared_cover = linked([base, declared_cover])
+    assert cover_orbit(base, 2) is declared_cover
+    # The first orbit declared with a covering number keeps it.
+    [later] = linked([replace(declared_cover, id="d2b")], {"d": base.tower})
+    assert cover_orbit(base, 2) is declared_cover
+    assert later.tower is base.tower
+
+
+def test_declared_covers_of_a_cover_resolve_without_a_lookup_table():
+    # Rotation 1.3 of each period: the k-fold cover winds between floor(1.3 k)
+    # and the next integer.
+    g, g2, g4 = linked(
+        OrbitClass(id=f"g{k}", simple_id="g1", cover=k, winding=DeclaredWindings(w, w))
+        for k, w in ((1, (1, 2)), (2, (2, 3)), (4, (5, 6)))
+    )
+    assert cover_orbit(g2, 2) is g4
+    assert cover_orbit(g, 4) is g4
+    assert q_of_cover(g2, D, 2, "-") == 5 - 2 * 2
+    assert q_of_cover(g2, D, 2, "+") == 2 * 3 - 6
+    # Omega terms -2/2 and -1/1, q = 1: 2 * 2 * 1 * (-1 - (-1 - 1/4)) = 1.
+    assert q_tilde(g2, D, g, D, 2, "+") == 1
+    with pytest.raises(MissingDataError):
+        cover_orbit(g2, 3)
+
+
+def test_an_operator_cover_finds_its_simple_orbit_through_linked():
+    # S = diag(1/2, 13/10): both constant modes negative, the winding-1
+    # modes positive, so the simple orbit is odd (alpha = (0, 1)).
+    s = loop_orbit("s", AsymptoticOperator.constant(0.5, 0.0, 1.3))
+    assert alpha_pm(s, Perturbation(0)) == (0, 1, 1)
+    assert not is_bad_puncture(cover_orbit(s, 2), 0)  # no simple orbit to read
+    [s] = linked([s])
+    assert is_bad_puncture(cover_orbit(s, 2), 0)
+    assert is_bad_puncture(_at(cover_orbit(s, 2), 80), 0)
+    assert is_bad_puncture(cover_orbit(_at(s, 80), 2), 0)
+    assert cover_orbit(_at(s, 80), 2).winding.truncation == 80
 
 
 # -- cov of extremal eigenfunctions ----------------------------------------

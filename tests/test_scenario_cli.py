@@ -514,6 +514,17 @@ def _set(path, value):
         (_set(["orbits", 0, "winding"], {"type": "declared", "alpha_plus": 1,
                                          "minus_delta": [0, 1], "plus_delta": [-1, 0]}),
          "$.orbits[0].winding"),
+        # One orbit per simple orbit and covering number.
+        (lambda doc: doc["orbits"].extend(
+            {"id": oid, "simple": "h", "cover": k,
+             "winding": {"type": "declared", "alpha_minus": k, "alpha_plus": k + 1}}
+            for oid, k in (("h", 1), ("h2a", 2), ("h2b", 2))
+        ), "$.orbits[9]"),
+        # A nondegenerate kind has no family to describe.
+        (lambda doc: doc["orbits"].append(
+            {"id": "h", "winding": {"type": "declared", "alpha_minus": 1, "alpha_plus": 2},
+             "kind": {"type": "nondegenerate", "manifold_dim": 7, "isotropy": 99}}
+        ), "$.orbits[7].kind"),
     ],
     ids=[
         "cover-not-int", "genus-not-int", "c1_rel-not-int", "puncture-without-sign",
@@ -530,7 +541,8 @@ def _set(path, value):
         "distinct-from-list", "constrained-list", "curve-orbit-list", "fiber-from-list",
         "fiber-to-list",
         "total-constrained-list", "cover-beyond-truncation", "declared-no-flow",
-        "declared-both-spellings", "declared-alpha-plus-with-deltas",
+        "declared-both-spellings", "declared-alpha-plus-with-deltas", "duplicate-declared-cover",
+        "nondegenerate-kind-with-family-keys",
     ],
 )
 def test_cli_malformed_input_is_a_located_validation_error(tmp_path, capsys, mutate, where):
