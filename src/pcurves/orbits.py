@@ -333,8 +333,8 @@ def _crossing_flow(op, epsilon):
     0 <= k <= N/2 (a_0 = c_0, a_k = 2 c_k, the Nyquist mode split evenly
     between +-N/2), S(t_j) = Re sum of a_k e^{2 pi i k o h} e^{2 pi i k j h},
     one inverse FFT per grid once mode k is folded onto k mod FLOW_STEPS.
-    A k-fold cover has modes only at multiples of k, and only those are
-    summed.
+    S_k has modes only at multiples of its mode step (k for a cover of a
+    loop whose samples do not repeat), and only those are summed.
     """
     steps = FLOW_STEPS
     h = 1.0 / steps
@@ -403,8 +403,9 @@ def cover_orbit(orbit, k):
     """The k-fold cover of an orbit, inheriting the trivialization.
 
     Operator-backed orbits get the pulled-back operator (eigenvalues scale
-    by k), read at the orbit's truncation.  Declared orbits find the
-    declared cover in their tower.
+    by k), read at the orbit's truncation, and the orbit's tower, or the
+    tower of the orbit alone when it was never linked.  Declared orbits find
+    the declared cover in their tower.
     """
     if k < 1:
         raise ValidationError("cover order must be >= 1")
@@ -420,7 +421,7 @@ def cover_orbit(orbit, k):
             kind=None,
             distinct_from=orbit.distinct_from,
             family_id=orbit.family_id,
-            tower=orbit.tower,
+            tower=orbit.tower or {orbit.cover: orbit},
         )
     found = orbit.tower.get(orbit.cover * k)
     if found is not None:

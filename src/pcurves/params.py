@@ -22,13 +22,18 @@ REQUIRED = object()
 class Kind:
     """``parse(value, scenario)`` returns the value as read, or raises a
     ValidationError saying what it must be; ``default`` is what an absent
-    value reads as."""
+    value reads as.  A perturbation names the orbit parameter it perturbs in
+    ``perturbs``."""
 
     parse: object
     default: object = REQUIRED
+    perturbs: str = None
 
     def optional(self, default=None):
         return replace(self, default=default)
+
+    def of(self, orbit_key):
+        return replace(self, perturbs=orbit_key)
 
 
 def _checked(test, what):

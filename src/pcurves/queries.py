@@ -149,7 +149,7 @@ def _q_spectrum(scenario, orbit, truncation):
     "extremal windings below/above the probe point, parity = difference",
     ["alpha_pm"],
     orbit=ORBIT,
-    epsilon=PERTURBATION,
+    epsilon=PERTURBATION.of("orbit"),
 )
 def _q_alpha(scenario, orbit, epsilon):
     am, ap, p = orbits.alpha_pm(orbit, epsilon)
@@ -161,7 +161,7 @@ def _q_alpha(scenario, orbit, epsilon):
     "winding method: 2 alpha_- + parity; crossing flow: Robbin-Salamon count",
     ["conley_zehnder"],
     orbit=ORBIT,
-    epsilon=PERTURBATION,
+    epsilon=PERTURBATION.of("orbit"),
     method=METHOD,
 )
 def _q_cz(scenario, orbit, epsilon, method):
@@ -210,7 +210,7 @@ def _q_cov_extremal(scenario, orbit, side):
     "alpha(cover + k eps) = k alpha(base + eps) -+ q, q in [0, k-1]",
     ["q_of_cover"],
     orbit=ORBIT,
-    epsilon=PERTURBATION,
+    epsilon=PERTURBATION.of("orbit"),
     k=ORDER,
     side=SIGN,
 )
@@ -223,9 +223,9 @@ def _q_qcover(scenario, orbit, epsilon, k, side):
     "m n min{(-+ alpha)/m, (-+ alpha)/n}; 0 for distinct orbits",
     ["omega_pair"],
     a=ORBIT,
-    epsilon_a=PERTURBATION,
+    epsilon_a=PERTURBATION.of("a"),
     b=ORBIT,
-    epsilon_b=PERTURBATION,
+    epsilon_b=PERTURBATION.of("b"),
     sign=SIGN,
 )
 def _q_omega(scenario, a, epsilon_a, b, epsilon_b, sign):
@@ -244,9 +244,9 @@ def _q_omega_self(scenario, orbit, sign):
     "covering defect of the Omega pairing",
     ["q_tilde"],
     orbit_m=ORBIT,
-    epsilon_m=PERTURBATION,
+    epsilon_m=PERTURBATION.of("orbit_m"),
     orbit_n=ORBIT,
-    epsilon_n=PERTURBATION,
+    epsilon_n=PERTURBATION.of("orbit_n"),
     k=ORDER,
     sign=SIGN,
 )
@@ -259,7 +259,7 @@ def _q_qtilde(scenario, orbit_m, epsilon_m, orbit_n, epsilon_n, k, sign):
     "[k (m-1) nu + cov - cov_generic] / 2 at unconstrained ends, else 0",
     ["delta_mb"],
     orbit=ORBIT,
-    epsilon=PERTURBATION,
+    epsilon=PERTURBATION.of("orbit"),
     sign=SIGN,
 )
 def _q_delta_mb(scenario, orbit, epsilon, sign):

@@ -321,9 +321,19 @@ def _parse_query(doc, location, scenario):
     missing = [key for key, kind in params.items() if kind.default is REQUIRED and key not in doc]
     _require(not missing, f"query {doc['name']!r} needs {', '.join(missing)}", location)
     _check_keys(doc, {"name", *params}, location)
-    return Query(doc, {
+    args = {
         key: _get(doc, key, f"{location}.{key}", kind, scenario) for key, kind in params.items()
-    })
+    }
+    for key, kind in params.items():
+        orbit = args.get(kind.perturbs)
+        if orbit is not None and not orbit.is_operator_backed:
+            # Declared windings hold for perturbations inside the gap only.
+            _require(
+                abs(args[key].epsilon) < scenario.delta_gap,
+                f"{key!r} must lie in (-delta_gap, delta_gap): {orbit.id!r} has declared windings",
+                f"{location}.{key}",
+            )
+    return Query(doc, args)
 
 
 def _certify_orbit(orbit, delta_gap, location):

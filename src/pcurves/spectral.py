@@ -19,16 +19,20 @@ eigenvalues of different windings never meet.  So inside the window the
 j-th eigenvalue (0-based, ascending) has winding j // 2 - T, and no
 eigenvector is computed.
 
-A k-fold cover is kept as its simple orbit's samples and k.  S_k(t) =
-k S(k t) has Fourier modes only at multiples of k, so in the real basis,
-where cos and sin of mode m span the modes +-m, the truncated matrix
-splits exactly into one block per residue class m = +-r (mod k), r = 0..k/2,
-that holds a mode |m| <= T.
+The samples of S repeat with an exact period p dividing N (compared
+exactly, with no tolerance), and a k-fold cover is kept as its simple
+orbit's samples and k.  S_k(t) = k S(k t) then has Fourier modes only at
+multiples of the mode step s = kN/p, so in the real basis, where cos and
+sin of mode m span the modes +-m, the truncated matrix splits exactly into
+one block per residue class m = +-r (mod s), r = 0..s/2, that holds a mode
+|m| <= T.  A constant loop (p = 1) couples no two modes, and each mode is
+a block of its own.  A cover is the case s = k of a loop that does not
+repeat.  Blocks of one size are solved as one stack.
 The counting argument holds block by block along t S_k: a block's
 eigenvalues, ascending, have the windings +-m of its modes, each twice,
 ascending.  The blocks' eigenvalues are merged by value; if the merged
 windings decrease anywhere inside the window, the truncation is too low
-for the cover and the oracle raises SpectralError.
+for the loop and the oracle raises SpectralError.
 
 All downstream winding arithmetic is exact; this module is the only place
 floating point enters, and its outputs are snapped to integers with guards.
@@ -60,7 +64,8 @@ DEGENERACY_REL_TOL = 1e-8
 @dataclass(frozen=True)
 class AsymptoticOperator:
     """Loop of symmetric 2x2 matrices S(t_j) at t_j = j/N, as rows (s11, s12, s22),
-    covered ``cover`` times: the operator of S_k(t) = k S(k t), k = cover."""
+    covered ``cover`` times: the operator of S_k(t) = k S(k t), k = cover.
+    ``period`` is the least p with S(t_j) = S(t_{j mod p}) for every j."""
 
     samples: tuple  # tuple of (s11, s12, s22) floats
     cover: int = 1
@@ -75,9 +80,10 @@ class AsymptoticOperator:
             raise ValidationError(f"need at least {MIN_SAMPLES} samples, got {len(rows)}")
         self._set(tuple(rows), _cover_order(self.cover))
 
-    def _set(self, samples, cover):
+    def _set(self, samples, cover, period=None):
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "cover", cover)
+        object.__setattr__(self, "period", period or _exact_period(samples))
         # Hashed once: every spectrum cache lookup hashes its operator.
         object.__setattr__(self, "_hash", hash((samples, cover)))
 
@@ -106,24 +112,27 @@ class AsymptoticOperator:
         """Samples of S_k: the N samples of S, tiled k times."""
         return len(self.samples) * self.cover
 
-    def _simple_matrices(self):
-        return np.array([((a, b), (b, c)) for a, b, c in self.samples])
+    @property
+    def mode_step(self):
+        """s = kN/p: the Fourier modes of S_k are multiples of s."""
+        return self.cover * len(self.samples) // self.period
 
     def matrices(self):
         """S_k(j / (kN)) = k S(j/N mod 1) for j = 0..kN-1."""
-        return np.tile(self.cover * self._simple_matrices(), (self.cover, 1, 1))
+        return np.tile(self.cover * _matrices(self.samples), (self.cover, 1, 1))
 
     def fourier_modes(self):
-        """(m, a_m) for the modes m = jk, j = 0..N/2, of S_k, the only modes
-        0 <= m <= kN/2 where it can be nonzero: a_m = k c_j with c_j the
-        coefficients of S.  At even N the Nyquist mode j = N/2 is halved, so
-        that it is split evenly between +-m."""
-        n, k = len(self.samples), self.cover
-        j = np.arange(n // 2 + 1)
-        coeffs = k * (np.fft.fft(self._simple_matrices(), axis=0)[j] / n)
-        if n % 2 == 0:
+        """(m, a_m) for the modes m = sj, j = 0..p/2, of S_k, s = mode_step,
+        the only modes 0 <= m <= kN/2 where it can be nonzero: a_m = k c_j
+        with c_j the coefficients of one period of p samples.  At even p the
+        Nyquist mode j = p/2 is halved, so that it is split evenly between
+        +-m."""
+        p, k = self.period, self.cover
+        j = np.arange(p // 2 + 1)
+        coeffs = k * (np.fft.fft(_matrices(self.samples[:p]), axis=0)[j] / p)
+        if p % 2 == 0:
             coeffs[-1] /= 2.0
-        return k * j, coeffs
+        return self.mode_step * j, coeffs
 
     def pulled_back(self, k):
         """Operator of the k-fold covered orbit: S_k(t) = k * S(k t mod 1),
@@ -133,8 +142,22 @@ class AsymptoticOperator:
             return self
         # The samples are validated already; only the cover order is new.
         pulled = object.__new__(AsymptoticOperator)
-        pulled._set(self.samples, self.cover * k)
+        pulled._set(self.samples, self.cover * k, self.period)
         return pulled
+
+
+def _matrices(rows):
+    return np.array([((a, b), (b, c)) for a, b, c in rows])
+
+
+def _exact_period(samples):
+    """The least p dividing N with samples[j] == samples[j % p] for every j,
+    compared exactly."""
+    n = len(samples)
+    for p in range(1, n):
+        if n % p == 0 and all(samples[j] == samples[j - p] for j in range(p, n)):
+            return p
+    return n
 
 
 def _cover_order(k):
@@ -252,9 +275,11 @@ class SpectralData:
 
 
 def _real_matrix(c, truncation, modes):
-    """Matrix of -J0 d/dt - S(t) in the orthonormal real basis
-    {1, sqrt2 cos 2 pi m t, sqrt2 sin 2 pi m t : m in modes} x {e_1, e_2},
-    ``modes`` ascending in 0..T; the constant 1 is there when mode 0 is.
+    """Matrices of -J0 d/dt - S(t), one per row of ``modes``, each in the
+    orthonormal real basis
+    {1, sqrt2 cos 2 pi m t, sqrt2 sin 2 pi m t : m in the row} x {e_1, e_2}.
+    The rows have one length and are ascending in 0..T; the constant 1 is
+    there when mode 0 is, which only a single row may hold.
 
     The constant comes first, then the cosine and sine of each nonzero mode
     in ascending order; this order keeps the matrix banded.  ``c`` holds the
@@ -279,54 +304,68 @@ def _real_matrix(c, truncation, modes):
     c = np.concatenate([c[:0:-1].conj(), c])  # c_k for k = -2T..2T at k + 2T
     diff = np.stack([np.stack([-c.real, -c.imag], 2), np.stack([c.imag, -c.real], 2)], 1)
     plus = np.stack([np.stack([-c.real, c.imag], 2), np.stack([c.imag, c.real], 2)], 1)
-    z = int(modes[0] == 0)  # 1 when the block holds the constant
-    m = np.asarray(modes[z:])  # the modes with a cosine and a sine
-    mat = np.empty((4 * len(m) + 2 * z,) * 2)
-    tiles = mat[2 * z :, 2 * z :].reshape(len(m), 2, 2, len(m), 2, 2).transpose(0, 3, 1, 2, 4, 5)
-    np.add(diff[m[:, None] - m + 2 * t], plus[m[:, None] + m + 2 * t], out=tiles)
+    z = int(modes[0, 0] == 0)  # 1 when the block holds the constant
+    m = modes[:, z:]  # the modes with a cosine and a sine, per block
+    b, n = m.shape
+    mat = np.empty((b,) + (4 * n + 2 * z,) * 2)
+    tiles = mat[:, 2 * z :, 2 * z :].reshape(b, n, 2, 2, n, 2, 2).transpose(0, 1, 4, 2, 3, 5, 6)
+    rows, cols = m[:, :, None], m[:, None, :]
+    np.add(diff[rows - cols + 2 * t], plus[rows + cols + 2 * t], out=tiles)
     if z:
-        column = diff[2 * t + m, :, :, 0] + plus[2 * t + m, :, :, 0]  # [m, cos/sin, e_a, e_b]
-        mat[2:, :2] = column.reshape(-1, 2) / np.sqrt(2.0)
-        mat[:2, 2:] = mat[2:, :2].T
-        mat[:2, :2] = (diff[2 * t, 0, :, 0] + plus[2 * t, 0, :, 0]) / np.sqrt(2.0) / np.sqrt(2.0)
-    i, w = np.arange(len(m)), (2 * np.pi * m)[:, None, None] * J0
-    tiles[i, i, 0, :, 1] -= w
-    tiles[i, i, 1, :, 0] += w
+        # [block, m, cos/sin, e_a, e_b]
+        column = diff[2 * t + m, :, :, 0] + plus[2 * t + m, :, :, 0]
+        mat[:, 2:, :2] = column.reshape(b, -1, 2) / np.sqrt(2.0)
+        mat[:, :2, 2:] = mat[:, 2:, :2].transpose(0, 2, 1)
+        mat[:, :2, :2] = (diff[2 * t, 0, :, 0] + plus[2 * t, 0, :, 0]) / np.sqrt(2.0) / np.sqrt(2.0)
+    blocks, i = np.arange(b)[:, None], np.arange(n)
+    w = (2 * np.pi * m)[:, :, None, None] * J0
+    tiles[blocks, i, i, 0, :, 1] -= w
+    tiles[blocks, i, i, 1, :, 0] += w
     return mat
 
 
 def discretized_spectrum(op, truncation):
     """Spectrum of the Fourier-truncated operator with windings.
 
-    One eigensolve per residue class of modes m = +-r (mod k), r = 0..k/2,
-    that holds a mode |m| <= T, for a k-fold cover.  A block's windings are
+    The modes |m| <= T split into residue classes m = +-r (mod s), r =
+    0..s/2, for the mode step s of the loop, or into single modes for a
+    constant loop.  The class of mode 0 is one eigensolve, and the other
+    classes one stacked eigensolve per class size.  A block's windings are
     its modes +-m, each twice, in ascending order.  Only the middle half of
     all eigenvalues is kept (the reliable window); it must have
     nondecreasing windings.
     """
     if truncation < MIN_TRUNCATION:
         raise ValidationError(f"truncation must be >= {MIN_TRUNCATION}")
-    k = op.cover
+    t = truncation
     m, a = op.fourier_modes()
-    c = np.zeros((2 * truncation + 1, 2, 2), dtype=complex)  # c_m for m = 0..2T
-    c[m[m <= 2 * truncation]] = a[m <= 2 * truncation]
-    modes = np.arange(truncation + 1)
-    residue = np.minimum(modes % k, -modes % k)
-    evals, windings = [], []
+    c = np.zeros((2 * t + 1, 2, 2), dtype=complex)  # c_m for m = 0..2T
+    c[m[m <= 2 * t]] = a[m <= 2 * t]
+    # A step above 2T makes each mode |m| <= T a class of its own.
+    step = op.mode_step if op.period > 1 else 2 * t + 1
+    modes = np.arange(t + 1)
+    residue = np.minimum(modes % step, -modes % step)
     # Class r holds mode r exactly when r <= T, and no mode |m| <= T otherwise.
-    for r in range(min(k // 2, truncation) + 1):
-        block = modes[residue == r]
-        evals.append(np.linalg.eigvalsh(_real_matrix(c, truncation, block)))
-        windings.append(np.repeat(np.sort(np.r_[-block[block > 0], block]), 2))
+    sizes = np.bincount(residue)
+    grouped = modes[np.argsort(residue, kind="stable")]  # class by class, ascending
+    starts = np.cumsum(sizes) - sizes
+    # Class 0 holds the constant; the other classes are stacked by size.
+    stacks = [[0]] + [np.flatnonzero(sizes[1:] == n) + 1 for n in sorted(set(sizes[1:].tolist()))]
+    evals, windings = [], []
+    for classes in stacks:
+        block = grouped[starts[classes, None] + np.arange(sizes[classes[0]])]
+        evals.append(np.linalg.eigvalsh(_real_matrix(c, t, block)).ravel())
+        signed = np.concatenate([-block[:, block[0] > 0], block], axis=1)
+        windings.append(np.repeat(np.sort(signed, axis=1), 2, axis=1).ravel())
     evals, windings = np.concatenate(evals), np.concatenate(windings)
-    order = np.argsort(evals, kind="stable")
+    order = np.lexsort((windings, evals))  # equal eigenvalues of two blocks by winding
     evals, windings = evals[order], windings[order]
     diameter = float(evals[-1] - evals[0])
     first = len(evals) // 4
     window = slice(first, len(evals) - first)
     if (np.diff(windings[window]) < 0).any():
         raise SpectralError(
-            f"windings of the {k}-fold cover's residue classes interleave inside the window;"
+            f"windings of the residue classes mod {step} interleave inside the window;"
             " increase the truncation"
         )
     # Merge equal (eigenvalue, winding) pairs into multiplicity-2 entries.

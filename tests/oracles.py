@@ -20,9 +20,11 @@ and counts the turning of each window eigenfunction on a fine grid, as a
 check of the package's windings, which are counted from the eigenvalue
 order alone.
 
-A k-fold cover is checked against its tiled operator: the plain operator on
-the kN samples of S_k(t) = k S(k t), whose spectrum is one eigensolve of
-the full matrix, with no residue-class blocks.  The residue class of the
+A k-fold cover, or a loop whose samples repeat, is checked against the
+full matrix of its tiled operator, the plain operator on the kN samples of
+S_k(t) = k S(k t): one eigensolve of the whole matrix from one FFT of all
+kN samples, with no residue-class blocks, and windings counted over the
+whole spectrum.  The residue class of the
 modes an extremal eigenfunction of that matrix occupies gives its covering
 number independently of its winding.
 
@@ -39,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from pcurves.spectral import J0, AsymptoticOperator, _real_matrix
+from pcurves.spectral import J0, AsymptoticOperator, SpectralData, _real_matrix
 
 
 class ScalarOracle:
@@ -206,7 +208,26 @@ def _full_matrix(op, truncation):
     c = np.zeros((2 * truncation + 1, 2, 2), dtype=complex)
     coeffs = tiled_coefficients(op)[: 2 * truncation + 1]
     c[: len(coeffs)] = coeffs
-    return _real_matrix(c, truncation, np.arange(truncation + 1))
+    [mat] = _real_matrix(c, truncation, np.arange(truncation + 1)[None])
+    return mat
+
+
+def dense_spectrum(op, truncation):
+    """The spectrum of ``op`` from one eigensolve of its tiled operator's full
+    matrix, with no split by residue class: the eigenvalue of index j gets the
+    winding j // 2 - T, and the middle half is kept, equal eigenvalues of one
+    winding merged within 1e-9 of the spectral diameter."""
+    evals = np.linalg.eigvalsh(_full_matrix(op, truncation))
+    diameter = float(evals[-1] - evals[0])
+    first = len(evals) // 4
+    pairs = []
+    for j in range(first, len(evals) - first):
+        lam, w = float(evals[j]), j // 2 - truncation
+        if pairs and pairs[-1][1:] == (w, 1) and lam - pairs[-1][0] <= 1e-9 * max(diameter, 1.0):
+            pairs[-1] = (0.5 * (pairs[-1][0] + lam), w, 2)
+        else:
+            pairs.append((lam, w, 1))
+    return SpectralData(eigenpairs=tuple(pairs), truncation=truncation, diameter=diameter)
 
 
 def extremal_residue_class(op, truncation, side):

@@ -514,6 +514,18 @@ def _set(path, value):
         (_set(["orbits", 0, "winding"], {"type": "declared", "alpha_plus": 1,
                                          "minus_delta": [0, 1], "plus_delta": [-1, 0]}),
          "$.orbits[0].winding"),
+        # Declared windings answer perturbations inside the gap only.
+        (lambda doc: (
+            _set(["orbits", 2, "winding"], {"type": "declared", "minus_delta": [1, 2],
+                                            "plus_delta": [0, 1]})(doc),
+            _set(["queries", 0], {"name": "alpha", "orbit": "g_one", "epsilon": 7})(doc),
+        ), "$.queries[0].epsilon"),
+        (lambda doc: (
+            _set(["orbits", 2, "winding"], {"type": "declared", "minus_delta": [1, 2],
+                                            "plus_delta": [0, 1]})(doc),
+            _set(["queries", 0], {"name": "omega", "a": "g_inf", "epsilon_a": 7, "b": "g_one",
+                                  "epsilon_b": {"num": -1, "den": 4}, "sign": "-"})(doc),
+        ), "$.queries[0].epsilon_b"),
         # One orbit per simple orbit and covering number.
         (lambda doc: doc["orbits"].extend(
             {"id": oid, "simple": "h", "cover": k,
@@ -541,7 +553,9 @@ def _set(path, value):
         "distinct-from-list", "constrained-list", "curve-orbit-list", "fiber-from-list",
         "fiber-to-list",
         "total-constrained-list", "cover-beyond-truncation", "declared-no-flow",
-        "declared-both-spellings", "declared-alpha-plus-with-deltas", "duplicate-declared-cover",
+        "declared-both-spellings", "declared-alpha-plus-with-deltas",
+        "declared-epsilon-outside-the-gap", "declared-epsilon-at-the-gap",
+        "duplicate-declared-cover",
         "nondegenerate-kind-with-family-keys",
     ],
 )

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import loop_orbit, random_symmetric_loop, safe_epsilon
 from oracles import (
+    ScalarOracle,
     dense_hermitian_eigenvalues,
+    dense_spectrum,
     measured_windings,
     scatter_real_matrix,
     spectrum_windings,
@@ -16,7 +18,7 @@ from oracles import (
 )
 from pcurves import spectral
 from pcurves.errors import SpectralError, ValidationError
-from pcurves.orbits import WINDING, Perturbation, _crossing_flow, conley_zehnder
+from pcurves.orbits import WINDING, Perturbation, _crossing_flow, conley_zehnder, scalar_orbit
 from pcurves.spectral import AsymptoticOperator, discretized_spectrum
 
 TWO_PI = 2 * math.pi
@@ -138,14 +140,63 @@ def test_cover_blocks_match_the_tiled_operator(truncation):
     # must give the same windings, multiplicities and eigenvalues.
     for name, base in _cover_cases().items():
         for k in range(2, 7):
-            cover = base.pulled_back(k)
-            blocks = discretized_spectrum(cover, truncation)
-            full = discretized_spectrum(tiled_operator(cover), truncation)
-            label = (name, k)
-            assert [p[1:] for p in blocks.eigenpairs] == [p[1:] for p in full.eigenpairs], label
-            lams = np.array([p[0] for p in blocks.eigenpairs])
-            assert np.abs(lams - [p[0] for p in full.eigenpairs]).max() < 1e-10, label
-            assert abs(blocks.diameter - full.diameter) < 1e-10, label
+            _assert_matches_dense(base.pulled_back(k), truncation, (name, k))
+
+
+def _assert_matches_dense(op, truncation, label):
+    blocks, full = discretized_spectrum(op, truncation), dense_spectrum(op, truncation)
+    assert [p[1:] for p in blocks.eigenpairs] == [p[1:] for p in full.eigenpairs], label
+    lams = np.array([p[0] for p in blocks.eigenpairs])
+    assert np.abs(lams - [p[0] for p in full.eigenpairs]).max() < 1e-10, label
+    assert abs(blocks.diameter - full.diameter) < 1e-10, label
+
+
+@pytest.mark.parametrize("truncation", [33, 64])
+def test_repeating_samples_match_the_dense_reference(truncation):
+    # Samples tiled g times repeat with period N/g: the spectrum splits by
+    # residue classes mod g (times the cover order), like a g-fold cover's.
+    for name, base in _cover_cases().items():
+        for g in (2, 3, 4):
+            op = AsymptoticOperator(base.samples * g)
+            assert op.period == base.period and op.mode_step == g * base.mode_step, name
+            for k in (1, 2):
+                _assert_matches_dense(op.pulled_back(k), truncation, (name, g, k))
+
+
+@pytest.mark.parametrize("theta_over_pi", [Fraction(3, 7), Fraction(2), Fraction(-5, 3)])
+def test_scalar_covers_match_the_scalar_oracle(theta_over_pi):
+    # S = theta Id: the truncated spectrum is 2 pi w - k theta, |w| <= T,
+    # each twice, and the window holds the eigenvalues j = T..3T + 1 with
+    # winding j // 2 - T.
+    oracle = ScalarOracle(theta_over_pi)
+    for k in range(1, 7):
+        truncation = 48 + 16 * k
+        orbit = scalar_orbit("g", oracle.theta(), cover=k)
+        spec = discretized_spectrum(orbit.winding.op, truncation)
+        windings = [j // 2 - truncation for j in range(truncation, 3 * truncation + 2)]
+        expected = [(w, windings.count(w)) for w in sorted(set(windings))]
+        assert [p[1:] for p in spec.eigenpairs] == expected, k
+        theta = oracle.cover(k).theta()
+        lams = np.array([p[0] for p in spec.eigenpairs])
+        assert np.abs(lams - [TWO_PI * w - theta for w, _ in expected]).max() < 1e-10, k
+
+
+def test_eigensolves_are_one_per_class_size(monkeypatch):
+    # Classes of one size are stacked: a constant loop at T = 144 is the
+    # mode-0 block and one stack of 144 single-mode blocks; a 6-fold cover
+    # has the classes mod 6 with 25, 48, 48 and 24 modes.
+    calls, solve = [], np.linalg.eigvalsh
+
+    def count(mats):
+        calls.append(mats.shape)
+        return solve(mats)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", count)
+    discretized_spectrum(AsymptoticOperator.constant(0.5, 0.3, -0.2), 144)
+    assert calls == [(1, 2, 2), (144, 4, 4)]
+    calls.clear()
+    discretized_spectrum(random_symmetric_loop(np.random.default_rng(2)).pulled_back(6), 144)
+    assert sorted(calls) == [(1, 96, 96), (1, 98, 98), (2, 192, 192)]
 
 
 @pytest.mark.parametrize("index", [9, 15])
@@ -158,7 +209,7 @@ def test_under_resolved_cover_asks_for_more_truncation(index):
     with pytest.raises(SpectralError, match="increase the truncation"):
         discretized_spectrum(cover, 31)
     spec = discretized_spectrum(cover, 128)
-    full = discretized_spectrum(tiled_operator(cover), 128)
+    full = dense_spectrum(cover, 128)
     assert [p[1:] for p in spec.eigenpairs] == [p[1:] for p in full.eigenpairs]
 
 
@@ -173,7 +224,7 @@ def test_cover_orders_beyond_twice_the_truncation(k):
     ):
         cover = base.pulled_back(k)
         spec = discretized_spectrum(cover, 16)
-        full = discretized_spectrum(tiled_operator(cover), 16)
+        full = dense_spectrum(cover, 16)
         assert [p[1:] for p in spec.eigenpairs] == [p[1:] for p in full.eigenpairs]
         dense = dense_hermitian_eigenvalues(tiled_rows(cover), 16)
         lams = np.repeat([p[0] for p in spec.eigenpairs], [p[2] for p in spec.eigenpairs])
@@ -269,16 +320,25 @@ def test_real_matrix_equals_the_scatter_reference(truncation, monkeypatch):
     ops = {
         "simple": random_symmetric_loop(rng),
         "degree4_odd_samples": random_symmetric_loop(rng, degree=4, n_samples=33),
+        # a constant loop's blocks are single modes
         "constant": AsymptoticOperator.constant(0.5, 0.3, -0.2),
+        "tiled3": AsymptoticOperator(base.samples * 3),
         # from k = 2T + 2 on, every block holds a single mode
         **{f"cover{k}": base.pulled_back(k) for k in (2, 3, 4, 6, 2 * truncation + 2)},
     }
     for name, op in ops.items():
-        blocks = _built_blocks(op, truncation, monkeypatch)
-        assert len(blocks) == min(op.cover // 2, truncation) + 1, name
-        for args in blocks:
-            mat = spectral._real_matrix(*args)
-            assert np.array_equal(mat, scatter_real_matrix(*args)), (name, args[2][:2])
+        built = _built_blocks(op, truncation, monkeypatch)
+        # One block per residue class m = +-r (mod s), r = 0..s/2, that holds
+        # a mode |m| <= T; s above 2T for a constant loop.
+        step = op.mode_step if op.period > 1 else 2 * truncation + 1
+        assert sum(len(modes) for _, _, modes in built) == min(step // 2, truncation) + 1, name
+        assert sorted(np.concatenate([modes.ravel() for _, _, modes in built])) == list(
+            range(truncation + 1)
+        ), name
+        for c, t, modes in built:
+            mats = spectral._real_matrix(c, t, modes)
+            for mat, row in zip(mats, modes, strict=True):
+                assert np.array_equal(mat, scatter_real_matrix(c, t, row)), (name, row[:2])
 
 
 def test_real_matrix_peak_memory_is_its_two_gathers(monkeypatch):
@@ -292,7 +352,7 @@ def test_real_matrix_peak_memory_is_its_two_gathers(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert mat.shape == (514, 514) and peak <= 3.5 * mat.nbytes
+    assert mat.shape == (1, 514, 514) and peak <= 3.5 * mat.nbytes
 
 
 def _rotated_twin(op, s):
