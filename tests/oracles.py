@@ -290,7 +290,8 @@ def _gauss_point_samples(op, steps):
     """S at the two Gauss points of each of ``steps`` equal steps of [0, 1], as
     two arrays of 2x2 matrices, from a dense cos/sin sum over the modes
     0 <= k <= N/2 of the tiled samples (the Nyquist mode split evenly
-    between +-N/2)."""
+    between +-N/2).  Kept per operator: epsilon is added afterwards, so the
+    flows of one loop at several epsilons share one sum."""
     coeffs = tiled_coefficients(op)
     ks = np.arange(len(coeffs))
     coeffs = 2.0 * coeffs.reshape(len(ks), 4)
