@@ -225,12 +225,7 @@ def _ambient_remarks(ambient):
     return ()
 
 
-def degeneration_screen(
-    scenario,
-    limit_constraints=None,
-    j_mode="homotopy",
-    ambient=None,
-):
+def degeneration_screen(scenario, j_mode="homotopy", ambient=None):
     """Combinatorial screen for limits of stable nicely embedded families.
 
     Runs the case ledger: a base curve with c_N >= 0 or (under a generic
@@ -251,7 +246,7 @@ def degeneration_screen(
     if not base.somewhere_injective:
         raise ValidationError("screen needs a somewhere injective base curve")
     cover = scenario.cover
-    limit = limit_constraints or scenario.total_constraints
+    limit = scenario.total_constraints
     ind_v = fredholm_index(base, cons)
     c_n_v = normal_chern(base, cons)
     if ind_v < -1:
@@ -362,7 +357,7 @@ class ObstructionReport:
     rows: tuple  # (puncture, k_z, mechanism)
 
 
-def kernel_section_cover_obstruction(scenario, limit_constraints=None):
+def kernel_section_cover_obstruction(scenario):
     """Winding obstruction to multiply covered kernel sections.
 
     At a puncture with branching order k > 1, a covered kernel section
@@ -375,7 +370,7 @@ def kernel_section_cover_obstruction(scenario, limit_constraints=None):
     cover = scenario.cover
     base = scenario.base_curve
     cons = scenario.base_constraints
-    limit = limit_constraints or scenario.total_constraints
+    limit = scenario.total_constraints
     composed = composed_curve(scenario)
     perts = puncture_perturbations(composed, limit)
     rows = []

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 query error, 2 validation error, 3 I/O error.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 from .curves import k_bound
 from .errors import PCurvesError, ValidationError
+from .params import TRUNCATION
 from .queries import _jsonable, run_queries
 from .scenario import SCHEMA_VERSION, load_scenario
 from .spectral import DEFAULT_TRUNCATION, GLOBAL_SPECTRUM_CACHE
@@ -29,16 +31,20 @@ ENV_TRUNCATION = "PCURVES_TRUNCATION"
 
 def resolve_truncation(flag_value):
     """Flag beats environment beats default; the source is echoed into the
-    report for reproducibility."""
+    report for reproducibility.  A value that is no ``TRUNCATION`` is a
+    validation error at the flag or the variable it came from."""
     if flag_value is not None:
-        return int(flag_value), "flag"
-    env = os.environ.get(ENV_TRUNCATION)
-    if env is not None:
-        try:
-            return int(env), "env"
-        except ValueError:
-            raise ValidationError(f"{ENV_TRUNCATION} must be an integer, got {env!r}")
-    return DEFAULT_TRUNCATION, "default"
+        value, source, location = flag_value, "flag", "--truncation"
+    elif ENV_TRUNCATION in os.environ:
+        value, source, location = os.environ[ENV_TRUNCATION], "env", ENV_TRUNCATION
+        with contextlib.suppress(ValueError):
+            value = int(value)
+    else:
+        return DEFAULT_TRUNCATION, "default"
+    try:
+        return TRUNCATION.parse(value, None), source
+    except ValidationError as exc:
+        raise ValidationError(str(exc), location)
 
 
 def build_report(scenario, truncation, truncation_source):
@@ -116,8 +122,6 @@ def _cmd_spectrum(args):
 
 
 def _cmd_oracle(args):
-    if args.what != "kbound":
-        raise ValidationError(f"unknown oracle {args.what!r}")
     c = _parse_rational(args.c, "--c")
     value = k_bound(c, args.g, args.boundary)
     print(json.dumps({"k_bound": value, "c": _jsonable(c),

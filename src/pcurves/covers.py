@@ -41,10 +41,7 @@ class CoverScenario:
             )
         self.total_constraints.validate_against(self.cover.domain)
         pulled = pullback_constraints(self.cover, self.base_constraints)
-        if not constraint_leq_sets(
-            self.total_constraints.constrained,
-            pulled.constrained,
-        ):
+        if not self.total_constraints.constrained <= pulled.constrained:
             raise ValidationError(
                 "domain constraints must be dominated by the pulled-back ones"
             )
@@ -184,10 +181,6 @@ def i_cover_bound(scenario, other, base_pairing):
     return CoverBoundReport(lhs=lhs, rhs=rhs, slack=slack)
 
 
-def constraint_leq_sets(weaker, stronger):
-    return frozenset(weaker) <= frozenset(stronger)
-
-
 def constraint_leq(c1, c2, surface=None):
     """Partial order on constraint sets over one puncture set: c1 <= c2 when
     every c1-constrained puncture is c2-constrained (to the same orbit,
@@ -195,7 +188,7 @@ def constraint_leq(c1, c2, surface=None):
     if surface is not None:
         c1.validate_against(surface)
         c2.validate_against(surface)
-    return constraint_leq_sets(c1.constrained, c2.constrained)
+    return c1.constrained <= c2.constrained
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from .orbits import (
     nu_at,
     omega_pair,
     omega_pair_strict,
-    omega_self,
 )
 from .surfaces import NEGATIVE, POSITIVE
 
@@ -210,28 +209,16 @@ class SingDecomposition:
     sing_total: Fraction = None
 
 
-def sing_decomposition(
-    curve,
-    constraints,
-    self_end_intersections=None,
-    pair_end_intersections=None,
-    delta_u=None,
-    adjunction_value=None,
-):
+def sing_decomposition(curve, constraints, delta_u=None, adjunction_value=None):
     """Assemble 2 delta_infinity(u; c) from per-end data.
 
-    ``self_end_intersections`` maps a puncture z to the declared relative
-    self asymptotic intersection of that end; it defaults to the theoretical
-    minimum (the self Omega of the orbit), giving delta_inf(u_z) = 0.
-    ``pair_end_intersections`` maps ordered pairs (z, z') of distinct
-    same-sign punctures to their declared nonnegative contribution
-    (default 0).  When the interior singularity count delta(u) is declared,
-    the total is validated against the adjunction singularity index.
+    Every relative asymptotic intersection sits at its minimum: the term of
+    each ordered pair (z, z') of distinct same-sign punctures is 0, and so
+    is delta_inf(u_z) of each end, so only the Morse-Bott parts add up.
+    When the interior singularity count delta(u) is declared, the total is
+    validated against the adjunction singularity index.
     """
-    self_end_intersections = self_end_intersections or {}
-    pair_end_intersections = pair_end_intersections or {}
     perts = puncture_perturbations(curve, constraints)
-    used_default = False
 
     pair_rows = []
     total = Fraction(0)
@@ -241,36 +228,21 @@ def sing_decomposition(
             if z == zp or curve.sign(z) != curve.sign(zp):
                 continue
             sign = curve.sign(z)
-            end_term = pair_end_intersections.get((z, zp), 0)
-            if (z, zp) not in pair_end_intersections:
-                used_default = True
             mb_term = omega_pair_strict(curve.orbit(z), curve.orbit(zp), sign) - omega_pair(
                 curve.orbit(z), perts[z], curve.orbit(zp), perts[zp], sign
             )
-            if end_term < 0 or mb_term < 0:
+            if mb_term < 0:
                 raise ConsistencyError(
                     f"negative summand at end pair ({z}, {zp})"
                 )
-            pair_rows.append(((z, zp), end_term, mb_term))
-            total += end_term + mb_term
+            pair_rows.append(((z, zp), 0, mb_term))
+            total += mb_term
 
     end_rows = []
     for z in ids:
-        orbit = curve.orbit(z)
-        sign = curve.sign(z)
-        minimum = omega_self(orbit, sign)
-        declared = self_end_intersections.get(z, minimum)
-        if z not in self_end_intersections:
-            used_default = True
-        two_delta_inf = declared - minimum
-        if two_delta_inf < 0:
-            raise ConsistencyError(
-                f"declared self asymptotic intersection at {z!r} is below "
-                "its theoretical minimum"
-            )
-        two_delta_mb = 2 * delta_mb(orbit, perts[z], curve.sign(z))
-        end_rows.append((z, Fraction(two_delta_inf), two_delta_mb))
-        total += two_delta_inf + two_delta_mb
+        two_delta_mb = 2 * delta_mb(curve.orbit(z), perts[z], curve.sign(z))
+        end_rows.append((z, Fraction(0), two_delta_mb))
+        total += two_delta_mb
 
     sing_total = None
     if delta_u is not None:
@@ -284,6 +256,6 @@ def sing_decomposition(
         delta_infinity_doubled=total,
         pair_terms=tuple(pair_rows),
         end_terms=tuple(end_rows),
-        declared_unverified=used_default,
+        declared_unverified=bool(ids),
         sing_total=sing_total,
     )

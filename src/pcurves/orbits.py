@@ -148,10 +148,6 @@ class Perturbation:
     def __post_init__(self):
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
 
-    @property
-    def sign(self):
-        return (self.epsilon > 0) - (self.epsilon < 0)
-
 
 @dataclass(frozen=True)
 class OrbitClass:

@@ -23,17 +23,19 @@ class Kind:
     """``parse(value, scenario)`` returns the value as read, or raises a
     ValidationError saying what it must be; ``default`` is what an absent
     value reads as.  A perturbation names the orbit parameter it perturbs in
-    ``perturbs``."""
+    ``perturbs``, and in ``scaled_by`` the order k of a cover that is asked
+    at k times it."""
 
     parse: object
     default: object = REQUIRED
     perturbs: str = None
+    scaled_by: str = None
 
     def optional(self, default=None):
         return replace(self, default=default)
 
-    def of(self, orbit_key):
-        return replace(self, perturbs=orbit_key)
+    def of(self, orbit_key, order_key=None):
+        return replace(self, perturbs=orbit_key, scaled_by=order_key)
 
 
 def _checked(test, what):

@@ -54,14 +54,12 @@ class Query:
 class QueryRegistry:
     def __init__(self):
         self._handlers = {}
-        self.covered_operations = set()
 
-    def register(self, name, formula, operations, **params):
+    def register(self, name, formula, **params):
         """``params`` gives each parameter of this query kind its kind from
         the ``params`` module; the handler is called with the values read."""
         def wrap(fn):
             self._handlers[name] = (fn, formula, params)
-            self.covered_operations.update(operations)
             return fn
 
         return wrap
@@ -87,7 +85,7 @@ class QueryRegistry:
 REGISTRY = QueryRegistry()
 
 
-@REGISTRY.register("euler_char", "chi = 2 - 2g - m - #punctures", ["euler_char"], surface=SURFACE)
+@REGISTRY.register("euler_char", "chi = 2 - 2g - m - #punctures", surface=SURFACE)
 def _q_euler(scenario, surface):
     return surfaces.euler_char(surface)
 
@@ -95,29 +93,23 @@ def _q_euler(scenario, surface):
 @REGISTRY.register(
     "teichmuller_dim",
     "stable: 6g - 6 + 3m + 2#punctures; else tabulated",
-    ["teichmuller_dim"],
     surface=SURFACE,
 )
 def _q_teich(scenario, surface):
     return surfaces.teichmuller_dim(surface)
 
 
-@REGISTRY.register("aut_dim", "0 if stable; else tabulated", ["aut_dim"], surface=SURFACE)
+@REGISTRY.register("aut_dim", "0 if stable; else tabulated", surface=SURFACE)
 def _q_aut(scenario, surface):
     return surfaces.aut_dim(surface)
 
 
-@REGISTRY.register(
-    "riemann_hurwitz",
-    "Z = -chi(domain) + degree * chi(codomain)",
-    ["riemann_hurwitz_punctured"],
-    cover=COVER,
-)
+@REGISTRY.register("riemann_hurwitz", "Z = -chi(domain) + degree * chi(codomain)", cover=COVER)
 def _q_rh(scenario, cover):
     return surfaces.riemann_hurwitz_punctured(cover.cover)
 
 
-@REGISTRY.register("cover_moduli_dim", "dim = 2 Z(d cover)", ["cover_moduli_dim"], cover=COVER)
+@REGISTRY.register("cover_moduli_dim", "dim = 2 Z(d cover)", cover=COVER)
 def _q_cmd(scenario, cover):
     return surfaces.cover_moduli_dim(cover.cover)
 
@@ -125,7 +117,6 @@ def _q_cmd(scenario, cover):
 @REGISTRY.register(
     "spectrum",
     "eigenvalues of the Fourier-truncated operator with windings (reliable window)",
-    ["discretized_spectrum"],
     orbit=ORBIT,
     truncation=TRUNCATION.optional(),
 )
@@ -147,7 +138,6 @@ def _q_spectrum(scenario, orbit, truncation):
 @REGISTRY.register(
     "alpha",
     "extremal windings below/above the probe point, parity = difference",
-    ["alpha_pm"],
     orbit=ORBIT,
     epsilon=PERTURBATION.of("orbit"),
 )
@@ -159,7 +149,6 @@ def _q_alpha(scenario, orbit, epsilon):
 @REGISTRY.register(
     "conley_zehnder",
     "winding method: 2 alpha_- + parity; crossing flow: Robbin-Salamon count",
-    ["conley_zehnder"],
     orbit=ORBIT,
     epsilon=PERTURBATION.of("orbit"),
     method=METHOD,
@@ -168,9 +157,7 @@ def _q_cz(scenario, orbit, epsilon, method):
     return orbits.conley_zehnder(orbit, epsilon, method)
 
 
-@REGISTRY.register(
-    "nu", "nu = alpha(down-perturbed) - alpha(up-perturbed)", ["nu_pm"], orbit=ORBIT
-)
+@REGISTRY.register("nu", "nu = alpha(down-perturbed) - alpha(up-perturbed)", orbit=ORBIT)
 def _q_nu(scenario, orbit):
     nm, np_ = orbits.nu_pm(orbit)
     return {"nu_minus": nm, "nu_plus": np_}
@@ -179,7 +166,6 @@ def _q_nu(scenario, orbit):
 @REGISTRY.register(
     "cover_orbit",
     "k-fold cover: pulled-back operator, eigenvalues scale by k",
-    ["cover_orbit"],
     orbit=ORBIT,
     k=ORDER,
 )
@@ -197,7 +183,6 @@ def _q_cover_orbit(scenario, orbit, k):
 @REGISTRY.register(
     "cov_extremal",
     "largest divisor of the covering number dividing the extremal winding",
-    ["cov_extremal"],
     orbit=ORBIT,
     side=SIGN,
 )
@@ -208,9 +193,8 @@ def _q_cov_extremal(scenario, orbit, side):
 @REGISTRY.register(
     "q_cover",
     "alpha(cover + k eps) = k alpha(base + eps) -+ q, q in [0, k-1]",
-    ["q_of_cover"],
     orbit=ORBIT,
-    epsilon=PERTURBATION.of("orbit"),
+    epsilon=PERTURBATION.of("orbit", "k"),
     k=ORDER,
     side=SIGN,
 )
@@ -221,7 +205,6 @@ def _q_qcover(scenario, orbit, epsilon, k, side):
 @REGISTRY.register(
     "omega",
     "m n min{(-+ alpha)/m, (-+ alpha)/n}; 0 for distinct orbits",
-    ["omega_pair"],
     a=ORBIT,
     epsilon_a=PERTURBATION.of("a"),
     b=ORBIT,
@@ -232,9 +215,7 @@ def _q_omega(scenario, a, epsilon_a, b, epsilon_b, sign):
     return orbits.omega_pair(a, epsilon_a, b, epsilon_b, sign)
 
 
-@REGISTRY.register(
-    "omega_self", "-+ (k-1) alpha + (cov - 1)", ["omega_self"], orbit=ORBIT, sign=SIGN
-)
+@REGISTRY.register("omega_self", "-+ (k-1) alpha + (cov - 1)", orbit=ORBIT, sign=SIGN)
 def _q_omega_self(scenario, orbit, sign):
     return orbits.omega_self(orbit, sign)
 
@@ -242,9 +223,8 @@ def _q_omega_self(scenario, orbit, sign):
 @REGISTRY.register(
     "q_tilde",
     "covering defect of the Omega pairing",
-    ["q_tilde"],
     orbit_m=ORBIT,
-    epsilon_m=PERTURBATION.of("orbit_m"),
+    epsilon_m=PERTURBATION.of("orbit_m", "k"),
     orbit_n=ORBIT,
     epsilon_n=PERTURBATION.of("orbit_n"),
     k=ORDER,
@@ -257,7 +237,6 @@ def _q_qtilde(scenario, orbit_m, epsilon_m, orbit_n, epsilon_n, k, sign):
 @REGISTRY.register(
     "delta_mb",
     "[k (m-1) nu + cov - cov_generic] / 2 at unconstrained ends, else 0",
-    ["delta_mb"],
     orbit=ORBIT,
     epsilon=PERTURBATION.of("orbit"),
     sign=SIGN,
@@ -269,7 +248,6 @@ def _q_delta_mb(scenario, orbit, epsilon, sign):
 @REGISTRY.register(
     "parity",
     "(#even, #odd) punctures under the constraint perturbations",
-    ["parity_partition"],
     curve=CURVE,
 )
 def _q_parity(scenario, curve):
@@ -280,7 +258,6 @@ def _q_parity(scenario, curve):
 @REGISTRY.register(
     "index",
     "ind = (n-3) chi + 2 c1 + boundary Maslov + signed CZ sum",
-    ["fredholm_index"],
     curve=CURVE,
 )
 def _q_index(scenario, curve):
@@ -290,7 +267,6 @@ def _q_index(scenario, curve):
 @REGISTRY.register(
     "normal_chern",
     "2 c_N = ind - 2 + 2g + #even + m, cross-checked against the winding form",
-    ["normal_chern"],
     curve=CURVE,
 )
 def _q_cn(scenario, curve):
@@ -300,7 +276,6 @@ def _q_cn(scenario, curve):
 @REGISTRY.register(
     "k_bound",
     "min{k + l : k <= G, 2k + l > 2c}, l even when closed",
-    ["k_bound"],
     c=RATIONAL,
     genus0=INT,
     boundary=BOOL,
@@ -312,7 +287,6 @@ def _q_kbound(scenario, c, genus0, boundary):
 @REGISTRY.register(
     "transversality",
     "regular when ind > c_N + Z(du); kernel bounds otherwise",
-    ["transversality_check"],
     curve=CURVE,
 )
 def _q_trans(scenario, curve):
@@ -322,7 +296,6 @@ def _q_trans(scenario, curve):
 @REGISTRY.register(
     "line_bundle",
     "injective iff c1 < 0 (ind <= 0); surjective iff ind > c1 (ind >= 0)",
-    ["line_bundle_bounds"],
     index=INT,
     c1_adjusted=RATIONAL,
     gamma0=INT,
@@ -335,7 +308,6 @@ def _q_line_bundle(scenario, index, c1_adjusted, gamma0, boundary):
 @REGISTRY.register(
     "index_normal",
     "ind(normal operator) = ind - 2 Z(du); tangent: 3 chi + #punctures + 2 Z(du)",
-    ["index_normal_operator"],
     curve=CURVE,
 )
 def _q_index_normal(scenario, curve):
@@ -348,7 +320,6 @@ def _q_index_normal(scenario, curve):
 @REGISTRY.register(
     "critical_bound",
     "somewhere injective and generic: 2 Z(du) <= ind",
-    ["critical_bound_check"],
     curve=CURVE,
 )
 def _q_critical(scenario, curve):
@@ -358,7 +329,6 @@ def _q_critical(scenario, curve):
 @REGISTRY.register(
     "zero_budget",
     "kernel sections spend Z + Z_infinity = adjusted c1",
-    ["adjusted_c1_zero_budget"],
     c1_adjusted=RATIONAL,
 )
 def _q_budget(scenario, c1_adjusted):
@@ -373,7 +343,6 @@ def _self_i(scenario, curve):
 @REGISTRY.register(
     "intersection",
     "i = relative pairing - sum of Omega terms",
-    ["intersection_number"],
     left=CURVE,
     right=CURVE,
 )
@@ -384,7 +353,6 @@ def _q_intersection(scenario, left, right):
 @REGISTRY.register(
     "asymptotic",
     "asymptotic contributions: per-end-pair fixed and Morse-Bott parts",
-    ["asymptotic_intersection"],
     left=CURVE,
     right=CURVE,
     geometric_count=INT.optional(),
@@ -396,7 +364,6 @@ def _q_asymptotic(scenario, left, right, geometric_count):
 @REGISTRY.register(
     "cov_totals",
     "cov_infinity = sum (cov - 1); cov_morse_bott = sum (cov - 1) nu over unconstrained",
-    ["cov_totals"],
     curve=CURVE,
 )
 def _q_cov_totals(scenario, curve):
@@ -407,7 +374,6 @@ def _q_cov_totals(scenario, curve):
 @REGISTRY.register(
     "adjunction_sing",
     "sing = [i(u|u) - c_N - cov_infinity - cov_morse_bott] / 2 >= 0",
-    ["adjunction_sing"],
     curve=CURVE,
 )
 def _q_adj_sing(scenario, curve):
@@ -417,7 +383,6 @@ def _q_adj_sing(scenario, curve):
 @REGISTRY.register(
     "sing_decomposition",
     "2 delta_infinity assembled from per-end and per-pair nonnegative terms",
-    ["sing_decomposition"],
     curve=CURVE,
     delta_u=RATIONAL.optional(),
 )
@@ -431,7 +396,6 @@ def _q_sing_dec(scenario, curve, delta_u):
 @REGISTRY.register(
     "pullback_constraints",
     "a domain puncture is constrained iff its image is",
-    ["pullback_constraints"],
     cover=COVER,
 )
 def _q_pullback(scenario, cover):
@@ -442,7 +406,6 @@ def _q_pullback(scenario, cover):
 @REGISTRY.register(
     "cn_cover",
     "c_N(cover) = degree * c_N(base) + Z + Q, Q = sum of covering defects",
-    ["cn_cover"],
     cover=COVER,
 )
 def _q_cn_cover(scenario, cover):
@@ -453,7 +416,6 @@ def _q_cn_cover(scenario, cover):
 @REGISTRY.register(
     "i_cover_bound",
     "i(cover | other) = degree * i(base | other) + sum of q-tilde terms >= degree * i",
-    ["i_cover_bound"],
     cover=COVER,
     other=CURVE,
 )
@@ -465,7 +427,6 @@ def _q_icb(scenario, cover, other):
 @REGISTRY.register(
     "constraint_leq",
     "weaker <= stronger iff every weaker-constrained puncture is stronger-constrained",
-    ["constraint_leq"],
     curve=CURVE,
     weaker=IDS,
     stronger=IDS,
@@ -482,7 +443,6 @@ def _q_cleq(scenario, curve, weaker, stronger):
 @REGISTRY.register(
     "enumerate_covers",
     "finite list of codomain sketches with branching orders and constraints",
-    ["enumerate_cover_candidates"],
     curve=CURVE,
 )
 def _q_enum(scenario, curve):
@@ -510,7 +470,6 @@ def _q_enum(scenario, curve):
 @REGISTRY.register(
     "nice",
     "somewhere injective with i(u|u) <= 0, ind >= 0, ind > c_N, plus consequences",
-    ["is_stable_nicely_embedded"],
     curve=CURVE,
 )
 def _q_nice(scenario, curve):
@@ -521,7 +480,6 @@ def _q_nice(scenario, curve):
 @REGISTRY.register(
     "unique_even",
     "classify the unique even puncture of an index-1 nicely embedded curve",
-    ["unique_even_analysis"],
     curve=CURVE,
 )
 def _q_unique_even(scenario, curve):
@@ -532,7 +490,6 @@ def _q_unique_even(scenario, curve):
 @REGISTRY.register(
     "bad_puncture",
     "even puncture whose orbit doubly covers a nondegenerate odd orbit",
-    ["is_bad_puncture"],
     orbit=ORBIT,
     parity=PARITY,
 )
@@ -544,7 +501,6 @@ def _q_bad(scenario, orbit, parity):
     "screen",
     "degeneration ledger: contradiction branches, or an unbranched cover of "
     "an index-0 nicely embedded curve",
-    ["degeneration_screen"],
     cover=COVER,
     j_mode=J_MODE.optional(),
 )
@@ -557,7 +513,6 @@ def _q_screen(scenario, cover, j_mode):
 @REGISTRY.register(
     "obstruction",
     "winding obstruction isolating multiple covers in the moduli space",
-    ["kernel_section_cover_obstruction"],
     cover=COVER,
     j_mode=J_MODE.optional(),
 )
@@ -568,9 +523,7 @@ def _q_obstruction(scenario, cover, j_mode):
     return classify.kernel_section_cover_obstruction(cover)
 
 
-@REGISTRY.register(
-    "loop_winding", "accumulated argument increment / 2 pi", ["loop_winding"], samples=LOOP_SAMPLES
-)
+@REGISTRY.register("loop_winding", "accumulated argument increment / 2 pi", samples=LOOP_SAMPLES)
 def _q_loop_winding(scenario, samples):
     return zeros.loop_winding(zeros.SampledLoop(samples))
 
@@ -578,7 +531,6 @@ def _q_loop_winding(scenario, samples):
 @REGISTRY.register(
     "zero_count",
     "Z = c1 + maslov/2 + boundary winding",
-    ["zero_count"],
     c1=INT,
     maslov=INT,
     boundary_winding=INT.optional(0),
@@ -593,7 +545,6 @@ def _q_zero_count(scenario, c1, maslov, boundary_winding, has_boundary):
 @REGISTRY.register(
     "doubling",
     "doubled data (2 c1 + maslov, 0, 2 wind) has twice the zero count",
-    ["doubling_check"],
     c1=INT,
     maslov=INT,
     boundary_winding=INT.optional(0),

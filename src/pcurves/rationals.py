@@ -8,34 +8,30 @@ point only ever appears inside the spectral oracle.
 
 from fractions import Fraction
 
+from .errors import ConsistencyError, ValidationError
 
-def as_fraction(value, location=None):
+
+def as_fraction(value):
     """Coerce ints, Fractions and {num, den} objects of two integers to Fraction."""
-    from .errors import ValidationError
-
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, dict) and set(value) == {"num", "den"}:
         num, den = value["num"], value["den"]
         if type(num) is int and type(den) is int and den:
             return Fraction(num, den)
-    raise ValidationError(f"cannot interpret {value!r} as a rational", location)
+    raise ValidationError(f"cannot interpret {value!r} as a rational")
 
 
-def require_half_integer(value, name, location=None):
+def require_half_integer(value, name):
     """Check value is in (1/2)Z and return it as Fraction."""
-    from .errors import ValidationError
-
-    frac = as_fraction(value, location)
+    frac = as_fraction(value)
     if frac.denominator not in (1, 2):
-        raise ValidationError(f"{name} must be a half-integer, got {frac}", location)
+        raise ValidationError(f"{name} must be a half-integer, got {frac}")
     return frac
 
 
 def exact_int(value, name):
     """An exact rational that must be an integer, as an int."""
-    from .errors import ConsistencyError
-
     frac = Fraction(value)
     if frac.denominator != 1:
         raise ConsistencyError(f"{name} = {frac} is not an integer; data inconsistent")

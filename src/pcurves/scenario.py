@@ -327,10 +327,12 @@ def _parse_query(doc, location, scenario):
     for key, kind in params.items():
         orbit = args.get(kind.perturbs)
         if orbit is not None and not orbit.is_operator_backed:
-            # Declared windings hold for perturbations inside the gap only.
+            # Declared windings hold for perturbations inside the gap only,
+            # and a declared k-fold cover is asked at k times the perturbation.
+            scaled = f"{kind.scaled_by!r} * {key!r}" if kind.scaled_by else repr(key)
             _require(
-                abs(args[key].epsilon) < scenario.delta_gap,
-                f"{key!r} must lie in (-delta_gap, delta_gap): {orbit.id!r} has declared windings",
+                abs(args.get(kind.scaled_by, 1) * args[key].epsilon) < scenario.delta_gap,
+                f"{scaled} must lie in (-delta_gap, delta_gap): {orbit.id!r} has declared windings",
                 f"{location}.{key}",
             )
     return Query(doc, args)

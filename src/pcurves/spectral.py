@@ -178,7 +178,6 @@ class SpectralData:
     """
 
     eigenpairs: tuple
-    truncation: int
     diameter: float
 
     def __post_init__(self):
@@ -377,7 +376,7 @@ def discretized_spectrum(op, truncation):
             merged[-1] = (0.5 * (last[0] + lam), w, 2)
         else:
             merged.append((lam, w, 1))
-    return SpectralData(eigenpairs=tuple(merged), truncation=truncation, diameter=diameter)
+    return SpectralData(eigenpairs=tuple(merged), diameter=diameter)
 
 
 class SpectrumCache:

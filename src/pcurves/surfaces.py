@@ -153,9 +153,6 @@ class BranchedCover:
     def target_of(self, z):
         return self.fiber_map[z][0]
 
-    def fiber_over(self, zeta):
-        return tuple(sorted(z for z, (t, _) in self.fiber_map.items() if t == zeta))
-
 
 def riemann_hurwitz_punctured(cover):
     """Algebraic critical-point count Z of the punctured cover.

@@ -227,7 +227,7 @@ def dense_spectrum(op, truncation):
             pairs[-1] = (0.5 * (pairs[-1][0] + lam), w, 2)
         else:
             pairs.append((lam, w, 1))
-    return SpectralData(eigenpairs=tuple(pairs), truncation=truncation, diameter=diameter)
+    return SpectralData(eigenpairs=tuple(pairs), diameter=diameter)
 
 
 def extremal_residue_class(op, truncation, side):

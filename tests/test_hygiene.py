@@ -1,5 +1,6 @@
 """Every module of the package and of its tests uses the names it imports,
-and every function of the package reads its parameters.
+every function of the package reads its parameters, and nothing of the
+package is kept that no caller uses.
 
 No linter is part of the project, so this is the check: each module is
 parsed with ``ast`` and every name bound by an import must be read
@@ -8,6 +9,13 @@ names to re-export them.  A parameter of a package function or lambda
 must be read in its body, except ``self``, ``cls`` and ``scenario``: query
 handlers, ``Kind.parse`` and the scenario parsers all take the scenario,
 whether they read it or not.
+
+The uses of the package are read from the package, its tests and the
+benchmark.  A defaulted parameter of a module-level package function must
+be passed by some call of that name, by keyword, by position or through
+``*``/``**`` (methods are left out: a constructor is called by its class's
+name).  Every function and method of the package must be named somewhere,
+except dunders and the query handlers, which the registry calls.
 """
 
 import ast
@@ -90,3 +98,137 @@ def test_the_check_sees_an_unused_parameter():
 @pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+#: the trees whose calls and names count as uses of the package
+READERS = sorted(
+    p for tree in ("src/pcurves", "tests", "perfbench") for p in (ROOT / tree).glob("*.py")
+)
+
+
+def _calls(sources):
+    """Each call in ``sources``, under the name it calls (``f`` of ``f()``
+    and ``m.f()``)."""
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name:
+                    yield name, node
+
+
+def _passes(call, position, param):
+    """Does ``call`` pass the parameter at ``position`` (None: keyword-only)?"""
+    if any(kw.arg in (param, None) for kw in call.keywords):  # by keyword or **
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def never_passed_options(package, readers):
+    """(function, parameter) of each defaulted parameter of a module-level
+    function of ``package`` that no call in ``readers`` passes."""
+    calls = {}
+    for name, call in _calls(readers):
+        calls.setdefault(name, []).append(call)
+    never = []
+    for source in package:
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            defaulted = [
+                (len(positional) - len(args.defaults) + i, param)
+                for i, param in enumerate(positional[len(positional) - len(args.defaults):])
+            ] + [(None, p) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            never += [
+                (node.name, param.arg)
+                for position, param in defaulted
+                if not any(_passes(c, position, param.arg) for c in calls.get(node.name, ()))
+            ]
+    return never
+
+
+def test_the_check_sees_a_never_passed_option():
+    package = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    return a, b, c, d, e\n"
+        "\n"
+        "def g(a, b=1):\n"
+        "    return a, b\n"
+        "\n"
+        "def h(x=0):\n"
+        "    return x\n"
+        "\n"
+        "class K:\n"
+        "    def m(self, y=0):\n"
+        "        return y\n"
+    )
+    readers = [package, "f(0, 1, e=5)\nm.g(*args)\nh(**options)\n"]
+    assert never_passed_options([package], readers) == [("f", "c"), ("f", "d")]
+
+
+def test_no_never_passed_options():
+    readers = [p.read_text() for p in READERS]
+    assert never_passed_options([p.read_text() for p in PACKAGE], readers) == []
+
+
+def _is_query_handler(node):
+    return any(
+        isinstance(d, ast.Call) and getattr(d.func, "attr", None) == "register"
+        for d in node.decorator_list
+    )
+
+
+def never_named_functions(package, readers):
+    """(line, name) of each function or method of ``package`` whose name no
+    expression of ``readers`` reads, dunders and query handlers aside."""
+    read = {
+        getattr(node, "id", None) or node.attr
+        for source in readers
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        (node.lineno, node.name)
+        for source in package
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+        and node.name not in read
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not _is_query_handler(node)
+    ]
+
+
+def test_the_check_sees_a_never_named_function():
+    package = (
+        "@REGISTRY.register('kind', 'formula')\n"
+        "def _q_kind(scenario):\n"
+        "    return helper()\n"
+        "\n"
+        "def helper():\n"
+        "    return 0\n"
+        "\n"
+        "def orphan():\n"
+        "    return 1\n"
+        "\n"
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.used = 0\n"
+        "\n"
+        "    def method(self):\n"
+        "        return self.used\n"
+        "\n"
+        "    def lonely(self):\n"
+        "        return 2\n"
+    )
+    readers = [package, "C().method()\n"]
+    assert never_named_functions([package], readers) == [(8, "orphan"), (18, "lonely")]
+
+
+def test_no_never_named_functions():
+    readers = [p.read_text() for p in READERS]
+    assert never_named_functions([p.read_text() for p in PACKAGE], readers) == []

@@ -196,10 +196,6 @@ SPEC_OPERATIONS = {
 }
 
 
-def test_query_registry_covers_every_operation():
-    assert SPEC_OPERATIONS <= REGISTRY.covered_operations
-
-
 EIGHTH = {"num": 1, "den": 8}
 ONE_QUERY_OF_EACH_KIND = [
     {"name": "euler_char", "surface": "cod3"},
@@ -269,6 +265,26 @@ def test_every_query_kind_runs_on_the_bundled_scenario():
             assert result["status"] == "ok", result
 
 
+def test_every_operation_is_called_by_some_query(monkeypatch):
+    # A fresh cache, so the spectrum query computes its spectrum.
+    monkeypatch.setattr(GLOBAL_SPECTRUM_CACHE, "_store", {})
+    doc = foliation_doc()
+    doc["queries"] = ONE_QUERY_OF_EACH_KIND
+    scenario = load_scenario(doc)
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("pcurves."):
+            entered.add(frame.f_code.co_name)
+
+    sys.setprofile(record)
+    try:
+        run_queries(scenario)
+    finally:
+        sys.setprofile(None)
+    assert SPEC_OPERATIONS - entered == set()
+
+
 def declared_from_spectra(doc, truncation):
     """``doc`` with the winding of each operator-backed orbit replaced by its
     declared windings of A -+ delta, read off its own spectrum at a delta
@@ -294,9 +310,14 @@ def test_declared_windings_read_off_the_spectra_answer_alike():
     # itself gives the same result from either.
     doc = foliation_doc()
     doc["queries"] += [
-        q for q in ONE_QUERY_OF_EACH_KIND
+        q for q in copy.deepcopy(ONE_QUERY_OF_EACH_KIND)
         if q["name"] != "spectrum" and q.get("method") != "crossing_flow"
     ]
+    # A declared k-fold cover is asked at k * epsilon, which must stay inside
+    # the gap of 1/4: epsilon = 1/8 with k = 2 would reach it.
+    for q in doc["queries"]:
+        if q["name"] in ("q_cover", "q_tilde"):
+            q["epsilon" if q["name"] == "q_cover" else "epsilon_m"] = {"num": 1, "den": 16}
     declared = declared_from_spectra(copy.deepcopy(doc), 64)
     assert all(o["winding"]["type"] == "declared" for o in declared["orbits"])
     spectral_results = run_queries(load_scenario(doc, truncation=64))
@@ -526,6 +547,20 @@ def _set(path, value):
             _set(["queries", 0], {"name": "omega", "a": "g_inf", "epsilon_a": 7, "b": "g_one",
                                   "epsilon_b": {"num": -1, "den": 4}, "sign": "-"})(doc),
         ), "$.queries[0].epsilon_b"),
+        # A declared k-fold cover is asked at k * epsilon.
+        (lambda doc: (
+            _set(["orbits", 2, "winding"], {"type": "declared", "minus_delta": [1, 2],
+                                            "plus_delta": [0, 1]})(doc),
+            _set(["queries", 0], {"name": "q_cover", "orbit": "g_one", "k": 2, "side": "-",
+                                  "epsilon": {"num": 15, "den": 64}})(doc),
+        ), "$.queries[0].epsilon"),
+        (lambda doc: (
+            _set(["orbits", 2, "winding"], {"type": "declared", "minus_delta": [1, 2],
+                                            "plus_delta": [0, 1]})(doc),
+            _set(["queries", 0], {"name": "q_tilde", "orbit_m": "g_one", "orbit_n": "g_one",
+                                  "epsilon_m": {"num": -15, "den": 64}, "k": 2,
+                                  "sign": "-"})(doc),
+        ), "$.queries[0].epsilon_m"),
         # One orbit per simple orbit and covering number.
         (lambda doc: doc["orbits"].extend(
             {"id": oid, "simple": "h", "cover": k,
@@ -555,6 +590,7 @@ def _set(path, value):
         "total-constrained-list", "cover-beyond-truncation", "declared-no-flow",
         "declared-both-spellings", "declared-alpha-plus-with-deltas",
         "declared-epsilon-outside-the-gap", "declared-epsilon-at-the-gap",
+        "declared-cover-epsilon-outside-the-gap", "declared-cover-epsilon-m-outside-the-gap",
         "duplicate-declared-cover",
         "nondegenerate-kind-with-family-keys",
     ],
@@ -611,11 +647,18 @@ def test_truncation_env_override(monkeypatch):
     assert resolve_truncation(None) == (64, "default")
 
 
-def test_cli_check_resolves_truncation_from_env(monkeypatch):
-    # Below MIN_TRUNCATION the gap certification of the operator orbits
-    # must refuse, so an exit code of 0 means the variable was ignored.
+def test_cli_check_resolves_truncation_from_env(monkeypatch, capsys):
+    # Below MIN_TRUNCATION the variable itself is refused, so an exit code
+    # of 0 means it was ignored.
     monkeypatch.setenv("PCURVES_TRUNCATION", "4")
     assert main(["check", str(FOLIATION)]) == 2
+    assert capsys.readouterr().err.startswith("validation error: PCURVES_TRUNCATION: ")
+
+
+@pytest.mark.parametrize("command", [["run"], ["spectrum", "--operator", "g_zero"]])
+def test_cli_truncation_flag_below_the_minimum_is_located(capsys, command):
+    assert main([command[0], str(FOLIATION), *command[1:], "--truncation", "4"]) == 2
+    assert capsys.readouterr().err.startswith("validation error: --truncation: ")
 
 
 def test_non_integer_truncation_env_is_a_validation_error(monkeypatch):
