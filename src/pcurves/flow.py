@@ -1,0 +1,155 @@
+"""The floating point that ``spectral.py`` does not hold: the crossing-flow
+Conley-Zehnder index and the winding number of a sampled complex loop, both
+turn counts of a planar path, taken by one helper, ``_turns``."""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import DegeneracyError, SpectralError, ValidationError
+
+#: least number of steps of the crossing-flow integration on [0, 1]
+FLOW_STEPS = 2048
+#: most steps of the crossing-flow integration; a loop whose rotation
+#: bound needs more is refused
+FLOW_MAX_STEPS = 2**16
+#: the most that the a priori bound lets Psi(t) e1 turn in one flow step,
+#: well below pi, so that no argument step of the flow wraps
+FLOW_MAX_TURN = np.pi / 4
+#: |tr Psi(1) - 2| below which the crossing-flow endpoint counts as
+#: degenerate.  The sign of tr - 2 gives the parity; at FLOW_STEPS the
+#: error of the trace stayed below 1e-9 near tr = 2 on random loops of
+#: degree 4 with coefficients up to 4, against 8 times as many steps.
+#: Multiplying the steps as a prefix product instead of one after another
+#: moves the trace by 7e-14 at most where |tr - 2| < 1, and by 3e-10 (4e-14
+#: relative) at tr = 4e4, on 600 loop/epsilon pairs of those loops.
+FLOW_TRACE_TOL = 1e-8
+
+MIN_MODULUS = 1e-9
+MAX_STEP = np.pi - 1e-12  # argument steps must stay below pi
+
+
+def _turns(path):
+    """Turns of the planar path through the complex points ``path``: its
+    argument steps, each wrapped into (-pi, pi], summed over 2 pi.  A step
+    that reaches pi may have wrapped, so it is refused."""
+    steps = np.angle(path[1:] * path[:-1].conj())
+    if (np.abs(steps) >= MAX_STEP).any():
+        raise ValidationError(
+            "argument step of at least pi between consecutive samples; refine the loop"
+        )
+    return float(steps.sum()) / (2 * np.pi)
+
+
+@dataclass(frozen=True)
+class SampledLoop:
+    """Uniform samples of a nonvanishing complex loop over one period."""
+
+    values: tuple  # complex numbers
+
+    def __post_init__(self):
+        vals = tuple(complex(v) for v in self.values)
+        if len(vals) < 3:
+            raise ValidationError("need at least 3 samples")
+        if any(abs(v) < MIN_MODULUS for v in vals):
+            raise ValidationError("loop passes within 1e-9 of zero")
+        object.__setattr__(self, "values", vals)
+
+
+def loop_winding(loop):
+    """Winding number of the loop: its turns over one period, closed back to
+    the first sample, which must come out an integer."""
+    winding = _turns(np.array(loop.values + loop.values[:1]))
+    nearest = round(winding)
+    if abs(winding - nearest) > 1e-6:
+        raise ValidationError("accumulated winding is not an integer")
+    return nearest
+
+
+def crossing_flow_cz(op, epsilon):
+    """Conley-Zehnder index of the path Psi' = J0 (S + epsilon) Psi on
+    [0, 1]; callers computing the index of A + eps pass epsilon = -eps.
+
+    In dimension 2 the lifted rotations of Psi(t) v over v != 0 fill an
+    interval shorter than 1/2 (Hofer-Wysocki-Zehnder, Properties of
+    pseudoholomorphic curves in symplectisations II).  The index is 2k when
+    that interval contains the integer k, which happens exactly when
+    det(I - Psi(1)) = 2 - tr Psi(1) < 0, and 2k + 1 when it lies in
+    (k, k + 1); the rotation of Psi(t) e1 picks k.
+    """
+    trace, turns = _crossing_flow(op, float(epsilon))
+    if abs(trace - 2.0) < FLOW_TRACE_TOL:
+        raise DegeneracyError("degenerate endpoint: the perturbed orbit has kernel")
+    if trace > 2.0:
+        return 2 * round(turns)
+    return 2 * math.floor(turns) + 1
+
+
+def _crossing_flow(op, epsilon):
+    """(tr Psi(1), turns of Psi(t) e1 over [0, 1]) for Psi' = J0 (S + epsilon) Psi,
+    Psi(0) = I, from fourth-order Magnus steps of length h.
+
+    Psi(t) e1 turns at most at the rate |S(t) + epsilon| <= sum |a_k| +
+    |epsilon|, so the step count is the least power of two from FLOW_STEPS
+    on that keeps h times this bound at most FLOW_MAX_TURN; beyond
+    FLOW_MAX_STEPS the loop is refused with SpectralError.
+
+    The two Gauss points of the steps form two uniform grids t_j = (j + o) h,
+    o = 1/2 -+ sqrt(3)/6.  With S(t) = Re sum of a_k e^{2 pi i k t} over
+    0 <= k <= N/2 (a_0 = c_0, a_k = 2 c_k, the Nyquist mode split evenly
+    between +-N/2), S(t_j) = Re sum of a_k e^{2 pi i k o h} e^{2 pi i k j h},
+    one inverse FFT per grid once mode k is folded onto k mod the steps.
+    S_k has modes only at multiples of its mode step (k for a cover of a
+    loop whose samples do not repeat), and only those are summed.
+    """
+    modes, coeffs = op.fourier_modes()
+    # Rows (s11, s12, s22) of the real-sum coefficients a_k.
+    coeffs = 2.0 * coeffs.reshape(-1, 4)[:, [0, 1, 3]]
+    coeffs[0] /= 2.0
+    # Frobenius norms of the a_k bound their operator norms.
+    rate = np.sqrt(np.abs(coeffs) ** 2 @ [1.0, 2.0, 1.0]).sum() + abs(epsilon)
+    steps = FLOW_STEPS
+    while rate > steps * FLOW_MAX_TURN:
+        steps *= 2
+        if steps > FLOW_MAX_STEPS:
+            raise SpectralError(
+                f"the crossing flow turns at rates up to {rate:.6g}, too fast to"
+                f" resolve in {FLOW_MAX_STEPS} steps"
+            )
+    h = 1.0 / steps
+    gauss = math.sqrt(3) / 6
+    offsets = np.array([0.5 - gauss, 0.5 + gauss])
+    folded = np.zeros((2, steps, 3), dtype=complex)
+    np.add.at(
+        folded,
+        (slice(None), modes % steps),
+        np.exp(2j * np.pi * h * np.outer(offsets, modes))[:, :, None] * coeffs,
+    )
+    s11, s12, s22 = (steps * np.fft.ifft(folded, axis=1).real).transpose(2, 0, 1)
+    # J0 (S + epsilon) = [[p, q], [r, -p]] at both grids.
+    (p1, p2), (q1, q2), (r1, r2) = -s12, -(s22 + epsilon), s11 + epsilon
+    # Magnus step X = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1], trace-free.  X @
+    # X = -det(X) I, so exp(X) = cos(w) I + (sin(w) / w) X with w = sqrt(det X),
+    # real also when det X < 0; every step lies in Sp(2).
+    comm = 0.5 * gauss * h * h
+    xp = 0.5 * h * (p1 + p2) + comm * (q2 * r1 - q1 * r2)
+    xq = 0.5 * h * (q1 + q2) + 2 * comm * (p2 * q1 - p1 * q2)
+    xr = 0.5 * h * (r1 + r2) + 2 * comm * (r2 * p1 - p2 * r1)
+    w = np.sqrt((-xp * xp - xq * xr).astype(complex))
+    cos, sinc = np.cos(w).real, np.sinc(w / np.pi).real
+    # Entries of the steps, then of the products Psi(t_{j+1}) = E_j ... E_0:
+    # an inclusive prefix product, later steps on the left, in log2(steps)
+    # rounds of one batched product each (Hillis-Steele).
+    a, b, c, d = cos + sinc * xp, sinc * xq, sinc * xr, cos - sinc * xp
+    shift = 1
+    while shift < steps:
+        hi, lo = slice(shift, None), slice(None, -shift)
+        a[hi], b[hi], c[hi], d[hi] = (
+            a[hi] * a[lo] + b[hi] * c[lo],
+            a[hi] * b[lo] + b[hi] * d[lo],
+            c[hi] * a[lo] + d[hi] * c[lo],
+            c[hi] * b[lo] + d[hi] * d[lo],
+        )
+        shift *= 2
+    return float(a[-1] + d[-1]), _turns(np.concatenate([[1.0], a + 1j * c]))

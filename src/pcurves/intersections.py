@@ -96,6 +96,20 @@ def intersection_number(pairing):
     return pairing.relative_pairing - omega_sum(pairing)
 
 
+def _morse_bott_term(pair, a, pert_a, b, pert_b, sign):
+    """The Morse-Bott part of the same-sign end pair ``pair`` = (z, z') at
+    the orbits a, b: Omega at zero perturbation minus Omega at the
+    constrained perturbations, nonnegative for consistent winding data."""
+    term = omega_pair_strict(a, b, sign) - omega_pair(a, pert_a, b, pert_b, sign)
+    if term < 0:
+        z, zp = pair
+        raise ConsistencyError(
+            f"negative Morse-Bott contribution at end pair ({z}, {zp});"
+            " winding data is inconsistent"
+        )
+    return term
+
+
 @dataclass(frozen=True)
 class AsymptoticReport:
     total: int
@@ -128,14 +142,7 @@ def asymptotic_intersection(pairing, geometric_count=None):
         end_term = pairing.end_intersection(z, zp)
         if (z, zp) not in pairing.declared_end_intersections:
             used_default = True
-        mb_term = omega_pair_strict(a, b, sign) - omega_pair(
-            a, perts_l[z], b, perts_r[zp], sign
-        )
-        if mb_term < 0:
-            raise ConsistencyError(
-                f"negative Morse-Bott contribution at end pair ({z}, {zp});"
-                " winding data is inconsistent"
-            )
+        mb_term = _morse_bott_term((z, zp), a, perts_l[z], b, perts_r[zp], sign)
         rows.append(((z, zp), end_term, mb_term))
         total += end_term + mb_term
     consistent = None
@@ -227,14 +234,9 @@ def sing_decomposition(curve, constraints, delta_u=None, adjunction_value=None):
         for zp in ids:
             if z == zp or curve.sign(z) != curve.sign(zp):
                 continue
-            sign = curve.sign(z)
-            mb_term = omega_pair_strict(curve.orbit(z), curve.orbit(zp), sign) - omega_pair(
-                curve.orbit(z), perts[z], curve.orbit(zp), perts[zp], sign
+            mb_term = _morse_bott_term(
+                (z, zp), curve.orbit(z), perts[z], curve.orbit(zp), perts[zp], curve.sign(z)
             )
-            if mb_term < 0:
-                raise ConsistencyError(
-                    f"negative summand at end pair ({z}, {zp})"
-                )
             pair_rows.append(((z, zp), 0, mb_term))
             total += mb_term
 

@@ -14,11 +14,9 @@ samples), and all covers inherit it, so windings of covers are measured
 against the same frame.
 """
 
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-
-import numpy as np
+from math import gcd
 
 from .errors import (
     ConsistencyError,
@@ -26,6 +24,7 @@ from .errors import (
     MissingDataError,
     ValidationError,
 )
+from .flow import crossing_flow_cz
 from .rationals import exact_int
 from .spectral import (
     DEFAULT_TRUNCATION,
@@ -37,17 +36,6 @@ from .spectral import (
 
 WINDING = "winding"
 CROSSING_FLOW = "crossing_flow"
-
-#: steps of the crossing-flow integration on [0, 1]
-FLOW_STEPS = 2048
-#: |tr Psi(1) - 2| below which the crossing-flow endpoint counts as
-#: degenerate.  The sign of tr - 2 gives the parity; at FLOW_STEPS the
-#: error of the trace stayed below 1e-9 near tr = 2 on random loops of
-#: degree 4 with coefficients up to 4, against 8 times as many steps.
-#: Multiplying the steps as a prefix product instead of one after another
-#: moves the trace by 7e-14 at most where |tr - 2| < 1, and by 3e-10 (4e-14
-#: relative) at tr = 4e4, on 600 loop/epsilon pairs of those loops.
-FLOW_TRACE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -290,91 +278,10 @@ def conley_zehnder(orbit, pert, method=WINDING, truncation=None):
             raise MissingDataError(
                 "crossing-flow method needs an operator-backed orbit"
             )
-        eps = _epsilon(pert)
         # A + eps = -J0 d/dt - (S - eps), so the linearized Hamiltonian flow
         # of the perturbed operator runs with the matrix loop S - eps.
-        return _crossing_flow_cz(orbit.winding.op, -float(eps))
+        return crossing_flow_cz(orbit.winding.op, -_epsilon(pert))
     raise ValidationError(f"unknown Conley-Zehnder method {method!r}")
-
-
-# ---------------------------------------------------------------------------
-# Crossing-flow evaluation
-
-
-def _crossing_flow_cz(op, epsilon):
-    """Conley-Zehnder index of the path Psi' = J0 (S + epsilon) Psi on
-    [0, 1]; callers computing the index of A + eps pass epsilon = -eps.
-
-    In dimension 2 the lifted rotations of Psi(t) v over v != 0 fill an
-    interval shorter than 1/2 (Hofer-Wysocki-Zehnder, Properties of
-    pseudoholomorphic curves in symplectisations II).  The index is 2k when
-    that interval contains the integer k, which happens exactly when
-    det(I - Psi(1)) = 2 - tr Psi(1) < 0, and 2k + 1 when it lies in
-    (k, k + 1); the rotation of Psi(t) e1 picks k.
-    """
-    trace, turns = _crossing_flow(op, epsilon)
-    if abs(trace - 2.0) < FLOW_TRACE_TOL:
-        raise DegeneracyError("degenerate endpoint: the perturbed orbit has kernel")
-    if trace > 2.0:
-        return 2 * round(turns)
-    return 2 * math.floor(turns) + 1
-
-
-def _crossing_flow(op, epsilon):
-    """(tr Psi(1), turns of Psi(t) e1 over [0, 1]) for Psi' = J0 (S + epsilon) Psi,
-    Psi(0) = I, from FLOW_STEPS fourth-order Magnus steps of length h.
-
-    The two Gauss points of the steps form two uniform grids t_j = (j + o) h,
-    o = 1/2 -+ sqrt(3)/6.  With S(t) = Re sum of a_k e^{2 pi i k t} over
-    0 <= k <= N/2 (a_0 = c_0, a_k = 2 c_k, the Nyquist mode split evenly
-    between +-N/2), S(t_j) = Re sum of a_k e^{2 pi i k o h} e^{2 pi i k j h},
-    one inverse FFT per grid once mode k is folded onto k mod FLOW_STEPS.
-    S_k has modes only at multiples of its mode step (k for a cover of a
-    loop whose samples do not repeat), and only those are summed.
-    """
-    steps = FLOW_STEPS
-    h = 1.0 / steps
-    gauss = math.sqrt(3) / 6
-    modes, coeffs = op.fourier_modes()
-    # Rows (s11, s12, s22) of the real-sum coefficients a_k.
-    coeffs = 2.0 * coeffs.reshape(-1, 4)[:, [0, 1, 3]]
-    coeffs[0] /= 2.0
-    offsets = np.array([0.5 - gauss, 0.5 + gauss])
-    folded = np.zeros((2, steps, 3), dtype=complex)
-    np.add.at(
-        folded,
-        (slice(None), modes % steps),
-        np.exp(2j * np.pi * h * np.outer(offsets, modes))[:, :, None] * coeffs,
-    )
-    s11, s12, s22 = (steps * np.fft.ifft(folded, axis=1).real).transpose(2, 0, 1)
-    # J0 (S + epsilon) = [[p, q], [r, -p]] at both grids.
-    (p1, p2), (q1, q2), (r1, r2) = -s12, -(s22 + epsilon), s11 + epsilon
-    # Magnus step X = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1], trace-free.  X @
-    # X = -det(X) I, so exp(X) = cos(w) I + (sin(w) / w) X with w = sqrt(det X),
-    # real also when det X < 0; every step lies in Sp(2).
-    comm = 0.5 * gauss * h * h
-    xp = 0.5 * h * (p1 + p2) + comm * (q2 * r1 - q1 * r2)
-    xq = 0.5 * h * (q1 + q2) + 2 * comm * (p2 * q1 - p1 * q2)
-    xr = 0.5 * h * (r1 + r2) + 2 * comm * (r2 * p1 - p2 * r1)
-    w = np.sqrt((-xp * xp - xq * xr).astype(complex))
-    cos, sinc = np.cos(w).real, np.sinc(w / np.pi).real
-    # Entries of the steps, then of the products Psi(t_{j+1}) = E_j ... E_0:
-    # an inclusive prefix product, later steps on the left, in log2(steps)
-    # rounds of one batched product each (Hillis-Steele).
-    a, b, c, d = cos + sinc * xp, sinc * xq, sinc * xr, cos - sinc * xp
-    shift = 1
-    while shift < steps:
-        hi, lo = slice(shift, None), slice(None, -shift)
-        a[hi], b[hi], c[hi], d[hi] = (
-            a[hi] * a[lo] + b[hi] * c[lo],
-            a[hi] * b[lo] + b[hi] * d[lo],
-            c[hi] * a[lo] + d[hi] * c[lo],
-            c[hi] * b[lo] + d[hi] * d[lo],
-        )
-        shift *= 2
-    e1 = np.concatenate([[1.0], a + 1j * c])
-    turns = float(np.angle(e1[1:] * e1[:-1].conj()).sum()) / (2 * np.pi)
-    return float(a[-1] + d[-1]), turns
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +342,7 @@ def _covering_number(cover, winding):
     its winding is divisible by d, so this is the largest divisor of the
     orbit's covering number that divides the winding (gcd(k, 0) = k).
     """
-    return math.gcd(cover, winding)
+    return gcd(cover, winding)
 
 
 def cov_extremal(orbit, side, truncation=None):
@@ -610,7 +517,7 @@ def scalar_orbit(orbit_id, theta, cover=1, simple_id=None, n_samples=32,
     The spectrum is exactly {2 pi m - cover * theta} with winding m, so these
     make convenient exactly-analyzable test subjects.
     """
-    op = AsymptoticOperator.constant(theta, 0.0, theta, n_samples).pulled_back(cover)
+    op = AsymptoticOperator.constant(theta, 0, theta, n_samples).pulled_back(cover)
     return OrbitClass(
         id=orbit_id,
         simple_id=simple_id or (orbit_id if cover == 1 else orbit_id + "_simple"),

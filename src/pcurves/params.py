@@ -88,6 +88,7 @@ def _named(table, noun):
 
 INT = _checked(_is_int, "an integer")
 ORDER = _checked(lambda v: _is_int(v) and v >= 1, "an integer >= 1")  # of a cover
+COUNT = _checked(lambda v: _is_int(v) and v >= 0, "an integer >= 0")  # of intersections
 TRUNCATION = _checked(  # of a Fourier truncation
     lambda v: _is_int(v) and v >= MIN_TRUNCATION, f"an integer >= {MIN_TRUNCATION}"
 )

@@ -3,7 +3,7 @@
 Winding numbers, indices and intersection counts are integers; several
 derived quantities (normal Chern number, Z(du), singularity index) live in
 (1/2)Z.  Everything is kept exact with ``fractions.Fraction``; floating
-point only ever appears inside the spectral oracle.
+point enters only in ``spectral.py`` and ``flow.py``.
 """
 
 from fractions import Fraction

@@ -17,8 +17,8 @@ from .errors import ValidationError
 from .intersections import PairingInput
 from .orbits import DeclaredWindings, MorseBott, Nondegenerate, OperatorWinding, OrbitClass, linked
 from .params import (
-    BOOL, CURVE, IDS, INT, INTS, J_MODE, LIST, OBJECT, OPERATOR_SAMPLES, ORBIT, ORDER, RATIONAL,
-    REQUIRED, SIGN, STR, SURFACE, one_of,
+    BOOL, COUNT, CURVE, IDS, INT, INTS, J_MODE, LIST, OBJECT, OPERATOR_SAMPLES, ORBIT, ORDER,
+    RATIONAL, REQUIRED, SIGN, STR, SURFACE, one_of,
 )
 from .queries import REGISTRY, Query
 from .spectral import DEFAULT_TRUNCATION, GLOBAL_SPECTRUM_CACHE, AsymptoticOperator
@@ -297,9 +297,19 @@ def _parse_pairing(doc, location, scenario):
     for i, entry in enumerate(_get(doc, "end_intersections", location, LIST.optional([]))):
         loc = f"{location}.end_intersections[{i}]"
         _check_keys(entry, {"left_puncture", "right_puncture", "value"}, loc)
-        ends[(_get(entry, "left_puncture", loc, STR), _get(entry, "right_puncture", loc, STR))] = (
-            _get(entry, "value", loc, INT)
+        z, zp = _get(entry, "left_puncture", loc, STR), _get(entry, "right_puncture", loc, STR)
+        for side, curve, p in (("left", left, z), ("right", right, zp)):
+            _require(
+                p in curve[0].surface.puncture_ids,
+                f"{side} curve {curve[0].homology_tag!r} has no puncture {p!r}",
+                f"{loc}.{side}_puncture",
+            )
+        _require(
+            left[0].sign(z) == right[0].sign(zp),
+            f"punctures {z!r} and {zp!r} have opposite signs; only same-sign ends intersect",
+            f"{loc}.right_puncture",
         )
+        ends[(z, zp)] = _get(entry, "value", f"{loc}.value", COUNT)
     pairing = PairingInput(
         left=left,
         right=right,
@@ -345,13 +355,10 @@ def _certify_orbit(orbit, delta_gap, location):
         return
     spec = GLOBAL_SPECTRUM_CACHE.get(orbit.winding.op, orbit.winding.truncation)
     kdim = spec.kernel_dimension()
-    gap = spec.gap_around_zero()
-    _require(
-        gap > float(delta_gap),
-        f"orbit {orbit.id!r}: nonzero eigenvalue at distance {gap:.3g} inside "
-        f"the declared gap {float(delta_gap):.3g}",
-        location,
-    )
+    try:
+        spec.gap_margin(delta_gap)
+    except ValidationError as exc:
+        raise ValidationError(f"orbit {orbit.id!r}: {exc}", location)
     _require(
         orbit.kind is None or kdim == orbit.kind.kernel_dim,
         f"orbit {orbit.id!r}: operator kernel dimension {kdim} does not match "

@@ -34,12 +34,14 @@ ascending.  The blocks' eigenvalues are merged by value; if the merged
 windings decrease anywhere inside the window, the truncation is too low
 for the loop and the oracle raises SpectralError.
 
-All downstream winding arithmetic is exact; this module is the only place
-floating point enters, and its outputs are snapped to integers with guards.
+All downstream winding arithmetic is exact.  Floating point enters only
+here and in ``flow.py`` (the crossing flow and the windings of sampled
+loops), and what both hand on is snapped to integers with guards.
 """
 
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -174,7 +176,7 @@ class SpectralData:
     eigenvalue, restricted to the middle half of the computed spectrum.
     ``diameter`` is the full computed spectral diameter, used for tolerances.
     The methods below make every decision that depends on a tolerance: which
-    eigenvalues sit at a point, and so the windings, nu and the kernel.
+    eigenvalues sit at a point, and so the windings, nu, the kernel and the gap.
     """
 
     eigenpairs: tuple
@@ -256,7 +258,7 @@ class SpectralData:
         probed at half the gap around 0."""
         if self.kernel_dimension() == 0:
             return 0, 0
-        probe = self.gap_around_zero() / 2.0
+        probe = self.gap_margin(0) / 2.0
         (am_lo, ap_lo), (am_hi, ap_hi) = self.alpha_at(-probe), self.alpha_at(probe)
         return am_lo - am_hi, ap_lo - ap_hi
 
@@ -264,13 +266,19 @@ class SpectralData:
         i, j = self._around(0.0)
         return int(self._mults[i:j].sum())
 
-    def gap_around_zero(self):
-        """Distance from 0 to the nearest nonzero eigenvalue in the window."""
+    def gap_margin(self, delta_gap):
+        """The gap around 0 in the window less the exact delta_gap, if positive."""
         i, j = self._around(0.0)
         nearest = np.r_[self._lams[:i][-1:], self._lams[j:][:1]]  # below and above
         if not len(nearest):
             raise SpectralError("no nonzero eigenvalues inside the window")
-        return float(np.abs(nearest).min())
+        gap = float(np.abs(nearest).min())
+        if Fraction(gap) <= delta_gap:
+            raise ValidationError(
+                f"nonzero eigenvalue at distance {gap:.3g} inside the declared gap"
+                f" {float(delta_gap):.3g}"
+            )
+        return float(Fraction(gap) - delta_gap)
 
 
 def _real_matrix(c, truncation, modes):

@@ -1,53 +1,12 @@
-"""Winding numbers of sampled loops and the half-integer zero count of a
-line-bundle section with totally real boundary condition, including the
-doubling identity."""
+"""The half-integer zero count of a line-bundle section with totally real
+boundary condition, and the doubling identity, in exact arithmetic.
+Floating point enters only in ``spectral.py`` and in ``flow.py``, which
+measures the winding numbers of sampled loops."""
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-
-MIN_MODULUS = 1e-9
-MAX_STEP = 3.141592653589793  # argument steps must stay below pi
-
-
-@dataclass(frozen=True)
-class SampledLoop:
-    """Uniform samples of a nonvanishing complex loop over one period."""
-
-    values: tuple  # complex numbers
-
-    def __post_init__(self):
-        vals = tuple(complex(v) for v in self.values)
-        if len(vals) < 3:
-            raise ValidationError("need at least 3 samples")
-        if any(abs(v) < MIN_MODULUS for v in vals):
-            raise ValidationError("loop passes within 1e-9 of zero")
-        object.__setattr__(self, "values", vals)
-
-
-def loop_winding(loop):
-    """Total argument increment over one period divided by 2 pi.
-
-    Raises when any consecutive argument step reaches pi, since the winding
-    is then ambiguous and the loop needs refinement.
-    """
-    vals = loop.values
-    total = 0.0
-    for a, b in zip(vals, vals[1:] + vals[:1]):
-        step = cmath.phase(b / a)
-        if abs(step) >= MAX_STEP - 1e-12:
-            raise ValidationError(
-                "argument step of at least pi between consecutive samples; "
-                "refine the loop"
-            )
-        total += step
-    winding = total / (2 * 3.141592653589793)
-    nearest = round(winding)
-    if abs(winding - nearest) > 1e-6:
-        raise ValidationError("accumulated winding is not an integer")
-    return int(nearest)
 
 
 @dataclass(frozen=True)

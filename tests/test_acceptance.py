@@ -32,6 +32,7 @@ from pcurves.curves import (
     parity_partition,
 )
 from pcurves.errors import DegeneracyError
+from pcurves.flow import SampledLoop, loop_winding
 from pcurves.intersections import PairingInput, intersection_number
 from pcurves.orbits import (
     CROSSING_FLOW,
@@ -55,7 +56,7 @@ from pcurves.surfaces import (
     riemann_hurwitz_punctured,
     teichmuller_dim,
 )
-from pcurves.zeros import BundleData, SampledLoop, doubling_check, loop_winding
+from pcurves.zeros import BundleData, doubling_check
 
 FOLIATION = Path(__file__).parent.parent / "src" / "pcurves" / "data" / "foliation.scn"
 SEED = 20260810

@@ -16,6 +16,12 @@ be passed by some call of that name, by keyword, by position or through
 ``*``/``**`` (methods are left out: a constructor is called by its class's
 name).  Every function and method of the package must be named somewhere,
 except dunders and the query handlers, which the registry calls.
+
+Floating point enters the package in ``spectral.py`` and ``flow.py`` only;
+the rest is exact arithmetic on what they hand back.  No other package
+module imports ``numpy`` or ``cmath``, imports from ``math`` anything but
+``gcd``, calls ``float()`` or holds a float literal.  The one exception is
+``queries._jsonable``, which rounds the floats of a report for output.
 """
 
 import ast
@@ -232,3 +238,69 @@ def test_the_check_sees_a_never_named_function():
 def test_no_never_named_functions():
     readers = [p.read_text() for p in READERS]
     assert never_named_functions([p.read_text() for p in PACKAGE], readers) == []
+
+
+#: the package modules where floating point enters
+FLOATING = {"spectral.py", "flow.py"}
+#: per package module, the functions that may call float()
+FLOAT_CALLS_OK = {"queries.py": ("_jsonable",)}
+
+
+def fence_breaches(source, exempt):
+    """(line, what) of each way floating point enters ``source``: an import
+    of numpy or cmath, or of anything from math but gcd; a float() call
+    outside the functions named in ``exempt``; a float or complex literal."""
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name in exempt
+        for node in ast.walk(func)
+    }
+    breaches = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            breaches += [
+                (node.lineno, f"import {alias.name}")
+                for alias in node.names
+                if alias.name.split(".")[0] in ("numpy", "cmath", "math")
+            ]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            root, names = node.module.split(".")[0], [alias.name for alias in node.names]
+            if root in ("numpy", "cmath") or (root == "math" and names != ["gcd"]):
+                breaches.append((node.lineno, f"from {node.module} import {', '.join(names)}"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            if id(node) not in allowed:
+                breaches.append((node.lineno, "float()"))
+        elif isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            breaches.append((node.lineno, repr(node.value)))
+    return sorted(breaches)
+
+
+def test_the_check_sees_floating_point():
+    source = (
+        "import math\n"
+        "import numpy as np\n"
+        "from cmath import phase\n"
+        "from math import gcd\n"
+        "from math import floor, gcd\n"
+        "from .spectral import SIDE_MINUS\n"
+        "x = float(1) + 10 ** 9\n"
+        "y = 1e-8 + 2j\n"
+        "\n"
+        "def fmt(v):\n"
+        "    return float(v)\n"
+    )
+    assert fence_breaches(source, ("fmt",)) == [
+        (1, "import math"), (2, "import numpy"), (3, "from cmath import phase"),
+        (5, "from math import floor, gcd"), (7, "float()"), (8, "1e-08"), (8, "2j"),
+    ]
+    assert (11, "float()") in fence_breaches(source, ())
+
+
+EXACT = [p for p in PACKAGE if p.name not in FLOATING]
+
+
+@pytest.mark.parametrize("path", EXACT, ids=[str(p.relative_to(ROOT)) for p in EXACT])
+def test_floating_point_stays_in_the_oracle_modules(path):
+    assert fence_breaches(path.read_text(), FLOAT_CALLS_OK.get(path.name, ())) == []

@@ -20,7 +20,6 @@ from pcurves.errors import (
 )
 from pcurves.orbits import (
     CROSSING_FLOW,
-    FLOW_TRACE_TOL,
     WINDING,
     DeclaredWindings,
     MorseBott,
@@ -45,7 +44,14 @@ from pcurves.orbits import (
     scalar_orbit,
 )
 from pcurves.classify import is_bad_puncture
-from pcurves.orbits import _at, _crossing_flow, _crossing_flow_cz
+from pcurves.flow import (
+    FLOW_MAX_STEPS,
+    FLOW_MAX_TURN,
+    FLOW_TRACE_TOL,
+    _crossing_flow,
+    crossing_flow_cz,
+)
+from pcurves.orbits import _at
 from pcurves.spectral import AsymptoticOperator, discretized_spectrum
 
 D = Fraction(1, 8)
@@ -213,7 +219,7 @@ def test_crossing_flow_matches_the_sequential_product():
         trace, turns = sequential_flow(op, eps)
         assert abs(_crossing_flow(op, eps)[0] - trace) < 1e-9, eps
         try:
-            outcome = _crossing_flow_cz(op, eps)
+            outcome = crossing_flow_cz(op, eps)
         except DegeneracyError:
             outcome = "degenerate"
         assert outcome == _flow_outcome(trace, turns), eps
@@ -221,6 +227,26 @@ def test_crossing_flow_matches_the_sequential_product():
     # The seven endpoints built next to 2 (|tr Psi(1) - 2| < 3e-4 or 0), and
     # one of criterion 2's loops at epsilon 0.37.
     assert near == 8
+
+
+def test_crossing_flow_does_not_alias_on_fast_scalar_covers():
+    # S = k theta Id turns Psi(t) e1 by k theta per unit time.  At 2048 steps
+    # a step turned by more than pi from theta = 6464.31 on, and the flow
+    # gave -2039 there, and -1229 for the 6-fold cover of theta = 1500.9.
+    # The step count now grows with the rate bound sqrt2 k theta, and past
+    # FLOW_MAX_STEPS the flow refuses.
+    thetas = (0.7, 101.3, 1500.9, 3217.2, 6464.31, 6500.0, 8123.4, 9999.9)
+    for theta in thetas:
+        for k in range(1, 7):
+            orbit = scalar_orbit("g", theta, cover=k)
+            fast = math.sqrt(2) * k * theta > FLOW_MAX_STEPS * FLOW_MAX_TURN
+            try:
+                cz = conley_zehnder(orbit, Perturbation(0), CROSSING_FLOW)
+            except SpectralError:
+                assert fast, (theta, k)
+                continue
+            assert not fast, (theta, k)
+            assert cz == 2 * math.floor(k * theta / (2 * math.pi)) + 1, (theta, k)
 
 
 def test_crossing_flow_needs_operator():

@@ -107,7 +107,7 @@ def test_gap_certification_rejects_small_gap():
     doc["delta_gap"] = {"num": 2, "den": 1}
     with pytest.raises(ValidationError) as err:
         load_scenario(doc)
-    assert "gap" in str(err.value)
+    assert str(err.value).startswith("$.orbits[0]: orbit 'g': nonzero eigenvalue at distance 1 ")
 
 
 def test_declared_and_operator_windings_are_exclusive():
@@ -442,6 +442,20 @@ def test_cli_query_missing_a_parameter_is_a_validation_error(tmp_path, command):
     assert b"Traceback" not in proc.stderr
 
 
+def _end_intersection(left_puncture, right_puncture, value):
+    """A mutation of the foliation document: a v/u_zeta pairing declaring one
+    end intersection."""
+    def mutate(doc):
+        doc["pairings"].append({
+            "left": "v", "right": "u_zeta", "relative_pairing": 0,
+            "end_intersections": [
+                {"left_puncture": left_puncture, "right_puncture": right_puncture,
+                 "value": value},
+            ],
+        })
+    return mutate
+
+
 def _set(path, value):
     """A mutation of the foliation document: set (or, with None, drop) one entry."""
     def mutate(doc):
@@ -572,6 +586,16 @@ def _set(path, value):
             {"id": "h", "winding": {"type": "declared", "alpha_minus": 1, "alpha_plus": 2},
              "kind": {"type": "nondegenerate", "manifold_dim": 7, "isotropy": 99}}
         ), "$.orbits[7].kind"),
+        # A declared end intersection is a nonnegative count at two same-sign
+        # punctures, one on each curve.
+        (_end_intersection("v0", "q0", -3), "$.pairings[2].end_intersections[0].value"),
+        (_end_intersection("nowhere", "q0", 5),
+         "$.pairings[2].end_intersections[0].left_puncture"),
+        (_end_intersection("v0", "v1", 5), "$.pairings[2].end_intersections[0].right_puncture"),
+        (lambda doc: (
+            _set(["surfaces", 0, "punctures", 2, "sign"], "+")(doc),
+            _end_intersection("vinf", "q0", 5)(doc),
+        ), "$.pairings[2].end_intersections[0].right_puncture"),
     ],
     ids=[
         "cover-not-int", "genus-not-int", "c1_rel-not-int", "puncture-without-sign",
@@ -593,6 +617,8 @@ def _set(path, value):
         "declared-cover-epsilon-outside-the-gap", "declared-cover-epsilon-m-outside-the-gap",
         "duplicate-declared-cover",
         "nondegenerate-kind-with-family-keys",
+        "end-intersection-negative", "end-intersection-left-puncture-unknown",
+        "end-intersection-right-puncture-unknown", "end-intersection-opposite-signs",
     ],
 )
 def test_cli_malformed_input_is_a_located_validation_error(tmp_path, capsys, mutate, where):
@@ -620,6 +646,46 @@ def test_cover_orbit_beyond_the_truncation_is_a_query_error(tmp_path, capsysbina
     [result] = json.loads(capsysbinary.readouterr().out)["queries"]
     assert result["status"] == "error"
     assert result["error"].startswith("SpectralError: ")
+
+
+def test_cli_crossing_flow_cz_of_g_zero_falls_with_epsilon(tmp_path, capsysbinary):
+    # S = 2 pi Id, so CZ(A + eps) = 2 floor(1 - eps / 2 pi) + 1.  At eps =
+    # 6500 the flow used to alias and report 2029 with status ok.
+    epsilons = (100, 190, 3000, 6400, 6500)
+    doc = foliation_doc()
+    doc["queries"] = [
+        {"name": "conley_zehnder", "orbit": "g_zero", "epsilon": eps, "method": "crossing_flow"}
+        for eps in epsilons
+    ]
+    f = tmp_path / "flow.scn"
+    f.write_text(json.dumps(doc))
+    assert main(["run", str(f), "--format", "json"]) == 0
+    values = [q["result"] for q in json.loads(capsysbinary.readouterr().out)["queries"]]
+    assert values == sorted(values, reverse=True)
+    assert values == [2 * math.floor(1 - eps / TWO_PI) + 1 for eps in epsilons]
+
+
+def test_declared_end_intersections_reach_the_asymptotic_total():
+    def asymptotic(ends):
+        doc = foliation_doc()
+        doc["pairings"].append(
+            {"left": "v", "right": "u_zeta", "relative_pairing": 0, "end_intersections": ends}
+        )
+        doc["queries"] = [{"name": "asymptotic", "left": "v", "right": "u_zeta"}]
+        [result] = run_queries(load_scenario(doc))
+        assert result["status"] == "ok", result
+        return result["result"]
+
+    generic = asymptotic([])
+    # Every same-sign end pair declared, one of them at 2.
+    declared = asymptotic([
+        {"left_puncture": z, "right_puncture": zp, "value": 2 if (z, zp) == ("v1", "q1") else 0}
+        for z in ("v0", "v1", "vinf")
+        for zp in ("q0", "q1", "qm1", "qinf")
+    ])
+    assert generic["declared_unverified"] and not declared["declared_unverified"]
+    assert declared["total"] == generic["total"] + 2
+    assert [(pair, end) for pair, end, _ in declared["per_pair"] if end] == [(["v1", "q1"], 2)]
 
 
 def test_cli_spectrum():

@@ -18,7 +18,8 @@ from oracles import (
 )
 from pcurves import spectral
 from pcurves.errors import SpectralError, ValidationError
-from pcurves.orbits import WINDING, Perturbation, _crossing_flow, conley_zehnder, scalar_orbit
+from pcurves.flow import _crossing_flow
+from pcurves.orbits import WINDING, Perturbation, conley_zehnder, scalar_orbit
 from pcurves.spectral import AsymptoticOperator, discretized_spectrum
 
 TWO_PI = 2 * math.pi
@@ -387,3 +388,19 @@ def test_rotated_twin_shifts_windings_and_cz(truncation):
                 assert mult_twin == mult
             twin_orbit = loop_orbit(f"l{i}_twin{s}", twin_op)
             assert conley_zehnder(twin_orbit, Perturbation(eps), WINDING, truncation) == cz - 2 * s
+
+
+def test_gap_margin_compares_with_the_exact_delta_gap():
+    # S = Id: the eigenvalues are 2 pi m - 1, so the gap around 0 is 1.
+    spec = discretized_spectrum(AsymptoticOperator.constant(1.0, 0.0, 1.0), 16)
+    gap = spec.gap_margin(0)
+    assert gap == pytest.approx(1)
+    assert spec.gap_margin(Fraction(1, 4)) == gap - 0.25
+    # A delta_gap below the gap by less than a float can hold: compared
+    # after rounding to a float, it would equal the gap and be refused.
+    below = Fraction(gap) - Fraction(1, 10**30)
+    assert float(below) == gap
+    assert spec.gap_margin(below) == 1e-30
+    for delta_gap in (Fraction(gap), Fraction(2)):
+        with pytest.raises(ValidationError, match="inside the declared gap"):
+            spec.gap_margin(delta_gap)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from pcurves.errors import ValidationError
-from pcurves.zeros import BundleData, SampledLoop, doubling_check, loop_winding, zero_count
+from pcurves.flow import SampledLoop, loop_winding
+from pcurves.zeros import BundleData, doubling_check, zero_count
 
 
 def circle_samples(winding, n=64, radius=1.0, phase=0.0):
