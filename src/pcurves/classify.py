@@ -11,7 +11,6 @@ verdict rather than proving it.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covers import composed_curve
 from .curves import (
     even_punctures,
     fredholm_index,
@@ -312,7 +311,7 @@ def degeneration_screen(scenario, j_mode="homotopy", ambient=None):
         raise ConsistencyError(
             f"base with c_N = {c_n_v} and index {ind_v} fits no branch of the screen"
         )
-    composed = composed_curve(scenario)
+    composed = scenario.composed
     ind_u = fredholm_index(composed, limit)
     z_phi = riemann_hurwitz_punctured(cover)
     if z_phi > 0 or ind_u == 0:
@@ -367,22 +366,15 @@ def kernel_section_cover_obstruction(scenario):
     nice family.  Returns a report; ``fires`` = the multiple covers are
     isolated in the moduli space.
     """
-    cover = scenario.cover
-    base = scenario.base_curve
-    cons = scenario.base_constraints
     limit = scenario.total_constraints
-    composed = composed_curve(scenario)
+    composed = scenario.composed
     perts = puncture_perturbations(composed, limit)
     rows = []
     fires = False
     forced_total = 0
-    for z in cover.domain.puncture_ids:
-        k_z = cover.order_at(z)
-        if k_z == 1:
-            continue
-        zeta = cover.target_of(z)
-        side = extremal_side(cover.domain.sign_of(z))
-        q = q_of_cover(base.orbit(zeta), cons.perturbation(base, zeta), k_z, side)
+    for z, orbit, pert, k_z, sign in scenario.branched_ends():
+        side = extremal_side(sign)
+        q = q_of_cover(orbit, pert, k_z, side)
         if q != 0:
             rows.append((z, k_z, f"covering defect q = {q} != 0 blocks extremal winding"))
             fires = True

@@ -62,7 +62,7 @@ def build_report(scenario, truncation, truncation_source):
     }
 
 
-def emit(report, fmt="json"):
+def emit(report, fmt):
     """Canonical serialization; identical reports give identical bytes."""
     if fmt == "json":
         return (json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n").encode()

@@ -6,6 +6,7 @@ order on constraints, and enumeration of possible underlying simple curves.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .curves import ConstraintSet, CurveData, normal_chern
 from .errors import ConsistencyError, ValidationError
@@ -21,7 +22,8 @@ from .surfaces import (
 @dataclass(frozen=True)
 class CoverScenario:
     """A branched cover composed with a base curve, with the pulled-back and
-    the declared (weaker) constraints on the domain."""
+    the declared (weaker) constraints on the domain.  It derives each once:
+    the pulled-back constraints, the composed curve and the branched ends."""
 
     cover: BranchedCover
     base_curve: CurveData
@@ -33,14 +35,10 @@ class CoverScenario:
         self.base_constraints.validate_against(self.base_curve.surface)
         if self.base_curve.surface != self.cover.codomain:
             raise ValidationError("base curve does not live on the cover codomain")
+        pulled = self.pulled_constraints
         if self.total_constraints is None:
-            object.__setattr__(
-                self,
-                "total_constraints",
-                pullback_constraints(self.cover, self.base_constraints),
-            )
+            object.__setattr__(self, "total_constraints", pulled)
         self.total_constraints.validate_against(self.cover.domain)
-        pulled = pullback_constraints(self.cover, self.base_constraints)
         if not self.total_constraints.constrained <= pulled.constrained:
             raise ValidationError(
                 "domain constraints must be dominated by the pulled-back ones"
@@ -49,6 +47,26 @@ class CoverScenario:
     @property
     def degree(self):
         return self.cover.degree
+
+    @cached_property
+    def pulled_constraints(self):
+        return pullback_constraints(self.cover, self.base_constraints)
+
+    @cached_property
+    def composed(self):
+        return composed_curve(self)
+
+    def branched_ends(self):
+        """(z, base orbit, constraint perturbation, k_z, sign) of each domain
+        puncture z with branching order k_z > 1; the orbit and perturbation
+        are the base curve's at the image of z."""
+        cover, base = self.cover, self.base_curve
+        for z in cover.domain.puncture_ids:
+            k_z = cover.order_at(z)
+            if k_z > 1:
+                zeta = cover.target_of(z)
+                pert = self.base_constraints.perturbation(base, zeta)
+                yield z, base.orbit(zeta), pert, k_z, cover.domain.sign_of(z)
 
 
 def pullback_constraints(cover, base_constraints):
@@ -91,23 +109,13 @@ def cn_cover(scenario):
     against the normal Chern number of the composed curve computed
     directly.
     """
-    cover = scenario.cover
-    base = scenario.base_curve
-    cons = scenario.base_constraints
-    q_total = 0
-    for z in cover.domain.puncture_ids:
-        zeta = cover.target_of(z)
-        k_z = cover.order_at(z)
-        if k_z == 1:
-            continue
-        side = extremal_side(cover.domain.sign_of(z))
-        pert = cons.perturbation(base, zeta)
-        q_total += q_of_cover(base.orbit(zeta), pert, k_z, side)
-    z_phi = riemann_hurwitz_punctured(cover)
-    value = (
-        cover.degree * normal_chern(base, cons) + z_phi + q_total
+    q_total = sum(
+        q_of_cover(orbit, pert, k_z, extremal_side(sign))
+        for _, orbit, pert, k_z, sign in scenario.branched_ends()
     )
-    direct = normal_chern(composed_curve(scenario), pullback_constraints(cover, cons))
+    cn_base = normal_chern(scenario.base_curve, scenario.base_constraints)
+    value = scenario.degree * cn_base + riemann_hurwitz_punctured(scenario.cover) + q_total
+    direct = normal_chern(scenario.composed, scenario.pulled_constraints)
     if direct != value:
         raise ConsistencyError(
             f"covering formula gives c_N = {value} but the composed curve "
@@ -138,56 +146,33 @@ def i_cover_bound(scenario, other, base_pairing):
     q-tilde terms and must match.
     """
     other_curve, other_cons = other
-    cover = scenario.cover
-    base = scenario.base_curve
-    cons = scenario.base_constraints
-    composed = composed_curve(scenario)
-    pulled = pullback_constraints(cover, cons)
-
     base_pair = PairingInput(
-        left=(base, cons), right=(other_curve, other_cons),
+        left=(scenario.base_curve, scenario.base_constraints), right=other,
         relative_pairing=base_pairing,
     )
     comp_pair = PairingInput(
-        left=(composed, pulled), right=(other_curve, other_cons),
-        relative_pairing=cover.degree * base_pairing,
+        left=(scenario.composed, scenario.pulled_constraints), right=other,
+        relative_pairing=scenario.degree * base_pairing,
     )
     lhs = intersection_number(comp_pair)
-    rhs = cover.degree * intersection_number(base_pair)
+    rhs = scenario.degree * intersection_number(base_pair)
 
     slack = 0
-    for z in cover.domain.puncture_ids:
-        zeta = cover.target_of(z)
-        k_z = cover.order_at(z)
-        if k_z == 1:
-            continue
-        sign_z = cover.domain.sign_of(z)
-        base_orbit = base.orbit(zeta)
-        pert = cons.perturbation(base, zeta)
+    for _, base_orbit, pert, k_z, sign_z in scenario.branched_ends():
         for zp in other_curve.surface.puncture_ids:
-            if other_curve.sign(zp) != sign_z:
-                continue
             other_orbit = other_curve.orbit(zp)
-            if not base_orbit.shares_simple_orbit(other_orbit):
-                continue
-            slack += q_tilde(
-                base_orbit,
-                pert,
-                other_orbit,
-                other_cons.perturbation(other_curve, zp),
-                k_z,
-                sign_z,
-            )
+            if other_curve.sign(zp) == sign_z and base_orbit.shares_simple_orbit(other_orbit):
+                other_pert = other_cons.perturbation(other_curve, zp)
+                slack += q_tilde(base_orbit, pert, other_orbit, other_pert, k_z, sign_z)
     return CoverBoundReport(lhs=lhs, rhs=rhs, slack=slack)
 
 
-def constraint_leq(c1, c2, surface=None):
+def constraint_leq(c1, c2, surface):
     """Partial order on constraint sets over one puncture set: c1 <= c2 when
     every c1-constrained puncture is c2-constrained (to the same orbit,
     which the shared curve data pins down)."""
-    if surface is not None:
-        c1.validate_against(surface)
-        c2.validate_against(surface)
+    c1.validate_against(surface)
+    c2.validate_against(surface)
     return c1.constrained <= c2.constrained
 
 

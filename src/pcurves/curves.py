@@ -177,21 +177,20 @@ def normal_chern(curve, constraints):
 
 
 def k_bound(c, genus0_count, has_boundary):
-    """min{k + l : 0 <= k <= G, 2k + l > 2c}, with l even when closed."""
+    """min{k + l : 0 <= k <= G, 2k + l > 2c}, with l even when closed.
+
+    For k <= c the least admissible l is top - 2k, with top the least
+    multiple of the step above 2c, so k + l = top - k falls as k grows to
+    min(G, floor c); a k > c admits l = 0, the least such k being
+    floor c + 1."""
     c = Fraction(c)
     if c < 0:
         return 0
-    best = None
     step = 1 if has_boundary else 2
-    # k > c makes l = 0 admissible, so k never needs to exceed G or c + 1.
-    for k in range(0, genus0_count + 1):
-        need = 2 * c - 2 * k  # need l > this
-        l = 0
-        while l <= need:
-            l += step
-        total = k + l
-        if best is None or total < best:
-            best = total
+    top = step * ((2 * c) // step + 1)
+    best = top - min(genus0_count, c // 1)
+    if genus0_count > c:
+        best = min(best, c // 1 + 1)
     return best
 
 

@@ -47,22 +47,14 @@ class PairingInput:
         return curve_l.homology_tag == curve_r.homology_tag
 
     def same_sign_pairs(self):
+        """(sign, z, z') of each same-sign end pair, positive ends first."""
         curve_l, _ = self.left
         curve_r, _ = self.right
         for sign in (POSITIVE, NEGATIVE):
-            left_ids = (
-                curve_l.surface.positive_punctures()
-                if sign == POSITIVE
-                else curve_l.surface.negative_punctures()
-            )
-            right_ids = (
-                curve_r.surface.positive_punctures()
-                if sign == POSITIVE
-                else curve_r.surface.negative_punctures()
-            )
-            for z in left_ids:
-                for zp in right_ids:
-                    yield sign, z, zp
+            for z, sign_l in curve_l.surface.punctures:
+                for zp, sign_r in curve_r.surface.punctures:
+                    if sign_l == sign_r == sign:
+                        yield sign, z, zp
 
     def end_intersection(self, z, zp):
         value = self.declared_end_intersections.get((z, zp), 0)

@@ -54,7 +54,9 @@ def _is_int(value):
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: NaN and the infinities, which JSON readers
+    accept as bare tokens, are no numbers (for them value - value is NaN)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value - value == 0
 
 
 def one_of(*choices):

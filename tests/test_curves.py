@@ -149,16 +149,23 @@ def test_k_bound_examples():
     assert k_bound(Fraction(-1), 5, True) == 0
     assert k_bound(Fraction(0), 0, False) == 2
     assert k_bound(Fraction(1), 2, True) == 2
+    # An enumeration over k <= G or l <= 2c would not end on these.
+    assert k_bound(Fraction(10**12), 0, False) == 2 * 10**12 + 2
+    assert k_bound(Fraction(10**7), 0, True) == 2 * 10**7 + 1
+    assert k_bound(Fraction(3), 10**6, False) == 4
 
 
 def test_k_bound_matches_bruteforce():
-    for twice_c in range(-6, 13):
-        c = Fraction(twice_c, 2)
-        for g in range(0, 6):
-            for boundary in (False, True):
-                assert k_bound(c, g, boundary) == k_bound_bruteforce(c, g, boundary), (
-                    c, g, boundary,
-                )
+    # The closed form against the enumeration at c = n/d, with G below and
+    # above floor c.
+    for n in range(-6, 60):
+        for d in range(1, 5):
+            c = Fraction(n, d)
+            for g in range(0, 12):
+                for boundary in (False, True):
+                    assert k_bound(c, g, boundary) == k_bound_bruteforce(c, g, boundary), (
+                        c, g, boundary,
+                    )
 
 
 # -- transversality -------------------------------------------------------

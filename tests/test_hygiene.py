@@ -14,8 +14,9 @@ The uses of the package are read from the package, its tests and the
 benchmark.  A defaulted parameter of a module-level package function must
 be passed by some call of that name, by keyword, by position or through
 ``*``/``**`` (methods are left out: a constructor is called by its class's
-name).  Every function and method of the package must be named somewhere,
-except dunders and the query handlers, which the registry calls.
+name), and not by every one of them, or its default is never read.  Every
+function and method of the package must be named somewhere, except
+dunders and the query handlers, which the registry calls.
 
 Floating point enters the package in ``spectral.py`` and ``flow.py`` only;
 the rest is exact arithmetic on what they hand back.  No other package
@@ -133,13 +134,13 @@ def _passes(call, position, param):
     return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
 
 
-def never_passed_options(package, readers):
-    """(function, parameter) of each defaulted parameter of a module-level
-    function of ``package`` that no call in ``readers`` passes."""
+def _defaulted_parameters(package, readers):
+    """(function, parameter, the calls that pass it, all calls of the
+    function) of each defaulted parameter of a module-level function of
+    ``package``, over the calls in ``readers``."""
     calls = {}
     for name, call in _calls(readers):
         calls.setdefault(name, []).append(call)
-    never = []
     for source in package:
         for node in ast.parse(source).body:
             if not isinstance(node, ast.FunctionDef):
@@ -150,12 +151,31 @@ def never_passed_options(package, readers):
                 (len(positional) - len(args.defaults) + i, param)
                 for i, param in enumerate(positional[len(positional) - len(args.defaults):])
             ] + [(None, p) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-            never += [
-                (node.name, param.arg)
-                for position, param in defaulted
-                if not any(_passes(c, position, param.arg) for c in calls.get(node.name, ()))
-            ]
-    return never
+            every = calls.get(node.name, [])
+            for position, param in defaulted:
+                passing = [c for c in every if _passes(c, position, param.arg)]
+                yield node.name, param.arg, passing, every
+
+
+def never_passed_options(package, readers):
+    """(function, parameter) of each defaulted parameter of a module-level
+    function of ``package`` that no call in ``readers`` passes."""
+    return [
+        (name, param)
+        for name, param, passing, _ in _defaulted_parameters(package, readers)
+        if not passing
+    ]
+
+
+def always_passed_options(package, readers):
+    """(function, parameter) of each defaulted parameter of a module-level
+    function of ``package`` that every call in ``readers`` passes: its
+    default is never read, so the parameter is a required one."""
+    return [
+        (name, param)
+        for name, param, passing, every in _defaulted_parameters(package, readers)
+        if every and len(passing) == len(every)
+    ]
 
 
 def test_the_check_sees_a_never_passed_option():
@@ -180,6 +200,26 @@ def test_the_check_sees_a_never_passed_option():
 def test_no_never_passed_options():
     readers = [p.read_text() for p in READERS]
     assert never_passed_options([p.read_text() for p in PACKAGE], readers) == []
+
+
+def test_the_check_sees_an_always_passed_option():
+    package = (
+        "def f(a, b=1, c=2, *, d=3):\n"
+        "    return a, b, c, d\n"
+        "\n"
+        "def g(a, b=1):\n"
+        "    return a, b\n"
+        "\n"
+        "def h(x=0):\n"
+        "    return x\n"
+    )
+    readers = [package, "f(0, 1, d=5)\nf(0, b=2, c=3, d=4)\nm.g(*args)\n"]
+    assert always_passed_options([package], readers) == [("f", "b"), ("f", "d"), ("g", "b")]
+
+
+def test_no_always_passed_options():
+    readers = [p.read_text() for p in READERS]
+    assert always_passed_options([p.read_text() for p in PACKAGE], readers) == []
 
 
 def _is_query_handler(node):

@@ -373,11 +373,12 @@ def test_a_run_reads_every_spectrum_at_its_own_truncation(monkeypatch):
     assert emit(report, "json") == (GOLDEN / "all_kinds_64.json").read_bytes()
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "pcurves.cli", *args],
         capture_output=True,
         cwd=str(Path(__file__).parent.parent),
+        timeout=timeout,
     )
 
 
@@ -454,6 +455,9 @@ def _end_intersection(left_puncture, right_puncture, value):
             ],
         })
     return mutate
+
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 
 
 def _set(path, value):
@@ -596,6 +600,13 @@ def _set(path, value):
             _set(["surfaces", 0, "punctures", 2, "sign"], "+")(doc),
             _end_intersection("vinf", "q0", 5)(doc),
         ), "$.pairings[2].end_intersections[0].right_puncture"),
+        # JSON readers take NaN and the infinities as bare tokens; no number
+        # row holds them.
+        *[(_set(["orbits", 0, "winding", "samples", 3], [1.0, x, 1.0]), "$.orbits[0].winding")
+          for x in NON_FINITE],
+        *[(_set(["queries", 0], {"name": "loop_winding", "samples": [[1, 0], [x, 1], [-1, 0]]}),
+           "$.queries[0].samples")
+          for x in NON_FINITE],
     ],
     ids=[
         "cover-not-int", "genus-not-int", "c1_rel-not-int", "puncture-without-sign",
@@ -619,6 +630,8 @@ def _set(path, value):
         "nondegenerate-kind-with-family-keys",
         "end-intersection-negative", "end-intersection-left-puncture-unknown",
         "end-intersection-right-puncture-unknown", "end-intersection-opposite-signs",
+        "sample-nan", "sample-infinity", "sample-minus-infinity",
+        "query-samples-nan", "query-samples-infinity", "query-samples-minus-infinity",
     ],
 )
 def test_cli_malformed_input_is_a_located_validation_error(tmp_path, capsys, mutate, where):
@@ -703,6 +716,13 @@ def test_cli_oracle_kbound():
     assert json.loads(proc.stdout)["k_bound"] == 2
     proc = run_cli("oracle", "kbound", "--c=-3/2", "--g", "4")
     assert json.loads(proc.stdout)["k_bound"] == 0
+
+
+def test_cli_oracle_kbound_is_immediate_on_a_large_c():
+    # A loop over l <= 2c would not end in the timeout.
+    proc = run_cli("oracle", "kbound", "--c", "1000000000000", "--g", "0", timeout=30)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["k_bound"] == 2000000000002
 
 
 def test_truncation_env_override(monkeypatch):
