@@ -61,8 +61,8 @@ class CurveData:
 class ConstraintSet:
     """Partition of the punctures into constrained and unconstrained ones.
 
-    A constrained puncture perturbs its operator by +delta, an unconstrained
-    one by -delta.
+    A constrained puncture has c_z = delta, an unconstrained one c_z = -delta,
+    and perturbs its operator by (sign of z) * c_z.
     """
 
     constrained: frozenset
@@ -73,20 +73,20 @@ class ConstraintSet:
         object.__setattr__(self, "delta", Fraction(self.delta))
         if self.delta <= 0:
             raise ValidationError("constraint weight delta must be positive")
+        # The only two perturbations, shared by every puncture.
+        object.__setattr__(self, "_up", Perturbation(self.delta))
+        object.__setattr__(self, "_down", Perturbation(-self.delta))
 
     def validate_against(self, surface):
         extra = self.constrained - set(surface.puncture_ids)
         if extra:
             raise ValidationError(f"constrained punctures not on the surface: {sorted(extra)}")
 
-    def c_z(self, z):
-        return self.delta if z in self.constrained else -self.delta
-
     def perturbation(self, curve, z):
-        """The operator perturbation at z: A + (sign of z) * c_z."""
-        sign = curve.sign(z)
-        eps = self.c_z(z) if sign == POSITIVE else -self.c_z(z)
-        return Perturbation(eps)
+        """The operator perturbation at z: A + (sign of z) * c_z, one of two."""
+        if (z in self.constrained) == (curve.sign(z) == POSITIVE):
+            return self._up
+        return self._down
 
 
 def puncture_perturbations(curve, constraints):

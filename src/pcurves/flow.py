@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, SpectralError, ValidationError
+from .spectral import saturated_float
 
 #: least number of steps of the crossing-flow integration on [0, 1]
 FLOW_STEPS = 2048
@@ -78,7 +79,7 @@ def crossing_flow_cz(op, epsilon):
     det(I - Psi(1)) = 2 - tr Psi(1) < 0, and 2k + 1 when it lies in
     (k, k + 1); the rotation of Psi(t) e1 picks k.
     """
-    trace, turns = _crossing_flow(op, float(epsilon))
+    trace, turns = _crossing_flow(op, saturated_float(epsilon))
     if abs(trace - 2.0) < FLOW_TRACE_TOL:
         raise DegeneracyError("degenerate endpoint: the perturbed orbit has kernel")
     if trace > 2.0:

@@ -91,7 +91,9 @@ def _located(exc, location):
 
 
 def _check_keys(obj, allowed, location):
-    _require(isinstance(obj, dict), f"expected an object, got {obj!r}", location)
+    # Tested before formatting: the message reprs the whole document.
+    if not isinstance(obj, dict):
+        raise ValidationError(f"expected an object, got {obj!r}", location)
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ValidationError(f"unknown keys {sorted(unknown)}", location)

@@ -39,7 +39,9 @@ here and in ``flow.py`` (the crossing flow and the windings of sampled
 loops), and what both hand on is snapped to integers with guards.
 """
 
+import math
 import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -190,15 +192,14 @@ class SpectralData:
             if w_prev is not None and w < w_prev:
                 raise ValidationError("windings must be nondecreasing in the eigenvalue")
             w_prev = w
-        # The window's columns, searched by eigenvalue.
+        # Built once for the decisions: the window's columns as plain tuples,
+        # searched by eigenvalue, the tolerance, and the split around 0.
         lams, windings, mults = zip(*self.eigenpairs)
-        object.__setattr__(self, "_lams", np.array(lams))
+        object.__setattr__(self, "_lams", tuple(map(float, lams)))
         object.__setattr__(self, "_windings", windings)
-        object.__setattr__(self, "_mults", np.array(mults))
-
-    @property
-    def degeneracy_tol(self):
-        return DEGENERACY_REL_TOL * self.diameter
+        object.__setattr__(self, "_mults", mults)
+        object.__setattr__(self, "degeneracy_tol", DEGENERACY_REL_TOL * self.diameter)
+        object.__setattr__(self, "_zero", self._around(0.0))
 
     def winding_counts(self):
         """Total multiplicity of each integer winding inside the window."""
@@ -210,10 +211,7 @@ class SpectralData:
     def _around(self, x):
         """(i, j): the eigenvalues below x - tol are [:i], those above x + tol [j:]."""
         tol = self.degeneracy_tol
-        return (
-            int(np.searchsorted(self._lams, x - tol, side="left")),
-            int(np.searchsorted(self._lams, x + tol, side="right")),
-        )
+        return bisect_left(self._lams, x - tol), bisect_right(self._lams, x + tol)
 
     def alpha_at(self, epsilon):
         """Extremal windings of A + epsilon: windings just below/above -epsilon.
@@ -221,8 +219,8 @@ class SpectralData:
         Raises DegeneracyError when an eigenvalue sits at -epsilon (within
         tolerance), reporting the kernel winding.
         """
-        x = -float(epsilon)
-        lo, hi = self.eigenpairs[0][0], self.eigenpairs[-1][0]
+        x = -saturated_float(epsilon)
+        lo, hi = self._lams[0], self._lams[-1]
         tol = self.degeneracy_tol
         # Demand some margin so the neighbors of x are inside the window.
         if not (lo + tol < x < hi - tol):
@@ -243,7 +241,7 @@ class SpectralData:
     def alpha_strict(self, side):
         """Extremal winding of A with the kernel left out: the largest winding
         below 0 for side '-', the smallest above 0 for side '+'."""
-        i, j = self._around(0.0)
+        i, j = self._zero
         if side == SIDE_MINUS and i > 0:
             return self._windings[i - 1]
         if side == SIDE_PLUS and j < len(self._lams):
@@ -263,22 +261,31 @@ class SpectralData:
         return am_lo - am_hi, ap_lo - ap_hi
 
     def kernel_dimension(self):
-        i, j = self._around(0.0)
-        return int(self._mults[i:j].sum())
+        i, j = self._zero
+        return sum(self._mults[i:j])
 
     def gap_margin(self, delta_gap):
         """The gap around 0 in the window less the exact delta_gap, if positive."""
-        i, j = self._around(0.0)
-        nearest = np.r_[self._lams[:i][-1:], self._lams[j:][:1]]  # below and above
-        if not len(nearest):
+        i, j = self._zero
+        nearest = self._lams[:i][-1:] + self._lams[j:][:1]  # below and above
+        if not nearest:
             raise SpectralError("no nonzero eigenvalues inside the window")
-        gap = float(np.abs(nearest).min())
+        gap = min(map(abs, nearest))
         if Fraction(gap) <= delta_gap:
             raise ValidationError(
                 f"nonzero eigenvalue at distance {gap:.3g} inside the declared gap"
-                f" {float(delta_gap):.3g}"
+                f" {saturated_float(delta_gap):.3g}"
             )
         return float(Fraction(gap) - delta_gap)
+
+
+def saturated_float(q):
+    """float(q), or the infinity of q's sign when q lies beyond the float
+    range, so that the range checks downstream refuse it."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
 
 
 def _real_matrix(c, truncation, modes):

@@ -34,16 +34,17 @@ class PuncturedSurface:
             if pid in seen:
                 raise ValidationError(f"duplicate puncture id {pid!r}")
             seen.add(pid)
+        object.__setattr__(self, "_signs", dict(self.punctures))
 
     @property
     def puncture_ids(self):
         return tuple(pid for pid, _ in self.punctures)
 
     def sign_of(self, pid):
-        for qid, sign in self.punctures:
-            if qid == pid:
-                return sign
-        raise ValidationError(f"unknown puncture id {pid!r}")
+        try:
+            return self._signs[pid]
+        except KeyError:
+            raise ValidationError(f"unknown puncture id {pid!r}") from None
 
     @property
     def n_punctures(self):

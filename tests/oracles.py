@@ -28,6 +28,11 @@ whole spectrum.  The residue class of the
 modes an extremal eigenfunction of that matrix occupies gives its covering
 number independently of its winding.
 
+The scanned decisions make SpectralData's tolerance decisions by testing
+every eigenpair in turn, where the package bisects the sorted window: an
+eigenvalue sits at x when x - tol <= lambda <= x + tol, with tol the
+degeneracy tolerance, in the same floating-point operations.
+
 The sequential flow integrates the crossing flow with the same Magnus steps
 as the package, but sums S at the Gauss points as a dense cos/sin series
 and multiplies the steps one after another, where the package reads S off
@@ -41,7 +46,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from pcurves.spectral import J0, AsymptoticOperator, SpectralData, _real_matrix
+from pcurves.errors import DegeneracyError, SpectralError, ValidationError
+from pcurves.spectral import (
+    DEGENERACY_REL_TOL,
+    J0,
+    AsymptoticOperator,
+    SpectralData,
+    _real_matrix,
+)
 
 
 class ScalarOracle:
@@ -283,6 +295,59 @@ def spectrum_windings(spec):
     """The windings of a package spectrum, one per eigenvalue counted with
     multiplicity, to set against ``measured_windings``."""
     return [w for _, w, mult in spec.eigenpairs for _ in range(mult)]
+
+
+class ScannedDecisions:
+    """SpectralData's decisions on the same eigenpairs, by linear scans."""
+
+    def __init__(self, eigenpairs, diameter):
+        self.pairs = [(float(lam), w, mult) for lam, w, mult in eigenpairs]
+        self.tol = DEGENERACY_REL_TOL * diameter
+
+    def _split(self, x):
+        """The eigenpairs below x - tol, within tol of x, and above x + tol."""
+        lo, hi = x - self.tol, x + self.tol
+        below = [p for p in self.pairs if p[0] < lo]
+        at = [p for p in self.pairs if lo <= p[0] <= hi]
+        above = [p for p in self.pairs if p[0] > hi]
+        return below, at, above
+
+    def alpha_at(self, epsilon):
+        x = -float(epsilon)
+        first, last = self.pairs[0][0], self.pairs[-1][0]
+        if not (first + self.tol < x and x < last - self.tol):
+            raise SpectralError("outside the window")
+        below, at, above = self._split(x)
+        if at:
+            raise DegeneracyError("eigenvalue at the probe", kernel_winding=at[0][1])
+        return below[-1][1], above[0][1]
+
+    def alpha_strict(self, side):
+        below, _, above = self._split(0.0)
+        nearest = below[-1:] if side == "-" else above[:1]
+        if not nearest:
+            raise SpectralError("no eigenvalue on that side")
+        return nearest[0][1]
+
+    def kernel_dimension(self):
+        return sum(mult for _, _, mult in self._split(0.0)[1])
+
+    def gap_margin(self, delta_gap):
+        below, _, above = self._split(0.0)
+        nearest = [abs(lam) for lam, _, _ in below[-1:] + above[:1]]
+        if not nearest:
+            raise SpectralError("no nonzero eigenvalue")
+        gap = min(nearest)
+        if Fraction(gap) <= delta_gap:
+            raise ValidationError("inside the declared gap")
+        return float(Fraction(gap) - delta_gap)
+
+    def nu(self):
+        if self.kernel_dimension() == 0:
+            return 0, 0
+        probe = self.gap_margin(0) / 2.0
+        (am_lo, ap_lo), (am_hi, ap_hi) = self.alpha_at(-probe), self.alpha_at(probe)
+        return am_lo - am_hi, ap_lo - ap_hi
 
 
 @functools.lru_cache(maxsize=4)

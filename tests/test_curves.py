@@ -85,6 +85,15 @@ def test_index_single_positive_puncture():
     assert fredholm_index(curve_n, cons_n) == -1 - 3
 
 
+@pytest.mark.parametrize(
+    "sign, constrained, epsilon", [("+", True, D), ("+", False, -D), ("-", True, -D), ("-", False, D)]
+)
+def test_perturbation_is_the_sign_times_the_constraint_weight(sign, constrained, epsilon):
+    # A + (sign of z) c_z, with c_z = delta constrained and -delta unconstrained.
+    curve, cons = one_puncture_curve(declared_orbit("a", 1, 2), sign, constrained=constrained)
+    assert cons.perturbation(curve, "z").epsilon == epsilon
+
+
 def test_parity_partition_odd_orbits():
     odd = declared_orbit("a", 1, 2)
     curve, cons = one_puncture_curve(odd)

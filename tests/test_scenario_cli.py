@@ -285,6 +285,31 @@ def test_every_operation_is_called_by_some_query(monkeypatch):
     assert SPEC_OPERATIONS - entered == set()
 
 
+def test_a_warm_report_makes_no_numpy_call():
+    # Once the spectra are cached, a report is winding decisions on plain
+    # tuples and exact arithmetic.
+    scenario = load_scenario(foliation_doc())
+    emit(build_report(scenario, 64, "default"), "json")
+    calls = []
+
+    def record(frame, event, arg):
+        if event == "call":
+            module = frame.f_globals.get("__name__", "")
+        elif event == "c_call":
+            module = getattr(arg, "__module__", None) or type(arg.__self__).__module__
+        else:
+            return
+        if module.partition(".")[0] == "numpy":
+            calls.append(arg or frame.f_code.co_name)
+
+    sys.setprofile(record)
+    try:
+        emit(build_report(scenario, 64, "default"), "json")
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+
+
 def declared_from_spectra(doc, truncation):
     """``doc`` with the winding of each operator-backed orbit replaced by its
     declared windings of A -+ delta, read off its own spectrum at a delta
@@ -543,6 +568,8 @@ def _set(path, value):
         (_set(["covers", 0, "total_constrained"], [["q0"]]), "$.covers[0]"),
         # Beyond k = 2T + 2 some residue classes of the cover hold no mode |m| <= T.
         (_set(["orbits", 5, "cover"], 130), "$.orbits[5]"),
+        # A gap beyond the float range is refused as any gap wider than the spectrum's.
+        (_set(["delta_gap"], {"num": 10**400, "den": 1}), "$.orbits[0]"),
         # Perturbed windings that do not move across 0 declare no kernel.
         (_set(["orbits", 0, "winding"], {"type": "declared", "minus_delta": [0, 1],
                                          "plus_delta": [0, 1]}), "$.orbits[0].winding"),
@@ -622,7 +649,8 @@ def _set(path, value):
         "query-delta-u-not-rational", "query-truncation-below-minimum", "distinct-from-dict",
         "distinct-from-list", "constrained-list", "curve-orbit-list", "fiber-from-list",
         "fiber-to-list",
-        "total-constrained-list", "cover-beyond-truncation", "declared-no-flow",
+        "total-constrained-list", "cover-beyond-truncation", "delta-gap-beyond-float-range",
+        "declared-no-flow",
         "declared-both-spellings", "declared-alpha-plus-with-deltas",
         "declared-epsilon-outside-the-gap", "declared-epsilon-at-the-gap",
         "declared-cover-epsilon-outside-the-gap", "declared-cover-epsilon-m-outside-the-gap",
@@ -659,6 +687,26 @@ def test_cover_orbit_beyond_the_truncation_is_a_query_error(tmp_path, capsysbina
     [result] = json.loads(capsysbinary.readouterr().out)["queries"]
     assert result["status"] == "error"
     assert result["error"].startswith("SpectralError: ")
+
+
+def test_a_perturbation_beyond_float_range_is_a_query_error(tmp_path, capsysbinary):
+    huge = {"num": 10**400, "den": 1}
+    doc = foliation_doc()
+    doc["queries"] = [
+        {"name": "alpha", "orbit": "g_zero", "epsilon": huge},
+        {"name": "conley_zehnder", "orbit": "g_zero", "epsilon": huge, "method": "crossing_flow"},
+        {"name": "alpha", "orbit": "g_zero", "epsilon": {"num": 1, "den": 8}},
+    ]
+    f = tmp_path / "huge.scn"
+    f.write_text(json.dumps(doc))
+    assert main(["run", str(f), "--format", "json"]) == 1
+    alpha, flow, ordinary = json.loads(capsysbinary.readouterr().out)["queries"]
+    assert alpha["status"] == flow["status"] == "error"
+    assert alpha["error"].startswith("SpectralError: ")
+    assert "outside the reliable window" in alpha["error"]
+    assert flow["error"].startswith("SpectralError: ")
+    assert "too fast to resolve" in flow["error"]
+    assert ordinary["status"] == "ok"
 
 
 def test_cli_crossing_flow_cz_of_g_zero_falls_with_epsilon(tmp_path, capsysbinary):

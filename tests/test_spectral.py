@@ -8,6 +8,7 @@ import pytest
 from conftest import loop_orbit, random_symmetric_loop, safe_epsilon
 from oracles import (
     ScalarOracle,
+    ScannedDecisions,
     dense_hermitian_eigenvalues,
     dense_spectrum,
     measured_windings,
@@ -17,10 +18,10 @@ from oracles import (
     tiled_rows,
 )
 from pcurves import spectral
-from pcurves.errors import SpectralError, ValidationError
+from pcurves.errors import DegeneracyError, SpectralError, ValidationError
 from pcurves.flow import _crossing_flow
 from pcurves.orbits import WINDING, Perturbation, conley_zehnder, scalar_orbit
-from pcurves.spectral import AsymptoticOperator, discretized_spectrum
+from pcurves.spectral import AsymptoticOperator, SpectralData, discretized_spectrum
 
 TWO_PI = 2 * math.pi
 
@@ -256,6 +257,65 @@ def test_kernel_detection():
     one_dim = AsymptoticOperator.constant(0.0, 0.0, 1.0)
     spec1 = discretized_spectrum(one_dim, 32)
     assert spec1.kernel_dimension() == 1
+
+
+def _outcome(decide, *args):
+    """("ok", a decision's value), or the type of the error it raises with
+    the kernel winding a DegeneracyError reports."""
+    try:
+        return "ok", decide(*args)
+    except DegeneracyError as exc:
+        return DegeneracyError, exc.kernel_winding
+    except (SpectralError, ValidationError) as exc:
+        return type(exc), None
+
+
+def _edge_spectra():
+    """(eigenpairs, diameter) with double eigenvalues and kernels, with
+    eigenvalues at and just beyond the tolerance from 0, with a side of 0
+    left empty, and three computed spectra."""
+    diameter = 100.0
+    tol = spectral.DEGENERACY_REL_TOL * diameter
+    beyond = math.nextafter(tol, math.inf)
+    yield ((-12.5, -2, 2), (-6.0, -1, 1), (-3.0, -1, 1), (0.0, 0, 2), (6.5, 1, 2)), diameter
+    yield ((-7.0, -1, 2), (-tol, 0, 1), (tol, 0, 1), (7.0, 1, 2)), diameter
+    yield ((-7.0, -1, 2), (-beyond, 0, 1), (beyond, 0, 1), (7.0, 1, 2)), diameter
+    yield ((0.5, 0, 1), (1.5, 0, 1), (4.0, 1, 2)), diameter
+    yield ((-4.0, -1, 2), (-1.5, 0, 1), (-0.5, 0, 1)), diameter
+    yield ((0.0, 0, 2),), diameter
+    for op in (
+        AsymptoticOperator.constant(TWO_PI, 0.0, TWO_PI),
+        AsymptoticOperator.constant(0.0, 0.0, 1.0),
+        random_symmetric_loop(np.random.default_rng(5)),
+    ):
+        spec = discretized_spectrum(op, 16)
+        yield spec.eigenpairs, spec.diameter
+
+
+def test_decisions_match_a_linear_scan_at_the_tolerance_edges():
+    kinds = set()
+    for pairs, diameter in _edge_spectra():
+        spec, scan = SpectralData(pairs, diameter), ScannedDecisions(pairs, diameter)
+        tol = spec.degeneracy_tol
+        # Every eigenvalue, each of the window's ends among them, probed at
+        # and next to its tolerance edges.
+        probes = {0.0}
+        for lam, _, _ in pairs:
+            probes.add(lam)
+            for edge in (lam - tol, lam + tol):
+                probes |= {edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)}
+        for x in sorted(probes):
+            outcome = _outcome(spec.alpha_at, -x)
+            assert outcome == _outcome(scan.alpha_at, -x), (pairs, x)
+            kinds.add(outcome[0])
+        for side in (spectral.SIDE_MINUS, spectral.SIDE_PLUS):
+            assert _outcome(spec.alpha_strict, side) == _outcome(scan.alpha_strict, side), pairs
+        for delta_gap in (0, Fraction(1, 4), Fraction(1, 2), Fraction(7)):
+            assert _outcome(spec.gap_margin, delta_gap) == _outcome(scan.gap_margin, delta_gap)
+        assert spec.kernel_dimension() == scan.kernel_dimension(), pairs
+        assert _outcome(spec.nu) == _outcome(scan.nu), pairs
+    # The probes reached every kind of outcome.
+    assert kinds == {"ok", SpectralError, DegeneracyError}
 
 
 def test_doubling_truncation_stability():
