@@ -11,13 +11,7 @@ verdict rather than proving it.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import (
-    even_punctures,
-    fredholm_index,
-    normal_chern,
-    parity_partition,
-    puncture_perturbations,
-)
+from .curves import even_punctures, fredholm_index, normal_chern, parity_partition
 from .errors import ConsistencyError, ValidationError
 from .intersections import adjunction_sing, cov_totals
 from .orbits import (
@@ -56,15 +50,15 @@ class NiceReport:
     cov_morse_bott: int = None
 
 
-def is_stable_nicely_embedded(curve, constraints, self_intersection):
+def is_stable_nicely_embedded(curve, self_intersection):
     """Check the defining inequalities i <= 0, ind >= 0, ind > c_N, and all
     their combinatorial consequences (genus 0, the even-puncture rule,
     index range, the c_N value, vanishing singularity and covering totals)."""
     if not curve.somewhere_injective:
         raise ValidationError("nice embedding applies to somewhere injective curves")
-    ind = fredholm_index(curve, constraints)
-    c_n = normal_chern(curve, constraints)
-    gamma0, _ = parity_partition(curve, constraints)
+    ind = fredholm_index(curve)
+    c_n = normal_chern(curve)
+    gamma0, _ = parity_partition(curve)
     failed = []
     if self_intersection > 0:
         failed.append(f"self-intersection {self_intersection} > 0")
@@ -87,8 +81,8 @@ def is_stable_nicely_embedded(curve, constraints, self_intersection):
             failed.append(f"index {ind} outside {{0, 1, 2}}")
         if c_n not in (Fraction(-1), Fraction(0)):
             failed.append(f"c_N = {c_n} outside {{-1, 0}}")
-        cov_inf, cov_mb = cov_totals(curve, constraints)
-        sing = adjunction_sing(curve, constraints, self_intersection)
+        cov_inf, cov_mb = cov_totals(curve)
+        sing = adjunction_sing(curve, self_intersection)
         if sing != 0:
             failed.append(f"singularity index {sing} nonzero")
         if ind in (1, 2):
@@ -151,12 +145,12 @@ class EvenPunctureReport:
     nu_matches_constraint: bool = None
 
 
-def unique_even_analysis(curve, constraints, self_intersection):
+def unique_even_analysis(curve, self_intersection):
     """Classify the unique even puncture of an index-1 nicely embedded curve."""
-    report = is_stable_nicely_embedded(curve, constraints, self_intersection)
+    report = is_stable_nicely_embedded(curve, self_intersection)
     if not report.is_nice or report.index != 1:
         raise ValidationError("analysis applies to nicely embedded index-1 curves")
-    even = even_punctures(curve, constraints)
+    even = even_punctures(curve)
     if len(even) != 1:
         raise ConsistencyError(
             f"index-1 curve must have exactly one even puncture, found {len(even)}"
@@ -170,7 +164,7 @@ def unique_even_analysis(curve, constraints, self_intersection):
     elif kdim == 1:
         case = "morse_bott_2dim"
         nu = nu_at(orbit, extremal_side(curve.sign(z)))
-        nu_matches = (nu == 0) == (z in constraints.constrained)
+        nu_matches = (nu == 0) == (z in curve.constraints.constrained)
         if not nu_matches:
             raise ConsistencyError(
                 f"even puncture {z!r}: nu = {nu} incompatible with its constraint status"
@@ -241,13 +235,11 @@ def degeneration_screen(scenario, j_mode="homotopy", ambient=None):
         f"({'generic 1-parameter homotopy' if lower == -1 else 'fixed generic J'})"
     )
     base = scenario.base_curve
-    cons = scenario.base_constraints
     if not base.somewhere_injective:
         raise ValidationError("screen needs a somewhere injective base curve")
     cover = scenario.cover
-    limit = scenario.total_constraints
-    ind_v = fredholm_index(base, cons)
-    c_n_v = normal_chern(base, cons)
+    ind_v = fredholm_index(base)
+    c_n_v = normal_chern(base)
     if ind_v < -1:
         raise ValidationError(
             f"base index {ind_v} below the generic lower bound -1; bad scenario"
@@ -311,8 +303,8 @@ def degeneration_screen(scenario, j_mode="homotopy", ambient=None):
         raise ConsistencyError(
             f"base with c_N = {c_n_v} and index {ind_v} fits no branch of the screen"
         )
-    composed = scenario.composed
-    ind_u = fredholm_index(composed, limit)
+    limit = scenario.limit
+    ind_u = fredholm_index(limit)
     z_phi = riemann_hurwitz_punctured(cover)
     if z_phi > 0 or ind_u == 0:
         family_dim = 2 * z_phi + aut_dim(cover.domain) + 1
@@ -330,11 +322,11 @@ def degeneration_screen(scenario, j_mode="homotopy", ambient=None):
         )
     bad = None
     if ind_u == 1:
-        even = even_punctures(composed, limit)
+        even = even_punctures(limit)
         if len(even) != 1:
             raise ConsistencyError("index-1 cover must have exactly one even puncture")
         bad = even[0]
-        if not is_bad_puncture(composed.orbit(bad), 0):
+        if not is_bad_puncture(limit.orbit(bad), 0):
             raise ConsistencyError(
                 f"the even puncture {bad!r} of an index-1 multiple cover must be bad"
             )
@@ -366,9 +358,8 @@ def kernel_section_cover_obstruction(scenario):
     nice family.  Returns a report; ``fires`` = the multiple covers are
     isolated in the moduli space.
     """
-    limit = scenario.total_constraints
-    composed = scenario.composed
-    perts = puncture_perturbations(composed, limit)
+    limit = scenario.limit
+    pert_at = {z: pert for z, _, _, pert in limit.ends}
     rows = []
     fires = False
     forced_total = 0
@@ -379,8 +370,8 @@ def kernel_section_cover_obstruction(scenario):
             rows.append((z, k_z, f"covering defect q = {q} != 0 blocks extremal winding"))
             fires = True
             continue
-        orbit_z = composed.orbit(z)
-        am, ap, _ = alpha_pm(orbit_z, perts[z])
+        orbit_z = limit.orbit(z)
+        am, ap, _ = alpha_pm(orbit_z, pert_at[z])
         alpha = am if side == SIDE_MINUS else ap
         if alpha % k_z:
             rows.append(
@@ -388,7 +379,7 @@ def kernel_section_cover_obstruction(scenario):
             )
             fires = True
             continue
-        forced = _forced_cov_contribution(orbit_z, z in limit.constrained, side)
+        forced = _forced_cov_contribution(orbit_z, z in limit.constraints.constrained, side)
         forced_total += forced
         rows.append(
             (z, k_z, f"divisibility holds; forced covering contribution {forced}")

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .curves import k_bound
 from .errors import PCurvesError, ValidationError
-from .params import TRUNCATION
+from .params import COUNT, TRUNCATION
 from .queries import _jsonable, run_queries
 from .scenario import SCHEMA_VERSION, load_scenario
 from .spectral import DEFAULT_TRUNCATION, GLOBAL_SPECTRUM_CACHE
@@ -123,6 +123,10 @@ def _cmd_spectrum(args):
 
 def _cmd_oracle(args):
     c = _parse_rational(args.c, "--c")
+    try:
+        COUNT.parse(args.g, None)
+    except ValidationError as exc:
+        raise ValidationError(str(exc), "--g")
     value = k_bound(c, args.g, args.boundary)
     print(json.dumps({"k_bound": value, "c": _jsonable(c),
                       "genus0": args.g, "boundary": args.boundary}, sort_keys=True))

@@ -4,7 +4,7 @@ order on constraints, and enumeration of possible underlying simple curves.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -21,27 +21,29 @@ from .surfaces import (
 
 @dataclass(frozen=True)
 class CoverScenario:
-    """A branched cover composed with a base curve, with the pulled-back and
-    the declared (weaker) constraints on the domain.  It derives each once:
-    the pulled-back constraints, the composed curve and the branched ends."""
+    """A branched cover composed with a base curve, and the constraints
+    declared on the domain, weaker than the pulled-back ones.  It derives
+    each once: the composed curve, at the pulled-back constraints, and the
+    limit curve, the composed one at the declared constraints."""
 
     cover: BranchedCover
     base_curve: CurveData
-    base_constraints: ConstraintSet
     total_constraints: ConstraintSet = None  # constraints on the domain; defaults
     # to the pullback of the base constraints
 
     def __post_init__(self):
-        self.base_constraints.validate_against(self.base_curve.surface)
         if self.base_curve.surface != self.cover.codomain:
             raise ValidationError("base curve does not live on the cover codomain")
-        pulled = self.pulled_constraints
+        pulled = pullback_constraints(self.cover, self.base_curve.constraints)
         if self.total_constraints is None:
             object.__setattr__(self, "total_constraints", pulled)
-        self.total_constraints.validate_against(self.cover.domain)
-        if not self.total_constraints.constrained <= pulled.constrained:
+        # The pulled-back constraints lie on the domain, so this also
+        # refuses a declared puncture that is not on it.
+        extra = self.total_constraints.constrained - pulled.constrained
+        if extra:
             raise ValidationError(
-                "domain constraints must be dominated by the pulled-back ones"
+                "domain constraints must be dominated by the pulled-back ones: "
+                f"{sorted(extra)} are not"
             )
 
     @property
@@ -49,24 +51,24 @@ class CoverScenario:
         return self.cover.degree
 
     @cached_property
-    def pulled_constraints(self):
-        return pullback_constraints(self.cover, self.base_constraints)
-
-    @cached_property
     def composed(self):
         return composed_curve(self)
+
+    @cached_property
+    def limit(self):
+        return replace(self.composed, constraints=self.total_constraints)
 
     def branched_ends(self):
         """(z, base orbit, constraint perturbation, k_z, sign) of each domain
         puncture z with branching order k_z > 1; the orbit and perturbation
         are the base curve's at the image of z."""
-        cover, base = self.cover, self.base_curve
-        for z in cover.domain.puncture_ids:
+        cover = self.cover
+        base_at = {zeta: (orbit, pert) for zeta, _, orbit, pert in self.base_curve.ends}
+        for z, sign in cover.domain.punctures:
             k_z = cover.order_at(z)
             if k_z > 1:
-                zeta = cover.target_of(z)
-                pert = self.base_constraints.perturbation(base, zeta)
-                yield z, base.orbit(zeta), pert, k_z, cover.domain.sign_of(z)
+                orbit, pert = base_at[cover.target_of(z)]
+                yield z, orbit, pert, k_z, sign
 
 
 def pullback_constraints(cover, base_constraints):
@@ -80,8 +82,9 @@ def pullback_constraints(cover, base_constraints):
 
 
 def composed_curve(scenario):
-    """Curve data of (base o cover): Chern number and critical count scale
-    by the degree, orbits become the prescribed covers."""
+    """Curve data of (base o cover) at the pulled-back constraints: Chern
+    number and critical count scale by the degree, orbits become the
+    prescribed covers."""
     cover = scenario.cover
     base = scenario.base_curve
     z_phi = riemann_hurwitz_punctured(cover)
@@ -94,6 +97,7 @@ def composed_curve(scenario):
         ambient_dim_n=base.ambient_dim_n,
         orbit_at=orbits,
         c1_rel=cover.degree * base.c1_rel,
+        constraints=pullback_constraints(cover, base.constraints),
         maslov_boundary=0,
         z_du=Fraction(z_phi) + cover.degree * base.z_du,
         somewhere_injective=cover.degree == 1 and base.somewhere_injective,
@@ -113,9 +117,9 @@ def cn_cover(scenario):
         q_of_cover(orbit, pert, k_z, extremal_side(sign))
         for _, orbit, pert, k_z, sign in scenario.branched_ends()
     )
-    cn_base = normal_chern(scenario.base_curve, scenario.base_constraints)
+    cn_base = normal_chern(scenario.base_curve)
     value = scenario.degree * cn_base + riemann_hurwitz_punctured(scenario.cover) + q_total
-    direct = normal_chern(scenario.composed, scenario.pulled_constraints)
+    direct = normal_chern(scenario.composed)
     if direct != value:
         raise ConsistencyError(
             f"covering formula gives c_N = {value} but the composed curve "
@@ -145,35 +149,30 @@ def i_cover_bound(scenario, other, base_pairing):
     by the degree.  The slack is recomputed independently as a sum of
     q-tilde terms and must match.
     """
-    other_curve, other_cons = other
     base_pair = PairingInput(
-        left=(scenario.base_curve, scenario.base_constraints), right=other,
-        relative_pairing=base_pairing,
+        left=scenario.base_curve, right=other, relative_pairing=base_pairing
     )
     comp_pair = PairingInput(
-        left=(scenario.composed, scenario.pulled_constraints), right=other,
-        relative_pairing=scenario.degree * base_pairing,
+        left=scenario.composed, right=other, relative_pairing=scenario.degree * base_pairing
     )
     lhs = intersection_number(comp_pair)
     rhs = scenario.degree * intersection_number(base_pair)
 
     slack = 0
     for _, base_orbit, pert, k_z, sign_z in scenario.branched_ends():
-        for zp in other_curve.surface.puncture_ids:
-            other_orbit = other_curve.orbit(zp)
-            if other_curve.sign(zp) == sign_z and base_orbit.shares_simple_orbit(other_orbit):
-                other_pert = other_cons.perturbation(other_curve, zp)
+        for _, sign, other_orbit, other_pert in other.ends:
+            if sign == sign_z and base_orbit.shares_simple_orbit(other_orbit):
                 slack += q_tilde(base_orbit, pert, other_orbit, other_pert, k_z, sign_z)
     return CoverBoundReport(lhs=lhs, rhs=rhs, slack=slack)
 
 
-def constraint_leq(c1, c2, surface):
-    """Partial order on constraint sets over one puncture set: c1 <= c2 when
-    every c1-constrained puncture is c2-constrained (to the same orbit,
-    which the shared curve data pins down)."""
-    c1.validate_against(surface)
-    c2.validate_against(surface)
-    return c1.constrained <= c2.constrained
+def constraint_leq(u1, u2):
+    """Partial order on the constraint sets of two curves over one puncture
+    set: u1 <= u2 when every u1-constrained puncture is u2-constrained (to
+    the same orbit, which the shared curve data pins down)."""
+    if u1.surface != u2.surface:
+        raise ValidationError("constraint sets compare over one puncture set")
+    return u1.constraints.constrained <= u2.constraints.constrained
 
 
 @dataclass(frozen=True)
@@ -207,7 +206,7 @@ def _fiber_compatible(members, orbits, constraints):
     return True
 
 
-def enumerate_cover_candidates(surface, orbits, constraints):
+def enumerate_cover_candidates(curve):
     """All combinatorial sketches (codomain, branching orders, constraints)
     that a presentation of the curve as a multiple cover could have.
 
@@ -216,10 +215,8 @@ def enumerate_cover_candidates(surface, orbits, constraints):
     orbit or (if unconstrained) a declared Morse-Bott family.  Existence of
     an actual holomorphic cover is not asserted.
     """
-    constraints.validate_against(surface)
+    surface, orbits, constraints = curve.surface, curve.orbit_at, curve.constraints
     ids = list(surface.puncture_ids)
-    if set(orbits) != set(ids):
-        raise ValidationError("orbit map must cover exactly the punctures")
 
     def partitions(items):
         if not items:

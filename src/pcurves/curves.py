@@ -21,13 +21,48 @@ from .surfaces import POSITIVE, euler_char
 
 
 @dataclass(frozen=True)
+class ConstraintSet:
+    """Partition of the punctures into constrained and unconstrained ones.
+
+    A constrained puncture has c_z = delta, an unconstrained one c_z = -delta,
+    and perturbs its operator by (sign of z) * c_z.
+    """
+
+    constrained: frozenset
+    delta: Fraction = Fraction(1, 8)
+
+    def __post_init__(self):
+        object.__setattr__(self, "constrained", frozenset(self.constrained))
+        object.__setattr__(self, "delta", Fraction(self.delta))
+        if self.delta <= 0:
+            raise ValidationError("constraint weight delta must be positive")
+        # The only two perturbations, shared by every puncture.
+        object.__setattr__(self, "_up", Perturbation(self.delta))
+        object.__setattr__(self, "_down", Perturbation(-self.delta))
+
+    def perturbation(self, z, sign):
+        """The operator perturbation at the puncture z of this sign:
+        A + (sign of z) * c_z, one of two."""
+        if (z in self.constrained) == (sign == POSITIVE):
+            return self._up
+        return self._down
+
+
+@dataclass(frozen=True)
 class CurveData:
-    """Topological data of one asymptotically cylindrical curve."""
+    """Topological data of one asymptotically cylindrical curve, with the
+    constraint set its invariants are taken at.
+
+    ``ends`` holds (z, sign, orbit, perturbation) of each puncture z in
+    puncture order, the perturbation being the constraint's at z; every
+    invariant reads the punctures through it.
+    """
 
     surface: object
     ambient_dim_n: int
     orbit_at: dict  # puncture id -> OrbitClass
     c1_rel: int
+    constraints: ConstraintSet
     maslov_boundary: int = 0
     z_du: Fraction = Fraction(0)
     somewhere_injective: bool = True
@@ -49,6 +84,13 @@ class CurveData:
         ids = set(self.surface.puncture_ids)
         if set(self.orbit_at) != ids:
             raise ValidationError("orbit assignment must cover exactly the punctures")
+        extra = self.constraints.constrained - ids
+        if extra:
+            raise ValidationError(f"constrained punctures not on the surface: {sorted(extra)}")
+        object.__setattr__(self, "ends", tuple(
+            (z, sign, self.orbit_at[z], self.constraints.perturbation(z, sign))
+            for z, sign in self.surface.punctures
+        ))
 
     def orbit(self, z):
         return self.orbit_at[z]
@@ -57,91 +99,48 @@ class CurveData:
         return self.surface.sign_of(z)
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Partition of the punctures into constrained and unconstrained ones.
-
-    A constrained puncture has c_z = delta, an unconstrained one c_z = -delta,
-    and perturbs its operator by (sign of z) * c_z.
-    """
-
-    constrained: frozenset
-    delta: Fraction = Fraction(1, 8)
-
-    def __post_init__(self):
-        object.__setattr__(self, "constrained", frozenset(self.constrained))
-        object.__setattr__(self, "delta", Fraction(self.delta))
-        if self.delta <= 0:
-            raise ValidationError("constraint weight delta must be positive")
-        # The only two perturbations, shared by every puncture.
-        object.__setattr__(self, "_up", Perturbation(self.delta))
-        object.__setattr__(self, "_down", Perturbation(-self.delta))
-
-    def validate_against(self, surface):
-        extra = self.constrained - set(surface.puncture_ids)
-        if extra:
-            raise ValidationError(f"constrained punctures not on the surface: {sorted(extra)}")
-
-    def perturbation(self, curve, z):
-        """The operator perturbation at z: A + (sign of z) * c_z, one of two."""
-        if (z in self.constrained) == (curve.sign(z) == POSITIVE):
-            return self._up
-        return self._down
-
-
-def puncture_perturbations(curve, constraints):
-    constraints.validate_against(curve.surface)
-    return {
-        z: constraints.perturbation(curve, z) for z in curve.surface.puncture_ids
-    }
-
-
-def even_punctures(curve, constraints):
+def even_punctures(curve):
     """The punctures whose perturbed orbit has parity 0, in puncture order."""
-    return [
-        z
-        for z, pert in puncture_perturbations(curve, constraints).items()
-        if alpha_pm(curve.orbit(z), pert)[2] == 0
-    ]
+    return [z for z, _, orbit, pert in curve.ends if alpha_pm(orbit, pert)[2] == 0]
 
 
-def parity_partition(curve, constraints):
+def parity_partition(curve):
     """(#even, #odd) punctures with respect to the constraints."""
-    even = len(even_punctures(curve, constraints))
+    even = len(even_punctures(curve))
     return even, curve.surface.n_punctures - even
 
 
-def total_maslov(curve, constraints):
+def total_maslov(curve):
     """Boundary Maslov total plus the signed sum of perturbed CZ indices."""
     total = curve.maslov_boundary
-    for z, pert in puncture_perturbations(curve, constraints).items():
-        mu = conley_zehnder(curve.orbit(z), pert)
-        if curve.sign(z) == POSITIVE:
+    for _, sign, orbit, pert in curve.ends:
+        mu = conley_zehnder(orbit, pert)
+        if sign == POSITIVE:
             total += mu
         else:
             total -= mu
     return total
 
 
-def fredholm_index(curve, constraints):
+def fredholm_index(curve):
     """(n - 3) chi + 2 c1 + total Maslov."""
     chi = euler_char(curve.surface)
     return (
         (curve.ambient_dim_n - 3) * chi
         + 2 * curve.c1_rel
-        + total_maslov(curve, constraints)
+        + total_maslov(curve)
     )
 
 
-def _normal_chern_from_index(curve, constraints):
-    ind = fredholm_index(curve, constraints)
-    gamma0, _ = parity_partition(curve, constraints)
+def _normal_chern_from_index(curve):
+    ind = fredholm_index(curve)
+    gamma0, _ = parity_partition(curve)
     g = curve.surface.genus
     m = curve.surface.boundary_components
     return Fraction(ind - 2 + 2 * g + gamma0 + m, 2)
 
 
-def _normal_chern_from_windings(curve, constraints):
+def _normal_chern_from_windings(curve):
     if curve.ambient_dim_n != 2:
         raise ValidationError(
             "the winding form of the normal Chern number needs ambient dimension 2"
@@ -149,25 +148,25 @@ def _normal_chern_from_windings(curve, constraints):
     total = Fraction(curve.c1_rel - euler_char(curve.surface)) + Fraction(
         curve.maslov_boundary, 2
     )
-    for z, pert in puncture_perturbations(curve, constraints).items():
-        am, ap, _ = alpha_pm(curve.orbit(z), pert)
-        if curve.sign(z) == POSITIVE:
+    for _, sign, orbit, pert in curve.ends:
+        am, ap, _ = alpha_pm(orbit, pert)
+        if sign == POSITIVE:
             total += am
         else:
             total -= ap
     return total
 
 
-def normal_chern(curve, constraints):
+def normal_chern(curve):
     """Normal first Chern number, computed two independent ways.
 
     2 c_N = ind - 2 + 2g + #even + m, and (in ambient dimension 2) the
     winding form c1 - chi + mu_boundary/2 + sum of extremal windings; a
     disagreement means the declared data is incoherent.
     """
-    value = _normal_chern_from_index(curve, constraints)
+    value = _normal_chern_from_index(curve)
     if curve.ambient_dim_n == 2:
-        other = _normal_chern_from_windings(curve, constraints)
+        other = _normal_chern_from_windings(curve)
         if other != value:
             raise ConsistencyError(
                 f"normal Chern number mismatch: index form gives {value}, "
@@ -182,7 +181,9 @@ def k_bound(c, genus0_count, has_boundary):
     For k <= c the least admissible l is top - 2k, with top the least
     multiple of the step above 2c, so k + l = top - k falls as k grows to
     min(G, floor c); a k > c admits l = 0, the least such k being
-    floor c + 1."""
+    floor c + 1.  A negative G leaves no k, so it has no minimum."""
+    if genus0_count < 0:
+        raise ValidationError(f"even-puncture count must be >= 0, got {genus0_count}")
     c = Fraction(c)
     if c < 0:
         return 0
@@ -212,16 +213,16 @@ class TransversalityReport:
             raise ConsistencyError("kernel bounds out of order")
 
 
-def transversality_check(curve, constraints):
+def transversality_check(curve):
     """Automatic-transversality criterion with kernel-dimension bounds.
 
     The criterion ind > c_N + Z(du) guarantees regularity; in that case the
     kernel dimension (modulo automorphisms) is exactly max(ind, 2 Z(du)).
     Otherwise the two-case bounds apply, split at ind vs 2 Z(du).
     """
-    ind = fredholm_index(curve, constraints)
-    c_n = normal_chern(curve, constraints)
-    gamma0, gamma1 = parity_partition(curve, constraints)
+    ind = fredholm_index(curve)
+    c_n = normal_chern(curve)
+    gamma0, gamma1 = parity_partition(curve)
     z = curve.z_du
     g = curve.surface.genus
     m = curve.surface.boundary_components
@@ -231,7 +232,7 @@ def transversality_check(curve, constraints):
     # Reformulations; they must agree with the direct test.
     genus_form = ind > 2 * g + gamma0 + m - 2 + 2 * z
     winding_form = (
-        2 * curve.c1_rel + total_maslov(curve, constraints) + gamma1
+        2 * curve.c1_rel + total_maslov(curve) + gamma1
         > 2 * z
     )
     if genus_form != met or (curve.ambient_dim_n == 2 and winding_form != met):
@@ -305,9 +306,9 @@ def line_bundle_bounds(ind_d, c1_adj, gamma0_count, has_boundary):
     )
 
 
-def index_normal_operator(curve, constraints):
+def index_normal_operator(curve):
     """Index of the normal operator: ind(u) - 2 Z(du)."""
-    value = fredholm_index(curve, constraints) - 2 * curve.z_du
+    value = fredholm_index(curve) - 2 * curve.z_du
     return exact_int(value, "normal operator index")
 
 
@@ -318,12 +319,12 @@ def index_tangent_operator(curve):
     return exact_int(value, "tangent operator index")
 
 
-def critical_bound_check(curve, constraints):
+def critical_bound_check(curve):
     """Somewhere injective curves satisfy 2 Z(du) <= ind for generic data;
     False flags data that no generic almost complex structure produces."""
     if not curve.somewhere_injective:
         raise ValidationError("critical bound applies to somewhere injective curves")
-    return 2 * curve.z_du <= fredholm_index(curve, constraints)
+    return 2 * curve.z_du <= fredholm_index(curve)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ screen for the declared numbers.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curves import normal_chern, puncture_perturbations
+from .curves import normal_chern
 from .errors import ConsistencyError, ValidationError
 from .orbits import (
     cov_extremal,
@@ -35,26 +35,23 @@ class PairingInput:
     value is 0); keys are (left puncture id, right puncture id).
     """
 
-    left: tuple  # (CurveData, ConstraintSet)
-    right: tuple
+    left: object  # CurveData
+    right: object
     relative_pairing: int
     declared_end_intersections: dict = field(default_factory=dict)
 
     @property
     def is_self_pairing(self):
-        curve_l, _ = self.left
-        curve_r, _ = self.right
-        return curve_l.homology_tag == curve_r.homology_tag
+        return self.left.homology_tag == self.right.homology_tag
 
     def same_sign_pairs(self):
-        """(sign, z, z') of each same-sign end pair, positive ends first."""
-        curve_l, _ = self.left
-        curve_r, _ = self.right
+        """(left end, right end) of each same-sign end pair, positive ends
+        first; an end is (z, sign, orbit, perturbation)."""
         for sign in (POSITIVE, NEGATIVE):
-            for z, sign_l in curve_l.surface.punctures:
-                for zp, sign_r in curve_r.surface.punctures:
-                    if sign_l == sign_r == sign:
-                        yield sign, z, zp
+            for end_l in self.left.ends:
+                for end_r in self.right.ends:
+                    if end_l[1] == end_r[1] == sign:
+                        yield end_l, end_r
 
     def end_intersection(self, z, zp):
         value = self.declared_end_intersections.get((z, zp), 0)
@@ -66,19 +63,9 @@ class PairingInput:
 def omega_sum(pairing):
     """Sum of Omega terms over all same-sign end pairs, at the constrained
     perturbations."""
-    curve_l, cons_l = pairing.left
-    curve_r, cons_r = pairing.right
-    perts_l = puncture_perturbations(curve_l, cons_l)
-    perts_r = puncture_perturbations(curve_r, cons_r)
     total = 0
-    for sign, z, zp in pairing.same_sign_pairs():
-        total += omega_pair(
-            curve_l.orbit(z),
-            perts_l[z],
-            curve_r.orbit(zp),
-            perts_r[zp],
-            sign,
-        )
+    for (_, sign, a, pert_a), (_, _, b, pert_b) in pairing.same_sign_pairs():
+        total += omega_pair(a, pert_a, b, pert_b, sign)
     return total
 
 
@@ -121,20 +108,18 @@ def asymptotic_intersection(pairing, geometric_count=None):
         raise ValidationError(
             "asymptotic decomposition needs geometrically distinct curves"
         )
-    curve_l, cons_l = pairing.left
-    curve_r, cons_r = pairing.right
-    perts_l = puncture_perturbations(curve_l, cons_l)
-    perts_r = puncture_perturbations(curve_r, cons_r)
+    if geometric_count is not None and geometric_count < 0:
+        raise ValidationError(
+            f"a geometric intersection count is nonnegative, got {geometric_count}"
+        )
     rows = []
     total = 0
     used_default = False
-    for sign, z, zp in pairing.same_sign_pairs():
-        a = curve_l.orbit(z)
-        b = curve_r.orbit(zp)
+    for (z, sign, a, pert_a), (zp, _, b, pert_b) in pairing.same_sign_pairs():
         end_term = pairing.end_intersection(z, zp)
         if (z, zp) not in pairing.declared_end_intersections:
             used_default = True
-        mb_term = _morse_bott_term((z, zp), a, perts_l[z], b, perts_r[zp], sign)
+        mb_term = _morse_bott_term((z, zp), a, pert_a, b, pert_b, sign)
         rows.append(((z, zp), end_term, mb_term))
         total += end_term + mb_term
     consistent = None
@@ -155,21 +140,18 @@ def asymptotic_intersection(pairing, geometric_count=None):
     )
 
 
-def cov_totals(curve, constraints):
+def cov_totals(curve):
     """(cov_infinity, cov_morse_bott) of the curve's asymptotic orbit set.
 
     cov_infinity sums cov(extremal eigenfunction of the generic perturbed
     orbit) - 1 over all punctures; cov_morse_bott weights the generic
     orbit's covering excess by nu at the unconstrained punctures.
     """
-    constraints.validate_against(curve.surface)
     cov_inf = 0
     cov_mb = 0
-    for z in curve.surface.puncture_ids:
-        orbit = curve.orbit(z)
-        side = extremal_side(curve.sign(z))
-        constrained = z in constraints.constrained
-        if constrained:
+    for z, sign, orbit, _ in curve.ends:
+        side = extremal_side(sign)
+        if z in curve.constraints.constrained:
             cov_inf += cov_extremal(orbit, side) - 1
         else:
             cov_inf += generic_cov_extremal(orbit, side) - 1
@@ -177,7 +159,7 @@ def cov_totals(curve, constraints):
     return cov_inf, cov_mb
 
 
-def adjunction_sing(curve, constraints, self_intersection):
+def adjunction_sing(curve, self_intersection):
     """Singularity index from the adjunction formula:
     sing = [i(u|u) - c_N - cov_infinity - cov_morse_bott] / 2.
 
@@ -186,8 +168,8 @@ def adjunction_sing(curve, constraints, self_intersection):
     """
     if not curve.somewhere_injective:
         raise ValidationError("adjunction applies to somewhere injective curves")
-    c_n = normal_chern(curve, constraints)
-    cov_inf, cov_mb = cov_totals(curve, constraints)
+    c_n = normal_chern(curve)
+    cov_inf, cov_mb = cov_totals(curve)
     sing = Fraction(self_intersection - c_n - cov_inf - cov_mb, 2)
     if sing < 0:
         raise ConsistencyError(
@@ -208,7 +190,7 @@ class SingDecomposition:
     sing_total: Fraction = None
 
 
-def sing_decomposition(curve, constraints, delta_u=None, adjunction_value=None):
+def sing_decomposition(curve, delta_u=None, adjunction_value=None):
     """Assemble 2 delta_infinity(u; c) from per-end data.
 
     Every relative asymptotic intersection sits at its minimum: the term of
@@ -217,24 +199,19 @@ def sing_decomposition(curve, constraints, delta_u=None, adjunction_value=None):
     When the interior singularity count delta(u) is declared, the total is
     validated against the adjunction singularity index.
     """
-    perts = puncture_perturbations(curve, constraints)
-
     pair_rows = []
     total = Fraction(0)
-    ids = curve.surface.puncture_ids
-    for z in ids:
-        for zp in ids:
-            if z == zp or curve.sign(z) != curve.sign(zp):
+    for z, sign, a, pert_a in curve.ends:
+        for zp, sign_p, b, pert_b in curve.ends:
+            if z == zp or sign != sign_p:
                 continue
-            mb_term = _morse_bott_term(
-                (z, zp), curve.orbit(z), perts[z], curve.orbit(zp), perts[zp], curve.sign(z)
-            )
+            mb_term = _morse_bott_term((z, zp), a, pert_a, b, pert_b, sign)
             pair_rows.append(((z, zp), 0, mb_term))
             total += mb_term
 
     end_rows = []
-    for z in ids:
-        two_delta_mb = 2 * delta_mb(curve.orbit(z), perts[z], curve.sign(z))
+    for z, sign, orbit, pert in curve.ends:
+        two_delta_mb = 2 * delta_mb(orbit, pert, sign)
         end_rows.append((z, Fraction(0), two_delta_mb))
         total += two_delta_mb
 
@@ -250,6 +227,6 @@ def sing_decomposition(curve, constraints, delta_u=None, adjunction_value=None):
         delta_infinity_doubled=total,
         pair_terms=tuple(pair_rows),
         end_terms=tuple(end_rows),
-        declared_unverified=bool(ids),
+        declared_unverified=bool(curve.ends),
         sing_total=sing_total,
     )

@@ -90,7 +90,7 @@ def _named(table, noun):
 
 INT = _checked(_is_int, "an integer")
 ORDER = _checked(lambda v: _is_int(v) and v >= 1, "an integer >= 1")  # of a cover
-COUNT = _checked(lambda v: _is_int(v) and v >= 0, "an integer >= 0")  # of intersections
+COUNT = _checked(lambda v: _is_int(v) and v >= 0, "an integer >= 0")  # of intersections, ends
 TRUNCATION = _checked(  # of a Fourier truncation
     lambda v: _is_int(v) and v >= MIN_TRUNCATION, f"an integer >= {MIN_TRUNCATION}"
 )
@@ -111,5 +111,5 @@ _PAIRS = _rows_of(2, "[re, im] number pairs")
 LOOP_SAMPLES = Kind(lambda value, scenario: tuple(complex(*p) for p in _PAIRS.parse(value, None)))
 SURFACE = _named("surfaces", "surface")
 ORBIT = _named("orbits", "orbit")
-CURVE = _named("curves", "curve")  # read as (CurveData, ConstraintSet)
+CURVE = _named("curves", "curve")  # read as a CurveData
 COVER = _named("covers", "cover")  # read as a CoverScenario

@@ -2,13 +2,13 @@
 a loaded scenario, and each result carries the formula it used plus its
 echoed inputs, so reports are self-contained and reproducible."""
 
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from fractions import Fraction
 
 from . import classify, covers, curves, flow, intersections, orbits, surfaces, zeros
 from .errors import PCurvesError, ValidationError
 from .params import (
-    BOOL, COVER, CURVE, IDS, INT, J_MODE, LOOP_SAMPLES, METHOD, ORBIT, ORDER, PARITY,
+    BOOL, COUNT, COVER, CURVE, IDS, INT, J_MODE, LOOP_SAMPLES, METHOD, ORBIT, ORDER, PARITY,
     PERTURBATION, RATIONAL, SIGN, SURFACE, TRUNCATION,
 )
 from .rationals import rational_json
@@ -251,7 +251,7 @@ def _q_delta_mb(scenario, orbit, epsilon, sign):
     curve=CURVE,
 )
 def _q_parity(scenario, curve):
-    even, odd = curves.parity_partition(*curve)
+    even, odd = curves.parity_partition(curve)
     return {"even": even, "odd": odd}
 
 
@@ -261,7 +261,7 @@ def _q_parity(scenario, curve):
     curve=CURVE,
 )
 def _q_index(scenario, curve):
-    return curves.fredholm_index(*curve)
+    return curves.fredholm_index(curve)
 
 
 @REGISTRY.register(
@@ -270,14 +270,14 @@ def _q_index(scenario, curve):
     curve=CURVE,
 )
 def _q_cn(scenario, curve):
-    return curves.normal_chern(*curve)
+    return curves.normal_chern(curve)
 
 
 @REGISTRY.register(
     "k_bound",
     "min{k + l : k <= G, 2k + l > 2c}, l even when closed",
     c=RATIONAL,
-    genus0=INT,
+    genus0=COUNT,
     boundary=BOOL,
 )
 def _q_kbound(scenario, c, genus0, boundary):
@@ -290,7 +290,7 @@ def _q_kbound(scenario, c, genus0, boundary):
     curve=CURVE,
 )
 def _q_trans(scenario, curve):
-    return curves.transversality_check(*curve)
+    return curves.transversality_check(curve)
 
 
 @REGISTRY.register(
@@ -298,7 +298,7 @@ def _q_trans(scenario, curve):
     "injective iff c1 < 0 (ind <= 0); surjective iff ind > c1 (ind >= 0)",
     index=INT,
     c1_adjusted=RATIONAL,
-    gamma0=INT,
+    gamma0=COUNT,
     boundary=BOOL,
 )
 def _q_line_bundle(scenario, index, c1_adjusted, gamma0, boundary):
@@ -312,8 +312,8 @@ def _q_line_bundle(scenario, index, c1_adjusted, gamma0, boundary):
 )
 def _q_index_normal(scenario, curve):
     return {
-        "normal": curves.index_normal_operator(*curve),
-        "tangent": curves.index_tangent_operator(curve[0]),
+        "normal": curves.index_normal_operator(curve),
+        "tangent": curves.index_tangent_operator(curve),
     }
 
 
@@ -323,7 +323,7 @@ def _q_index_normal(scenario, curve):
     curve=CURVE,
 )
 def _q_critical(scenario, curve):
-    return curves.critical_bound_check(*curve)
+    return curves.critical_bound_check(curve)
 
 
 @REGISTRY.register(
@@ -355,7 +355,7 @@ def _q_intersection(scenario, left, right):
     "asymptotic contributions: per-end-pair fixed and Morse-Bott parts",
     left=CURVE,
     right=CURVE,
-    geometric_count=INT.optional(),
+    geometric_count=COUNT.optional(),
 )
 def _q_asymptotic(scenario, left, right, geometric_count):
     return intersections.asymptotic_intersection(scenario.pairing(left, right), geometric_count)
@@ -367,7 +367,7 @@ def _q_asymptotic(scenario, left, right, geometric_count):
     curve=CURVE,
 )
 def _q_cov_totals(scenario, curve):
-    ci, cm = intersections.cov_totals(*curve)
+    ci, cm = intersections.cov_totals(curve)
     return {"cov_infinity": ci, "cov_morse_bott": cm}
 
 
@@ -377,7 +377,7 @@ def _q_cov_totals(scenario, curve):
     curve=CURVE,
 )
 def _q_adj_sing(scenario, curve):
-    return intersections.adjunction_sing(*curve, _self_i(scenario, curve))
+    return intersections.adjunction_sing(curve, _self_i(scenario, curve))
 
 
 @REGISTRY.register(
@@ -390,7 +390,7 @@ def _q_sing_dec(scenario, curve, delta_u):
     adj = None
     if delta_u is not None:
         adj = _q_adj_sing(scenario, curve)
-    return intersections.sing_decomposition(*curve, delta_u=delta_u, adjunction_value=adj)
+    return intersections.sing_decomposition(curve, delta_u=delta_u, adjunction_value=adj)
 
 
 @REGISTRY.register(
@@ -399,7 +399,7 @@ def _q_sing_dec(scenario, curve, delta_u):
     cover=COVER,
 )
 def _q_pullback(scenario, cover):
-    pulled = covers.pullback_constraints(cover.cover, cover.base_constraints)
+    pulled = covers.pullback_constraints(cover.cover, cover.base_curve.constraints)
     return {"constrained": sorted(pulled.constrained)}
 
 
@@ -420,7 +420,7 @@ def _q_cn_cover(scenario, cover):
     other=CURVE,
 )
 def _q_icb(scenario, cover, other):
-    pairing = scenario.pairing((cover.base_curve, cover.base_constraints), other)
+    pairing = scenario.pairing(cover.base_curve, other)
     return covers.i_cover_bound(cover, other, pairing.relative_pairing)
 
 
@@ -432,12 +432,11 @@ def _q_icb(scenario, cover, other):
     stronger=IDS,
 )
 def _q_cleq(scenario, curve, weaker, stronger):
-    curve, cons = curve
-    return covers.constraint_leq(
-        curves.ConstraintSet(frozenset(weaker), cons.delta),
-        curves.ConstraintSet(frozenset(stronger), cons.delta),
-        curve.surface,
-    )
+    def at(ids):
+        constraints = curves.ConstraintSet(frozenset(ids), curve.constraints.delta)
+        return replace(curve, constraints=constraints)
+
+    return covers.constraint_leq(at(weaker), at(stronger))
 
 
 @REGISTRY.register(
@@ -446,8 +445,7 @@ def _q_cleq(scenario, curve, weaker, stronger):
     curve=CURVE,
 )
 def _q_enum(scenario, curve):
-    curve, cons = curve
-    cands = covers.enumerate_cover_candidates(curve.surface, curve.orbit_at, cons)
+    cands = covers.enumerate_cover_candidates(curve)
     return [
         {
             "degree": c.degree,
@@ -474,7 +472,7 @@ def _q_enum(scenario, curve):
 )
 def _q_nice(scenario, curve):
     self_i = _self_i(scenario, curve)
-    return classify.is_stable_nicely_embedded(*curve, self_i)
+    return classify.is_stable_nicely_embedded(curve, self_i)
 
 
 @REGISTRY.register(
@@ -484,7 +482,7 @@ def _q_nice(scenario, curve):
 )
 def _q_unique_even(scenario, curve):
     self_i = _self_i(scenario, curve)
-    return classify.unique_even_analysis(*curve, self_i)
+    return classify.unique_even_analysis(curve, self_i)
 
 
 @REGISTRY.register(

@@ -46,7 +46,7 @@ class Scenario:
     delta_gap: Fraction
     surfaces: dict
     orbits: dict
-    curves: dict  # id -> (CurveData, ConstraintSet)
+    curves: dict  # id -> CurveData
     pairings: dict  # (left tag, right tag) -> PairingInput
     covers: dict  # id -> CoverScenario
     queries: list  # of Query
@@ -59,9 +59,8 @@ class Scenario:
         return self.orbits[oid]
 
     def pairing(self, left, right):
-        """The pairing declared for two curves, each (CurveData, ConstraintSet),
-        in either order."""
-        tags = (left[0].homology_tag, right[0].homology_tag)
+        """The pairing declared for two curves, in either order."""
+        tags = (left.homology_tag, right.homology_tag)
         for key in (tags, tags[::-1]):
             if key in self.pairings:
                 return self.pairings[key]
@@ -238,13 +237,12 @@ def _parse_curve(doc, location, scenario):
         z_du=_get(doc, "z_du", location, RATIONAL.optional(Fraction(0))),
         somewhere_injective=_get(doc, "somewhere_injective", location, BOOL.optional(True)),
         homology_tag=_get(doc, "id", location, STR),
+        constraints=ConstraintSet(
+            constrained=frozenset(_get(doc, "constrained", location, IDS.optional(()))),
+            delta=delta,
+        ),
     )
-    constraints = ConstraintSet(
-        constrained=frozenset(_get(doc, "constrained", location, IDS.optional(()))),
-        delta=delta,
-    )
-    constraints.validate_against(surface)
-    return curve.homology_tag, (curve, constraints)
+    return curve.homology_tag, curve
 
 
 def _parse_cover(doc, location, scenario):
@@ -270,8 +268,10 @@ def _parse_cover(doc, location, scenario):
             _get(entry, "to", loc, STR),
             _get(entry, "order", loc, INT.optional(1)),
         )
-    base_curve, base_cons = _get(doc, "base_curve", location, CURVE, scenario)
+    base_curve = _get(doc, "base_curve", location, CURVE, scenario)
     total = _get(doc, "total_constrained", location, IDS.optional())
+    if total is not None:
+        total = ConstraintSet(frozenset(total), base_curve.constraints.delta)
     cover = BranchedCover(
         domain=_get(doc, "domain", location, SURFACE, scenario),
         codomain=_get(doc, "codomain", location, SURFACE, scenario),
@@ -282,10 +282,7 @@ def _parse_cover(doc, location, scenario):
     return _get(doc, "id", location, STR), CoverScenario(
         cover=cover,
         base_curve=base_curve,
-        base_constraints=base_cons,
-        total_constraints=(
-            ConstraintSet(frozenset(total), base_cons.delta) if total is not None else None
-        ),
+        total_constraints=total,
     )
 
 
@@ -302,12 +299,12 @@ def _parse_pairing(doc, location, scenario):
         z, zp = _get(entry, "left_puncture", loc, STR), _get(entry, "right_puncture", loc, STR)
         for side, curve, p in (("left", left, z), ("right", right, zp)):
             _require(
-                p in curve[0].surface.puncture_ids,
-                f"{side} curve {curve[0].homology_tag!r} has no puncture {p!r}",
+                p in curve.surface.puncture_ids,
+                f"{side} curve {curve.homology_tag!r} has no puncture {p!r}",
                 f"{loc}.{side}_puncture",
             )
         _require(
-            left[0].sign(z) == right[0].sign(zp),
+            left.sign(z) == right.sign(zp),
             f"punctures {z!r} and {zp!r} have opposite signs; only same-sign ends intersect",
             f"{loc}.right_puncture",
         )
@@ -318,7 +315,7 @@ def _parse_pairing(doc, location, scenario):
         relative_pairing=_get(doc, "relative_pairing", location, INT),
         declared_end_intersections=ends,
     )
-    return (left[0].homology_tag, right[0].homology_tag), pairing
+    return (left.homology_tag, right.homology_tag), pairing
 
 
 def _parse_query(doc, location, scenario):

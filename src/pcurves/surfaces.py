@@ -35,10 +35,7 @@ class PuncturedSurface:
                 raise ValidationError(f"duplicate puncture id {pid!r}")
             seen.add(pid)
         object.__setattr__(self, "_signs", dict(self.punctures))
-
-    @property
-    def puncture_ids(self):
-        return tuple(pid for pid, _ in self.punctures)
+        object.__setattr__(self, "puncture_ids", tuple(self._signs))
 
     def sign_of(self, pid):
         try:

@@ -134,20 +134,22 @@ def random_curve(rng, tag, n_punctures=None, orbit_factory=None):
         )
         for pid, o in orbit_at.items()
     }
-    curve = CurveData(
-        surface=surface,
-        ambient_dim_n=2,
-        orbit_at=orbit_at,
-        c1_rel=int(rng.integers(-4, 5)),
-        maslov_boundary=0,
-        z_du=Fraction(int(rng.integers(0, 3))),
-        somewhere_injective=True,
-        homology_tag=tag,
-    )
+    c1 = int(rng.integers(-4, 5))
+    z_du = Fraction(int(rng.integers(0, 3)))
     constrained = frozenset(
         pid for pid, _ in punctures if rng.random() < 0.5
     )
-    return curve, ConstraintSet(constrained=constrained, delta=Fraction(1, 8))
+    return CurveData(
+        surface=surface,
+        ambient_dim_n=2,
+        orbit_at=orbit_at,
+        c1_rel=c1,
+        constraints=ConstraintSet(constrained=constrained, delta=Fraction(1, 8)),
+        maslov_boundary=0,
+        z_du=z_du,
+        somewhere_injective=True,
+        homology_tag=tag,
+    )
 
 
 def shifted_declared_orbit(orbit, shift):
@@ -198,6 +200,7 @@ def shifted_curve(curve, shifts):
         ambient_dim_n=curve.ambient_dim_n,
         orbit_at=orbit_at,
         c1_rel=c1,
+        constraints=curve.constraints,
         maslov_boundary=curve.maslov_boundary,
         z_du=curve.z_du,
         somewhere_injective=curve.somewhere_injective,

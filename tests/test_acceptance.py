@@ -3,6 +3,7 @@ PASS line with the checked quantities."""
 
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -245,10 +246,10 @@ def test_criterion_05_covering_identities():
 def test_criterion_06_normal_chern_consistency():
     rng = np.random.default_rng(SEED + 6)
     for i in range(1000):
-        curve, cons = random_curve(rng, f"acc6_{i}")
-        c_n = normal_chern(curve, cons)  # internally cross-checks both forms
-        ind = fredholm_index(curve, cons)
-        gamma0, _ = parity_partition(curve, cons)
+        curve = random_curve(rng, f"acc6_{i}")
+        c_n = normal_chern(curve)  # internally cross-checks both forms
+        ind = fredholm_index(curve)
+        gamma0, _ = parity_partition(curve)
         assert 2 * c_n == ind - 2 + 2 * curve.surface.genus + gamma0
 
     # Covering formula agrees with the direct computation of the composed
@@ -270,13 +271,14 @@ def test_criterion_06_normal_chern_consistency():
             )
         signs = {"a": "-", "b": "+"}
         surface = PuncturedSurface(0, 0, (("a", "-"), ("b", "+")))
-        base = CurveData(
-            surface=surface, ambient_dim_n=2, orbit_at=orbits,
-            c1_rel=int(rng.integers(-3, 4)), homology_tag=f"acc6b{attempts}",
-        )
+        c1 = int(rng.integers(-3, 4))
         cons = ConstraintSet(
             constrained=frozenset(n for n in names if rng.random() < 0.5),
             delta=Fraction(1, 8),
+        )
+        base = CurveData(
+            surface=surface, ambient_dim_n=2, orbit_at=orbits,
+            c1_rel=c1, constraints=cons, homology_tag=f"acc6b{attempts}",
         )
         degree = int(rng.integers(2, 4))
         fiber = {}
@@ -298,7 +300,7 @@ def test_criterion_06_normal_chern_consistency():
             codomain=surface, degree=degree, fiber_map=fiber,
             interior_branch_count=interior,
         )
-        scen = CoverScenario(cover=cover, base_curve=base, base_constraints=cons)
+        scen = CoverScenario(cover=cover, base_curve=base)
         value, q = cn_cover(scen)  # raises on formula/direct disagreement
         assert q >= 0
         scen_count += 1
@@ -325,18 +327,21 @@ def test_criterion_07_constraint_monotonicity():
             )
         signs = {n: ("+" if rng.random() < 0.5 else "-") for n in names}
         surface = PuncturedSurface(0, 0, tuple((n, signs[n]) for n in names))
-        curve = CurveData(
-            surface=surface, ambient_dim_n=2, orbit_at=orbits,
-            c1_rel=int(rng.integers(-3, 4)), homology_tag=f"acc7_{cases}",
-        )
+        c1 = int(rng.integers(-3, 4))
         stronger_set = frozenset(n for n in names if rng.random() < 0.6)
         weaker_set = frozenset(n for n in stronger_set if rng.random() < 0.5)
-        weaker = ConstraintSet(constrained=weaker_set, delta=Fraction(1, 8))
-        stronger = ConstraintSet(constrained=stronger_set, delta=Fraction(1, 8))
-        assert normal_chern(curve, weaker) >= normal_chern(curve, stronger)
-        pw = PairingInput(left=(curve, weaker), right=(curve, weaker),
+        stronger = CurveData(
+            surface=surface, ambient_dim_n=2, orbit_at=orbits, c1_rel=c1,
+            constraints=ConstraintSet(constrained=stronger_set, delta=Fraction(1, 8)),
+            homology_tag=f"acc7_{cases}",
+        )
+        weaker = replace(
+            stronger, constraints=ConstraintSet(constrained=weaker_set, delta=Fraction(1, 8))
+        )
+        assert normal_chern(weaker) >= normal_chern(stronger)
+        pw = PairingInput(left=weaker, right=weaker,
                           relative_pairing=4)
-        ps = PairingInput(left=(curve, stronger), right=(curve, stronger),
+        ps = PairingInput(left=stronger, right=stronger,
                           relative_pairing=4)
         assert intersection_number(pw) >= intersection_number(ps)
         cases += 1

@@ -50,9 +50,9 @@ def foliation_fixture():
     v = CurveData(
         surface=cod, ambient_dim_n=2,
         orbit_at={"v0": simples["gz"], "v1": simples["go"], "vinf": simples["gi"]},
-        c1_rel=3, homology_tag="v",
+        c1_rel=3, constraints=ConstraintSet(constrained=frozenset({"v0", "vinf"}), delta=D),
+        homology_tag="v",
     )
-    v_cons = ConstraintSet(constrained=frozenset({"v0", "vinf"}), delta=D)
 
     dom = PuncturedSurface(
         0, 0, (("q0", "-"), ("q1", "-"), ("qm1", "-"), ("qinf", "-"))
@@ -60,9 +60,9 @@ def foliation_fixture():
     u_zeta = CurveData(
         surface=dom, ambient_dim_n=2,
         orbit_at={"q0": gz2, "q1": simples["gp"], "qm1": simples["gm"], "qinf": gi2},
-        c1_rel=6, homology_tag="u_zeta",
+        c1_rel=6, constraints=ConstraintSet(constrained=frozenset({"q0", "qinf"}), delta=D),
+        homology_tag="u_zeta",
     )
-    u_cons = ConstraintSet(constrained=frozenset({"q0", "qinf"}), delta=D)
 
     cover = BranchedCover(
         domain=dom, codomain=cod, degree=2,
@@ -71,13 +71,13 @@ def foliation_fixture():
         },
         interior_branch_count=0,
     )
-    scen = CoverScenario(cover=cover, base_curve=v, base_constraints=v_cons)
-    return v, v_cons, u_zeta, u_cons, scen
+    scen = CoverScenario(cover=cover, base_curve=v)
+    return v, u_zeta, scen
 
 
 def test_nice_embedded_base_curve():
-    v, v_cons, *_ = foliation_fixture()
-    report = is_stable_nicely_embedded(v, v_cons, self_intersection=-1)
+    v, *_ = foliation_fixture()
+    report = is_stable_nicely_embedded(v, self_intersection=-1)
     assert report.is_nice
     assert report.index == 0
     assert report.c_n_value == -1
@@ -85,8 +85,8 @@ def test_nice_embedded_base_curve():
 
 
 def test_nice_embedded_index_two():
-    _, _, u, u_cons, _ = foliation_fixture()
-    report = is_stable_nicely_embedded(u, u_cons, self_intersection=0)
+    _, u, _ = foliation_fixture()
+    report = is_stable_nicely_embedded(u, self_intersection=0)
     assert report.is_nice
     assert report.index == 2
     assert report.c_n_value == 0
@@ -94,8 +94,8 @@ def test_nice_embedded_index_two():
 
 
 def test_not_nice_positive_self_intersection():
-    v, v_cons, *_ = foliation_fixture()
-    report = is_stable_nicely_embedded(v, v_cons, self_intersection=2)
+    v, *_ = foliation_fixture()
+    report = is_stable_nicely_embedded(v, self_intersection=2)
     assert not report.is_nice
     assert any("self-intersection" in msg for msg in report.failed_conditions)
 
@@ -110,13 +110,13 @@ def test_screen_foliation_cover():
 
 
 def test_screen_degree_one():
-    v, v_cons, *_ = foliation_fixture()
+    v, *_ = foliation_fixture()
     cover = BranchedCover(
         domain=v.surface, codomain=v.surface, degree=1,
         fiber_map={z: (z, 1) for z in v.surface.puncture_ids},
         interior_branch_count=0,
     )
-    scen = CoverScenario(cover=cover, base_curve=v, base_constraints=v_cons)
+    scen = CoverScenario(cover=cover, base_curve=v)
     assert degeneration_screen(scen).outcome == NICELY_EMBEDDED
 
 
@@ -148,19 +148,18 @@ def make_index1_base():
     surface = PuncturedSurface(0, 0, (("a", "+"), ("b", "+"), ("c", "-")))
     # chi = -1; CZ sums: mu(a) + mu(b) - mu(c) = 2 + 3 - 1 = 4, so
     # ind = 1 + 2 c1 + 4 = 1 exactly when c1 = -2.
-    curve = CurveData(
+    return CurveData(
         surface=surface, ambient_dim_n=2,
         orbit_at={"a": even, "b": odd1, "c": odd2},
-        c1_rel=-2, homology_tag="w",
+        c1_rel=-2, constraints=ConstraintSet(constrained=frozenset({"a", "b", "c"}), delta=D),
+        homology_tag="w",
     )
-    cons = ConstraintSet(constrained=frozenset({"a", "b", "c"}), delta=D)
-    return curve, cons
 
 
 def test_screen_cn_zero_contradiction():
-    curve, cons = make_index1_base()
-    assert normal_chern(curve, cons) == 0
-    assert fredholm_index(curve, cons) == 1
+    curve = make_index1_base()
+    assert normal_chern(curve) == 0
+    assert fredholm_index(curve) == 1
     dom = PuncturedSurface(
         0, 0, (("a0", "+"), ("b0", "+"), ("b1", "+"), ("c0", "-"), ("c1", "-")),
     )
@@ -173,7 +172,7 @@ def test_screen_cn_zero_contradiction():
         },
         interior_branch_count=1,
     )
-    scen = CoverScenario(cover=cover, base_curve=curve, base_constraints=cons)
+    scen = CoverScenario(cover=cover, base_curve=curve)
     verdict = degeneration_screen(scen)
     assert verdict.outcome == CONTRADICTION
     assert "2*deg - 2" in verdict.witness
@@ -202,17 +201,17 @@ def test_screen_index_minus_one_contradiction():
     # chi = 0; mu(b) - mu(a) = 3 - 0, so ind = 2 c1 + 3 = -1 at c1 = -2.
     curve = CurveData(
         surface=surface, ambient_dim_n=2, orbit_at={"a": even, "b": odd},
-        c1_rel=-2, homology_tag="m",
+        c1_rel=-2, constraints=ConstraintSet(constrained=frozenset({"a", "b"}), delta=D),
+        homology_tag="m",
     )
-    cons = ConstraintSet(constrained=frozenset({"a", "b"}), delta=D)
-    assert fredholm_index(curve, cons) == -1
+    assert fredholm_index(curve) == -1
     dom = PuncturedSurface(0, 0, (("a0", "-"), ("b0", "+"), ("b1", "+")))
     cover = BranchedCover(
         domain=dom, codomain=surface, degree=2,
         fiber_map={"a0": ("a", 2), "b0": ("b", 1), "b1": ("b", 1)},
         interior_branch_count=1,
     )
-    scen = CoverScenario(cover=cover, base_curve=curve, base_constraints=cons)
+    scen = CoverScenario(cover=cover, base_curve=curve)
     verdict = degeneration_screen(scen, j_mode="homotopy")
     assert verdict.outcome == CONTRADICTION
     assert "deg - 1" in verdict.witness
@@ -224,7 +223,7 @@ def test_screen_index_minus_one_contradiction():
 def test_screen_branched_cover_contradiction():
     # Same foliation base but a branched candidate: step 5's dimension
     # comparison rules it out.
-    v, v_cons, *_ = foliation_fixture()
+    v, *_ = foliation_fixture()
     dom = PuncturedSurface(
         0, 0, (("q0", "-"), ("q1", "-"), ("qm1", "-"), ("qi0", "-"), ("qi1", "-")),
     )
@@ -236,7 +235,7 @@ def test_screen_branched_cover_contradiction():
         },
         interior_branch_count=1,
     )
-    scen = CoverScenario(cover=cover, base_curve=v, base_constraints=v_cons)
+    scen = CoverScenario(cover=cover, base_curve=v)
     verdict = degeneration_screen(scen)
     assert verdict.outcome == CONTRADICTION
     assert "branched" in verdict.witness
@@ -278,16 +277,16 @@ def test_obstruction_negative_case():
     cod = PuncturedSurface(0, 0, (("a", "-"), ("b", "-")))
     base = CurveData(
         surface=cod, ambient_dim_n=2, orbit_at={"a": sigma, "b": tau},
-        c1_rel=1, homology_tag="base",
+        c1_rel=1, constraints=ConstraintSet(constrained=frozenset(), delta=D),
+        homology_tag="base",
     )
-    cons = ConstraintSet(constrained=frozenset(), delta=D)
     dom = PuncturedSurface(0, 0, (("a0", "-"), ("b0", "-"), ("b1", "-")))
     cover = BranchedCover(
         domain=dom, codomain=cod, degree=2,
         fiber_map={"a0": ("a", 2), "b0": ("b", 1), "b1": ("b", 1)},
         interior_branch_count=1,
     )
-    scen = CoverScenario(cover=cover, base_curve=base, base_constraints=cons)
+    scen = CoverScenario(cover=cover, base_curve=base)
     report = kernel_section_cover_obstruction(scen)
     assert not report.fires
     assert report.forced_total == 0
@@ -336,16 +335,16 @@ def index_one_curve(even_orbit, constrained_even=True):
     mu_even = conley_zehnder(even_orbit, Perturbation(D if constrained_even else -D))
     assert mu_even % 2 == 0
     surface = PuncturedSurface(0, 0, (("e", "+"), ("o", "-")))
-    curve = CurveData(
-        surface=surface, ambient_dim_n=2,
-        orbit_at={"e": even_orbit, "o": odd},
-        c1_rel=(2 - mu_even) // 2, homology_tag="ix1",
-    )
     constrained = {"o"}
     if constrained_even:
         constrained.add("e")
-    cons = ConstraintSet(constrained=frozenset(constrained), delta=D)
-    return curve, cons
+    return CurveData(
+        surface=surface, ambient_dim_n=2,
+        orbit_at={"e": even_orbit, "o": odd},
+        c1_rel=(2 - mu_even) // 2,
+        constraints=ConstraintSet(constrained=frozenset(constrained), delta=D),
+        homology_tag="ix1",
+    )
 
 
 def test_unique_even_simple_nondegenerate():
@@ -354,9 +353,9 @@ def test_unique_even_simple_nondegenerate():
         winding=DeclaredWindings((0, 0), (0, 0)), kind=Nondegenerate(),
         distinct_from=frozenset({"odd"}),
     )
-    curve, cons = index_one_curve(even)
-    assert fredholm_index(curve, cons) == 1
-    report = unique_even_analysis(curve, cons, self_intersection=0)
+    curve = index_one_curve(even)
+    assert fredholm_index(curve) == 1
+    report = unique_even_analysis(curve, self_intersection=0)
     assert report.case == "nondegenerate_even"
     assert report.cover == 1
     assert not report.bad
@@ -374,8 +373,8 @@ def test_unique_even_bad_double_cover():
         distinct_from=frozenset({"odd"}),
     )
     odd_simple, double = linked([odd_simple, double])
-    curve, cons = index_one_curve(double)
-    report = unique_even_analysis(curve, cons, 0)
+    curve = index_one_curve(double)
+    report = unique_even_analysis(curve, 0)
     assert report.cover == 2
     assert report.bad
     assert is_bad_puncture(double, 0)
@@ -393,9 +392,9 @@ def test_unique_even_triple_cover_rejected():
         distinct_from=frozenset({"odd"}),
     )
     odd_simple, triple = linked([odd_simple, triple])
-    curve, cons = index_one_curve(triple)
+    curve = index_one_curve(triple)
     with pytest.raises(ConsistencyError):
-        unique_even_analysis(curve, cons, 0)
+        unique_even_analysis(curve, 0)
 
 
 def test_unique_even_morse_bott_constraint_link():
@@ -407,8 +406,8 @@ def test_unique_even_morse_bott_constraint_link():
         kind=MorseBott(manifold_dim=2),
         distinct_from=frozenset({"odd"}),
     )
-    curve, cons = index_one_curve(mb_even, constrained_even=True)
-    report = unique_even_analysis(curve, cons, 0)
+    curve = index_one_curve(mb_even, constrained_even=True)
+    report = unique_even_analysis(curve, 0)
     assert report.case == "morse_bott_2dim"
     assert report.nu_matches_constraint
     # At the unconstrained perturbation the same orbit reads odd, so the

@@ -19,8 +19,9 @@ from pcurves.curves import (
     parity_partition,
     transversality_check,
 )
-from pcurves.errors import ValidationError
-from pcurves.orbits import DeclaredWindings, Nondegenerate, OrbitClass
+from pcurves.errors import PCurvesError, ValidationError
+from pcurves.intersections import cov_totals, sing_decomposition
+from pcurves.orbits import DeclaredWindings, Nondegenerate, OrbitClass, delta_mb
 from pcurves.surfaces import PuncturedSurface
 
 D = Fraction(1, 8)
@@ -44,6 +45,7 @@ def closed_curve(genus, c1):
         ambient_dim_n=2,
         orbit_at={},
         c1_rel=c1,
+        constraints=no_constraints(),
         homology_tag="closed",
     )
 
@@ -54,35 +56,34 @@ def no_constraints():
 
 def test_index_closed_sphere():
     # Closed genus-0 curve with c1 = 1 in ambient dimension 2 has index 0.
-    assert fredholm_index(closed_curve(0, 1), no_constraints()) == 0
+    assert fredholm_index(closed_curve(0, 1)) == 0
     # ind = 2 c1 + 2g - 2 more generally.
     for g in (0, 1, 2):
         for c1 in (-1, 0, 3):
-            assert fredholm_index(closed_curve(g, c1), no_constraints()) == 2 * c1 + 2 * g - 2
+            assert fredholm_index(closed_curve(g, c1)) == 2 * c1 + 2 * g - 2
 
 
 def one_puncture_curve(orbit, sign="+", c1=0, z_du=0, constrained=False):
     surface = PuncturedSurface(0, 0, (("z", sign),))
-    curve = CurveData(
+    return CurveData(
         surface=surface,
         ambient_dim_n=2,
         orbit_at={"z": orbit},
         c1_rel=c1,
+        constraints=ConstraintSet(constrained=frozenset({"z"} if constrained else ()), delta=D),
         z_du=Fraction(z_du),
         homology_tag="one",
     )
-    cons = ConstraintSet(constrained=frozenset({"z"} if constrained else ()), delta=D)
-    return curve, cons
 
 
 def test_index_single_positive_puncture():
     # ind = (n-3) chi + 2 c1 + mu_CZ(gamma) = -1 + 0 + (2*1+1) = 2.
     orbit = declared_orbit("a", 1, 2)
-    curve, cons = one_puncture_curve(orbit)
-    assert fredholm_index(curve, cons) == 2
+    curve = one_puncture_curve(orbit)
+    assert fredholm_index(curve) == 2
     # A negative puncture enters with the opposite sign.
-    curve_n, cons_n = one_puncture_curve(orbit, sign="-")
-    assert fredholm_index(curve_n, cons_n) == -1 - 3
+    curve_n = one_puncture_curve(orbit, sign="-")
+    assert fredholm_index(curve_n) == -1 - 3
 
 
 @pytest.mark.parametrize(
@@ -90,24 +91,25 @@ def test_index_single_positive_puncture():
 )
 def test_perturbation_is_the_sign_times_the_constraint_weight(sign, constrained, epsilon):
     # A + (sign of z) c_z, with c_z = delta constrained and -delta unconstrained.
-    curve, cons = one_puncture_curve(declared_orbit("a", 1, 2), sign, constrained=constrained)
-    assert cons.perturbation(curve, "z").epsilon == epsilon
+    curve = one_puncture_curve(declared_orbit("a", 1, 2), sign, constrained=constrained)
+    [(_, _, _, pert)] = curve.ends
+    assert pert.epsilon == epsilon
 
 
 def test_parity_partition_odd_orbits():
     odd = declared_orbit("a", 1, 2)
-    curve, cons = one_puncture_curve(odd)
-    assert parity_partition(curve, cons) == (0, 1)
+    curve = one_puncture_curve(odd)
+    assert parity_partition(curve) == (0, 1)
     even = declared_orbit("b", 1, 1)
-    curve2, cons2 = one_puncture_curve(even)
-    assert parity_partition(curve2, cons2) == (1, 0)
+    curve2 = one_puncture_curve(even)
+    assert parity_partition(curve2) == (1, 0)
 
 
 def test_normal_chern_closed_immersed():
     # Closed immersed curve: c_N = c1(u^*TW) - chi(Sigma).
     for g, c1 in [(0, 1), (1, 2), (2, -1)]:
         curve = closed_curve(g, c1)
-        assert normal_chern(curve, no_constraints()) == c1 - (2 - 2 * g)
+        assert normal_chern(curve) == c1 - (2 - 2 * g)
 
 
 def test_normal_chern_formulas_must_agree():
@@ -119,41 +121,61 @@ def test_normal_chern_formulas_must_agree():
     surface = PuncturedSurface(0, 0, (("z", "+"),))
     curve3 = CurveData(
         surface=surface, ambient_dim_n=3, orbit_at={"z": orbit}, c1_rel=1,
-        homology_tag="c3",
+        constraints=ConstraintSet(constrained=frozenset(), delta=D), homology_tag="c3",
     )
-    cons = ConstraintSet(constrained=frozenset(), delta=D)
     # All punctures odd here, so 2 c_N = ind - 2.
-    assert normal_chern(curve3, cons) == Fraction(
-        fredholm_index(curve3, cons) - 2, 2
+    assert normal_chern(curve3) == Fraction(
+        fredholm_index(curve3) - 2, 2
     )
 
 
 def test_randomized_two_formula_agreement():
     rng = np.random.default_rng(2026)
     for i in range(200):
-        curve, cons = random_curve(rng, f"r{i}")
-        c_n = normal_chern(curve, cons)
-        ind = fredholm_index(curve, cons)
-        gamma0, _ = parity_partition(curve, cons)
+        curve = random_curve(rng, f"r{i}")
+        c_n = normal_chern(curve)
+        ind = fredholm_index(curve)
+        gamma0, _ = parity_partition(curve)
         assert 2 * c_n == ind - 2 + 2 * curve.surface.genus + gamma0
+
+
+def _outcome(invariant, curve):
+    """The invariant of the curve, or the type of the error it raises."""
+    try:
+        return invariant(curve)
+    except PCurvesError as exc:
+        return type(exc)
 
 
 def test_index_invariant_under_trivialization_shift():
     rng = np.random.default_rng(99)
     for i in range(50):
-        curve, cons = random_curve(rng, f"s{i}")
+        curve = random_curve(rng, f"s{i}")
         shifts = {
             o.simple_id: int(rng.integers(-2, 3)) for o in curve.orbit_at.values()
         }
         moved = shifted_curve(curve, shifts)
-        assert fredholm_index(moved, cons) == fredholm_index(curve, cons)
-        assert normal_chern(moved, cons) == normal_chern(curve, cons)
+        assert fredholm_index(moved) == fredholm_index(curve)
+        assert normal_chern(moved) == normal_chern(curve)
+        for invariant in (
+            parity_partition,
+            transversality_check,
+            cov_totals,
+            lambda u: [delta_mb(orbit, pert, sign) for _, sign, orbit, pert in u.ends],
+            lambda u: sing_decomposition(u).delta_infinity_doubled,
+        ):
+            assert _outcome(invariant, moved) == _outcome(invariant, curve), (i, invariant)
 
 
 # -- K ------------------------------------------------------------------
 
 
 def test_k_bound_examples():
+    # No 0 <= k <= G when G < 0, whatever c is.
+    for c in (Fraction(-1), Fraction(1)):
+        assert k_bound_bruteforce(c, -1, False) is None
+        with pytest.raises(ValidationError):
+            k_bound(c, -1, False)
     assert k_bound(Fraction(-1), 0, False) == 0
     assert k_bound(Fraction(-1), 5, True) == 0
     assert k_bound(Fraction(0), 0, False) == 2
@@ -189,11 +211,11 @@ def test_transversality_regular_cases():
         ambient_dim_n=2,
         orbit_at={z: declared_orbit(z + "o", 0, 1) for z in ("z1", "z2", "z3")},
         c1_rel=1,
+        constraints=ConstraintSet(constrained=frozenset(), delta=D),
         homology_tag="t",
     )
-    cons = ConstraintSet(constrained=frozenset(), delta=D)
-    report = transversality_check(curve, cons)
-    assert report.index == fredholm_index(curve, cons)
+    report = transversality_check(curve)
+    assert report.index == fredholm_index(curve)
     if report.criterion_met:
         assert report.kernel_lower == report.kernel_upper == max(
             report.index, int(2 * curve.z_du)
@@ -208,12 +230,12 @@ def test_transversality_smallest_kernel_case():
         ambient_dim_n=2,
         orbit_at={},
         c1_rel=1,
+        constraints=no_constraints(),
         z_du=Fraction(1),
         homology_tag="crit",
     )
-    cons = no_constraints()
     # ind 0, c_N = -1, Z = 1: criterion 0 > 0 fails; ind <= 2Z.
-    report = transversality_check(curve_crit, cons)
+    report = transversality_check(curve_crit)
     assert not report.criterion_met
     assert report.kernel_lower == report.kernel_upper == 2
     # K(c_N - Z, 0) = K(-2, 0) = 0 collapses the bounds.
@@ -221,29 +243,29 @@ def test_transversality_smallest_kernel_case():
 
 def test_transversality_nontrivial_upper_bound():
     # Closed torus, c1 = 1: ind = 2 > c_N + Z = 1: regular, kernel 2.
-    report = transversality_check(closed_curve(1, 1), no_constraints())
+    report = transversality_check(closed_curve(1, 1))
     assert report.criterion_met
     assert (report.kernel_lower, report.kernel_upper) == (2, 2)
     # Closed torus, c1 = 0: ind = 0, c_N = 0: criterion fails; the closed
     # K(0, 0) = 2 opens a window [0, 2].
-    report2 = transversality_check(closed_curve(1, 0), no_constraints())
+    report2 = transversality_check(closed_curve(1, 0))
     assert not report2.criterion_met
     assert (report2.kernel_lower, report2.kernel_upper) == (0, 2)
     # Closed genus 2, c1 = 3: ind = 8, c_N = 5, Z = 2: 8 > 7 met.
     curve_g2 = CurveData(
         surface=PuncturedSurface(2, 0, ()), ambient_dim_n=2, orbit_at={},
-        c1_rel=3, z_du=Fraction(2), homology_tag="g2",
+        c1_rel=3, constraints=no_constraints(), z_du=Fraction(2), homology_tag="g2",
     )
-    report3 = transversality_check(curve_g2, no_constraints())
+    report3 = transversality_check(curve_g2)
     assert report3.criterion_met
     assert report3.kernel_lower == report3.kernel_upper == max(8, 4)
     # Same but c1 = 2: ind = 6, c_N = 4, Z = 2: 6 > 6 fails; 2Z=4 <= 6:
     # bounds [6, 6 + K(0, #even=0)] = [6, 8] (closed: l even).
     curve_g2b = CurveData(
         surface=PuncturedSurface(2, 0, ()), ambient_dim_n=2, orbit_at={},
-        c1_rel=2, z_du=Fraction(2), homology_tag="g2b",
+        c1_rel=2, constraints=no_constraints(), z_du=Fraction(2), homology_tag="g2b",
     )
-    report4 = transversality_check(curve_g2b, no_constraints())
+    report4 = transversality_check(curve_g2b)
     assert not report4.criterion_met
     assert (report4.kernel_lower, report4.kernel_upper) == (6, 8)
 
@@ -286,14 +308,13 @@ def test_line_bundle_self_duality():
 
 def test_index_normal_operator():
     curve = closed_curve(0, 1)
-    cons = no_constraints()
-    assert index_normal_operator(curve, cons) == fredholm_index(curve, cons)
+    assert index_normal_operator(curve) == fredholm_index(curve)
     curve_crit = CurveData(
         surface=curve.surface, ambient_dim_n=2, orbit_at={}, c1_rel=2,
-        z_du=Fraction(1), homology_tag="c",
+        constraints=no_constraints(), z_du=Fraction(1), homology_tag="c",
     )
     # ind = 2, Z = 1: normal index 0.
-    assert index_normal_operator(curve_crit, cons) == 0
+    assert index_normal_operator(curve_crit) == 0
     # Tangent operator: 3 chi + #punctures + 2 Z.
     assert index_tangent_operator(curve_crit) == 3 * 2 + 0 + 2
 
@@ -301,24 +322,24 @@ def test_index_normal_operator():
 def test_critical_bound():
     cons = no_constraints()
     embedded = closed_curve(0, 1)
-    assert critical_bound_check(embedded, cons)
+    assert critical_bound_check(embedded)
     bad = CurveData(
         surface=embedded.surface, ambient_dim_n=2, orbit_at={}, c1_rel=1,
-        z_du=Fraction(1), homology_tag="bad",
+        constraints=cons, z_du=Fraction(1), homology_tag="bad",
     )
     # Z = 1, ind = 0: flags non-generic data.
-    assert not critical_bound_check(bad, cons)
+    assert not critical_bound_check(bad)
     good = CurveData(
         surface=embedded.surface, ambient_dim_n=2, orbit_at={}, c1_rel=2,
-        z_du=Fraction(1), homology_tag="ok",
+        constraints=cons, z_du=Fraction(1), homology_tag="ok",
     )
-    assert critical_bound_check(good, cons)
+    assert critical_bound_check(good)
     multiply_covered = CurveData(
         surface=embedded.surface, ambient_dim_n=2, orbit_at={}, c1_rel=1,
-        somewhere_injective=False, homology_tag="mc",
+        constraints=cons, somewhere_injective=False, homology_tag="mc",
     )
     with pytest.raises(ValidationError):
-        critical_bound_check(multiply_covered, cons)
+        critical_bound_check(multiply_covered)
 
 
 def test_zero_budget():
@@ -333,14 +354,19 @@ def test_zero_budget():
 
 def test_curve_data_validation():
     surface = PuncturedSurface(0, 0, ())
+    cons = no_constraints()
     with pytest.raises(ValidationError):
         CurveData(surface=surface, ambient_dim_n=2, orbit_at={},
-                  c1_rel=0, z_du=Fraction(1, 2), homology_tag="x")
+                  c1_rel=0, constraints=cons, z_du=Fraction(1, 2), homology_tag="x")
     with pytest.raises(ValidationError):
         CurveData(surface=surface, ambient_dim_n=2, orbit_at={},
-                  c1_rel=0, maslov_boundary=1, homology_tag="x")
+                  c1_rel=0, constraints=cons, maslov_boundary=1, homology_tag="x")
     with pytest.raises(ValidationError):
         CurveData(surface=surface, ambient_dim_n=2, orbit_at={"q": None},
-                  c1_rel=0, homology_tag="x")
+                  c1_rel=0, constraints=cons, homology_tag="x")
+    # A constraint set is checked against the surface of its curve.
+    with pytest.raises(ValidationError, match="not on the surface"):
+        CurveData(surface=surface, ambient_dim_n=2, orbit_at={}, c1_rel=0,
+                  constraints=ConstraintSet(frozenset({"q"}), D), homology_tag="x")
     with pytest.raises(ValidationError):
         ConstraintSet(constrained=frozenset(), delta=Fraction(0))

@@ -43,14 +43,14 @@ def orbit(oid, am, ap, cover=1, distinct=()):
 def curve_with(orbits_by_puncture, signs, c1, tag, constrained=(), n=2):
     punctures = tuple((z, signs[z]) for z in orbits_by_puncture)
     surface = PuncturedSurface(0, 0, punctures)
-    curve = CurveData(
+    return CurveData(
         surface=surface,
         ambient_dim_n=n,
         orbit_at=dict(orbits_by_puncture),
         c1_rel=c1,
+        constraints=ConstraintSet(constrained=frozenset(constrained), delta=D),
         homology_tag=tag,
     )
-    return curve, ConstraintSet(constrained=frozenset(constrained), delta=D)
 
 
 def test_all_distinct_ends_gives_relative_pairing():
@@ -83,6 +83,18 @@ def test_asymptotic_decomposition_generic():
     assert report.geometric_count_consistent
 
 
+def test_asymptotic_decomposition_refuses_a_negative_count():
+    # A count of intersections is never negative, even where it would match
+    # the invariant pairing minus the asymptotic total.
+    a = orbit("a", 0, 1, distinct=("b",))
+    b = orbit("b", 1, 2, distinct=("a",))
+    left = curve_with({"x": a}, {"x": "+"}, 1, "L")
+    right = curve_with({"y": b}, {"y": "+"}, 0, "R")
+    pairing = PairingInput(left=left, right=right, relative_pairing=-1)
+    with pytest.raises(ValidationError):
+        asymptotic_intersection(pairing, geometric_count=-1)
+
+
 def test_asymptotic_decomposition_rejects_self():
     left = curve_with({"x": orbit("a", 0, 1)}, {"x": "+"}, 1, "L")
     pairing = PairingInput(left=left, right=left, relative_pairing=0)
@@ -96,14 +108,14 @@ def test_morse_bott_contribution_positive():
     # perturbed operators drops below the strict value: i_MB > 0.
     h = scalar_orbit("h", 2 * math.pi)
     left = curve_with({"x": h}, {"x": "+"}, 1, "L")
-    right_curve = CurveData(
+    right = CurveData(
         surface=PuncturedSurface(0, 0, (("y", "+"),)),
         ambient_dim_n=2,
         orbit_at={"y": h},
         c1_rel=0,
+        constraints=ConstraintSet(constrained=frozenset(), delta=D),
         homology_tag="R",
     )
-    right = (right_curve, ConstraintSet(constrained=frozenset(), delta=D))
     pairing = PairingInput(left=left, right=right, relative_pairing=2)
     report = asymptotic_intersection(pairing)
     # strict alpha_- = 0; alpha_-(h - delta) = 1: i_MB = -0 - (-1) = 1.
@@ -113,8 +125,8 @@ def test_morse_bott_contribution_positive():
 
 def test_cov_totals_simple():
     g = scalar_orbit("g", math.pi / 3)
-    curve, cons = curve_with({"x": g}, {"x": "-"}, 1, "C")
-    assert cov_totals(curve, cons) == (0, 0)
+    curve = curve_with({"x": g}, {"x": "-"}, 1, "C")
+    assert cov_totals(curve) == (0, 0)
 
 
 def test_cov_totals_even_double_cover():
@@ -123,9 +135,9 @@ def test_cov_totals_even_double_cover():
         id="e2", simple_id="e", cover=2,
         winding=DeclaredWindings((2, 3), (2, 3)), kind=Nondegenerate(),
     )
-    curve, cons = curve_with({"x": even2}, {"x": "+"}, 1, "C", constrained=("x",))
+    curve = curve_with({"x": even2}, {"x": "+"}, 1, "C", constrained=("x",))
     # positive puncture: side '-': alpha_- = 2: gcd(2, 2) = 2: cov - 1 = 1.
-    assert cov_totals(curve, cons) == (1, 0)
+    assert cov_totals(curve) == (1, 0)
 
 
 def test_cov_totals_morse_bott_weight():
@@ -135,9 +147,9 @@ def test_cov_totals_morse_bott_weight():
         winding=DeclaredWindings(minus_delta=(2, 3), plus_delta=(2, 2)),
         kind=MorseBott(manifold_dim=2, isotropy=1),
     )
-    curve, cons = curve_with({"x": mb}, {"x": "-"}, 1, "C")
+    curve = curve_with({"x": mb}, {"x": "-"}, 1, "C")
     # negative puncture: side '+': nu_+ = 1; generic cover number = 2.
-    ci, cm = cov_totals(curve, cons)
+    ci, cm = cov_totals(curve)
     assert cm == (2 - 1) * 1
 
 
@@ -149,30 +161,30 @@ def test_adjunction_examples():
     g4 = scalar_orbit("g4", math.pi / 3, distinct_from=("g1", "g2", "g3"))
     orbits = {"a": g1, "b": g2, "c": g3, "d": g4}
     signs = {z: "-" for z in orbits}
-    curve, cons = curve_with(orbits, signs, 3, "A")
+    curve = curve_with(orbits, signs, 3, "A")
     # ind = (n-3)chi + 2c1 - sum mu = 2 + 6 - 4 = 4; c_N = (4-2+0)/2 = 1.
-    pairing = PairingInput(left=(curve, cons), right=(curve, cons),
-                           relative_pairing=omega_sum(PairingInput(left=(curve, cons), right=(curve, cons), relative_pairing=0)) + 3)
+    pairing = PairingInput(left=curve, right=curve,
+                           relative_pairing=omega_sum(PairingInput(left=curve, right=curve, relative_pairing=0)) + 3)
     i_self = intersection_number(pairing)
     assert i_self == 3
-    sing = adjunction_sing(curve, cons, i_self)
+    sing = adjunction_sing(curve, i_self)
     assert sing == Fraction(3 - 1, 2)
 
 
 def test_adjunction_negative_rejected():
     g = scalar_orbit("g", math.pi / 3)
-    curve, cons = curve_with({"x": g}, {"x": "-"}, 1, "B")
-    c_n = normal_chern(curve, cons)
+    curve = curve_with({"x": g}, {"x": "-"}, 1, "B")
+    c_n = normal_chern(curve)
     bad_i = int(c_n) - 1
     with pytest.raises(ConsistencyError):
-        adjunction_sing(curve, cons, bad_i)
+        adjunction_sing(curve, bad_i)
 
 
 def test_sing_decomposition_trivial():
     g1 = scalar_orbit("g1", math.pi / 3, distinct_from=("g2",))
     g2 = scalar_orbit("g2", math.pi / 3, distinct_from=("g1",))
-    curve, cons = curve_with({"a": g1, "b": g2}, {"a": "-", "b": "-"}, 1, "S")
-    report = sing_decomposition(curve, cons)
+    curve = curve_with({"a": g1, "b": g2}, {"a": "-", "b": "-"}, 1, "S")
+    report = sing_decomposition(curve)
     assert report.delta_infinity_doubled == 0
     assert all(term == 0 for _, term, _ in report.pair_terms)
 
@@ -180,8 +192,8 @@ def test_sing_decomposition_trivial():
 def test_sing_decomposition_double_cover_default_minimum():
     g = scalar_orbit("g", 3 * math.pi / 4)
     g2 = cover_orbit(g, 2)
-    curve, cons = curve_with({"a": g2}, {"a": "-"}, 1, "S2")
-    report = sing_decomposition(curve, cons)
+    curve = curve_with({"a": g2}, {"a": "-"}, 1, "S2")
+    report = sing_decomposition(curve)
     # Default self end intersection sits at the theoretical minimum.
     assert report.end_terms[0][1] == 0
     assert report.declared_unverified
@@ -189,27 +201,27 @@ def test_sing_decomposition_double_cover_default_minimum():
 
 def test_sing_decomposition_validates_against_adjunction():
     g = scalar_orbit("g", math.pi / 3)
-    curve, cons = curve_with({"x": g}, {"x": "-"}, 1, "V")
-    pairing = PairingInput(left=(curve, cons), right=(curve, cons), relative_pairing=1)
+    curve = curve_with({"x": g}, {"x": "-"}, 1, "V")
+    pairing = PairingInput(left=curve, right=curve, relative_pairing=1)
     i_self = intersection_number(pairing)  # 1 - 1 = 0
-    sing = adjunction_sing(curve, cons, i_self)
+    sing = adjunction_sing(curve, i_self)
     report = sing_decomposition(
-        curve, cons, delta_u=sing, adjunction_value=sing
+        curve, delta_u=sing, adjunction_value=sing
     )
     assert report.sing_total == sing
     with pytest.raises(ConsistencyError):
         sing_decomposition(
-            curve, cons, delta_u=sing + 1, adjunction_value=sing
+            curve, delta_u=sing + 1, adjunction_value=sing
         )
 
 
 def test_intersection_invariant_under_trivialization_shift():
     rng = np.random.default_rng(17)
     for case in range(40):
-        curve, cons = random_curve(rng, f"L{case}")
+        curve = random_curve(rng, f"L{case}")
         shifts = {o.simple_id: int(rng.integers(-2, 3)) for o in curve.orbit_at.values()}
         base_pairing = PairingInput(
-            left=(curve, cons), right=(curve, cons), relative_pairing=5
+            left=curve, right=curve, relative_pairing=5
         )
         i_before = intersection_number(base_pairing)
         moved = shifted_curve(curve, shifts)
@@ -228,7 +240,7 @@ def test_intersection_invariant_under_trivialization_shift():
                 else:
                     delta += oz.cover * ozp.cover * w
         moved_pairing = PairingInput(
-            left=(moved, cons), right=(moved, cons), relative_pairing=5 + delta
+            left=moved, right=moved, relative_pairing=5 + delta
         )
         assert intersection_number(moved_pairing) == i_before
 
@@ -239,17 +251,17 @@ def test_adjunction_implication_on_nice_data():
     rng = np.random.default_rng(23)
     checked = 0
     for case in range(300):
-        curve, cons = random_curve(rng, f"N{case}")
+        curve = random_curve(rng, f"N{case}")
         try:
-            c_n = normal_chern(curve, cons)
-            ci, cm = cov_totals(curve, cons)
+            c_n = normal_chern(curve)
+            ci, cm = cov_totals(curve)
         except Exception:
             continue
         # Declare a self-pairing that makes sing = 0: i = c_N + covs.
         i_self = c_n + ci + cm
         if i_self.denominator != 1 or i_self > 0:
             continue
-        sing = adjunction_sing(curve, cons, int(i_self))
+        sing = adjunction_sing(curve, int(i_self))
         assert sing == 0
         assert c_n <= 0
         checked += 1

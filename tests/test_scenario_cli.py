@@ -525,6 +525,15 @@ def _set(path, value):
                                "method": "flow"}), "$.queries[0].method"),
         ("abc", "--c"),
         ("1/0", "--c"),
+        # No even-puncture count is negative.
+        (("--c", "1", "--g", "-1"), "--g"),
+        (_set(["queries", 0], {"name": "k_bound", "c": 1, "genus0": -1, "boundary": False}),
+         "$.queries[0].genus0"),
+        (_set(["queries", 0], {"name": "line_bundle", "index": 1, "c1_adjusted": 0,
+                               "gamma0": -1, "boundary": False}), "$.queries[0].gamma0"),
+        # Nor is a count of intersections.
+        (_set(["queries", 0], {"name": "asymptotic", "left": "v", "right": "u_zeta",
+                               "geometric_count": -1}), "$.queries[0].geometric_count"),
         *[(_set(["queries", 0], {"name": "alpha", "orbit": "g_zero", **q}), f"$.queries[0]{at}")
           for q, at in [
               ({"orbit": ["g_zero"]}, ".orbit"),
@@ -641,7 +650,9 @@ def _set(path, value):
         "query-k-not-int", "query-k-zero", "orbit-id-not-string", "surface-id-not-string",
         "somewhere-injective-not-bool", "query-index-not-int", "query-boundary-not-bool",
         "query-has-boundary-not-bool", "query-cz-method-unknown", "kbound-c-not-rational",
-        "kbound-c-zero-den", "query-orbit-list", "query-orbit-unknown",
+        "kbound-c-zero-den", "kbound-g-negative", "query-genus0-negative",
+        "query-gamma0-negative", "query-geometric-count-negative", "query-orbit-list",
+        "query-orbit-unknown",
         "query-epsilon-not-rational", "query-key-unknown", "query-weaker-nested",
         "query-weaker-string", "query-samples-short-pair", "query-samples-string",
         "query-parity-7", "query-curve-unknown", "query-cover-unknown", "query-surface-unknown",
@@ -666,6 +677,8 @@ def test_cli_malformed_input_is_a_located_validation_error(tmp_path, capsys, mut
     # In-process, so an exception that escapes main fails the test by itself.
     if isinstance(mutate, str):
         code = main(["oracle", "kbound", f"--c={mutate}", "--g", "0"])
+    elif isinstance(mutate, tuple):
+        code = main(["oracle", "kbound", *mutate])
     else:
         doc = foliation_doc()
         mutate(doc)
