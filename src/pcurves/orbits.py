@@ -24,7 +24,6 @@ from .errors import (
     MissingDataError,
     ValidationError,
 )
-from .flow import crossing_flow_cz
 from .rationals import exact_int
 from .spectral import (
     DEFAULT_TRUNCATION,
@@ -278,6 +277,9 @@ def conley_zehnder(orbit, pert, method=WINDING, truncation=None):
             raise MissingDataError(
                 "crossing-flow method needs an operator-backed orbit"
             )
+        # flow imports numpy, which a run that asks for no flow does without.
+        from .flow import crossing_flow_cz
+
         # A + eps = -J0 d/dt - (S - eps), so the linearized Hamiltonian flow
         # of the perturbed operator runs with the matrix loop S - eps.
         return crossing_flow_cz(orbit.winding.op, -_epsilon(pert))

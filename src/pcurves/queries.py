@@ -5,7 +5,7 @@ echoed inputs, so reports are self-contained and reproducible."""
 from dataclasses import asdict, dataclass, is_dataclass, replace
 from fractions import Fraction
 
-from . import classify, covers, curves, flow, intersections, orbits, surfaces, zeros
+from . import classify, covers, curves, intersections, orbits, surfaces, zeros
 from .errors import PCurvesError, ValidationError
 from .params import (
     BOOL, COUNT, COVER, CURVE, IDS, INT, J_MODE, LOOP_SAMPLES, METHOD, ORBIT, ORDER, PARITY,
@@ -523,6 +523,8 @@ def _q_obstruction(scenario, cover, j_mode):
 
 @REGISTRY.register("loop_winding", "accumulated argument increment / 2 pi", samples=LOOP_SAMPLES)
 def _q_loop_winding(scenario, samples):
+    from . import flow  # imports numpy
+
     return flow.loop_winding(flow.SampledLoop(samples))
 
 

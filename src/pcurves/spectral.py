@@ -25,14 +25,18 @@ orbit's samples and k.  S_k(t) = k S(k t) then has Fourier modes only at
 multiples of the mode step s = kN/p, so in the real basis, where cos and
 sin of mode m span the modes +-m, the truncated matrix splits exactly into
 one block per residue class m = +-r (mod s), r = 0..s/2, that holds a mode
-|m| <= T.  A constant loop (p = 1) couples no two modes, and each mode is
-a block of its own.  A cover is the case s = k of a loop that does not
-repeat.  Blocks of one size are solved as one stack.
-The counting argument holds block by block along t S_k: a block's
-eigenvalues, ascending, have the windings +-m of its modes, each twice,
-ascending.  The blocks' eigenvalues are merged by value; if the merged
-windings decrease anywhere inside the window, the truncation is too low
-for the loop and the oracle raises SpectralError.
+|m| <= T.  A cover is the case s = k of a loop that does not repeat.
+Blocks of one size are solved as one stack.  The counting argument holds
+block by block along t S_k: a block's eigenvalues, ascending, have the
+windings +-m of its modes, each twice, ascending.  The blocks' eigenvalues
+are merged by value; if the merged windings decrease anywhere inside the
+window, the truncation is too low for the loop and the oracle raises
+SpectralError.
+
+A constant loop (p = 1) couples no two modes, and each mode's block has a
+closed-form spectrum, with windings +-m, so it is answered in plain Python
+with no eigensolve.  numpy is imported only for the loops that are not
+constant, the Fourier modes and matrices of the samples, and the flow.
 
 All downstream winding arithmetic is exact.  Floating point enters only
 here and in ``flow.py`` (the crossing flow and the windings of sampled
@@ -45,11 +49,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DegeneracyError, SpectralError, ValidationError
-
-J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 #: sides of 0 in the spectrum, spelled as puncture signs are
 SIDE_MINUS = "-"
@@ -96,6 +96,8 @@ class AsymptoticOperator:
 
     @classmethod
     def from_matrices(cls, mats):
+        import numpy as np
+
         rows = []
         for j, m in enumerate(mats):
             m = np.asarray(m, dtype=float)
@@ -123,6 +125,8 @@ class AsymptoticOperator:
 
     def matrices(self):
         """S_k(j / (kN)) = k S(j/N mod 1) for j = 0..kN-1."""
+        import numpy as np
+
         return np.tile(self.cover * _matrices(self.samples), (self.cover, 1, 1))
 
     def fourier_modes(self):
@@ -131,6 +135,8 @@ class AsymptoticOperator:
         with c_j the coefficients of one period of p samples.  At even p the
         Nyquist mode j = p/2 is halved, so that it is split evenly between
         +-m."""
+        import numpy as np
+
         p, k = self.period, self.cover
         j = np.arange(p // 2 + 1)
         coeffs = k * (np.fft.fft(_matrices(self.samples[:p]), axis=0)[j] / p)
@@ -151,6 +157,8 @@ class AsymptoticOperator:
 
 
 def _matrices(rows):
+    import numpy as np
+
     return np.array([((a, b), (b, c)) for a, b, c in rows])
 
 
@@ -314,6 +322,8 @@ def _real_matrix(c, truncation, modes):
     Both terms are tabled by k = -2T..2T as [k, cos/sin, e_a, cos/sin, e_b],
     and each table is gathered once, by m - n and by m + n, into the sum.
     """
+    import numpy as np
+
     t = truncation
     c = np.concatenate([c[:0:-1].conj(), c])  # c_k for k = -2T..2T at k + 2T
     diff = np.stack([np.stack([-c.real, -c.imag], 2), np.stack([c.imag, -c.real], 2)], 1)
@@ -332,7 +342,7 @@ def _real_matrix(c, truncation, modes):
         mat[:, :2, 2:] = mat[:, 2:, :2].transpose(0, 2, 1)
         mat[:, :2, :2] = (diff[2 * t, 0, :, 0] + plus[2 * t, 0, :, 0]) / np.sqrt(2.0) / np.sqrt(2.0)
     blocks, i = np.arange(b)[:, None], np.arange(n)
-    w = (2 * np.pi * m)[:, :, None, None] * J0
+    w = (2 * np.pi * m)[:, :, None, None] * np.array([[0.0, -1.0], [1.0, 0.0]])  # 2 pi m J0
     tiles[blocks, i, i, 0, :, 1] -= w
     tiles[blocks, i, i, 1, :, 0] += w
     return mat
@@ -341,22 +351,72 @@ def _real_matrix(c, truncation, modes):
 def discretized_spectrum(op, truncation):
     """Spectrum of the Fourier-truncated operator with windings.
 
-    The modes |m| <= T split into residue classes m = +-r (mod s), r =
-    0..s/2, for the mode step s of the loop, or into single modes for a
-    constant loop.  The class of mode 0 is one eigensolve, and the other
-    classes one stacked eigensolve per class size.  A block's windings are
-    its modes +-m, each twice, in ascending order.  Only the middle half of
-    all eigenvalues is kept (the reliable window); it must have
-    nondecreasing windings.
+    A constant loop has its closed form, and any other loop is solved in
+    blocks; both give every eigenvalue with its winding, ascending.  Only
+    the middle half of all eigenvalues is kept (the reliable window); it
+    must have nondecreasing windings.
     """
     if truncation < MIN_TRUNCATION:
         raise ValidationError(f"truncation must be >= {MIN_TRUNCATION}")
+    solve = _closed_form if op.period == 1 else _block_solve
+    evals, windings = solve(op, truncation)
+    diameter = evals[-1] - evals[0]
+    first = len(evals) // 4
+    window = slice(first, len(evals) - first)
+    evals, windings = evals[window], windings[window]
+    if any(w > w_next for w, w_next in zip(windings, windings[1:])):
+        raise SpectralError(
+            f"windings of the residue classes mod {op.mode_step} interleave inside the window;"
+            " increase the truncation"
+        )
+    # Merge equal (eigenvalue, winding) pairs into multiplicity-2 entries.
+    merge_tol = 1e-9 * max(diameter, 1.0)
+    merged = []
+    for lam, w in zip(evals, windings):
+        last = merged[-1] if merged else None
+        if last and last[1] == w and last[2] == 1 and abs(last[0] - lam) <= merge_tol:
+            merged[-1] = (0.5 * (last[0] + lam), w, 2)
+        else:
+            merged.append((lam, w, 1))
+    return SpectralData(eigenpairs=tuple(merged), diameter=diameter)
+
+
+def _closed_form(op, truncation):
+    """(eigenvalues, windings) of a constant loop S_k = k (a, b, c), ascending,
+    with no eigensolve.  On mode 0 the operator is -S_k, with the eigenvalues
+    -(a+c)/2 -+ hypot((a-c)/2, b), both of winding 0.  On the cos and sin of
+    mode m >= 1 it is equivalent to the two Hermitian matrices
+    -S_k -+ 2 pi m i J0, which share the eigenvalues
+    -(a+c)/2 -+ hypot((a-c)/2, b, 2 pi m), so each is double, with winding
+    -+m."""
+    a, b, c = (op.cover * x for x in op.samples[0])
+    mid, half = -(a + c) / 2, (a - c) / 2
+    h = math.hypot(half, b)
+    pairs = [(mid - h, 0), (mid + h, 0)]
+    for m in range(1, truncation + 1):
+        h = math.hypot(half, b, 2 * math.pi * m)
+        pairs += [(mid - h, -m), (mid - h, -m), (mid + h, m), (mid + h, m)]
+    pairs.sort()  # equal eigenvalues by winding, as the block path orders them
+    evals, windings = zip(*pairs)
+    return evals, windings
+
+
+def _block_solve(op, truncation):
+    """(eigenvalues, windings) of a loop that is not constant, ascending.
+
+    The modes |m| <= T split into residue classes m = +-r (mod s), r =
+    0..s/2, for the mode step s of the loop.  The class of mode 0 is one
+    eigensolve, and the other classes one stacked eigensolve per class
+    size.  A block's windings are its modes +-m, each twice, in ascending
+    order.
+    """
+    import numpy as np
+
     t = truncation
     m, a = op.fourier_modes()
     c = np.zeros((2 * t + 1, 2, 2), dtype=complex)  # c_m for m = 0..2T
     c[m[m <= 2 * t]] = a[m <= 2 * t]
-    # A step above 2T makes each mode |m| <= T a class of its own.
-    step = op.mode_step if op.period > 1 else 2 * t + 1
+    step = op.mode_step
     modes = np.arange(t + 1)
     residue = np.minimum(modes % step, -modes % step)
     # Class r holds mode r exactly when r <= T, and no mode |m| <= T otherwise.
@@ -373,25 +433,7 @@ def discretized_spectrum(op, truncation):
         windings.append(np.repeat(np.sort(signed, axis=1), 2, axis=1).ravel())
     evals, windings = np.concatenate(evals), np.concatenate(windings)
     order = np.lexsort((windings, evals))  # equal eigenvalues of two blocks by winding
-    evals, windings = evals[order], windings[order]
-    diameter = float(evals[-1] - evals[0])
-    first = len(evals) // 4
-    window = slice(first, len(evals) - first)
-    if (np.diff(windings[window]) < 0).any():
-        raise SpectralError(
-            f"windings of the residue classes mod {step} interleave inside the window;"
-            " increase the truncation"
-        )
-    # Merge equal (eigenvalue, winding) pairs into multiplicity-2 entries.
-    merge_tol = 1e-9 * max(diameter, 1.0)
-    merged = []
-    for lam, w in zip(evals[window].tolist(), windings[window].tolist()):
-        last = merged[-1] if merged else None
-        if last and last[1] == w and last[2] == 1 and abs(last[0] - lam) <= merge_tol:
-            merged[-1] = (0.5 * (last[0] + lam), w, 2)
-        else:
-            merged.append((lam, w, 1))
-    return SpectralData(eigenpairs=tuple(merged), diameter=diameter)
+    return evals[order].tolist(), windings[order].tolist()
 
 
 class SpectrumCache:

@@ -49,11 +49,12 @@ import numpy as np
 from pcurves.errors import DegeneracyError, SpectralError, ValidationError
 from pcurves.spectral import (
     DEGENERACY_REL_TOL,
-    J0,
     AsymptoticOperator,
     SpectralData,
     _real_matrix,
 )
+
+J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 class ScalarOracle:

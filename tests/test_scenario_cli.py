@@ -824,6 +824,70 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == b"[]"
 
 
+def test_a_reference_run_loads_no_numpy():
+    # Every loop of foliation.scn is constant, and a constant loop's
+    # spectrum is a closed form.
+    code = (
+        "import sys; from pcurves.cli import main; "
+        f"codes = [main(['check', {str(FOLIATION)!r}]), main(['run', {str(FOLIATION)!r}])]; "
+        "print(codes, 'numpy' in sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, check=True,
+        cwd=str(Path(__file__).parent.parent),
+    )
+    assert proc.stderr.strip() == b"[0, 0] False"
+
+
+def twisted_samples(s, n_samples=32):
+    """Samples of R^T diag(1, 2) R - 2 pi s Id with R(t) = exp(2 pi s J0 t):
+    a loop that is not constant, with the spectrum of diag(1, 2) and every
+    winding lowered by s."""
+    rows, shift = [], TWO_PI * s
+    for j in range(n_samples):
+        co, si = math.cos(shift * j / n_samples), math.sin(shift * j / n_samples)
+        rows.append([co * co + 2 * si * si - shift, si * co, si * si + 2 * co * co - shift])
+    return rows
+
+
+def test_the_flow_and_a_loop_that_is_not_constant_answer_from_a_fresh_cli(tmp_path):
+    # Both import numpy on first use.  diag(1, 2) has alpha_- = 0 and p = 1,
+    # so CZ = 1; its twin has CZ = -1.
+    doc = foliation_doc()
+    twist = {"type": "operator", "samples": twisted_samples(1)}
+    doc["orbits"].append({"id": "g_twist", "cover": 1, "winding": twist})
+    doc["queries"] = [
+        {"name": "conley_zehnder", "orbit": "g_twist", "epsilon": 0, "method": method}
+        for method in ("crossing_flow", "winding")
+    ]
+    f = tmp_path / "twist.scn"
+    f.write_text(json.dumps(doc))
+    proc = run_cli("run", str(f), "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert [q["result"] for q in json.loads(proc.stdout)["queries"]] == [-1, -1]
+    proc = run_cli("spectrum", str(f), "--operator", "g_twist", "--truncation", "16")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.decode().splitlines()[2:]]
+    # -(1 + 2)/2 -+ hypot(1/2, 2 pi m) on mode m, with the windings -+m - 1.
+    spec = {(round(-1.5 - math.hypot(0.5, TWO_PI * m), 6), -m - 1) for m in range(1, 17)}
+    spec |= {(round(-1.5 + math.hypot(0.5, TWO_PI * m), 6), m - 1) for m in range(1, 17)}
+    spec |= {(-2.0, -1), (-1.0, -1)}
+    assert len(rows) == 18  # the window: 34 eigenvalues, two of them simple
+    for lam, w, mult in rows:
+        assert (round(float(lam), 6), int(w)) in spec
+        assert int(mult) == (1 if w == "-1" else 2)
+
+
+@pytest.mark.parametrize("truncation", [64, 128])
+def test_cli_spectrum_prints_the_kernel_of_g_zero_as_zero(capsys, truncation):
+    # S = fl(2 pi) Id: on mode 1 the closed form gives exactly
+    # -fl(2 pi) + hypot(0, 0, fl(2 pi)) = 0, twice, with winding 1.
+    args = ["spectrum", str(FOLIATION), "--operator", "g_zero", "--truncation", str(truncation)]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines if line.split()[1] == "1"] == [["0", "1", "2"]]
+
+
 #: values a mutation writes over one entry of the scenario
 MUTANT_VALUES = ["x", 1.5, -1, 0, 200, True, None, [], {}, ["a"], [["a"]], {"num": 1, "den": 0}]
 

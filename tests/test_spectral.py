@@ -184,9 +184,9 @@ def test_scalar_covers_match_the_scalar_oracle(theta_over_pi):
 
 
 def test_eigensolves_are_one_per_class_size(monkeypatch):
-    # Classes of one size are stacked: a constant loop at T = 144 is the
-    # mode-0 block and one stack of 144 single-mode blocks; a 6-fold cover
-    # has the classes mod 6 with 25, 48, 48 and 24 modes.
+    # Classes of one size are stacked: a 6-fold cover at T = 144 has the
+    # classes mod 6 with 25, 48, 48 and 24 modes.  A constant loop has its
+    # closed form and makes no eigensolve.
     calls, solve = [], np.linalg.eigvalsh
 
     def count(mats):
@@ -195,8 +195,7 @@ def test_eigensolves_are_one_per_class_size(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", count)
     discretized_spectrum(AsymptoticOperator.constant(0.5, 0.3, -0.2), 144)
-    assert calls == [(1, 2, 2), (144, 4, 4)]
-    calls.clear()
+    assert calls == []
     discretized_spectrum(random_symmetric_loop(np.random.default_rng(2)).pulled_back(6), 144)
     assert sorted(calls) == [(1, 96, 96), (1, 98, 98), (2, 192, 192)]
 
@@ -381,8 +380,6 @@ def test_real_matrix_equals_the_scatter_reference(truncation, monkeypatch):
     ops = {
         "simple": random_symmetric_loop(rng),
         "degree4_odd_samples": random_symmetric_loop(rng, degree=4, n_samples=33),
-        # a constant loop's blocks are single modes
-        "constant": AsymptoticOperator.constant(0.5, 0.3, -0.2),
         "tiled3": AsymptoticOperator(base.samples * 3),
         # from k = 2T + 2 on, every block holds a single mode
         **{f"cover{k}": base.pulled_back(k) for k in (2, 3, 4, 6, 2 * truncation + 2)},
@@ -390,9 +387,9 @@ def test_real_matrix_equals_the_scatter_reference(truncation, monkeypatch):
     for name, op in ops.items():
         built = _built_blocks(op, truncation, monkeypatch)
         # One block per residue class m = +-r (mod s), r = 0..s/2, that holds
-        # a mode |m| <= T; s above 2T for a constant loop.
-        step = op.mode_step if op.period > 1 else 2 * truncation + 1
-        assert sum(len(modes) for _, _, modes in built) == min(step // 2, truncation) + 1, name
+        # a mode |m| <= T.
+        blocks = min(op.mode_step // 2, truncation) + 1
+        assert sum(len(modes) for _, _, modes in built) == blocks, name
         assert sorted(np.concatenate([modes.ravel() for _, _, modes in built])) == list(
             range(truncation + 1)
         ), name
@@ -425,6 +422,17 @@ def _rotated_twin(op, s):
     return AsymptoticOperator.from_matrices(twin)
 
 
+def _assert_twin_shifts_windings(base, twin, s):
+    """Eigenvalues that ``base`` and its rotated twin share carry windings
+    w and w - s, with one multiplicity."""
+    tol = 1e-9 * base.diameter
+    shared = [(b, t) for b in base.eigenpairs for t in twin.eigenpairs if abs(b[0] - t[0]) <= tol]
+    assert len(shared) >= len(base.eigenpairs) - 2
+    for (_, w, mult), (_, w_twin, mult_twin) in shared:
+        assert w_twin == w - s
+        assert mult_twin == mult
+
+
 @pytest.mark.parametrize("truncation", [64, 128])
 def test_rotated_twin_shifts_windings_and_cz(truncation):
     # v -> R_s^T v maps eigenfunctions of S to those of its twin with the
@@ -435,17 +443,9 @@ def test_rotated_twin_shifts_windings_and_cz(truncation):
         base = discretized_spectrum(op, truncation)
         eps = Fraction(safe_epsilon(base)).limit_denominator(10**9)
         cz = conley_zehnder(loop_orbit(f"l{i}", op), Perturbation(eps), WINDING, truncation)
-        tol = 1e-9 * base.diameter
         for s in (-2, -1, 1, 2):
             twin_op = _rotated_twin(op, s)
-            twin = discretized_spectrum(twin_op, truncation)
-            shared = [
-                (b, t) for b in base.eigenpairs for t in twin.eigenpairs if abs(b[0] - t[0]) <= tol
-            ]
-            assert len(shared) >= len(base.eigenpairs) - 2
-            for (_, w, mult), (_, w_twin, mult_twin) in shared:
-                assert w_twin == w - s
-                assert mult_twin == mult
+            _assert_twin_shifts_windings(base, discretized_spectrum(twin_op, truncation), s)
             twin_orbit = loop_orbit(f"l{i}_twin{s}", twin_op)
             assert conley_zehnder(twin_orbit, Perturbation(eps), WINDING, truncation) == cz - 2 * s
 
@@ -464,3 +464,48 @@ def test_gap_margin_compares_with_the_exact_delta_gap():
     for delta_gap in (Fraction(gap), Fraction(2)):
         with pytest.raises(ValidationError, match="inside the declared gap"):
             spec.gap_margin(delta_gap)
+
+
+def _random_constant_loops(rng, count):
+    """Constant loops (a, b, c) with b != 0 and a != c: the two eigenvalues
+    of mode 0 are apart, and S does not commute with J0."""
+    loops = []
+    while len(loops) < count:
+        a, b, c = rng.uniform(-8.0, 8.0, size=3).tolist()
+        if b != 0 and a != c:
+            loops.append(AsymptoticOperator.constant(a, b, c))
+    return loops
+
+
+#: closed form against the dense eigensolve, in machine epsilons times the
+#: diameter.  The closed form is within about one; the dense solve's error
+#: grows with its dimension 2(2T + 1), and reached 9.2 at T = 64.
+CLOSED_FORM_EPS = 16
+
+
+@pytest.mark.parametrize("truncation", [16, 64])
+def test_closed_form_matches_the_dense_reference(truncation):
+    # 33 constant loops and their covers k = 1..6: 198 operators, each
+    # against one eigensolve of its tiled operator's full matrix.
+    bound = CLOSED_FORM_EPS * np.finfo(float).eps
+    for i, base in enumerate(_random_constant_loops(np.random.default_rng(53), 33)):
+        for k in range(1, 7):
+            op = base.pulled_back(k)
+            closed, dense = discretized_spectrum(op, truncation), dense_spectrum(op, truncation)
+            assert [p[1:] for p in closed.eigenpairs] == [p[1:] for p in dense.eigenpairs], (i, k)
+            lams = np.array([p[0] for p in closed.eigenpairs])
+            err = np.abs(lams - [p[0] for p in dense.eigenpairs]).max()
+            assert err <= bound * dense.diameter, (i, k)
+            assert abs(closed.diameter - dense.diameter) <= bound * dense.diameter, (i, k)
+
+
+@pytest.mark.parametrize("truncation", [16, 64])
+def test_closed_form_matches_the_block_solve_of_its_twins(truncation):
+    # The rotated twin of a constant loop is not constant, so the block
+    # solve answers it, and the windings of the two paths differ by s.
+    for base_op in _random_constant_loops(np.random.default_rng(59), 4):
+        base = discretized_spectrum(base_op, truncation)
+        for s in (-2, -1, 1, 2):
+            twin_op = _rotated_twin(base_op, s)
+            assert twin_op.period > 1
+            _assert_twin_shifts_windings(base, discretized_spectrum(twin_op, truncation), s)
