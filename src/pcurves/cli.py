@@ -16,10 +16,10 @@ from fractions import Fraction
 
 from .curves import k_bound
 from .errors import PCurvesError, ValidationError
-from .params import COUNT, TRUNCATION
+from .params import COUNT, ORBIT, TRUNCATION
 from .queries import _jsonable, run_queries
 from .scenario import SCHEMA_VERSION, load_scenario
-from .spectral import DEFAULT_TRUNCATION, GLOBAL_SPECTRUM_CACHE
+from .spectral import DEFAULT_TRUNCATION
 
 EXIT_OK = 0
 EXIT_QUERY_ERROR = 1
@@ -27,6 +27,15 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 ENV_TRUNCATION = "PCURVES_TRUNCATION"
+
+
+@contextlib.contextmanager
+def _located(location):
+    """A ValidationError raised inside is one at the flag ``location``."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(str(exc), location)
 
 
 def resolve_truncation(flag_value):
@@ -41,10 +50,8 @@ def resolve_truncation(flag_value):
             value = int(value)
     else:
         return DEFAULT_TRUNCATION, "default"
-    try:
+    with _located(location):
         return TRUNCATION.parse(value, None), source
-    except ValidationError as exc:
-        raise ValidationError(str(exc), location)
 
 
 def build_report(scenario, truncation, truncation_source):
@@ -110,10 +117,8 @@ def _cmd_run(args):
 def _cmd_spectrum(args):
     truncation, _ = resolve_truncation(args.truncation)
     scenario = load_scenario(args.file, truncation=truncation)
-    orbit = scenario.orbit(args.operator)
-    if not orbit.is_operator_backed:
-        raise ValidationError(f"orbit {args.operator!r} is not operator-backed")
-    spec = GLOBAL_SPECTRUM_CACHE.get(orbit.winding.op, truncation)
+    with _located("--operator"):
+        spec = ORBIT.parse(args.operator, scenario).spectrum(truncation)
     print(f"operator {args.operator} truncation {truncation}")
     print(f"{'eigenvalue':>18}  {'winding':>7}  {'mult':>4}")
     for lam, w, mult in spec.eigenpairs:
@@ -123,10 +128,8 @@ def _cmd_spectrum(args):
 
 def _cmd_oracle(args):
     c = _parse_rational(args.c, "--c")
-    try:
+    with _located("--g"):
         COUNT.parse(args.g, None)
-    except ValidationError as exc:
-        raise ValidationError(str(exc), "--g")
     value = k_bound(c, args.g, args.boundary)
     print(json.dumps({"k_bound": value, "c": _jsonable(c),
                       "genus0": args.g, "boundary": args.boundary}, sort_keys=True))

@@ -175,6 +175,12 @@ class OrbitClass:
     def is_operator_backed(self):
         return isinstance(self.winding, OperatorWinding)
 
+    def spectrum(self, truncation):
+        """Its operator's spectrum at ``truncation``, None for its own."""
+        if not self.is_operator_backed:
+            raise ValidationError(f"orbit {self.id!r} is not operator-backed")
+        return _windings(_at(self, truncation))
+
     def shares_simple_orbit(self, other):
         return self.simple_id == other.simple_id
 

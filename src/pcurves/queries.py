@@ -1,7 +1,10 @@
 """Query registry: every computation is reachable through a named query on
 a loaded scenario, and each result carries the formula it used plus its
-echoed inputs, so reports are self-contained and reproducible."""
+echoed inputs, so reports are self-contained and reproducible.  A query
+kind names the library function that computes it, or a handler where the
+kind builds its result or reads the scenario (see ``register``)."""
 
+import sys
 from dataclasses import asdict, dataclass, is_dataclass, replace
 from fractions import Fraction
 
@@ -12,7 +15,6 @@ from .params import (
     PERTURBATION, RATIONAL, SIGN, SURFACE, TRUNCATION,
 )
 from .rationals import rational_json
-from .spectral import GLOBAL_SPECTRUM_CACHE
 
 
 def _jsonable(value):
@@ -55,14 +57,21 @@ class QueryRegistry:
     def __init__(self):
         self._handlers = {}
 
-    def register(self, name, formula, **params):
+    def register(self, name, formula, fn=None, **params):
         """``params`` gives each parameter of this query kind its kind from
-        the ``params`` module; the handler is called with the values read."""
-        def wrap(fn):
-            self._handlers[name] = (fn, formula, params)
-            return fn
+        the ``params`` module.  A kind's function ``fn`` is called with the
+        values read in their declared order, its positional order, and is
+        looked up on its module at each call, so a wrapper set there after
+        import (a tracer's) sees the call.  Without ``fn`` this decorates a
+        handler, called with the scenario and the values by name."""
+        def wrap(handler):
+            self._handlers[name] = (handler, formula, params)
+            return handler
 
-        return wrap
+        if fn is None:
+            return wrap
+        module, attr = sys.modules[fn.__module__], fn.__name__
+        wrap(lambda scenario, **args: getattr(module, attr)(*(args[key] for key in params)))
 
     def params(self, name):
         """The declared parameters of a query kind, None for an unknown kind."""
@@ -85,23 +94,23 @@ class QueryRegistry:
 REGISTRY = QueryRegistry()
 
 
-@REGISTRY.register("euler_char", "chi = 2 - 2g - m - #punctures", surface=SURFACE)
-def _q_euler(scenario, surface):
-    return surfaces.euler_char(surface)
-
-
-@REGISTRY.register(
-    "teichmuller_dim",
-    "stable: 6g - 6 + 3m + 2#punctures; else tabulated",
+REGISTRY.register(
+    "euler_char",
+    "chi = 2 - 2g - m - #punctures",
+    surfaces.euler_char,
     surface=SURFACE,
 )
-def _q_teich(scenario, surface):
-    return surfaces.teichmuller_dim(surface)
 
 
-@REGISTRY.register("aut_dim", "0 if stable; else tabulated", surface=SURFACE)
-def _q_aut(scenario, surface):
-    return surfaces.aut_dim(surface)
+REGISTRY.register(
+    "teichmuller_dim",
+    "stable: 6g - 6 + 3m + 2#punctures; else tabulated",
+    surfaces.teichmuller_dim,
+    surface=SURFACE,
+)
+
+
+REGISTRY.register("aut_dim", "0 if stable; else tabulated", surfaces.aut_dim, surface=SURFACE)
 
 
 @REGISTRY.register("riemann_hurwitz", "Z = -chi(domain) + degree * chi(codomain)", cover=COVER)
@@ -121,13 +130,9 @@ def _q_cmd(scenario, cover):
     truncation=TRUNCATION.optional(),
 )
 def _q_spectrum(scenario, orbit, truncation):
-    if not orbit.is_operator_backed:
-        raise ValidationError(f"orbit {orbit.id!r} is not operator-backed")
-    if truncation is None:
-        truncation = orbit.winding.truncation
-    spec = GLOBAL_SPECTRUM_CACHE.get(orbit.winding.op, truncation)
+    spec = orbit.spectrum(truncation)
     return {
-        "truncation": truncation,
+        "truncation": truncation or orbit.winding.truncation,
         "eigenpairs": [
             {"eigenvalue": lam, "winding": w, "multiplicity": mult}
             for lam, w, mult in spec.eigenpairs
@@ -146,15 +151,14 @@ def _q_alpha(scenario, orbit, epsilon):
     return {"alpha_minus": am, "alpha_plus": ap, "parity": p}
 
 
-@REGISTRY.register(
+REGISTRY.register(
     "conley_zehnder",
     "winding method: 2 alpha_- + parity; crossing flow: Robbin-Salamon count",
+    orbits.conley_zehnder,
     orbit=ORBIT,
     epsilon=PERTURBATION.of("orbit"),
     method=METHOD,
 )
-def _q_cz(scenario, orbit, epsilon, method):
-    return orbits.conley_zehnder(orbit, epsilon, method)
 
 
 @REGISTRY.register("nu", "nu = alpha(down-perturbed) - alpha(up-perturbed)", orbit=ORBIT)
@@ -180,49 +184,51 @@ def _q_cover_orbit(scenario, orbit, k):
     }
 
 
-@REGISTRY.register(
+REGISTRY.register(
     "cov_extremal",
     "largest divisor of the covering number dividing the extremal winding",
+    orbits.cov_extremal,
     orbit=ORBIT,
     side=SIGN,
 )
-def _q_cov_extremal(scenario, orbit, side):
-    return orbits.cov_extremal(orbit, side)
 
 
-@REGISTRY.register(
+REGISTRY.register(
     "q_cover",
     "alpha(cover + k eps) = k alpha(base + eps) -+ q, q in [0, k-1]",
+    orbits.q_of_cover,
     orbit=ORBIT,
     epsilon=PERTURBATION.of("orbit", "k"),
     k=ORDER,
     side=SIGN,
 )
-def _q_qcover(scenario, orbit, epsilon, k, side):
-    return orbits.q_of_cover(orbit, epsilon, k, side)
 
 
-@REGISTRY.register(
+REGISTRY.register(
     "omega",
     "m n min{(-+ alpha)/m, (-+ alpha)/n}; 0 for distinct orbits",
+    orbits.omega_pair,
     a=ORBIT,
     epsilon_a=PERTURBATION.of("a"),
     b=ORBIT,
     epsilon_b=PERTURBATION.of("b"),
     sign=SIGN,
 )
-def _q_omega(scenario, a, epsilon_a, b, epsilon_b, sign):
-    return orbits.omega_pair(a, epsilon_a, b, epsilon_b, sign)
 
 
-@REGISTRY.register("omega_self", "-+ (k-1) alpha + (cov - 1)", orbit=ORBIT, sign=SIGN)
-def _q_omega_self(scenario, orbit, sign):
-    return orbits.omega_self(orbit, sign)
+REGISTRY.register(
+    "omega_self",
+    "-+ (k-1) alpha + (cov - 1)",
+    orbits.omega_self,
+    orbit=ORBIT,
+    sign=SIGN,
+)
 
 
-@REGISTRY.register(
+REGISTRY.register(
     "q_tilde",
     "covering defect of the Omega pairing",
+    orbits.q_tilde,
     orbit_m=ORBIT,
     epsilon_m=PERTURBATION.of("orbit_m", "k"),
     orbit_n=ORBIT,
@@ -230,19 +236,16 @@ def _q_omega_self(scenario, orbit, sign):
     k=ORDER,
     sign=SIGN,
 )
-def _q_qtilde(scenario, orbit_m, epsilon_m, orbit_n, epsilon_n, k, sign):
-    return orbits.q_tilde(orbit_m, epsilon_m, orbit_n, epsilon_n, k, sign)
 
 
-@REGISTRY.register(
+REGISTRY.register(
     "delta_mb",
     "[k (m-1) nu + cov - cov_generic] / 2 at unconstrained ends, else 0",
+    orbits.delta_mb,
     orbit=ORBIT,
     epsilon=PERTURBATION.of("orbit"),
     sign=SIGN,
 )
-def _q_delta_mb(scenario, orbit, epsilon, sign):
-    return orbits.delta_mb(orbit, epsilon, sign)
 
 
 @REGISTRY.register(
@@ -255,54 +258,49 @@ def _q_parity(scenario, curve):
     return {"even": even, "odd": odd}
 
 
-@REGISTRY.register(
+REGISTRY.register(
     "index",
     "ind = (n-3) chi + 2 c1 + boundary Maslov + signed CZ sum",
+    curves.fredholm_index,
     curve=CURVE,
 )
-def _q_index(scenario, curve):
-    return curves.fredholm_index(curve)
 
 
-@REGISTRY.register(
+REGISTRY.register(
     "normal_chern",
     "2 c_N = ind - 2 + 2g + #even + m, cross-checked against the winding form",
+    curves.normal_chern,
     curve=CURVE,
 )
-def _q_cn(scenario, curve):
-    return curves.normal_chern(curve)
 
 
-@REGISTRY.register(
+REGISTRY.register(
     "k_bound",
     "min{k + l : k <= G, 2k + l > 2c}, l even when closed",
+    curves.k_bound,
     c=RATIONAL,
     genus0=COUNT,
     boundary=BOOL,
 )
-def _q_kbound(scenario, c, genus0, boundary):
-    return curves.k_bound(c, genus0, boundary)
 
 
-@REGISTRY.register(
+REGISTRY.register(
     "transversality",
     "regular when ind > c_N + Z(du); kernel bounds otherwise",
+    curves.transversality_check,
     curve=CURVE,
 )
-def _q_trans(scenario, curve):
-    return curves.transversality_check(curve)
 
 
-@REGISTRY.register(
+REGISTRY.register(
     "line_bundle",
     "injective iff c1 < 0 (ind <= 0); surjective iff ind > c1 (ind >= 0)",
+    curves.line_bundle_bounds,
     index=INT,
     c1_adjusted=RATIONAL,
     gamma0=COUNT,
     boundary=BOOL,
 )
-def _q_line_bundle(scenario, index, c1_adjusted, gamma0, boundary):
-    return curves.line_bundle_bounds(index, c1_adjusted, gamma0, boundary)
 
 
 @REGISTRY.register(
@@ -317,22 +315,20 @@ def _q_index_normal(scenario, curve):
     }
 
 
-@REGISTRY.register(
+REGISTRY.register(
     "critical_bound",
     "somewhere injective and generic: 2 Z(du) <= ind",
+    curves.critical_bound_check,
     curve=CURVE,
 )
-def _q_critical(scenario, curve):
-    return curves.critical_bound_check(curve)
 
 
-@REGISTRY.register(
+REGISTRY.register(
     "zero_budget",
     "kernel sections spend Z + Z_infinity = adjusted c1",
+    curves.adjusted_c1_zero_budget,
     c1_adjusted=RATIONAL,
 )
-def _q_budget(scenario, c1_adjusted):
-    return curves.adjusted_c1_zero_budget(c1_adjusted)
 
 
 def _self_i(scenario, curve):
@@ -485,14 +481,13 @@ def _q_unique_even(scenario, curve):
     return classify.unique_even_analysis(curve, self_i)
 
 
-@REGISTRY.register(
+REGISTRY.register(
     "bad_puncture",
     "even puncture whose orbit doubly covers a nondegenerate odd orbit",
+    classify.is_bad_puncture,
     orbit=ORBIT,
     parity=PARITY,
 )
-def _q_bad(scenario, orbit, parity):
-    return classify.is_bad_puncture(orbit, parity)
 
 
 @REGISTRY.register(

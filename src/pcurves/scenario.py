@@ -53,11 +53,6 @@ class Scenario:
     ambient: str = None
     j_mode: str = "homotopy"
 
-    def orbit(self, oid):
-        if oid not in self.orbits:
-            raise ValidationError(f"unknown orbit {oid!r}")
-        return self.orbits[oid]
-
     def pairing(self, left, right):
         """The pairing declared for two curves, in either order."""
         tags = (left.homology_tag, right.homology_tag)

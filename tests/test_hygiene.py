@@ -16,7 +16,9 @@ be passed by some call of that name, by keyword, by position or through
 ``*``/``**`` (methods are left out: a constructor is called by its class's
 name), and not by every one of them, or its default is never read.  Every
 function and method of the package must be named somewhere, except
-dunders and the query handlers, which the registry calls.
+dunders and the query handlers, which the registry calls.  A query handler
+that only passes its parameters, in order, to one function is the
+function itself: the kind names it in ``register``.
 
 Floating point enters the package in ``spectral.py`` and ``flow.py`` only;
 the rest is exact arithmetic on what they hand back.  No other package
@@ -278,6 +280,68 @@ def test_the_check_sees_a_never_named_function():
 def test_no_never_named_functions():
     readers = [p.read_text() for p in READERS]
     assert never_named_functions([p.read_text() for p in PACKAGE], readers) == []
+
+
+def forwarding_handlers(source):
+    """(line, name) of each query handler in ``source`` whose body is one
+    ``return f(p1, ..., pn)`` over its own parameters but ``scenario``, in
+    order: its kind should name ``f`` instead."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef) or not _is_query_handler(node):
+            continue
+        params = [a.arg for a in node.args.args if a.arg != "scenario"]
+        body = node.body
+        if len(body) == 1 and isinstance(body[0], ast.Return):
+            call = body[0].value
+            if (
+                isinstance(call, ast.Call)
+                and not call.keywords
+                and [getattr(a, "id", None) for a in call.args] == params
+            ):
+                found.append((node.lineno, node.name))
+    return found
+
+
+def test_the_check_sees_a_forwarding_handler():
+    source = (
+        "@REGISTRY.register('a', 'formula', x=INT, y=INT)\n"
+        "def _q_a(scenario, x, y):\n"
+        "    return lib.f(x, y)\n"
+        "\n"
+        "@REGISTRY.register('b', 'formula', x=INT, y=INT)\n"
+        "def _q_b(scenario, x, y):\n"
+        "    return lib.f(y, x)\n"
+        "\n"
+        "@REGISTRY.register('c', 'formula', x=INT)\n"
+        "def _q_c(scenario, x):\n"
+        "    return f(x, scenario.j_mode)\n"
+        "\n"
+        "@REGISTRY.register('d', 'formula', x=INT)\n"
+        "def _q_d(scenario, x):\n"
+        "    return f(x.cover)\n"
+        "\n"
+        "@REGISTRY.register('e', 'formula', x=INT)\n"
+        "def _q_e(scenario, x):\n"
+        "    return f(x, limit=x)\n"
+        "\n"
+        "def helper(x):\n"
+        "    return f(x)\n"
+        "\n"
+        "@REGISTRY.register('g', 'formula', x=INT)\n"
+        "def _q_g(scenario, x):\n"
+        "    y = f(x)\n"
+        "    return y\n"
+        "\n"
+        "@REGISTRY.register('h', 'formula')\n"
+        "def _q_h(scenario):\n"
+        "    return lib.constant()\n"
+    )
+    assert forwarding_handlers(source) == [(2, "_q_a"), (30, "_q_h")]
+
+
+def test_no_forwarding_handlers():
+    assert [(p.name, *f) for p in PACKAGE for f in forwarding_handlers(p.read_text())] == []
 
 
 #: the package modules where floating point enters

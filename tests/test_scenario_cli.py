@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcurves.curves
 from pcurves.cli import build_report, emit, main, resolve_truncation
 from pcurves.errors import ValidationError
 from pcurves.queries import REGISTRY, run_queries
@@ -283,6 +284,26 @@ def test_every_operation_is_called_by_some_query(monkeypatch):
     finally:
         sys.setprofile(None)
     assert SPEC_OPERATIONS - entered == set()
+
+
+def test_a_kind_calls_its_function_as_its_module_holds_it(monkeypatch):
+    # A wrapper set on the module after import, as a tracer sets one, sees
+    # the query's call.
+    calls = []
+    check = pcurves.curves.transversality_check
+
+    def recording(curve):
+        calls.append(curve)
+        return check(curve)
+
+    monkeypatch.setattr(pcurves.curves, "transversality_check", recording)
+    doc = foliation_doc()
+    curve_id = doc["curves"][0]["id"]
+    doc["queries"] = [{"name": "transversality", "curve": curve_id}]
+    scenario = load_scenario(doc)
+    [result] = run_queries(scenario)
+    assert result["status"] == "ok"
+    assert calls == [scenario.curves[curve_id]]
 
 
 def test_a_warm_report_makes_no_numpy_call():
@@ -806,6 +827,21 @@ def test_cli_check_resolves_truncation_from_env(monkeypatch, capsys):
 def test_cli_truncation_flag_below_the_minimum_is_located(capsys, command):
     assert main([command[0], str(FOLIATION), *command[1:], "--truncation", "4"]) == 2
     assert capsys.readouterr().err.startswith("validation error: --truncation: ")
+
+
+@pytest.mark.parametrize(
+    "operator, message",
+    [("nope", "must name a declared orbit, got 'nope'"), ("g_decl", "not operator-backed")],
+)
+def test_cli_spectrum_operator_without_a_spectrum_is_located(capsys, tmp_path, operator, message):
+    doc = foliation_doc()
+    windings = {"type": "declared", "alpha_minus": 0, "alpha_plus": 1}
+    doc["orbits"].append({"id": "g_decl", "cover": 1, "winding": windings})
+    f = tmp_path / "declared.scn"
+    f.write_text(json.dumps(doc))
+    assert main(["spectrum", str(f), "--operator", operator]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: --operator: ") and message in err
 
 
 def test_non_integer_truncation_env_is_a_validation_error(monkeypatch):
