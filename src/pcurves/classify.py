@@ -8,7 +8,6 @@ structure).  The screen carries this as a labeled hypothesis in its
 verdict rather than proving it.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import even_punctures, fredholm_index, normal_chern, parity_partition
@@ -28,6 +27,7 @@ from .orbits import (
     nu_at,
     q_of_cover,
 )
+from .records import record
 from .surfaces import aut_dim, riemann_hurwitz_punctured
 
 NICELY_EMBEDDED = "nicely_embedded"
@@ -35,7 +35,7 @@ UNBRANCHED_COVER_OF_INDEX_ZERO = "unbranched_cover_of_index_zero"
 CONTRADICTION = "contradiction"
 
 
-@dataclass(frozen=True)
+@record
 class NiceReport:
     is_nice: bool
     failed_conditions: tuple
@@ -136,7 +136,7 @@ def _underlying_orbit(orbit, target_cover):
     return found
 
 
-@dataclass(frozen=True)
+@record
 class EvenPunctureReport:
     puncture: str
     case: str  # "nondegenerate_even" | "morse_bott_2dim"
@@ -191,7 +191,7 @@ def unique_even_analysis(curve, self_intersection):
     )
 
 
-@dataclass(frozen=True)
+@record
 class ScreenVerdict:
     outcome: str
     witness: str = ""
@@ -341,7 +341,7 @@ def degeneration_screen(scenario, j_mode="homotopy", ambient=None):
     )
 
 
-@dataclass(frozen=True)
+@record
 class ObstructionReport:
     fires: bool
     forced_total: int

@@ -4,7 +4,6 @@ order on constraints, and enumeration of possible underlying simple curves.
 """
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -12,6 +11,7 @@ from .curves import ConstraintSet, CurveData, normal_chern
 from .errors import ConsistencyError, ValidationError
 from .intersections import PairingInput, intersection_number
 from .orbits import cover_orbit, extremal_side, q_of_cover, q_tilde
+from .records import record, replace
 from .surfaces import (
     BranchedCover,
     euler_char,
@@ -19,7 +19,7 @@ from .surfaces import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class CoverScenario:
     """A branched cover composed with a base curve, and the constraints
     declared on the domain, weaker than the pulled-back ones.  It derives
@@ -128,7 +128,7 @@ def cn_cover(scenario):
     return value, q_total
 
 
-@dataclass(frozen=True)
+@record
 class CoverBoundReport:
     lhs: int  # i(composed | other)
     rhs: int  # degree * i(base | other)
@@ -175,7 +175,7 @@ def constraint_leq(u1, u2):
     return u1.constraints.constrained <= u2.constraints.constrained
 
 
-@dataclass(frozen=True)
+@record
 class CoverCandidate:
     """Combinatorial sketch of a possible underlying simple curve."""
 

@@ -7,7 +7,6 @@ on the curve; their coherence is enforced through the identities relating
 the two normal-Chern-number formulas and, downstream, adjunction.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, ValidationError
@@ -17,10 +16,11 @@ from .orbits import (
     conley_zehnder,
 )
 from .rationals import exact_int, require_half_integer
+from .records import record
 from .surfaces import POSITIVE, euler_char
 
 
-@dataclass(frozen=True)
+@record
 class ConstraintSet:
     """Partition of the punctures into constrained and unconstrained ones.
 
@@ -48,7 +48,7 @@ class ConstraintSet:
         return self._down
 
 
-@dataclass(frozen=True)
+@record
 class CurveData:
     """Topological data of one asymptotically cylindrical curve, with the
     constraint set its invariants are taken at.
@@ -195,7 +195,7 @@ def k_bound(c, genus0_count, has_boundary):
     return best
 
 
-@dataclass(frozen=True)
+@record
 class TransversalityReport:
     index: int
     normal_chern: Fraction
@@ -260,7 +260,7 @@ def transversality_check(curve):
     )
 
 
-@dataclass(frozen=True)
+@record
 class LineBundleReport:
     index: int
     c1_adjusted: Fraction
@@ -327,7 +327,7 @@ def critical_bound_check(curve):
     return 2 * curve.z_du <= fredholm_index(curve)
 
 
-@dataclass(frozen=True)
+@record
 class ZeroBudgetReport:
     c1_adjusted: Fraction
     budget: Fraction

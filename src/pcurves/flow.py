@@ -3,11 +3,11 @@ Conley-Zehnder index and the winding number of a sampled complex loop, both
 turn counts of a planar path, taken by one helper, ``_turns``."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegeneracyError, SpectralError, ValidationError
+from .records import record
 from .spectral import saturated_float
 
 #: least number of steps of the crossing-flow integration on [0, 1]
@@ -43,7 +43,7 @@ def _turns(path):
     return float(steps.sum()) / (2 * np.pi)
 
 
-@dataclass(frozen=True)
+@record
 class SampledLoop:
     """Uniform samples of a nonvanishing complex loop over one period."""
 

@@ -8,7 +8,6 @@ orbit winding data, and positivity/adjunction act as the consistency
 screen for the declared numbers.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curves import normal_chern
@@ -23,10 +22,11 @@ from .orbits import (
     omega_pair,
     omega_pair_strict,
 )
+from .records import field, record
 from .surfaces import NEGATIVE, POSITIVE
 
 
-@dataclass(frozen=True)
+@record
 class PairingInput:
     """Two constrained curves with their declared relative pairing.
 
@@ -38,7 +38,7 @@ class PairingInput:
     left: object  # CurveData
     right: object
     relative_pairing: int
-    declared_end_intersections: dict = field(default_factory=dict)
+    declared_end_intersections: dict = field(dict)
 
     @property
     def is_self_pairing(self):
@@ -89,7 +89,7 @@ def _morse_bott_term(pair, a, pert_a, b, pert_b, sign):
     return term
 
 
-@dataclass(frozen=True)
+@record
 class AsymptoticReport:
     total: int
     per_pair: tuple  # ((z, z'), end_term, morse_bott_term)
@@ -181,7 +181,7 @@ def adjunction_sing(curve, self_intersection):
     return sing
 
 
-@dataclass(frozen=True)
+@record
 class SingDecomposition:
     delta_infinity_doubled: Fraction  # 2 * delta_infinity(u; c)
     pair_terms: tuple

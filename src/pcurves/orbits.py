@@ -14,7 +14,6 @@ samples), and all covers inherit it, so windings of covers are measured
 against the same frame.
 """
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 
@@ -25,24 +24,26 @@ from .errors import (
     ValidationError,
 )
 from .rationals import exact_int
+from .records import field, record, replace
 from .spectral import (
     DEFAULT_TRUNCATION,
     GLOBAL_SPECTRUM_CACHE,
     SIDE_MINUS,
     SIDE_PLUS,
     AsymptoticOperator,
+    saturated_float,
 )
 
 WINDING = "winding"
 CROSSING_FLOW = "crossing_flow"
 
 
-@dataclass(frozen=True)
+@record
 class Nondegenerate:
     kernel_dim = 0
 
 
-@dataclass(frozen=True)
+@record
 class MorseBott:
     """Orbit in a Morse-Bott manifold of dimension 2 or 3.
 
@@ -69,7 +70,7 @@ class MorseBott:
         return self.manifold_dim - 1
 
 
-@dataclass(frozen=True)
+@record
 class DeclaredWindings:
     """Declared extremal windings (alpha_-, alpha_+) of the operator perturbed
     down and up by a small delta: ``minus_delta`` of A - delta, ``plus_delta``
@@ -117,7 +118,7 @@ class DeclaredWindings:
         return sum(self.nu())
 
 
-@dataclass(frozen=True)
+@record
 class OperatorWinding:
     """An asymptotic operator, read at Fourier truncation ``truncation``: its
     spectrum answers what declared windings answer."""
@@ -126,17 +127,20 @@ class OperatorWinding:
     truncation: int = DEFAULT_TRUNCATION
 
 
-@dataclass(frozen=True)
+@record
 class Perturbation:
-    """Signed perturbation of an asymptotic operator (A + epsilon)."""
+    """Signed perturbation of an asymptotic operator (A + epsilon).
+    ``probe`` is epsilon as the spectral oracle reads it, a float taken once
+    here rather than at each of the many probes of one perturbation."""
 
     epsilon: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        object.__setattr__(self, "probe", saturated_float(self.epsilon))
 
 
-@dataclass(frozen=True)
+@record
 class OrbitClass:
     id: str
     simple_id: str
@@ -148,7 +152,7 @@ class OrbitClass:
     generic_alpha: tuple = None  # strict extremal windings of the perturbed
     # generic orbit's cover (needed when isotropy >= 2)
     # covering number -> declared orbit over this simple orbit (see ``linked``)
-    tower: dict = field(default_factory=dict, compare=False, repr=False)
+    tower: dict = field(dict, compare=False)
 
     def __post_init__(self):
         if self.cover < 1:
@@ -227,7 +231,11 @@ def alpha_pm(orbit, pert):
     The perturbed operator must be nondegenerate; a spectrum point at
     -epsilon raises DegeneracyError naming the kernel winding.
     """
-    am, ap = _windings(orbit).alpha_at(_epsilon(pert))
+    if not isinstance(pert, Perturbation):
+        pert = Perturbation(pert)
+    # Declared windings read the sign of the exact epsilon.
+    epsilon = pert.probe if orbit.is_operator_backed else pert.epsilon
+    am, ap = _windings(orbit).alpha_at(epsilon)
     p = ap - am
     if p not in (0, 1):
         raise ConsistencyError(
@@ -362,7 +370,7 @@ def q_of_cover(orbit, pert, k, side, truncation=None):
     """The covering defect q with alpha(+-)(cover^k + k eps) = k alpha(+-) -+ q."""
     orbit = _at(orbit, truncation)
     eps = _epsilon(pert)
-    base = alpha_pm(orbit, Perturbation(eps))
+    base = alpha_pm(orbit, pert)
     cov = cover_orbit(orbit, k)
     covered = alpha_pm(cov, Perturbation(k * eps))
     if side == SIDE_MINUS:

@@ -7,18 +7,17 @@ kinds, so a malformed value is a located ValidationError when the scenario
 loads.
 """
 
-from dataclasses import dataclass, replace
-
 from .errors import ValidationError
 from .orbits import CROSSING_FLOW, WINDING, Perturbation
 from .rationals import as_fraction
+from .records import record, replace
 from .spectral import MIN_TRUNCATION
 
 #: the default of a value that may not be absent
 REQUIRED = object()
 
 
-@dataclass(frozen=True)
+@record
 class Kind:
     """``parse(value, scenario)`` returns the value as read, or raises a
     ValidationError saying what it must be; ``default`` is what an absent

@@ -5,7 +5,6 @@ kind names the library function that computes it, or a handler where the
 kind builds its result or reads the scenario (see ``register``)."""
 
 import sys
-from dataclasses import asdict, dataclass, is_dataclass, replace
 from fractions import Fraction
 
 from . import classify, covers, curves, intersections, orbits, surfaces, zeros
@@ -15,6 +14,7 @@ from .params import (
     PERTURBATION, RATIONAL, SIGN, SURFACE, TRUNCATION,
 )
 from .rationals import rational_json
+from .records import fields, record, replace
 
 
 def _jsonable(value):
@@ -24,8 +24,9 @@ def _jsonable(value):
         return value
     if isinstance(value, float):
         return float(f"{value:.12g}")
-    if is_dataclass(value) and not isinstance(value, type):
-        return {k: _jsonable(v) for k, v in asdict(value).items()}
+    names = fields(value)
+    if names is not None:
+        return {k: _jsonable(getattr(value, k)) for k in names}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, frozenset, set)):
@@ -36,7 +37,7 @@ def _jsonable(value):
     return str(value)
 
 
-@dataclass(frozen=True)
+@record
 class Query:
     """A scenario query: its JSON as written, and its parameters as its
     kind's declaration reads them (None when the kind is unknown)."""

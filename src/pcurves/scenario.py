@@ -8,7 +8,6 @@ reports carry a path into the document.
 """
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import CoverScenario
@@ -21,6 +20,7 @@ from .params import (
     RATIONAL, REQUIRED, SIGN, STR, SURFACE, one_of,
 )
 from .queries import REGISTRY, Query
+from .records import mutable_record
 from .spectral import DEFAULT_TRUNCATION, GLOBAL_SPECTRUM_CACHE, AsymptoticOperator
 from .surfaces import BranchedCover, PuncturedSurface
 
@@ -41,7 +41,7 @@ _TOP_LEVEL_KEYS = {
 }
 
 
-@dataclass
+@mutable_record
 class Scenario:
     delta_gap: Fraction
     surfaces: dict

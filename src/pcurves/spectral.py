@@ -46,10 +46,10 @@ loops), and what both hand on is snapped to integers with guards.
 import math
 import numbers
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegeneracyError, SpectralError, ValidationError
+from .records import record
 
 #: sides of 0 in the spectrum, spelled as puncture signs are
 SIDE_MINUS = "-"
@@ -65,7 +65,7 @@ SYMMETRY_TOL = 1e-12
 DEGENERACY_REL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@record
 class AsymptoticOperator:
     """Loop of symmetric 2x2 matrices S(t_j) at t_j = j/N, as rows (s11, s12, s22),
     covered ``cover`` times: the operator of S_k(t) = k S(k t), k = cover.
@@ -178,7 +178,7 @@ def _cover_order(k):
     return int(k)
 
 
-@dataclass(frozen=True)
+@record
 class SpectralData:
     """Reliable-window eigenvalues with windings.
 

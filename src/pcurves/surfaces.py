@@ -7,15 +7,14 @@ a fiber map with branching orders at the punctures, and a declared total
 interior branching order, cross-checked against Riemann-Hurwitz.
 """
 
-from dataclasses import dataclass, field
-
 from .errors import ConsistencyError, ValidationError
+from .records import field, record
 
 POSITIVE = "+"
 NEGATIVE = "-"
 
 
-@dataclass(frozen=True)
+@record
 class PuncturedSurface:
     genus: int
     boundary_components: int
@@ -92,7 +91,7 @@ def aut_dim(surface):
     return _nonstable_row(surface)[1]
 
 
-@dataclass(frozen=True)
+@record
 class BranchedCover:
     """Combinatorial branched cover of punctured surfaces.
 
@@ -105,7 +104,7 @@ class BranchedCover:
     domain: PuncturedSurface
     codomain: PuncturedSurface
     degree: int
-    fiber_map: dict = field(default_factory=dict)
+    fiber_map: dict = field(dict)
     interior_branch_count: int = 0
 
     def __post_init__(self):

@@ -3,13 +3,13 @@ boundary condition, and the doubling identity, in exact arithmetic.
 Floating point enters only in ``spectral.py`` and in ``flow.py``, which
 measures the winding numbers of sampled loops."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class BundleData:
     """Line bundle over a compact surface with totally real boundary data:
     relative Chern number, boundary Maslov index, and the winding of the

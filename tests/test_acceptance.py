@@ -3,7 +3,6 @@ PASS line with the checked quantities."""
 
 import math
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,6 +45,7 @@ from pcurves.orbits import (
     q_tilde,
     scalar_orbit,
 )
+from pcurves.records import replace
 from pcurves.scenario import load_scenario
 from pcurves.spectral import SpectrumCache, discretized_spectrum
 from pcurves.surfaces import (

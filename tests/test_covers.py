@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +17,7 @@ from pcurves.curves import ConstraintSet, CurveData, normal_chern
 from pcurves.errors import ValidationError
 from pcurves.intersections import PairingInput, intersection_number
 from pcurves.orbits import cover_orbit, scalar_orbit
+from pcurves.records import replace
 from pcurves.surfaces import BranchedCover, PuncturedSurface
 
 D = Fraction(1, 8)

@@ -25,6 +25,10 @@ the rest is exact arithmetic on what they hand back.  No other package
 module imports ``numpy`` or ``cmath``, imports from ``math`` anything but
 ``gcd``, calls ``float()`` or holds a float literal.  The one exception is
 ``queries._jsonable``, which rounds the floats of a report for output.
+
+No package module imports ``dataclasses`` or ``inspect``, or calls
+``exec``, ``eval`` or ``compile``: ``records.py`` builds the record types
+without generating code, which ``dataclasses`` did at every import.
 """
 
 import ast
@@ -408,3 +412,52 @@ EXACT = [p for p in PACKAGE if p.name not in FLOATING]
 @pytest.mark.parametrize("path", EXACT, ids=[str(p.relative_to(ROOT)) for p in EXACT])
 def test_floating_point_stays_in_the_oracle_modules(path):
     assert fence_breaches(path.read_text(), FLOAT_CALLS_OK.get(path.name, ())) == []
+
+
+#: modules that generate code, with the standard modules they load: the
+#: package builds its records without them, so they cost it no import time
+CODE_GENERATORS = ("dataclasses", "inspect")
+#: builtins that compile source at run time
+COMPILERS = ("exec", "eval", "compile")
+
+
+def generated_code(source):
+    """(line, what) of each import of ``dataclasses`` or ``inspect`` in
+    ``source``, and each call of ``exec``, ``eval`` or ``compile``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [
+                (node.lineno, f"import {alias.name}")
+                for alias in node.names
+                if alias.name.split(".")[0] in CODE_GENERATORS
+            ]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] in CODE_GENERATORS:
+                found.append((node.lineno, f"from {node.module}"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in COMPILERS:
+            found.append((node.lineno, f"{node.func.id}()"))
+    return sorted(found)
+
+
+def test_the_check_sees_generated_code():
+    source = (
+        "import dataclasses\n"
+        "import os, inspect as ins\n"
+        "from .records import record, replace\n"
+        "import re\n"
+        "\n"
+        "def f(src):\n"
+        "    from dataclasses import replace\n"
+        "    pattern = re.compile(src)\n"
+        "    return exec(src), eval(src), compile(src, '', 'exec'), pattern\n"
+    )
+    assert generated_code(source) == [
+        (1, "import dataclasses"), (2, "import inspect"), (7, "from dataclasses"),
+        (9, "compile()"), (9, "eval()"), (9, "exec()"),
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_the_package_generates_no_code(path):
+    assert generated_code(path.read_text()) == []

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +51,7 @@ from pcurves.flow import (
     crossing_flow_cz,
 )
 from pcurves.orbits import _at
+from pcurves.records import replace
 from pcurves.spectral import AsymptoticOperator, discretized_spectrum
 
 D = Fraction(1, 8)

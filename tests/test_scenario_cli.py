@@ -862,17 +862,19 @@ def test_cli_import_leaves_scipy_out():
 
 def test_a_reference_run_loads_no_numpy():
     # Every loop of foliation.scn is constant, and a constant loop's
-    # spectrum is a closed form.
+    # spectrum is a closed form.  The records are built without
+    # ``dataclasses``, which would load ``inspect`` too.
     code = (
         "import sys; from pcurves.cli import main; "
         f"codes = [main(['check', {str(FOLIATION)!r}]), main(['run', {str(FOLIATION)!r}])]; "
-        "print(codes, 'numpy' in sys.modules, file=sys.stderr)"
+        "print(codes, *(m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')),"
+        " file=sys.stderr)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, check=True,
         cwd=str(Path(__file__).parent.parent),
     )
-    assert proc.stderr.strip() == b"[0, 0] False"
+    assert proc.stderr.strip() == b"[0, 0] False False False"
 
 
 def twisted_samples(s, n_samples=32):
