@@ -21,10 +21,14 @@ FLOW_MAX_TURN = np.pi / 4
 #: |tr Psi(1) - 2| below which the crossing-flow endpoint counts as
 #: degenerate.  The sign of tr - 2 gives the parity; at FLOW_STEPS the
 #: error of the trace stayed below 1e-9 near tr = 2 on random loops of
-#: degree 4 with coefficients up to 4, against 8 times as many steps.
-#: Multiplying the steps as a prefix product instead of one after another
-#: moves the trace by 7e-14 at most where |tr - 2| < 1, and by 3e-10 (4e-14
-#: relative) at tr = 4e4, on 600 loop/epsilon pairs of those loops.
+#: degree 4 with coefficients up to 4, against 8 times as many steps.  On
+#: the twisted constant loops, whose trace has a closed form, it was at
+#: most 2.5e-9 where |tr - 2| < 1 and 1.2e-9 of max(1, |tr|) anywhere, at
+#: the twist s = 3 (6 matrices S0, s = 0..3, epsilon = 0 and 1/8).  S read
+#: off a real FFT, the steps' exponentials in real arithmetic and their
+#: prefix product leave the trace within 7e-14 of the same steps multiplied
+#: one after another where |tr - 2| < 1, on 600 loop/epsilon pairs of those
+#: degree-4 loops.
 FLOW_TRACE_TOL = 1e-8
 
 MIN_MODULUS = 1e-9
@@ -94,22 +98,22 @@ def _crossing_flow(op, epsilon):
     Psi(t) e1 turns at most at the rate |S(t) + epsilon| <= sum |a_k| +
     |epsilon|, so the step count is the least power of two from FLOW_STEPS
     on that keeps h times this bound at most FLOW_MAX_TURN; beyond
-    FLOW_MAX_STEPS the loop is refused with SpectralError.
+    FLOW_MAX_STEPS the loop is refused with SpectralError.  The a_k and
+    their bound are the operator's ``real_series``, computed by its first
+    flow and kept with it.
 
     The two Gauss points of the steps form two uniform grids t_j = (j + o) h,
     o = 1/2 -+ sqrt(3)/6.  With S(t) = Re sum of a_k e^{2 pi i k t} over
-    0 <= k <= N/2 (a_0 = c_0, a_k = 2 c_k, the Nyquist mode split evenly
-    between +-N/2), S(t_j) = Re sum of a_k e^{2 pi i k o h} e^{2 pi i k j h},
-    one inverse FFT per grid once mode k is folded onto k mod the steps.
-    S_k has modes only at multiples of its mode step (k for a cover of a
-    loop whose samples do not repeat), and only those are summed.
+    0 <= k <= N/2, S(t_j) = Re sum of a_k e^{2 pi i k o h} e^{2 pi i k j h}.
+    Mode k is folded onto k mod the steps, and a fold r above steps/2 onto
+    steps - r with its coefficient conjugated, which leaves the real part of
+    each term as it is; then one real inverse FFT of the half spectrum gives
+    S at both grids.  S_k has modes only at multiples of its mode step (k
+    for a cover of a loop whose samples do not repeat), and only those are
+    summed.
     """
-    modes, coeffs = op.fourier_modes()
-    # Rows (s11, s12, s22) of the real-sum coefficients a_k.
-    coeffs = 2.0 * coeffs.reshape(-1, 4)[:, [0, 1, 3]]
-    coeffs[0] /= 2.0
-    # Frobenius norms of the a_k bound their operator norms.
-    rate = np.sqrt(np.abs(coeffs) ** 2 @ [1.0, 2.0, 1.0]).sum() + abs(epsilon)
+    modes, coeffs, bound = op.real_series
+    rate = bound + abs(epsilon)
     steps = FLOW_STEPS
     while rate > steps * FLOW_MAX_TURN:
         steps *= 2
@@ -120,29 +124,45 @@ def _crossing_flow(op, epsilon):
             )
     h = 1.0 / steps
     gauss = math.sqrt(3) / 6
-    offsets = np.array([0.5 - gauss, 0.5 + gauss])
-    folded = np.zeros((2, steps, 3), dtype=complex)
-    np.add.at(
-        folded,
-        (slice(None), modes % steps),
-        np.exp(2j * np.pi * h * np.outer(offsets, modes))[:, :, None] * coeffs,
-    )
-    s11, s12, s22 = (steps * np.fft.ifft(folded, axis=1).real).transpose(2, 0, 1)
+    offsets = np.array([[0.5 - gauss], [0.5 + gauss]])
+    # [grid, entry, mode]: the terms a_k e^{2 pi i k o h}, folded.
+    terms = np.exp(2j * np.pi * h * (offsets * modes))[:, None, :] * coeffs
+    folds = modes % steps
+    mirrored = folds > steps // 2
+    folds[mirrored] = steps - folds[mirrored]
+    terms[:, :, mirrored] = terms[:, :, mirrored].conj()
+    # With n = steps, irfft(X)_j = (Re X_0 + Re X_{n/2} (-1)^j + 2 Re sum of
+    # X_r e^{2 pi i r j / n} over 0 < r < n/2) / n.
+    terms *= np.where((folds == 0) | (folds == steps // 2), steps, steps / 2)
+    half = np.zeros((2, 3, steps // 2 + 1), dtype=complex)
+    np.add.at(half, (slice(None), slice(None), folds), terms)
+    s11, s12, s22 = np.fft.irfft(half, steps).transpose(1, 0, 2)
     # J0 (S + epsilon) = [[p, q], [r, -p]] at both grids.
     (p1, p2), (q1, q2), (r1, r2) = -s12, -(s22 + epsilon), s11 + epsilon
     # Magnus step X = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1], trace-free.  X @
     # X = -det(X) I, so exp(X) = cos(w) I + (sin(w) / w) X with w = sqrt(det X),
-    # real also when det X < 0; every step lies in Sp(2).
+    # and cosh and sinh of sqrt(-det X) where det X < 0; every step lies in
+    # Sp(2).
     comm = 0.5 * gauss * h * h
     xp = 0.5 * h * (p1 + p2) + comm * (q2 * r1 - q1 * r2)
     xq = 0.5 * h * (q1 + q2) + 2 * comm * (p2 * q1 - p1 * q2)
     xr = 0.5 * h * (r1 + r2) + 2 * comm * (r2 * p1 - p2 * r1)
-    w = np.sqrt((-xp * xp - xq * xr).astype(complex))
-    cos, sinc = np.cos(w).real, np.sinc(w / np.pi).real
-    # Entries of the steps, then of the products Psi(t_{j+1}) = E_j ... E_0:
-    # an inclusive prefix product, later steps on the left, in log2(steps)
-    # rounds of one batched product each (Hillis-Steele).
-    a, b, c, d = cos + sinc * xp, sinc * xq, sinc * xr, cos - sinc * xp
+    det = -xp * xp - xq * xr
+    w = np.sqrt(np.abs(det))
+    cos, sin = np.cos(w), np.sin(w)
+    hyperbolic = det < 0
+    cos[hyperbolic], sin[hyperbolic] = np.cosh(w[hyperbolic]), np.sinh(w[hyperbolic])
+    sinc = np.divide(sin, w, out=np.ones(steps), where=w > 0)
+    # Entries of the steps, written into one buffer, then of the products
+    # Psi(t_{j+1}) = E_j ... E_0 in their place: an inclusive prefix
+    # product, later steps on the left, in log2(steps) rounds of one batched
+    # product each (Hillis-Steele).
+    a, b, c, d = np.empty((4, steps))
+    sinc_p = sinc * xp
+    np.add(cos, sinc_p, out=a)
+    np.multiply(sinc, xq, out=b)
+    np.multiply(sinc, xr, out=c)
+    np.subtract(cos, sinc_p, out=d)
     shift = 1
     while shift < steps:
         hi, lo = slice(shift, None), slice(None, -shift)
@@ -153,4 +173,7 @@ def _crossing_flow(op, epsilon):
             c[hi] * b[lo] + d[hi] * d[lo],
         )
         shift *= 2
-    return float(a[-1] + d[-1]), _turns(np.concatenate([[1.0], a + 1j * c]))
+    path = np.empty(steps + 1, dtype=complex)  # Psi(t) e1 from t = 0
+    path[0] = 1.0
+    path.real[1:], path.imag[1:] = a, c
+    return float(a[-1] + d[-1]), _turns(path)

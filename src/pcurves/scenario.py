@@ -25,7 +25,10 @@ from .spectral import DEFAULT_TRUNCATION, GLOBAL_SPECTRUM_CACHE, AsymptoticOpera
 from .surfaces import BranchedCover, PuncturedSurface
 
 SCHEMA_VERSION = 1
+_SCHEMA_VERSION = one_of(SCHEMA_VERSION)
 _AMBIENT = one_of(None, "cobordism", "symplectization", "closed").optional()
+_ORBIT_KIND = one_of("nondegenerate", "morse_bott")
+_WINDING_TYPE = one_of("operator", "cover", "declared")
 
 _TOP_LEVEL_KEYS = {
     "schema_version",
@@ -67,12 +70,15 @@ def _require(cond, msg, location):
         raise ValidationError(msg, location)
 
 
-def _get(obj, key, location, kind, scenario=None):
+def _get(obj, key, location, kind, scenario=None, default=REQUIRED):
     """``obj[key]`` read as ``kind`` (see ``params``); an absent key reads as
-    the kind's default, and is a located error when the kind has none."""
+    ``default``, else as the kind's default, and is a located error when
+    there is neither."""
     if key not in obj:
-        _require(kind.default is not REQUIRED, f"missing key {key!r}", location)
-        return kind.default
+        if default is REQUIRED:
+            default = kind.default
+        _require(default is not REQUIRED, f"missing key {key!r}", location)
+        return default
     try:
         return kind.parse(obj[key], scenario)
     except ValidationError as exc:
@@ -96,13 +102,13 @@ def _check_keys(obj, allowed, location):
 def _parse_surface(doc, location, scenario):
     _check_keys(doc, {"id", "genus", "boundary_components", "punctures"}, location)
     punctures = []
-    for i, p in enumerate(_get(doc, "punctures", location, LIST.optional([]))):
+    for i, p in enumerate(_get(doc, "punctures", location, LIST, default=[])):
         loc = f"{location}.punctures[{i}]"
         _check_keys(p, {"id", "sign"}, loc)
         punctures.append((_get(p, "id", loc, STR), _get(p, "sign", loc, SIGN)))
     return _get(doc, "id", location, STR), PuncturedSurface(
         genus=_get(doc, "genus", location, INT),
-        boundary_components=_get(doc, "boundary_components", location, INT.optional(0)),
+        boundary_components=_get(doc, "boundary_components", location, INT, default=0),
         punctures=tuple(punctures),
     )
 
@@ -111,19 +117,19 @@ def _parse_kind(doc, location):
     if doc is None:
         return None
     _check_keys(doc, {"type", "manifold_dim", "isotropy"}, location)
-    if _get(doc, "type", location, one_of("nondegenerate", "morse_bott")) == "nondegenerate":
+    if _get(doc, "type", location, _ORBIT_KIND) == "nondegenerate":
         _require(set(doc) == {"type"}, "nondegenerate takes no manifold_dim or isotropy", location)
         return Nondegenerate()
     return MorseBott(
         manifold_dim=_get(doc, "manifold_dim", location, INT),
-        isotropy=_get(doc, "isotropy", location, INT.optional(1)),
+        isotropy=_get(doc, "isotropy", location, INT, default=1),
     )
 
 
 def _parse_winding(doc, location, scenario, operator_winding, simple, cover):
     """The winding data of an orbit; ``operator_winding(op)`` is the winding
     of an operator in this run."""
-    wtype = _get(doc, "type", location, one_of("operator", "cover", "declared"))
+    wtype = _get(doc, "type", location, _WINDING_TYPE)
     if wtype == "declared":
         _check_keys(
             doc, {"type", "alpha_minus", "alpha_plus", "minus_delta", "plus_delta"}, location
@@ -179,11 +185,11 @@ def _parse_orbit(doc, location, scenario, operator_winding):
         location,
     )
     oid = _get(doc, "id", location, STR)
-    cover = _get(doc, "cover", location, ORDER.optional(1))
-    simple = _get(doc, "simple", location, STR.optional(oid if cover == 1 else None))
+    cover = _get(doc, "cover", location, ORDER, default=1)
+    simple = _get(doc, "simple", location, STR, default=oid if cover == 1 else None)
     _require(simple is not None, "multiply covered orbit needs a simple id", location)
     winding_doc = _get(doc, "winding", location, OBJECT)
-    generic = _get(doc, "generic_alpha", location, INTS.optional())
+    generic = _get(doc, "generic_alpha", location, INTS, default=None)
     return oid, OrbitClass(
         id=oid,
         simple_id=simple,
@@ -192,8 +198,8 @@ def _parse_orbit(doc, location, scenario, operator_winding):
             winding_doc, f"{location}.winding", scenario, operator_winding, simple, cover
         ),
         kind=_parse_kind(doc.get("kind"), f"{location}.kind"),
-        distinct_from=frozenset(_get(doc, "distinct_from", location, IDS.optional(()))),
-        family_id=_get(doc, "family", location, STR.optional()),
+        distinct_from=frozenset(_get(doc, "distinct_from", location, IDS, default=())),
+        family_id=_get(doc, "family", location, STR, default=None),
         generic_alpha=tuple(generic) if generic is not None else None,
     )
 
@@ -217,7 +223,7 @@ def _parse_curve(doc, location, scenario):
     )
     surface = _get(doc, "surface", location, SURFACE, scenario)
     orbits = _get(doc, "orbits", location, OBJECT)
-    delta = _get(doc, "delta", location, RATIONAL.optional(Fraction(1, 8)))
+    delta = _get(doc, "delta", location, RATIONAL, default=Fraction(1, 8))
     _require(
         0 < delta < scenario.delta_gap,
         f"constraint weight {delta} must lie in (0, delta_gap)",
@@ -225,15 +231,15 @@ def _parse_curve(doc, location, scenario):
     )
     curve = CurveData(
         surface=surface,
-        ambient_dim_n=_get(doc, "n", location, INT.optional(2)),
+        ambient_dim_n=_get(doc, "n", location, INT, default=2),
         orbit_at={z: _get(orbits, z, location, ORBIT, scenario) for z in orbits},
         c1_rel=_get(doc, "c1_rel", location, INT),
-        maslov_boundary=_get(doc, "maslov_boundary", location, INT.optional(0)),
-        z_du=_get(doc, "z_du", location, RATIONAL.optional(Fraction(0))),
-        somewhere_injective=_get(doc, "somewhere_injective", location, BOOL.optional(True)),
+        maslov_boundary=_get(doc, "maslov_boundary", location, INT, default=0),
+        z_du=_get(doc, "z_du", location, RATIONAL, default=Fraction(0)),
+        somewhere_injective=_get(doc, "somewhere_injective", location, BOOL, default=True),
         homology_tag=_get(doc, "id", location, STR),
         constraints=ConstraintSet(
-            constrained=frozenset(_get(doc, "constrained", location, IDS.optional(()))),
+            constrained=frozenset(_get(doc, "constrained", location, IDS, default=())),
             delta=delta,
         ),
     )
@@ -261,10 +267,10 @@ def _parse_cover(doc, location, scenario):
         _check_keys(entry, {"from", "to", "order"}, loc)
         fiber[_get(entry, "from", loc, STR)] = (
             _get(entry, "to", loc, STR),
-            _get(entry, "order", loc, INT.optional(1)),
+            _get(entry, "order", loc, INT, default=1),
         )
     base_curve = _get(doc, "base_curve", location, CURVE, scenario)
-    total = _get(doc, "total_constrained", location, IDS.optional())
+    total = _get(doc, "total_constrained", location, IDS, default=None)
     if total is not None:
         total = ConstraintSet(frozenset(total), base_curve.constraints.delta)
     cover = BranchedCover(
@@ -272,7 +278,7 @@ def _parse_cover(doc, location, scenario):
         codomain=_get(doc, "codomain", location, SURFACE, scenario),
         degree=_get(doc, "degree", location, INT),
         fiber_map=fiber,
-        interior_branch_count=_get(doc, "interior_branch_count", location, INT.optional(0)),
+        interior_branch_count=_get(doc, "interior_branch_count", location, INT, default=0),
     )
     return _get(doc, "id", location, STR), CoverScenario(
         cover=cover,
@@ -288,7 +294,7 @@ def _parse_pairing(doc, location, scenario):
     left = _get(doc, "left", location, CURVE, scenario)
     right = _get(doc, "right", location, CURVE, scenario)
     ends = {}
-    for i, entry in enumerate(_get(doc, "end_intersections", location, LIST.optional([]))):
+    for i, entry in enumerate(_get(doc, "end_intersections", location, LIST, default=[])):
         loc = f"{location}.end_intersections[{i}]"
         _check_keys(entry, {"left_puncture", "right_puncture", "value"}, loc)
         z, zp = _get(entry, "left_puncture", loc, STR), _get(entry, "right_puncture", loc, STR)
@@ -374,9 +380,9 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"not valid JSON: {exc}", str(path_or_dict))
     _check_keys(doc, _TOP_LEVEL_KEYS, "$")
-    _get(doc, "schema_version", "$", one_of(SCHEMA_VERSION).optional())
+    _get(doc, "schema_version", "$", _SCHEMA_VERSION, default=None)
     scenario = Scenario(
-        delta_gap=_get(doc, "delta_gap", "$.delta_gap", RATIONAL.optional(Fraction(1, 4))),
+        delta_gap=_get(doc, "delta_gap", "$.delta_gap", RATIONAL, default=Fraction(1, 4)),
         surfaces={},
         orbits={},
         curves={},
@@ -384,7 +390,7 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
         covers={},
         queries=[],
         ambient=_get(doc, "ambient", "$.ambient", _AMBIENT),
-        j_mode=_get(doc, "j_mode", "$.j_mode", J_MODE.optional("homotopy")),
+        j_mode=_get(doc, "j_mode", "$.j_mode", J_MODE, default="homotopy"),
     )
     _require(scenario.delta_gap > 0, "delta_gap must be positive", "$.delta_gap")
     operators = {}
@@ -415,7 +421,7 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
         ("covers", "cover id", _parse_cover),
     ):
         table = getattr(scenario, section)
-        for i, entry in enumerate(_get(doc, section, "$", LIST.optional([]))):
+        for i, entry in enumerate(_get(doc, section, "$", LIST, default=[])):
             location = f"$.{section}[{i}]"
             try:
                 key, value = parse(entry, location, scenario)
@@ -425,6 +431,6 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
             table[key] = value
     scenario.queries = [
         _parse_query(q, f"$.queries[{i}]", scenario)
-        for i, q in enumerate(_get(doc, "queries", "$", LIST.optional([])))
+        for i, q in enumerate(_get(doc, "queries", "$", LIST, default=[]))
     ]
     return scenario

@@ -47,6 +47,7 @@ import math
 import numbers
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DegeneracyError, SpectralError, ValidationError
 from .records import record
@@ -129,12 +130,13 @@ class AsymptoticOperator:
 
         return np.tile(self.cover * _matrices(self.samples), (self.cover, 1, 1))
 
+    @cached_property
     def fourier_modes(self):
         """(m, a_m) for the modes m = sj, j = 0..p/2, of S_k, s = mode_step,
         the only modes 0 <= m <= kN/2 where it can be nonzero: a_m = k c_j
         with c_j the coefficients of one period of p samples.  At even p the
         Nyquist mode j = p/2 is halved, so that it is split evenly between
-        +-m."""
+        +-m.  Computed once per operator, as read-only arrays."""
         import numpy as np
 
         p, k = self.period, self.cover
@@ -142,7 +144,24 @@ class AsymptoticOperator:
         coeffs = k * (np.fft.fft(_matrices(self.samples[:p]), axis=0)[j] / p)
         if p % 2 == 0:
             coeffs[-1] /= 2.0
-        return self.mode_step * j, coeffs
+        return _read_only(self.mode_step * j), _read_only(coeffs)
+
+    @cached_property
+    def real_series(self):
+        """(m, a, bound) of the real series S_k(t) = Re sum of a_m e^{2 pi i m t}
+        over the modes m of ``fourier_modes``: a_m is twice the coefficient
+        of mode m there, and once it at m = 0, kept as the rows (s11, s12,
+        s22) of ``a``, of shape (3, modes).  The Frobenius norms of the a_m
+        bound their operator norms, so their sum ``bound`` is at least
+        |S_k(t)| at every t.  Computed once per operator, as read-only
+        arrays."""
+        import numpy as np
+
+        modes, coeffs = self.fourier_modes
+        a = 2.0 * coeffs.reshape(-1, 4)[:, [0, 1, 3]]
+        a[0] /= 2.0
+        bound = float(np.sqrt(np.abs(a) ** 2 @ [1.0, 2.0, 1.0]).sum())
+        return modes, _read_only(a.T), bound
 
     def pulled_back(self, k):
         """Operator of the k-fold covered orbit: S_k(t) = k * S(k t mod 1),
@@ -154,6 +173,11 @@ class AsymptoticOperator:
         pulled = object.__new__(AsymptoticOperator)
         pulled._set(self.samples, self.cover * k, self.period)
         return pulled
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
 
 
 def _matrices(rows):
@@ -413,7 +437,7 @@ def _block_solve(op, truncation):
     import numpy as np
 
     t = truncation
-    m, a = op.fourier_modes()
+    m, a = op.fourier_modes
     c = np.zeros((2 * t + 1, 2, 2), dtype=complex)  # c_m for m = 0..2T
     c[m[m <= 2 * t]] = a[m <= 2 * t]
     step = op.mode_step

@@ -33,10 +33,17 @@ every eigenpair in turn, where the package bisects the sorted window: an
 eigenvalue sits at x when x - tol <= lambda <= x + tol, with tol the
 degeneracy tolerance, in the same floating-point operations.
 
+The twisted constant loop S_s(t) = R_s(t)^T S0 R_s(t) - 2 pi s Id, with
+R_s(t) = exp(2 pi s t J0), depends on t (modes 0 and +-2s), yet its flow
+Psi' = J0 (S_s + eps) Psi is Psi_s(t) = R_s(t)^T Psi_0(t), and R_s(1) = I.
+So tr Psi_s(1) = tr exp(J0 (S0 + eps)), which is 2 cos sqrt(D) for D =
+det(S0 + eps) > 0 and 2 cosh sqrt(-D) for D < 0: an exact answer for the
+crossing flow of a loop that is not constant.
+
 The sequential flow integrates the crossing flow with the same Magnus steps
 as the package, but sums S at the Gauss points as a dense cos/sin series
 and multiplies the steps one after another, where the package reads S off
-inverse FFTs and multiplies the steps as a prefix product.
+a real inverse FFT and multiplies the steps as a prefix product.
 """
 
 import cmath
@@ -349,6 +356,26 @@ class ScannedDecisions:
         probe = self.gap_margin(0) / 2.0
         (am_lo, ap_lo), (am_hi, ap_hi) = self.alpha_at(-probe), self.alpha_at(probe)
         return am_lo - am_hi, ap_lo - ap_hi
+
+
+def twisted_constant_loop(s0, s, n_samples=64):
+    """The operator of S_s(t) = R_s(t)^T S0 R_s(t) - 2 pi s Id, R_s(t) =
+    exp(2 pi s t J0), at n_samples points, for S0 given as (s11, s12, s22)."""
+    s0_matrix = np.array([[s0[0], s0[1]], [s0[1], s0[2]]], dtype=float)
+    rows = []
+    for j in range(n_samples):
+        angle = 2 * math.pi * s * j / n_samples
+        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        m = rot.T @ s0_matrix @ rot - 2 * math.pi * s * np.eye(2)
+        rows.append((m[0, 0], m[0, 1], m[1, 1]))
+    return AsymptoticOperator(tuple(rows))
+
+
+def twisted_constant_trace(s0, epsilon):
+    """tr Psi(1) of the crossing flow of every twisted constant loop of S0:
+    tr exp(J0 (S0 + epsilon))."""
+    det = (s0[0] + epsilon) * (s0[2] + epsilon) - s0[1] ** 2
+    return 2 * math.cos(math.sqrt(det)) if det >= 0 else 2 * math.cosh(math.sqrt(-det))
 
 
 @functools.lru_cache(maxsize=4)

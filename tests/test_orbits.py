@@ -10,6 +10,8 @@ from oracles import (
     extremal_residue_class,
     omega_oracle,
     sequential_flow,
+    twisted_constant_loop,
+    twisted_constant_trace,
 )
 from pcurves.errors import (
     DegeneracyError,
@@ -217,7 +219,9 @@ def test_crossing_flow_matches_the_sequential_product():
     near = 0
     for op, eps in cases:
         trace, turns = sequential_flow(op, eps)
-        assert abs(_crossing_flow(op, eps)[0] - trace) < 1e-9, eps
+        flow_trace, flow_turns = _crossing_flow(op, eps)
+        assert abs(flow_trace - trace) < 1e-9, eps
+        assert abs(flow_turns - turns) < 1e-9, eps
         try:
             outcome = crossing_flow_cz(op, eps)
         except DegeneracyError:
@@ -227,6 +231,21 @@ def test_crossing_flow_matches_the_sequential_product():
     # The seven endpoints built next to 2 (|tr Psi(1) - 2| < 3e-4 or 0), and
     # one of criterion 2's loops at epsilon 0.37.
     assert near == 8
+
+
+def test_crossing_flow_trace_on_twisted_constant_loops():
+    # The twisted loop depends on t, through modes 0 and +-2s, yet its flow
+    # ends where the constant loop's does, at a trace known in closed form.
+    rng = np.random.default_rng(13)
+    bases = [tuple(row) for row in rng.uniform(-3, 3, (4, 3))]
+    bases += [(4.0, 0.5, 3.0), (40.0, 1.0, 35.0)]
+    for s0 in bases:
+        for s in range(4):
+            op = twisted_constant_loop(s0, s)
+            for eps in (0.0, 0.125):
+                exact = twisted_constant_trace(s0, eps)
+                trace = _crossing_flow(op, eps)[0]
+                assert abs(trace - exact) < 5e-9 * max(1.0, abs(exact)), (s0, s, eps)
 
 
 def test_crossing_flow_does_not_alias_on_fast_scalar_covers():

@@ -233,6 +233,33 @@ def test_cover_orders_beyond_twice_the_truncation(k):
         assert np.abs(lams - dense[first:len(dense) - first]).max() < 1e-8
 
 
+def test_an_operator_transforms_its_samples_once(monkeypatch):
+    # The spectrum and the crossing flows of one operator read the Fourier
+    # modes that the first of them computed and kept with the operator.
+    fft, transforms = np.fft.fft, []
+
+    def counted(*args, **kwargs):
+        transforms.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    op = random_symmetric_loop(np.random.default_rng(7))
+    discretized_spectrum(op, 32)
+    for eps in (0.0, 0.5, -1.5):
+        _crossing_flow(op, eps)
+    assert len(transforms) == 1
+    with pytest.raises(ValueError):
+        op.fourier_modes[1][0] = 0.0
+    # The kept modes are no part of the operator's value.
+    fresh = AsymptoticOperator(op.samples)
+    assert fresh == op and hash(fresh) == hash(op) and repr(fresh) == repr(op)
+    # A cover has modes of its own, computed afresh.
+    cover = op.pulled_back(3)
+    _crossing_flow(cover, 0.0)
+    assert len(transforms) == 2
+    assert (cover.fourier_modes[0] == 3 * op.fourier_modes[0]).all()
+
+
 def test_high_cover_orders_allocate_only_the_simple_loop():
     # A k-fold cover's spectrum and crossing flow read the simple loop's
     # coefficients at multiples of k; nothing of size kN is built.  At
