@@ -320,12 +320,17 @@ def saturated_float(q):
         return math.inf if q > 0 else -math.inf
 
 
+#: tiles up to which a strided grid of ``_real_matrix`` is added at once
+SMALL_GRID = 64
+
+
 def _real_matrix(c, truncation, modes):
     """Matrices of -J0 d/dt - S(t), one per row of ``modes``, each in the
     orthonormal real basis
     {1, sqrt2 cos 2 pi m t, sqrt2 sin 2 pi m t : m in the row} x {e_1, e_2}.
-    The rows have one length and are ascending in 0..T; the constant 1 is
-    there when mode 0 is, which only a single row may hold.
+    The rows have one length and are ascending in 0..T, each one
+    arithmetic progression or two that alternate; the constant 1 is there
+    when mode 0 is, which only a single row may hold.
 
     The constant comes first, then the cosine and sine of each nonzero mode
     in ascending order; this order keeps the matrix banded.  ``c`` holds the
@@ -342,34 +347,82 @@ def _real_matrix(c, truncation, modes):
     that matrix's diagonal block on them.
 
     -S's 4x4 block on (cos_m, sin_m) x (cos_n, sin_n) x {e_1, e_2} is a term
-    of c_{m-n} plus one of c_{m+n} (c_k is symmetric, c_{-k} = conj(c_k)).
-    Both terms are tabled by k = -2T..2T as [k, cos/sin, e_a, cos/sin, e_b],
-    and each table is gathered once, by m - n and by m + n, into the sum.
+    D_{m-n} of c_{m-n} plus a term P_{m+n} of c_{m+n} (c_k is symmetric,
+    c_{-k} = conj(c_k)).  D is tabled for k = -T..T in reverse and P for
+    k = 0..2T, each as [cos/sin, e_a, k, cos/sin, e_b], and one sliding
+    window of length T + 1 views both tables as W[p, q] = table[p + q].
+    With the rows of D's window flipped, the tile of modes (m, n) is D's
+    window at (m, n) plus P's: a Toeplitz view plus a Hankel view.  Each
+    row is split into its progressions (``_progressions``; a residue class
+    r, s - r, s + r, 2s - r, ... alternates js + r and js - r), and the
+    tiles of a row progression and a column progression are one strided
+    slice of each view, added straight into the strided view of the
+    matrix that they fill: no index array and no temporary of the
+    matrix's size.
     """
     import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
 
     t = truncation
-    c = np.concatenate([c[:0:-1].conj(), c])  # c_k for k = -2T..2T at k + 2T
-    diff = np.stack([np.stack([-c.real, -c.imag], 2), np.stack([c.imag, -c.real], 2)], 1)
-    plus = np.stack([np.stack([-c.real, c.imag], 2), np.stack([c.imag, c.real], 2)], 1)
+    # [D / P, cos/sin, e_a, j, cos/sin, e_b] holds D_{T-j} and P_j
+    tables = np.empty((2, 2, 2, 2 * t + 1, 2, 2))
+    mirrored = np.concatenate([c[t:0:-1].conj(), c[: t + 1]])  # c_k for k = -T..T
+    for table, coeffs, sign in ((tables[0, :, :, ::-1], mirrored, np.negative), (tables[1], c, np.positive)):
+        re, im = coeffs.real.transpose(1, 0, 2), coeffs.imag.transpose(1, 0, 2)  # [e_a, k, e_b]
+        np.negative(re, out=table[0, :, :, 0])
+        sign(im, out=table[0, :, :, 1])
+        table[1, :, :, 0] = im
+        sign(re, out=table[1, :, :, 1])
+    # [D / P, p, cos/sin, e_a, q, cos/sin, e_b] = tables[..., p + q, ...]
+    window = sliding_window_view(tables, t + 1, axis=3).transpose(0, 3, 1, 2, 6, 4, 5)
+    toeplitz, hankel = window[0, ::-1], window[1]  # at (m, n): D_{m-n} and P_{m+n}
     z = int(modes[0, 0] == 0)  # 1 when the block holds the constant
     m = modes[:, z:]  # the modes with a cosine and a sine, per block
     b, n = m.shape
     mat = np.empty((b,) + (4 * n + 2 * z,) * 2)
-    tiles = mat[:, 2 * z :, 2 * z :].reshape(b, n, 2, 2, n, 2, 2).transpose(0, 1, 4, 2, 3, 5, 6)
-    rows, cols = m[:, :, None], m[:, None, :]
-    np.add(diff[rows - cols + 2 * t], plus[rows + cols + 2 * t], out=tiles)
+    # [block, m, cos/sin, e_a, n, cos/sin, e_b]
+    tiles = mat[:, 2 * z :, 2 * z :].reshape(b, n, 2, 2, n, 2, 2)
+    for out, row in zip(tiles, m.tolist()):
+        parts = _progressions(row)
+        for x, rows in enumerate(parts):
+            for y, cols in enumerate(parts):
+                terms = toeplitz[rows, :, :, cols], hankel[rows, :, :, cols]
+                grid = out[x :: len(parts), :, :, y :: len(parts)]
+                # A grid whose tile rows run contiguously through the tables
+                # and the matrix, or a small one, is one add.  A larger
+                # strided grid is four, one per (cos/sin, e_b) column entry,
+                # so that each runs along whole rows of tiles.
+                if len(parts) == 1 and cols.step == 1 or grid.shape[0] * grid.shape[3] <= SMALL_GRID:
+                    entries = [(...,)]
+                else:
+                    entries = [(..., a, e) for a in (0, 1) for e in (0, 1)]
+                for entry in entries:
+                    np.add(terms[0][entry], terms[1][entry], out=grid[entry])
     if z:
         # [block, m, cos/sin, e_a, e_b]
-        column = diff[2 * t + m, :, :, 0] + plus[2 * t + m, :, :, 0]
+        column = toeplitz[m, :, :, 0, 0] + hankel[m, :, :, 0, 0]
         mat[:, 2:, :2] = column.reshape(b, -1, 2) / np.sqrt(2.0)
         mat[:, :2, 2:] = mat[:, 2:, :2].transpose(0, 2, 1)
-        mat[:, :2, :2] = (diff[2 * t, 0, :, 0] + plus[2 * t, 0, :, 0]) / np.sqrt(2.0) / np.sqrt(2.0)
+        mat[:, :2, :2] = (toeplitz[0, 0, :, 0, 0] + hankel[0, 0, :, 0, 0]) / np.sqrt(2.0) / np.sqrt(2.0)
     blocks, i = np.arange(b)[:, None], np.arange(n)
     w = (2 * np.pi * m)[:, :, None, None] * np.array([[0.0, -1.0], [1.0, 0.0]])  # 2 pi m J0
-    tiles[blocks, i, i, 0, :, 1] -= w
-    tiles[blocks, i, i, 1, :, 0] += w
+    tiles[blocks, i, 0, :, i, 1] -= w
+    tiles[blocks, i, 1, :, i, 0] += w
     return mat
+
+
+def _progressions(modes):
+    """The ascending ``modes`` as slices of one arithmetic progression, or
+    of two that alternate."""
+    alternate = len(modes) > 2 and modes[2] - modes[1] != modes[1] - modes[0]
+    parts = [modes[0::2], modes[1::2]] if alternate else [modes] if modes else []
+    slices = []
+    for part in parts:
+        step = part[1] - part[0] if len(part) > 1 else 1
+        if step < 1 or part != list(range(part[0], part[-1] + 1, step)):
+            raise ValidationError(f"modes {modes} are not two alternating progressions")
+        slices.append(slice(part[0], part[-1] + 1, step))
+    return slices
 
 
 def discretized_spectrum(op, truncation):

@@ -13,7 +13,7 @@ The scatter construction builds the package's real cos/sin matrix another
 way: complex gathers of c_{m-n} and c_{m+n}, their sums and differences
 scattered into the cos-cos, cos-sin, sin-cos and sin-sin blocks, then one
 negated transposed copy.  It is the reference that the package's
-two-table assembly must match entry for entry.
+assembly from Toeplitz and Hankel views must match entry for entry.
 
 The winding measurement computes eigenvectors of the package's real matrix
 and counts the turning of each window eigenfunction on a fine grid, as a
@@ -32,6 +32,11 @@ The scanned decisions make SpectralData's tolerance decisions by testing
 every eigenpair in turn, where the package bisects the sorted window: an
 eigenvalue sits at x when x - tol <= lambda <= x + tol, with tol the
 degeneracy tolerance, in the same floating-point operations.
+
+The rotated twin S' = R_s^T S R_s - 2 pi s Id of a loop S, with R_s(t) =
+exp(2 pi s t J0), maps each eigenfunction v of S to R_s^T v, with the same
+eigenvalue and the winding less s.  The twin of a constant loop is not
+constant, so the block solve answers it where the closed form answers S.
 
 The twisted constant loop S_s(t) = R_s(t)^T S0 R_s(t) - 2 pi s Id, with
 R_s(t) = exp(2 pi s t J0), depends on t (modes 0 and +-2s), yet its flow
@@ -62,6 +67,7 @@ from pcurves.spectral import (
 )
 
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
+TWO_PI = 2 * math.pi
 
 
 class ScalarOracle:
@@ -356,6 +362,15 @@ class ScannedDecisions:
         probe = self.gap_margin(0) / 2.0
         (am_lo, ap_lo), (am_hi, ap_hi) = self.alpha_at(-probe), self.alpha_at(probe)
         return am_lo - am_hi, ap_lo - ap_hi
+
+
+def rotated_twin(op, s):
+    """S' = R_s^T S R_s - 2 pi s Id with R_s(t) = exp(2 pi s J0 t)."""
+    t = np.arange(op.sample_count) / op.sample_count
+    c, sn = np.cos(TWO_PI * s * t), np.sin(TWO_PI * s * t)
+    rot = np.stack([np.stack([c, -sn], -1), np.stack([sn, c], -1)], -2)
+    twin = np.einsum("tji,tjk,tkl->til", rot, op.matrices(), rot) - TWO_PI * s * np.eye(2)
+    return AsymptoticOperator.from_matrices(twin)
 
 
 def twisted_constant_loop(s0, s, n_samples=64):

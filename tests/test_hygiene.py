@@ -29,6 +29,10 @@ module imports ``numpy`` or ``cmath``, imports from ``math`` anything but
 No package module imports ``dataclasses`` or ``inspect``, or calls
 ``exec``, ``eval`` or ``compile``: ``records.py`` builds the record types
 without generating code, which ``dataclasses`` did at every import.
+
+No package module names ``as_strided``: a view with hand-set strides can
+read outside its buffer with no error, while ``sliding_window_view``
+builds the same views with their bounds checked.
 """
 
 import ast
@@ -461,3 +465,43 @@ def test_the_check_sees_generated_code():
 @pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
 def test_the_package_generates_no_code(path):
     assert generated_code(path.read_text()) == []
+
+
+def hand_strided_views(source):
+    """(line, what) of each import, name or attribute ``as_strided`` in
+    ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [
+                (node.lineno, f"import {alias.name}")
+                for alias in node.names
+                if alias.name.split(".")[-1] == "as_strided"
+            ]
+        elif isinstance(node, ast.Name) and node.id == "as_strided":
+            found.append((node.lineno, "as_strided"))
+        elif isinstance(node, ast.Attribute) and node.attr == "as_strided":
+            found.append((node.lineno, ".as_strided"))
+    return sorted(found)
+
+
+def test_the_check_sees_hand_strided_views():
+    source = (
+        "import numpy as np\n"
+        "from numpy.lib.stride_tricks import as_strided, sliding_window_view\n"
+        "from numpy.lib import stride_tricks as st\n"
+        "\n"
+        "def f(x):\n"
+        "    view = sliding_window_view(x, 3)\n"
+        "    return as_strided(x, (2,), (8,)), st.as_strided(x), view\n"
+        "\n"
+        "g = np.lib.stride_tricks.as_strided\n"
+    )
+    assert hand_strided_views(source) == [
+        (2, "import as_strided"), (7, ".as_strided"), (7, "as_strided"), (9, ".as_strided"),
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_the_package_builds_no_hand_strided_views(path):
+    assert hand_strided_views(path.read_text()) == []

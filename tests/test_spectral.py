@@ -12,6 +12,7 @@ from oracles import (
     dense_hermitian_eigenvalues,
     dense_spectrum,
     measured_windings,
+    rotated_twin,
     scatter_real_matrix,
     spectrum_windings,
     tiled_operator,
@@ -398,7 +399,7 @@ def _built_blocks(op, truncation, monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("truncation", [16, 33, 64, 128])
+@pytest.mark.parametrize("truncation", [spectral.MIN_TRUNCATION, 16, 33, 64, 128, 144])
 def test_real_matrix_equals_the_scatter_reference(truncation, monkeypatch):
     # Entry for entry, not within a tolerance: equal matrices have equal
     # eigenvalues, so reports do not depend on how the matrix is assembled.
@@ -408,8 +409,9 @@ def test_real_matrix_equals_the_scatter_reference(truncation, monkeypatch):
         "simple": random_symmetric_loop(rng),
         "degree4_odd_samples": random_symmetric_loop(rng, degree=4, n_samples=33),
         "tiled3": AsymptoticOperator(base.samples * 3),
+        # k = 5 and 6 have two classes of alternating modes each (r = 1, 2);
         # from k = 2T + 2 on, every block holds a single mode
-        **{f"cover{k}": base.pulled_back(k) for k in (2, 3, 4, 6, 2 * truncation + 2)},
+        **{f"cover{k}": base.pulled_back(k) for k in (2, 3, 4, 5, 6, 2 * truncation + 2)},
     }
     for name, op in ops.items():
         built = _built_blocks(op, truncation, monkeypatch)
@@ -426,27 +428,32 @@ def test_real_matrix_equals_the_scatter_reference(truncation, monkeypatch):
                 assert np.array_equal(mat, scatter_real_matrix(c, t, row)), (name, row[:2])
 
 
-def test_real_matrix_peak_memory_is_its_two_gathers(monkeypatch):
-    # Two gathers of the matrix's size are added into it; the scatter
-    # construction peaks at 4.5 times the matrix.
+def test_real_matrix_takes_rows_of_alternating_progressions(monkeypatch):
+    # Any two alternating progressions, of any steps, build their matrix;
+    # a row that is not is refused rather than built wrong.
+    [(c, t, _)] = _built_blocks(random_symmetric_loop(np.random.default_rng(5)), 16, monkeypatch)
+    row = np.array([1, 2, 4, 8])  # 1, 4 and 2, 8
+    assert np.array_equal(spectral._real_matrix(c, t, row[None])[0], scatter_real_matrix(c, t, row))
+    with pytest.raises(ValidationError, match="progressions"):
+        spectral._real_matrix(c, t, np.array([[1, 2, 4, 5, 9]]))
+
+
+@pytest.mark.parametrize("truncation", [128, 144])
+def test_real_matrix_allocates_little_beyond_its_output(truncation, monkeypatch):
+    # The tiles are added from views of two small tables straight into the
+    # matrix; the traced peak was 1.13 (T = 128) and 1.10 (T = 144) times
+    # the matrix.  Two gathers of the matrix's size peaked at 3.1 times it,
+    # and the scatter construction at 4.5 times.
     op = random_symmetric_loop(np.random.default_rng(3))
-    (args,) = _built_blocks(op, 128, monkeypatch)
+    (args,) = _built_blocks(op, truncation, monkeypatch)
     tracemalloc.start()
     try:
         mat = spectral._real_matrix(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert mat.shape == (1, 514, 514) and peak <= 3.5 * mat.nbytes
-
-
-def _rotated_twin(op, s):
-    """S' = R_s^T S R_s - 2 pi s Id with R_s(t) = exp(2 pi s J0 t)."""
-    t = np.arange(op.sample_count) / op.sample_count
-    c, sn = np.cos(TWO_PI * s * t), np.sin(TWO_PI * s * t)
-    rot = np.stack([np.stack([c, -sn], -1), np.stack([sn, c], -1)], -2)
-    twin = np.einsum("tji,tjk,tkl->til", rot, op.matrices(), rot) - TWO_PI * s * np.eye(2)
-    return AsymptoticOperator.from_matrices(twin)
+    dim = 2 * (2 * truncation + 1)
+    assert mat.shape == (1, dim, dim) and peak <= 1.2 * mat.nbytes
 
 
 def _assert_twin_shifts_windings(base, twin, s):
@@ -471,7 +478,7 @@ def test_rotated_twin_shifts_windings_and_cz(truncation):
         eps = Fraction(safe_epsilon(base)).limit_denominator(10**9)
         cz = conley_zehnder(loop_orbit(f"l{i}", op), Perturbation(eps), WINDING, truncation)
         for s in (-2, -1, 1, 2):
-            twin_op = _rotated_twin(op, s)
+            twin_op = rotated_twin(op, s)
             _assert_twin_shifts_windings(base, discretized_spectrum(twin_op, truncation), s)
             twin_orbit = loop_orbit(f"l{i}_twin{s}", twin_op)
             assert conley_zehnder(twin_orbit, Perturbation(eps), WINDING, truncation) == cz - 2 * s
@@ -533,6 +540,6 @@ def test_closed_form_matches_the_block_solve_of_its_twins(truncation):
     for base_op in _random_constant_loops(np.random.default_rng(59), 4):
         base = discretized_spectrum(base_op, truncation)
         for s in (-2, -1, 1, 2):
-            twin_op = _rotated_twin(base_op, s)
+            twin_op = rotated_twin(base_op, s)
             assert twin_op.period > 1
             _assert_twin_shifts_windings(base, discretized_spectrum(twin_op, truncation), s)
