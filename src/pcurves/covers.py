@@ -94,7 +94,6 @@ def composed_curve(scenario):
         orbits[z] = cover_orbit(base.orbit(zeta), cover.order_at(z))
     return CurveData(
         surface=cover.domain,
-        ambient_dim_n=base.ambient_dim_n,
         orbit_at=orbits,
         c1_rel=cover.degree * base.c1_rel,
         constraints=pullback_constraints(cover, base.constraints),

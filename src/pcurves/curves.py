@@ -1,10 +1,12 @@
 """Per-curve integer calculus: Fredholm index, normal Chern number,
 transversality criterion and kernel bounds, line-bundle operator bounds.
 
-Topological inputs that only an actual map could produce (relative Chern
-number, boundary Maslov total, the critical-point count Z(du)) are declared
-on the curve; their coherence is enforced through the identities relating
-the two normal-Chern-number formulas and, downstream, adjunction.
+Every curve lives in a 4-dimensional cobordism, the criterion's setting:
+each orbit's asymptotic operator is 2x2, on the normal bundle.  Topological
+inputs that only an actual map could produce (relative Chern number,
+boundary Maslov total, the critical-point count Z(du)) are declared on the
+curve; their coherence is enforced through the identities relating the two
+normal-Chern-number formulas and, downstream, adjunction.
 """
 
 from fractions import Fraction
@@ -59,7 +61,6 @@ class CurveData:
     """
 
     surface: object
-    ambient_dim_n: int
     orbit_at: dict  # puncture id -> OrbitClass
     c1_rel: int
     constraints: ConstraintSet
@@ -69,8 +70,6 @@ class CurveData:
     homology_tag: str = ""
 
     def __post_init__(self):
-        if self.ambient_dim_n < 1:
-            raise ValidationError("ambient complex dimension must be >= 1")
         object.__setattr__(
             self, "z_du", require_half_integer(self.z_du, "Z(du)")
         )
@@ -123,13 +122,9 @@ def total_maslov(curve):
 
 
 def fredholm_index(curve):
-    """(n - 3) chi + 2 c1 + total Maslov."""
-    chi = euler_char(curve.surface)
-    return (
-        (curve.ambient_dim_n - 3) * chi
-        + 2 * curve.c1_rel
-        + total_maslov(curve)
-    )
+    """-chi + 2 c1 + total Maslov, the (n - 3) chi + 2 c1 + mu of a curve in
+    a cobordism of complex dimension n = 2."""
+    return -euler_char(curve.surface) + 2 * curve.c1_rel + total_maslov(curve)
 
 
 def _normal_chern_from_index(curve):
@@ -141,10 +136,6 @@ def _normal_chern_from_index(curve):
 
 
 def _normal_chern_from_windings(curve):
-    if curve.ambient_dim_n != 2:
-        raise ValidationError(
-            "the winding form of the normal Chern number needs ambient dimension 2"
-        )
     total = Fraction(curve.c1_rel - euler_char(curve.surface)) + Fraction(
         curve.maslov_boundary, 2
     )
@@ -160,18 +151,17 @@ def _normal_chern_from_windings(curve):
 def normal_chern(curve):
     """Normal first Chern number, computed two independent ways.
 
-    2 c_N = ind - 2 + 2g + #even + m, and (in ambient dimension 2) the
-    winding form c1 - chi + mu_boundary/2 + sum of extremal windings; a
-    disagreement means the declared data is incoherent.
+    2 c_N = ind - 2 + 2g + #even + m, and the winding form c1 - chi +
+    mu_boundary/2 + sum of extremal windings; a disagreement means the
+    declared data is incoherent.
     """
     value = _normal_chern_from_index(curve)
-    if curve.ambient_dim_n == 2:
-        other = _normal_chern_from_windings(curve)
-        if other != value:
-            raise ConsistencyError(
-                f"normal Chern number mismatch: index form gives {value}, "
-                f"winding form gives {other}; input data is inconsistent"
-            )
+    other = _normal_chern_from_windings(curve)
+    if other != value:
+        raise ConsistencyError(
+            f"normal Chern number mismatch: index form gives {value}, "
+            f"winding form gives {other}; input data is inconsistent"
+        )
     return value
 
 
@@ -235,7 +225,7 @@ def transversality_check(curve):
         2 * curve.c1_rel + total_maslov(curve) + gamma1
         > 2 * z
     )
-    if genus_form != met or (curve.ambient_dim_n == 2 and winding_form != met):
+    if not genus_form == winding_form == met:
         raise ConsistencyError("criterion reformulations disagree; data inconsistent")
 
     two_z = 2 * z
@@ -256,7 +246,7 @@ def transversality_check(curve):
         kernel_upper=upper,
         gamma0_count=gamma0,
         genus_form=genus_form,
-        winding_form=winding_form if curve.ambient_dim_n == 2 else genus_form,
+        winding_form=winding_form,
     )
 
 

@@ -29,6 +29,8 @@ _SCHEMA_VERSION = one_of(SCHEMA_VERSION)
 _AMBIENT = one_of(None, "cobordism", "symplectization", "closed").optional()
 _ORBIT_KIND = one_of("nondegenerate", "morse_bott")
 _WINDING_TYPE = one_of("operator", "cover", "declared")
+#: the complex dimension of a curve's cobordism: the calculus is the 4-dimensional one
+_AMBIENT_DIM = one_of(2).optional(2)
 
 _TOP_LEVEL_KEYS = {
     "schema_version",
@@ -229,9 +231,9 @@ def _parse_curve(doc, location, scenario):
         f"constraint weight {delta} must lie in (0, delta_gap)",
         location,
     )
+    _get(doc, "n", location, _AMBIENT_DIM)
     curve = CurveData(
         surface=surface,
-        ambient_dim_n=_get(doc, "n", location, INT, default=2),
         orbit_at={z: _get(orbits, z, location, ORBIT, scenario) for z in orbits},
         c1_rel=_get(doc, "c1_rel", location, INT),
         maslov_boundary=_get(doc, "maslov_boundary", location, INT, default=0),

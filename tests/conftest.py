@@ -141,7 +141,6 @@ def random_curve(rng, tag, n_punctures=None, orbit_factory=None):
     )
     return CurveData(
         surface=surface,
-        ambient_dim_n=2,
         orbit_at=orbit_at,
         c1_rel=c1,
         constraints=ConstraintSet(constrained=constrained, delta=Fraction(1, 8)),
@@ -197,7 +196,6 @@ def shifted_curve(curve, shifts):
             c1 += w
     return CurveData(
         surface=curve.surface,
-        ambient_dim_n=curve.ambient_dim_n,
         orbit_at=orbit_at,
         c1_rel=c1,
         constraints=curve.constraints,

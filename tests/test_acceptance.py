@@ -277,7 +277,7 @@ def test_criterion_06_normal_chern_consistency():
             delta=Fraction(1, 8),
         )
         base = CurveData(
-            surface=surface, ambient_dim_n=2, orbit_at=orbits,
+            surface=surface, orbit_at=orbits,
             c1_rel=c1, constraints=cons, homology_tag=f"acc6b{attempts}",
         )
         degree = int(rng.integers(2, 4))
@@ -331,7 +331,7 @@ def test_criterion_07_constraint_monotonicity():
         stronger_set = frozenset(n for n in names if rng.random() < 0.6)
         weaker_set = frozenset(n for n in stronger_set if rng.random() < 0.5)
         stronger = CurveData(
-            surface=surface, ambient_dim_n=2, orbit_at=orbits, c1_rel=c1,
+            surface=surface, orbit_at=orbits, c1_rel=c1,
             constraints=ConstraintSet(constrained=stronger_set, delta=Fraction(1, 8)),
             homology_tag=f"acc7_{cases}",
         )

@@ -48,7 +48,7 @@ def foliation_fixture():
 
     cod = PuncturedSurface(0, 0, (("v0", "-"), ("v1", "-"), ("vinf", "-")))
     v = CurveData(
-        surface=cod, ambient_dim_n=2,
+        surface=cod,
         orbit_at={"v0": simples["gz"], "v1": simples["go"], "vinf": simples["gi"]},
         c1_rel=3, constraints=ConstraintSet(constrained=frozenset({"v0", "vinf"}), delta=D),
         homology_tag="v",
@@ -58,7 +58,7 @@ def foliation_fixture():
         0, 0, (("q0", "-"), ("q1", "-"), ("qm1", "-"), ("qinf", "-"))
     )
     u_zeta = CurveData(
-        surface=dom, ambient_dim_n=2,
+        surface=dom,
         orbit_at={"q0": gz2, "q1": simples["gp"], "qm1": simples["gm"], "qinf": gi2},
         c1_rel=6, constraints=ConstraintSet(constrained=frozenset({"q0", "qinf"}), delta=D),
         homology_tag="u_zeta",
@@ -149,7 +149,7 @@ def make_index1_base():
     # chi = -1; CZ sums: mu(a) + mu(b) - mu(c) = 2 + 3 - 1 = 4, so
     # ind = 1 + 2 c1 + 4 = 1 exactly when c1 = -2.
     return CurveData(
-        surface=surface, ambient_dim_n=2,
+        surface=surface,
         orbit_at={"a": even, "b": odd1, "c": odd2},
         c1_rel=-2, constraints=ConstraintSet(constrained=frozenset({"a", "b", "c"}), delta=D),
         homology_tag="w",
@@ -200,7 +200,7 @@ def test_screen_index_minus_one_contradiction():
     surface = PuncturedSurface(0, 0, (("a", "-"), ("b", "+")))
     # chi = 0; mu(b) - mu(a) = 3 - 0, so ind = 2 c1 + 3 = -1 at c1 = -2.
     curve = CurveData(
-        surface=surface, ambient_dim_n=2, orbit_at={"a": even, "b": odd},
+        surface=surface, orbit_at={"a": even, "b": odd},
         c1_rel=-2, constraints=ConstraintSet(constrained=frozenset({"a", "b"}), delta=D),
         homology_tag="m",
     )
@@ -276,7 +276,7 @@ def test_obstruction_negative_case():
     sigma, sigma2, tau = linked([sigma, sigma2, tau])
     cod = PuncturedSurface(0, 0, (("a", "-"), ("b", "-")))
     base = CurveData(
-        surface=cod, ambient_dim_n=2, orbit_at={"a": sigma, "b": tau},
+        surface=cod, orbit_at={"a": sigma, "b": tau},
         c1_rel=1, constraints=ConstraintSet(constrained=frozenset(), delta=D),
         homology_tag="base",
     )
@@ -339,7 +339,7 @@ def index_one_curve(even_orbit, constrained_even=True):
     if constrained_even:
         constrained.add("e")
     return CurveData(
-        surface=surface, ambient_dim_n=2,
+        surface=surface,
         orbit_at={"e": even_orbit, "o": odd},
         c1_rel=(2 - mu_even) // 2,
         constraints=ConstraintSet(constrained=frozenset(constrained), delta=D),

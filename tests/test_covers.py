@@ -39,7 +39,7 @@ def base_three_punctured(thetas=(Fraction(1), Fraction(1, 3), Fraction(5, 3)),
         )
     surface = PuncturedSurface(0, 0, tuple((n, "-") for n in names))
     return CurveData(
-        surface=surface, ambient_dim_n=2, orbit_at=orbits, c1_rel=c1,
+        surface=surface, orbit_at=orbits, c1_rel=c1,
         constraints=ConstraintSet(constrained=frozenset(constrained), delta=D),
         homology_tag="base",
     )
@@ -151,7 +151,7 @@ def test_cn_cover_randomized_against_direct():
             constrained=frozenset(n for n in names if rng.random() < 0.5), delta=D
         )
         base = CurveData(
-            surface=surface, ambient_dim_n=2, orbit_at=base_orbits,
+            surface=surface, orbit_at=base_orbits,
             c1_rel=c1, constraints=cons, homology_tag=f"b{case}",
         )
         k_a, k_b = int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -205,7 +205,7 @@ def test_i_cover_bound_distinct_ends():
     )
     other_surface = PuncturedSurface(0, 0, (("w", "-"),))
     other = CurveData(
-        surface=other_surface, ambient_dim_n=2, orbit_at={"w": other_orbit},
+        surface=other_surface, orbit_at={"w": other_orbit},
         c1_rel=0, constraints=ConstraintSet(constrained=frozenset(), delta=D),
         homology_tag="other",
     )
@@ -269,7 +269,7 @@ def test_monotonicity_under_weaker_constraints():
         stronger_set = frozenset(n for n in names if rng.random() < 0.6)
         weaker_set = frozenset(n for n in stronger_set if rng.random() < 0.5)
         stronger = CurveData(
-            surface=surface, ambient_dim_n=2, orbit_at=orbits, c1_rel=c1,
+            surface=surface, orbit_at=orbits, c1_rel=c1,
             constraints=ConstraintSet(constrained=stronger_set, delta=D),
             homology_tag=f"m{case}",
         )
@@ -287,7 +287,7 @@ def test_monotonicity_under_weaker_constraints():
 def curve_on(surface, orbits, cons):
     """A curve with these orbits and constraints; enumeration reads no more."""
     return CurveData(
-        surface=surface, ambient_dim_n=2, orbit_at=orbits, c1_rel=0, constraints=cons,
+        surface=surface, orbit_at=orbits, c1_rel=0, constraints=cons,
         homology_tag="enum",
     )
 

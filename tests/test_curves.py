@@ -1,13 +1,17 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import random_curve, shifted_curve
+import pcurves.curves
+from conftest import random_curve, random_declared_orbit, shifted_curve
 from oracles import k_bound_bruteforce
 from pcurves.curves import (
     ConstraintSet,
     CurveData,
+    _normal_chern_from_index,
+    _normal_chern_from_windings,
     adjusted_c1_zero_budget,
     critical_bound_check,
     fredholm_index,
@@ -19,9 +23,9 @@ from pcurves.curves import (
     parity_partition,
     transversality_check,
 )
-from pcurves.errors import PCurvesError, ValidationError
+from pcurves.errors import ConsistencyError, PCurvesError, ValidationError
 from pcurves.intersections import cov_totals, sing_decomposition
-from pcurves.orbits import DeclaredWindings, Nondegenerate, OrbitClass, delta_mb
+from pcurves.orbits import DeclaredWindings, Nondegenerate, OrbitClass, delta_mb, scalar_orbit
 from pcurves.surfaces import PuncturedSurface
 
 D = Fraction(1, 8)
@@ -42,7 +46,6 @@ def closed_curve(genus, c1):
     surface = PuncturedSurface(genus=genus, boundary_components=0, punctures=())
     return CurveData(
         surface=surface,
-        ambient_dim_n=2,
         orbit_at={},
         c1_rel=c1,
         constraints=no_constraints(),
@@ -67,7 +70,6 @@ def one_puncture_curve(orbit, sign="+", c1=0, z_du=0, constrained=False):
     surface = PuncturedSurface(0, 0, (("z", sign),))
     return CurveData(
         surface=surface,
-        ambient_dim_n=2,
         orbit_at={"z": orbit},
         c1_rel=c1,
         constraints=ConstraintSet(constrained=frozenset({"z"} if constrained else ()), delta=D),
@@ -112,21 +114,24 @@ def test_normal_chern_closed_immersed():
         assert normal_chern(curve) == c1 - (2 - 2 * g)
 
 
-def test_normal_chern_formulas_must_agree():
-    # The two c_N formulas agree identically on coherent data; breaking the
-    # declared c1 by a non-integral amount is impossible, so instead check
-    # that a curve in ambient dimension 3 skips the winding form without
-    # error, while dimension 2 data is cross-checked.
-    orbit = declared_orbit("a", 1, 2)
-    surface = PuncturedSurface(0, 0, (("z", "+"),))
-    curve3 = CurveData(
-        surface=surface, ambient_dim_n=3, orbit_at={"z": orbit}, c1_rel=1,
-        constraints=ConstraintSet(constrained=frozenset(), delta=D), homology_tag="c3",
+def test_normal_chern_formulas_must_agree(monkeypatch):
+    # Both c_N formulas run on every curve.  A sphere with an even (CZ 2)
+    # and an odd (CZ 3) positive puncture, c1 = 0: ind = 0 + 0 + 5 = 5, so
+    # 2 c_N = 5 - 2 + #even = 4; the winding form is c1 - chi + 1 + 1 = 2.
+    surface = PuncturedSurface(0, 0, (("e", "+"), ("o", "+")))
+    curve = CurveData(
+        surface=surface, orbit_at={"e": declared_orbit("b", 1, 1), "o": declared_orbit("a", 1, 2)},
+        c1_rel=0, constraints=no_constraints(), homology_tag="eo",
     )
-    # All punctures odd here, so 2 c_N = ind - 2.
-    assert normal_chern(curve3) == Fraction(
-        fredholm_index(curve3) - 2, 2
-    )
+    assert parity_partition(curve) == (1, 1)
+    assert _normal_chern_from_index(curve) == _normal_chern_from_windings(curve) == 2
+    assert normal_chern(curve) == 2
+    report = transversality_check(curve)
+    assert report.criterion_met and report.genus_form and report.winding_form
+    # A winding form that disagrees is caught.
+    monkeypatch.setattr(pcurves.curves, "_normal_chern_from_windings", lambda u: Fraction(3))
+    with pytest.raises(ConsistencyError, match="normal Chern number mismatch"):
+        normal_chern(curve)
 
 
 def test_randomized_two_formula_agreement():
@@ -208,7 +213,6 @@ def test_transversality_regular_cases():
     surface = PuncturedSurface(0, 0, (("z1", "-"), ("z2", "-"), ("z3", "-")))
     curve = CurveData(
         surface=surface,
-        ambient_dim_n=2,
         orbit_at={z: declared_orbit(z + "o", 0, 1) for z in ("z1", "z2", "z3")},
         c1_rel=1,
         constraints=ConstraintSet(constrained=frozenset(), delta=D),
@@ -227,7 +231,6 @@ def test_transversality_smallest_kernel_case():
     curve = closed_curve(0, 1)
     curve_crit = CurveData(
         surface=curve.surface,
-        ambient_dim_n=2,
         orbit_at={},
         c1_rel=1,
         constraints=no_constraints(),
@@ -253,7 +256,7 @@ def test_transversality_nontrivial_upper_bound():
     assert (report2.kernel_lower, report2.kernel_upper) == (0, 2)
     # Closed genus 2, c1 = 3: ind = 8, c_N = 5, Z = 2: 8 > 7 met.
     curve_g2 = CurveData(
-        surface=PuncturedSurface(2, 0, ()), ambient_dim_n=2, orbit_at={},
+        surface=PuncturedSurface(2, 0, ()), orbit_at={},
         c1_rel=3, constraints=no_constraints(), z_du=Fraction(2), homology_tag="g2",
     )
     report3 = transversality_check(curve_g2)
@@ -262,12 +265,103 @@ def test_transversality_nontrivial_upper_bound():
     # Same but c1 = 2: ind = 6, c_N = 4, Z = 2: 6 > 6 fails; 2Z=4 <= 6:
     # bounds [6, 6 + K(0, #even=0)] = [6, 8] (closed: l even).
     curve_g2b = CurveData(
-        surface=PuncturedSurface(2, 0, ()), ambient_dim_n=2, orbit_at={},
+        surface=PuncturedSurface(2, 0, ()), orbit_at={},
         c1_rel=2, constraints=no_constraints(), z_du=Fraction(2), homology_tag="g2b",
     )
     report4 = transversality_check(curve_g2b)
     assert not report4.criterion_met
     assert (report4.kernel_lower, report4.kernel_upper) == (6, 8)
+
+
+# -- curves with boundary ---------------------------------------------------
+
+
+def disk(mu, orbits=(), z_du=0):
+    """A disk with boundary Maslov number ``mu``, c1_rel 0, no constraints,
+    and one positive puncture per orbit."""
+    surface = PuncturedSurface(0, 1, tuple((f"z{i}", "+") for i in range(len(orbits))))
+    return CurveData(
+        surface=surface, orbit_at={f"z{i}": o for i, o in enumerate(orbits)}, c1_rel=0,
+        constraints=no_constraints(), maslov_boundary=mu, z_du=Fraction(z_du),
+        homology_tag="disk",
+    )
+
+
+@pytest.mark.parametrize(
+    "mu, punctured, z_du",
+    [(1, False, 0), (2, False, 0), (3, False, 0), (0, True, 0), (1, True, 0), (2, True, 0),
+     (3, False, Fraction(1, 2))],
+)
+def test_disks_match_their_closed_forms(mu, punctured, z_du):
+    # S = 3.5 Id has the spectrum {2 pi m - 3.5}: CZ = 2 floor(3.5 / 2 pi) + 1,
+    # odd, so no puncture is even.
+    orbits = [scalar_orbit("a", 3.5)] if punctured else []
+    cz = [2 * math.floor(3.5 / (2 * math.pi)) + 1 for _ in orbits]
+    chi = 2 - 1 - len(orbits)
+    ind = -chi + mu + sum(cz)
+    # 2 c_N = ind - 2 + 2g + #even + m, with g = #even = 0 and m = 1.
+    c_n = Fraction(ind - 2 + 1, 2)
+    report = transversality_check(disk(mu, orbits, z_du))
+    assert (report.index, report.normal_chern) == (ind, c_n)
+    assert ind > c_n + z_du
+    assert report.criterion_met and report.genus_form and report.winding_form
+    assert (report.kernel_lower, report.kernel_upper) == (ind, ind)
+
+
+def random_bordered_curve(rng, tag):
+    """Random curve data with 1 to 3 boundary components over declared orbits."""
+    punctures = tuple(
+        (f"{tag}z{i}", "+" if rng.random() < 0.5 else "-") for i in range(rng.integers(0, 4))
+    )
+    return CurveData(
+        surface=PuncturedSurface(int(rng.integers(0, 3)), int(rng.integers(1, 4)), punctures),
+        orbit_at={z: random_declared_orbit(rng, f"{z}o") for z, _ in punctures},
+        c1_rel=int(rng.integers(-4, 5)),
+        constraints=ConstraintSet(
+            constrained=frozenset(z for z, _ in punctures if rng.random() < 0.5), delta=D
+        ),
+        maslov_boundary=int(rng.integers(-3, 4)),
+        z_du=Fraction(int(rng.integers(0, 5)), 2),
+        homology_tag=tag,
+    )
+
+
+def double(curve):
+    """The double of a curve with boundary: two copies glued along the m
+    boundary circles, genus 2g + m - 1, each puncture mirrored with its sign,
+    orbit and constraint, c1_rel 2 c1 + mu, and twice the critical points."""
+    surface = curve.surface
+    mirror = {z: z + "'" for z in surface.puncture_ids}
+    return CurveData(
+        surface=PuncturedSurface(
+            2 * surface.genus + surface.boundary_components - 1, 0,
+            surface.punctures + tuple((mirror[z], sign) for z, sign in surface.punctures),
+        ),
+        orbit_at={**curve.orbit_at, **{mirror[z]: o for z, o in curve.orbit_at.items()}},
+        c1_rel=2 * curve.c1_rel + curve.maslov_boundary,
+        constraints=ConstraintSet(
+            constrained=curve.constraints.constrained
+            | {mirror[z] for z in curve.constraints.constrained},
+            delta=curve.constraints.delta,
+        ),
+        z_du=2 * curve.z_du,
+        homology_tag=curve.homology_tag + "-double",
+    )
+
+
+def test_the_double_doubles_the_index_and_the_normal_chern_number():
+    # chi, 2 c1 + mu, the CZ sum and Z all double, so ind = -chi + 2 c1 + mu
+    # and c_N double too; the kernel bounds need not.
+    rng = np.random.default_rng(19)
+    for i in range(300):
+        curve = random_bordered_curve(rng, f"b{i}")
+        doubled = double(curve)
+        assert fredholm_index(doubled) == 2 * fredholm_index(curve), i
+        assert normal_chern(doubled) == 2 * normal_chern(curve), i
+        assert (
+            transversality_check(doubled).criterion_met
+            == transversality_check(curve).criterion_met
+        ), i
 
 
 # -- line bundle bounds ----------------------------------------------------
@@ -310,7 +404,7 @@ def test_index_normal_operator():
     curve = closed_curve(0, 1)
     assert index_normal_operator(curve) == fredholm_index(curve)
     curve_crit = CurveData(
-        surface=curve.surface, ambient_dim_n=2, orbit_at={}, c1_rel=2,
+        surface=curve.surface, orbit_at={}, c1_rel=2,
         constraints=no_constraints(), z_du=Fraction(1), homology_tag="c",
     )
     # ind = 2, Z = 1: normal index 0.
@@ -324,18 +418,18 @@ def test_critical_bound():
     embedded = closed_curve(0, 1)
     assert critical_bound_check(embedded)
     bad = CurveData(
-        surface=embedded.surface, ambient_dim_n=2, orbit_at={}, c1_rel=1,
+        surface=embedded.surface, orbit_at={}, c1_rel=1,
         constraints=cons, z_du=Fraction(1), homology_tag="bad",
     )
     # Z = 1, ind = 0: flags non-generic data.
     assert not critical_bound_check(bad)
     good = CurveData(
-        surface=embedded.surface, ambient_dim_n=2, orbit_at={}, c1_rel=2,
+        surface=embedded.surface, orbit_at={}, c1_rel=2,
         constraints=cons, z_du=Fraction(1), homology_tag="ok",
     )
     assert critical_bound_check(good)
     multiply_covered = CurveData(
-        surface=embedded.surface, ambient_dim_n=2, orbit_at={}, c1_rel=1,
+        surface=embedded.surface, orbit_at={}, c1_rel=1,
         constraints=cons, somewhere_injective=False, homology_tag="mc",
     )
     with pytest.raises(ValidationError):
@@ -356,17 +450,17 @@ def test_curve_data_validation():
     surface = PuncturedSurface(0, 0, ())
     cons = no_constraints()
     with pytest.raises(ValidationError):
-        CurveData(surface=surface, ambient_dim_n=2, orbit_at={},
+        CurveData(surface=surface, orbit_at={},
                   c1_rel=0, constraints=cons, z_du=Fraction(1, 2), homology_tag="x")
     with pytest.raises(ValidationError):
-        CurveData(surface=surface, ambient_dim_n=2, orbit_at={},
+        CurveData(surface=surface, orbit_at={},
                   c1_rel=0, constraints=cons, maslov_boundary=1, homology_tag="x")
     with pytest.raises(ValidationError):
-        CurveData(surface=surface, ambient_dim_n=2, orbit_at={"q": None},
+        CurveData(surface=surface, orbit_at={"q": None},
                   c1_rel=0, constraints=cons, homology_tag="x")
     # A constraint set is checked against the surface of its curve.
     with pytest.raises(ValidationError, match="not on the surface"):
-        CurveData(surface=surface, ambient_dim_n=2, orbit_at={}, c1_rel=0,
+        CurveData(surface=surface, orbit_at={}, c1_rel=0,
                   constraints=ConstraintSet(frozenset({"q"}), D), homology_tag="x")
     with pytest.raises(ValidationError):
         ConstraintSet(constrained=frozenset(), delta=Fraction(0))

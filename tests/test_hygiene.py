@@ -33,6 +33,9 @@ without generating code, which ``dataclasses`` did at every import.
 No package module names ``as_strided``: a view with hand-set strides can
 read outside its buffer with no error, while ``sliding_window_view``
 builds the same views with their bounds checked.
+
+No package module holds an ``assert`` statement: ``python -O`` drops them,
+so an invariant raises ``ConsistencyError`` instead.
 """
 
 import ast
@@ -505,3 +508,27 @@ def test_the_check_sees_hand_strided_views():
 @pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
 def test_the_package_builds_no_hand_strided_views(path):
     assert hand_strided_views(path.read_text()) == []
+
+
+def assert_statements(source):
+    """The line of each ``assert`` statement in ``source``."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)
+    )
+
+
+def test_the_check_sees_assert_statements():
+    source = (
+        "def f(x):\n"
+        "    assert x > 0, 'positive'\n"
+        "    if x:\n"
+        "        assert_ok = x\n"
+        "        assert x\n"
+        "    return self.assertEqual(x, 1)\n"
+    )
+    assert assert_statements(source) == [2, 5]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_the_package_holds_no_assert_statements(path):
+    assert assert_statements(path.read_text()) == []

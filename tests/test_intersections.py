@@ -40,12 +40,11 @@ def orbit(oid, am, ap, cover=1, distinct=()):
     )
 
 
-def curve_with(orbits_by_puncture, signs, c1, tag, constrained=(), n=2):
+def curve_with(orbits_by_puncture, signs, c1, tag, constrained=()):
     punctures = tuple((z, signs[z]) for z in orbits_by_puncture)
     surface = PuncturedSurface(0, 0, punctures)
     return CurveData(
         surface=surface,
-        ambient_dim_n=n,
         orbit_at=dict(orbits_by_puncture),
         c1_rel=c1,
         constraints=ConstraintSet(constrained=frozenset(constrained), delta=D),
@@ -110,7 +109,6 @@ def test_morse_bott_contribution_positive():
     left = curve_with({"x": h}, {"x": "+"}, 1, "L")
     right = CurveData(
         surface=PuncturedSurface(0, 0, (("y", "+"),)),
-        ambient_dim_n=2,
         orbit_at={"y": h},
         c1_rel=0,
         constraints=ConstraintSet(constrained=frozenset(), delta=D),

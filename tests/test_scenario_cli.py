@@ -593,6 +593,8 @@ def _set(path, value):
         (_set(["orbits", 0, "distinct_from"], [["g_inf"]]), "$.orbits[0]"),
         (_set(["curves", 0, "constrained"], [["v0"]]), "$.curves[0]"),
         (_set(["curves", 0, "orbits", "v0"], ["g_zero"]), "$.curves[0]"),
+        # Every curve lives in a 4-dimensional cobordism: n is 2 or absent.
+        *[(_set(["curves", 0, "n"], n), "$.curves[0]") for n in (3, 0, 2.0, True)],
         (_set(["covers", 0, "fiber", 0, "from"], ["q0"]), "$.covers[0].fiber[0]"),
         (_set(["covers", 0, "fiber", 0, "to"], ["v0"]), "$.covers[0].fiber[0]"),
         (_set(["covers", 0, "total_constrained"], [["q0"]]), "$.covers[0]"),
@@ -679,7 +681,8 @@ def _set(path, value):
         "query-parity-7", "query-curve-unknown", "query-cover-unknown", "query-surface-unknown",
         "query-other-unknown", "query-side-unknown", "query-sign-unknown", "query-j-mode-unknown",
         "query-delta-u-not-rational", "query-truncation-below-minimum", "distinct-from-dict",
-        "distinct-from-list", "constrained-list", "curve-orbit-list", "fiber-from-list",
+        "distinct-from-list", "constrained-list", "curve-orbit-list", "curve-n-3", "curve-n-0",
+        "curve-n-float", "curve-n-bool", "fiber-from-list",
         "fiber-to-list",
         "total-constrained-list", "cover-beyond-truncation", "delta-gap-beyond-float-range",
         "declared-no-flow",
@@ -710,6 +713,34 @@ def test_cli_malformed_input_is_a_located_validation_error(tmp_path, capsys, mut
     assert code == 2
     assert stderr.startswith(f"validation error: {where}: ")
     assert stderr.count(where) == 1
+
+
+def sphere_at_three_and_a_half(n):
+    """A sphere with one positive puncture at S = 3.5 Id and c1_rel 1, its
+    curve's ``n`` as given (None: absent)."""
+    doc = minimal_doc()
+    doc["surfaces"][0]["punctures"] = [{"id": "z", "sign": "+"}]
+    doc["orbits"][0]["winding"]["samples"] = [[3.5, 0.0, 3.5]] * 16
+    _set(["curves", 0, "n"], n)(doc)
+    return doc
+
+
+@pytest.mark.parametrize("n", [None, 2])
+def test_a_curve_at_n_2_or_without_n_loads(n):
+    curve = load_scenario(sphere_at_three_and_a_half(n)).curves["c"]
+    report = pcurves.curves.transversality_check(curve)
+    assert (report.index, report.normal_chern, report.criterion_met) == (2, 0, True)
+    assert (report.kernel_lower, report.kernel_upper) == (2, 2)
+
+
+@pytest.mark.parametrize("n", [3, 0, 2.0, True])
+def test_a_curve_at_another_n_is_refused(tmp_path, capsys, n):
+    f = tmp_path / "n.scn"
+    f.write_text(json.dumps(sphere_at_three_and_a_half(n)))
+    assert main(["check", str(f)]) == 2
+    assert capsys.readouterr().err == (
+        f"validation error: $.curves[0]: 'n' must be one of [2], got {n!r}\n"
+    )
 
 
 def test_cover_orbit_beyond_the_truncation_is_a_query_error(tmp_path, capsysbinary):
