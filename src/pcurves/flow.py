@@ -15,21 +15,31 @@ FLOW_STEPS = 2048
 #: most steps of the crossing-flow integration; a loop whose rotation
 #: bound needs more is refused
 FLOW_MAX_STEPS = 2**16
-#: the most that the a priori bound lets Psi(t) e1 turn in one flow step,
-#: well below pi, so that no argument step of the flow wraps
+#: the most that the a priori bound lets Psi(t) e1 turn between two samples
+#: of the path, well below pi, so that no argument step of the flow wraps
 FLOW_MAX_TURN = np.pi / 4
 #: |tr Psi(1) - 2| below which the crossing-flow endpoint counts as
-#: degenerate.  The sign of tr - 2 gives the parity; at FLOW_STEPS the
-#: error of the trace stayed below 1e-9 near tr = 2 on random loops of
-#: degree 4 with coefficients up to 4, against 8 times as many steps.  On
-#: the twisted constant loops, whose trace has a closed form, it was at
-#: most 2.5e-9 where |tr - 2| < 1 and 1.2e-9 of max(1, |tr|) anywhere, at
-#: the twist s = 3 (6 matrices S0, s = 0..3, epsilon = 0 and 1/8).  S read
-#: off a real FFT, the steps' exponentials in real arithmetic and their
-#: prefix product leave the trace within 7e-14 of the same steps multiplied
-#: one after another where |tr - 2| < 1, on 600 loop/epsilon pairs of those
-#: degree-4 loops.
+#: degenerate at any rate.  The sign of tr - 2 gives the parity; at
+#: FLOW_STEPS the error of the trace stayed below 1e-9 near tr = 2 on random
+#: loops of degree 4 with coefficients up to 4, against 8 times as many
+#: steps.  A loop that turns faster has a larger error, which FLOW_SCREEN and
+#: FLOW_MARGIN cover.  S read off a real FFT, the steps' exponentials in real
+#: arithmetic and their pairwise product leave the trace within 7e-14 of the
+#: same steps multiplied one after another where |tr - 2| < 1, on 600
+#: loop/epsilon pairs of those degree-4 loops.
 FLOW_TRACE_TOL = 1e-8
+#: |tr Psi(1) - 2| below FLOW_SCREEN (h rate)^4 max(1, |tr|), with rate the a
+#: priori bound and h the step, runs a second flow at 2h to estimate the
+#: trace's error.  A heuristic, not a certificate: on the twisted constant
+#: loops, whose trace has a closed form (16 matrices S0, twists s = 0..16,
+#: epsilon = 0 and 1/8), the error at h stayed below 1.8 (h rate)^4 max(1,
+#: |tr|), more than 50 times under the screen, and fell 16-fold per halving
+#: of h.
+FLOW_SCREEN = 100
+#: multiple of the step-doubling error estimate that |tr Psi(1) - 2| must
+#: exceed where the screen runs; the estimate was within 1% of the true error
+#: wherever that exceeded 1e-10 on the same loops.
+FLOW_MARGIN = 4
 
 MIN_MODULUS = 1e-9
 MAX_STEP = np.pi - 1e-12  # argument steps must stay below pi
@@ -82,13 +92,52 @@ def crossing_flow_cz(op, epsilon):
     that interval contains the integer k, which happens exactly when
     det(I - Psi(1)) = 2 - tr Psi(1) < 0, and 2k + 1 when it lies in
     (k, k + 1); the rotation of Psi(t) e1 picks k.
+
+    The parity is decided only when |tr Psi(1) - 2| is at least
+    FLOW_TRACE_TOL and, where FLOW_SCREEN asks for it, FLOW_MARGIN times the
+    step-doubling estimate of the trace's error; otherwise the endpoint is
+    refused as degenerate.
     """
-    trace, turns = _crossing_flow(op, saturated_float(epsilon))
-    if abs(trace - 2.0) < FLOW_TRACE_TOL:
+    epsilon = saturated_float(epsilon)
+    trace, turns = _crossing_flow(op, epsilon)
+    rate = op.real_series[2] + abs(epsilon)
+    steps = _step_count(rate)
+    margin = FLOW_TRACE_TOL
+    if abs(trace - 2.0) < FLOW_SCREEN * (rate / steps) ** 4 * max(1.0, abs(trace)):
+        # The fourth-order error falls 16-fold per halving of h, so the trace
+        # at 2h differs from the trace at h by about 15 times the latter's
+        # error (Richardson).  Only the trace is needed: pair down to one.
+        coarse = _magnus_steps(op, epsilon, steps // 2)
+        while coarse.shape[2] > 1:
+            coarse = _product(coarse[:, :, 1::2], coarse[:, :, 0::2])
+        error = abs(trace - float(coarse[0, 0, 0] + coarse[1, 1, 0])) / 15
+        margin = max(margin, FLOW_MARGIN * error)
+    if abs(trace - 2.0) < margin:
         raise DegeneracyError("degenerate endpoint: the perturbed orbit has kernel")
     if trace > 2.0:
         return 2 * round(turns)
     return 2 * math.floor(turns) + 1
+
+
+def _step_count(rate):
+    """The least power of two from FLOW_STEPS on whose step h keeps h * rate
+    at most FLOW_MAX_TURN; beyond FLOW_MAX_STEPS the loop is refused with
+    SpectralError."""
+    steps = FLOW_STEPS
+    while rate > steps * FLOW_MAX_TURN:
+        steps *= 2
+        if steps > FLOW_MAX_STEPS:
+            raise SpectralError(
+                f"the crossing flow turns at rates up to {rate:.6g}, too fast to"
+                f" resolve in {FLOW_MAX_STEPS} steps"
+            )
+    return steps
+
+
+def _product(later, earlier):
+    """The products later[:, :, j] @ earlier[:, :, j] of two stacks of 2x2
+    matrices, each an array [row, column, j]."""
+    return later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
 
 
 def _crossing_flow(op, epsilon):
@@ -96,11 +145,43 @@ def _crossing_flow(op, epsilon):
     Psi(0) = I, from fourth-order Magnus steps of length h.
 
     Psi(t) e1 turns at most at the rate |S(t) + epsilon| <= sum |a_k| +
-    |epsilon|, so the step count is the least power of two from FLOW_STEPS
-    on that keeps h times this bound at most FLOW_MAX_TURN; beyond
-    FLOW_MAX_STEPS the loop is refused with SpectralError.  The a_k and
-    their bound are the operator's ``real_series``, computed by its first
+    |epsilon|, so the step count is ``_step_count`` of this bound.  The a_k
+    and their bound are the operator's ``real_series``, computed by its first
     flow and kept with it.
+
+    The steps are there for accuracy; the turn count needs fewer samples of
+    the path.  Over ``span`` steps Psi(t) e1 turns by at most span h times
+    the rate bound.  While that stays at most FLOW_MAX_TURN, below pi, the
+    argument step between two samples span steps apart is the turn itself,
+    so the sampled path turns exactly as the whole one does.  Adjacent steps
+    are multiplied in pairs, later on the left, for as many rounds as that
+    allows, each round doubling the span.  An inclusive prefix product of
+    the block products in log2(steps / span) rounds of one batched product
+    each (Hillis-Steele) then gives Psi at every span-th step.  Its last
+    element is the balanced tree of pairs, pairs of pairs and so on at any
+    span, so tr Psi(1) does not depend on the span.
+    """
+    rate = op.real_series[2] + abs(epsilon)
+    steps = _step_count(rate)
+    psi = _magnus_steps(op, epsilon, steps)
+    span = 1
+    while span < steps and 2 * span * rate <= steps * FLOW_MAX_TURN:
+        psi = _product(psi[:, :, 1::2], psi[:, :, 0::2])
+        span *= 2
+    blocks = steps // span
+    shift = 1
+    while shift < blocks:
+        psi[:, :, shift:] = _product(psi[:, :, shift:], psi[:, :, :-shift])
+        shift *= 2
+    path = np.empty(blocks + 1, dtype=complex)  # Psi(t) e1 at t = 0, span h, ...
+    path[0] = 1.0
+    path.real[1:], path.imag[1:] = psi[:, 0]
+    return float(psi[0, 0, -1] + psi[1, 1, -1]), _turns(path)
+
+
+def _magnus_steps(op, epsilon, steps):
+    """The Magnus steps E_0, ..., E_{steps-1} of Psi' = J0 (S + epsilon) Psi, as
+    an array [row, column, j].
 
     The two Gauss points of the steps form two uniform grids t_j = (j + o) h,
     o = 1/2 -+ sqrt(3)/6.  With S(t) = Re sum of a_k e^{2 pi i k t} over
@@ -112,16 +193,7 @@ def _crossing_flow(op, epsilon):
     for a cover of a loop whose samples do not repeat), and only those are
     summed.
     """
-    modes, coeffs, bound = op.real_series
-    rate = bound + abs(epsilon)
-    steps = FLOW_STEPS
-    while rate > steps * FLOW_MAX_TURN:
-        steps *= 2
-        if steps > FLOW_MAX_STEPS:
-            raise SpectralError(
-                f"the crossing flow turns at rates up to {rate:.6g}, too fast to"
-                f" resolve in {FLOW_MAX_STEPS} steps"
-            )
+    modes, coeffs, _ = op.real_series
     h = 1.0 / steps
     gauss = math.sqrt(3) / 6
     offsets = np.array([[0.5 - gauss], [0.5 + gauss]])
@@ -153,27 +225,10 @@ def _crossing_flow(op, epsilon):
     hyperbolic = det < 0
     cos[hyperbolic], sin[hyperbolic] = np.cosh(w[hyperbolic]), np.sinh(w[hyperbolic])
     sinc = np.divide(sin, w, out=np.ones(steps), where=w > 0)
-    # Entries of the steps, written into one buffer, then of the products
-    # Psi(t_{j+1}) = E_j ... E_0 in their place: an inclusive prefix
-    # product, later steps on the left, in log2(steps) rounds of one batched
-    # product each (Hillis-Steele).
-    a, b, c, d = np.empty((4, steps))
+    step = np.empty((2, 2, steps))
     sinc_p = sinc * xp
-    np.add(cos, sinc_p, out=a)
-    np.multiply(sinc, xq, out=b)
-    np.multiply(sinc, xr, out=c)
-    np.subtract(cos, sinc_p, out=d)
-    shift = 1
-    while shift < steps:
-        hi, lo = slice(shift, None), slice(None, -shift)
-        a[hi], b[hi], c[hi], d[hi] = (
-            a[hi] * a[lo] + b[hi] * c[lo],
-            a[hi] * b[lo] + b[hi] * d[lo],
-            c[hi] * a[lo] + d[hi] * c[lo],
-            c[hi] * b[lo] + d[hi] * d[lo],
-        )
-        shift *= 2
-    path = np.empty(steps + 1, dtype=complex)  # Psi(t) e1 from t = 0
-    path[0] = 1.0
-    path.real[1:], path.imag[1:] = a, c
-    return float(a[-1] + d[-1]), _turns(path)
+    np.add(cos, sinc_p, out=step[0, 0])
+    np.multiply(sinc, xq, out=step[0, 1])
+    np.multiply(sinc, xr, out=step[1, 0])
+    np.subtract(cos, sinc_p, out=step[1, 1])
+    return step

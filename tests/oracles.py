@@ -48,7 +48,8 @@ crossing flow of a loop that is not constant.
 The sequential flow integrates the crossing flow with the same Magnus steps
 as the package, but sums S at the Gauss points as a dense cos/sin series
 and multiplies the steps one after another, where the package reads S off
-a real inverse FFT and multiplies the steps as a prefix product.
+a real inverse FFT and multiplies the steps pairwise into blocks, then the
+blocks as a prefix product.
 """
 
 import cmath

@@ -45,9 +45,11 @@ from pcurves.orbits import (
     scalar_orbit,
 )
 from pcurves.classify import is_bad_puncture
+from pcurves import flow
 from pcurves.flow import (
     FLOW_MAX_STEPS,
     FLOW_MAX_TURN,
+    FLOW_SCREEN,
     FLOW_TRACE_TOL,
     _crossing_flow,
     crossing_flow_cz,
@@ -201,10 +203,11 @@ def _flow_outcome(trace, turns):
 
 
 def test_crossing_flow_matches_the_sequential_product():
-    # The package multiplies its Magnus steps as a prefix product over S from
-    # inverse FFTs; the reference multiplies them one after another over S
-    # from a dense cos/sin sum.  Criterion 2's loops, then degree-4 loops at
-    # scale 4, whose traces reach 4e4.
+    # The package multiplies its Magnus steps pairwise into blocks, then takes
+    # a prefix product of the block products, over S from inverse FFTs; the
+    # reference multiplies them one after another over S from a dense cos/sin
+    # sum, and samples the path at every step.  Criterion 2's loops, then
+    # degree-4 loops at scale 4, whose traces reach 4e4.
     rng = np.random.default_rng(20260810)
     ops = [random_symmetric_loop(rng) for _ in range(100)]
     rng = np.random.default_rng(4)
@@ -236,16 +239,74 @@ def test_crossing_flow_matches_the_sequential_product():
 def test_crossing_flow_trace_on_twisted_constant_loops():
     # The twisted loop depends on t, through modes 0 and +-2s, yet its flow
     # ends where the constant loop's does, at a trace known in closed form.
+    # The trace error grows as (h rate)^4 with the twist; it must stay well
+    # under the screen that runs the step-doubling estimate, and an index
+    # that is not refused must have the closed form's parity.  From s = 16
+    # on, mode 2s reaches the Nyquist mode of 64 samples, so 128 are taken.
     rng = np.random.default_rng(13)
     bases = [tuple(row) for row in rng.uniform(-3, 3, (4, 3))]
     bases += [(4.0, 0.5, 3.0), (40.0, 1.0, 35.0)]
     for s0 in bases:
-        for s in range(4):
-            op = twisted_constant_loop(s0, s)
+        for s in range(17):
+            op = twisted_constant_loop(s0, s, n_samples=128 if s >= 16 else 64)
             for eps in (0.0, 0.125):
                 exact = twisted_constant_trace(s0, eps)
                 trace = _crossing_flow(op, eps)[0]
-                assert abs(trace - exact) < 5e-9 * max(1.0, abs(exact)), (s0, s, eps)
+                error = abs(trace - exact) / max(1.0, abs(exact))
+                if s < 4:
+                    assert error < 5e-9, (s0, s, eps)
+                rate = op.real_series[2] + eps
+                h_rate = rate / flow._step_count(rate)
+                assert error < FLOW_SCREEN / 20 * h_rate**4, (s0, s, eps)
+                try:
+                    cz = crossing_flow_cz(op, eps)
+                except DegeneracyError:
+                    continue
+                assert (cz % 2 == 0) == (exact > 2.0), (s0, s, eps)
+
+
+def test_crossing_flow_refuses_or_is_exact_near_a_fast_degenerate_endpoint():
+    # det S0 = -3e-7, so exp(J0 S0) is hyperbolic with trace 2 cosh(sqrt(3e-7))
+    # > 2: the constant loop's index is 0, and the twist by s lowers it by 2s.
+    # At these twists the flow's trace error exceeds tr - 2 = 3e-7 and falls
+    # on the other side of 2; with a fixed tolerance the flow answered -17 at
+    # s = 9.
+    for s0, s in (((10.0, math.sqrt(4 + 3e-7), 0.4), 9), ((30.0, math.sqrt(45 + 3e-7), 1.5), 12)):
+        assert twisted_constant_trace(s0, 0.0) > 2.0
+        orbit = loop_orbit(f"twist{s}", twisted_constant_loop(s0, s))
+        try:
+            cz = conley_zehnder(orbit, Perturbation(0), CROSSING_FLOW)
+        except DegeneracyError:
+            continue
+        assert cz == -2 * s, s
+
+
+def test_crossing_flow_samples_the_path_as_often_as_the_turn_bound_needs(monkeypatch):
+    # Over span steps Psi(t) e1 turns at most span h rate, so the path is
+    # sampled every span steps for the largest power of two span with span h
+    # rate <= FLOW_MAX_TURN: all of [0, 1] or half of it for a slow constant
+    # loop (rates 0.6 and 1.1), every step for scalar covers just below and
+    # just above the rate 512 pi at which the step count doubles (rates
+    # 1608.2 and 1608.8), and every 64 steps for a twisted loop (rate 23.1).
+    # The turns must not depend on the span.
+    paths = []
+    count_turns = flow._turns
+    monkeypatch.setattr(flow, "_turns", lambda path: paths.append(path) or count_turns(path))
+    cases = [
+        (AsymptoticOperator.constant(0.3, 0.1, 0.5), 0.0, 2048, 1),
+        (AsymptoticOperator.constant(0.3, 0.1, 0.5), 0.5, 2048, 2),
+        (scalar_orbit("g", 568.6, cover=2).winding.op, 0.0, 2048, 2048),
+        (scalar_orbit("g", 568.8, cover=2).winding.op, 0.0, 4096, 4096),
+        (twisted_constant_loop((4.0, 0.5, 3.0), 3), 0.0, 2048, 32),
+    ]
+    for op, eps, steps, samples in cases:
+        trace, turns = sequential_flow(op, eps, steps)
+        flow_trace, flow_turns = _crossing_flow(op, eps)
+        assert abs(flow_trace - trace) < 1e-9, (steps, samples)
+        assert abs(flow_turns - turns) < 1e-9, (steps, samples)
+        path = paths.pop()
+        assert len(path) == samples + 1, (steps, samples)
+        assert np.abs(np.angle(path[1:] / path[:-1])).max() <= FLOW_MAX_TURN, (steps, samples)
 
 
 def test_crossing_flow_does_not_alias_on_fast_scalar_covers():
