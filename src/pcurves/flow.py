@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DegeneracyError, SpectralError, ValidationError
 from .records import record
-from .spectral import saturated_float
+from .spectral import _read_only, saturated_float
 
 #: least number of steps of the crossing-flow integration on [0, 1]
 FLOW_STEPS = 2048
@@ -147,7 +147,10 @@ def _crossing_flow(op, epsilon):
     Psi(t) e1 turns at most at the rate |S(t) + epsilon| <= sum |a_k| +
     |epsilon|, so the step count is ``_step_count`` of this bound.  The a_k
     and their bound are the operator's ``real_series``, computed by its first
-    flow and kept with it.
+    flow and kept with it.  So is the part of the steps' Magnus exponents
+    that does not depend on epsilon, once per step count (``_magnus_steps``):
+    a flow at another epsilon with the same step count computes only the
+    exponents, their exponentials, the product and the turns.
 
     The steps are there for accuracy; the turn count needs fewer samples of
     the path.  Over ``span`` steps Psi(t) e1 turns by at most span h times
@@ -183,6 +186,42 @@ def _magnus_steps(op, epsilon, steps):
     """The Magnus steps E_0, ..., E_{steps-1} of Psi' = J0 (S + epsilon) Psi, as
     an array [row, column, j].
 
+    A step is exp(X) for the fourth-order exponent X = h/2 (A1 + A2) +
+    sqrt(3)/12 h^2 [A2, A1], with A1, A2 the values of A = J0 (S + epsilon)
+    at the step's two Gauss points.  A is affine in epsilon, and so is X
+    (the commutator's terms in epsilon^2 cancel): X = X0 + epsilon D, with
+    X0 and D from ``_magnus_exponent``, built once per operator and step
+    count and kept in the operator's ``magnus_exponents``.  Only X itself,
+    its determinant and the exponentials are computed per epsilon.
+    """
+    exponents = op.magnus_exponents
+    if steps not in exponents:
+        exponents[steps] = _magnus_exponent(op, steps)
+    base, slope = exponents[steps]
+    xp, xq, xr = slope * epsilon + base
+    # X = [[xp, xq], [xr, -xp]] is trace-free, and X @ X = -det(X) I, so
+    # exp(X) = cos(w) I + (sin(w) / w) X with w = sqrt(det X), and cosh and
+    # sinh of sqrt(-det X) where det X < 0; every step lies in Sp(2).
+    det = -xp * xp - xq * xr
+    w = np.sqrt(np.abs(det))
+    cos, sin = np.cos(w), np.sin(w)
+    hyperbolic = det < 0
+    cos[hyperbolic], sin[hyperbolic] = np.cosh(w[hyperbolic]), np.sinh(w[hyperbolic])
+    sinc = np.divide(sin, w, out=np.ones(steps), where=w > 0)
+    step = np.empty((2, 2, steps))
+    sinc_p = sinc * xp
+    np.add(cos, sinc_p, out=step[0, 0])
+    np.multiply(sinc, xq, out=step[0, 1])
+    np.multiply(sinc, xr, out=step[1, 0])
+    np.subtract(cos, sinc_p, out=step[1, 1])
+    return step
+
+
+def _magnus_exponent(op, steps):
+    """The Magnus exponents X0 of ``steps`` equal steps of Psi' = J0 S Psi and
+    their slopes D in epsilon, as one read-only array [X0 / D, entry, j] with
+    the entries (p, q, r) of the trace-free [[p, q], [r, -p]].
+
     The two Gauss points of the steps form two uniform grids t_j = (j + o) h,
     o = 1/2 -+ sqrt(3)/6.  With S(t) = Re sum of a_k e^{2 pi i k t} over
     0 <= k <= N/2, S(t_j) = Re sum of a_k e^{2 pi i k o h} e^{2 pi i k j h}.
@@ -192,6 +231,10 @@ def _magnus_steps(op, epsilon, steps):
     S at both grids.  S_k has modes only at multiples of its mode step (k
     for a cover of a loop whose samples do not repeat), and only those are
     summed.
+
+    J0 (S + epsilon) = [[p, q - epsilon], [r + epsilon, -p]] with p = -s12,
+    q = -s22 and r = s11, so with comm = sqrt(3)/12 h^2 the slope of X is
+    (comm ((q2 - q1) + (r2 - r1)), -h - 2 comm (p2 - p1), h - 2 comm (p2 - p1)).
     """
     modes, coeffs, _ = op.real_series
     h = 1.0 / steps
@@ -209,26 +252,15 @@ def _magnus_steps(op, epsilon, steps):
     half = np.zeros((2, 3, steps // 2 + 1), dtype=complex)
     np.add.at(half, (slice(None), slice(None), folds), terms)
     s11, s12, s22 = np.fft.irfft(half, steps).transpose(1, 0, 2)
-    # J0 (S + epsilon) = [[p, q], [r, -p]] at both grids.
-    (p1, p2), (q1, q2), (r1, r2) = -s12, -(s22 + epsilon), s11 + epsilon
-    # Magnus step X = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1], trace-free.  X @
-    # X = -det(X) I, so exp(X) = cos(w) I + (sin(w) / w) X with w = sqrt(det X),
-    # and cosh and sinh of sqrt(-det X) where det X < 0; every step lies in
-    # Sp(2).
+    (p1, p2), (q1, q2), (r1, r2) = -s12, -s22, s11
     comm = 0.5 * gauss * h * h
-    xp = 0.5 * h * (p1 + p2) + comm * (q2 * r1 - q1 * r2)
-    xq = 0.5 * h * (q1 + q2) + 2 * comm * (p2 * q1 - p1 * q2)
-    xr = 0.5 * h * (r1 + r2) + 2 * comm * (r2 * p1 - p2 * r1)
-    det = -xp * xp - xq * xr
-    w = np.sqrt(np.abs(det))
-    cos, sin = np.cos(w), np.sin(w)
-    hyperbolic = det < 0
-    cos[hyperbolic], sin[hyperbolic] = np.cosh(w[hyperbolic]), np.sinh(w[hyperbolic])
-    sinc = np.divide(sin, w, out=np.ones(steps), where=w > 0)
-    step = np.empty((2, 2, steps))
-    sinc_p = sinc * xp
-    np.add(cos, sinc_p, out=step[0, 0])
-    np.multiply(sinc, xq, out=step[0, 1])
-    np.multiply(sinc, xr, out=step[1, 0])
-    np.subtract(cos, sinc_p, out=step[1, 1])
-    return step
+    turn = 2 * comm * (p2 - p1)
+    exponent = np.array([
+        [
+            0.5 * h * (p1 + p2) + comm * (q2 * r1 - q1 * r2),
+            0.5 * h * (q1 + q2) + 2 * comm * (p2 * q1 - p1 * q2),
+            0.5 * h * (r1 + r2) + 2 * comm * (r2 * p1 - p2 * r1),
+        ],
+        [comm * ((q2 - q1) + (r2 - r1)), -h - turn, h - turn],
+    ])
+    return _read_only(exponent)

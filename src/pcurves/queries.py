@@ -261,7 +261,7 @@ def _q_parity(scenario, curve):
 
 REGISTRY.register(
     "index",
-    "ind = (n-3) chi + 2 c1 + boundary Maslov + signed CZ sum",
+    "ind = -chi + 2 c1 + boundary Maslov + signed CZ sum",
     curves.fredholm_index,
     curve=CURVE,
 )

@@ -141,10 +141,11 @@ class AsymptoticOperator:
 
         p, k = self.period, self.cover
         j = np.arange(p // 2 + 1)
-        coeffs = k * (np.fft.fft(_matrices(self.samples[:p]), axis=0)[j] / p)
+        # One FFT of the rows (s11, s12, s22), read as symmetric matrices.
+        coeffs = k * (np.fft.fft(np.array(self.samples[:p]), axis=0)[j] / p)
         if p % 2 == 0:
             coeffs[-1] /= 2.0
-        return _read_only(self.mode_step * j), _read_only(coeffs)
+        return _read_only(self.mode_step * j), _read_only(coeffs[:, [[0, 1], [1, 2]]])
 
     @cached_property
     def real_series(self):
@@ -162,6 +163,14 @@ class AsymptoticOperator:
         a[0] /= 2.0
         bound = float(np.sqrt(np.abs(a) ** 2 @ [1.0, 2.0, 1.0]).sum())
         return modes, _read_only(a.T), bound
+
+    @cached_property
+    def magnus_exponents(self):
+        """Step count -> the crossing flow's Magnus exponents at epsilon = 0
+        and their slopes in epsilon (``flow._magnus_exponent``), filled by
+        the flows of the operator as they meet each step count.  Kept with
+        the operator, as read-only arrays, and no part of its value."""
+        return {}
 
     def pulled_back(self, k):
         """Operator of the k-fold covered orbit: S_k(t) = k * S(k t mod 1),

@@ -50,6 +50,13 @@ as the package, but sums S at the Gauss points as a dense cos/sin series
 and multiplies the steps one after another, where the package reads S off
 a real inverse FFT and multiplies the steps pairwise into blocks, then the
 blocks as a prefix product.
+
+The direct Magnus steps evaluate each step's exponent X from S + epsilon at
+the Gauss points, as the package first did, where the package keeps the
+part of X that does not depend on epsilon and its slope in epsilon.  The
+matrix Fourier modes take the FFT of the samples as 2x2 matrices, where
+the package transforms the rows (s11, s12, s22) and reads them as
+matrices.
 """
 
 import cmath
@@ -433,3 +440,48 @@ def sequential_flow(op, epsilon, steps=2048):
     e1 = psi[:, 0] + 1j * psi[:, 2]
     turns = float(np.angle(e1[1:] * e1[:-1].conj()).sum()) / (2 * np.pi)
     return float(psi[-1, 0] + psi[-1, 3]), turns
+
+
+def matrix_fourier_modes(op):
+    """``op.fourier_modes`` from the FFT of one period of samples as 2x2
+    matrices."""
+    p, k = op.period, op.cover
+    j = np.arange(p // 2 + 1)
+    mats = np.array([((a, b), (b, c)) for a, b, c in op.samples[:p]])
+    coeffs = k * (np.fft.fft(mats, axis=0)[j] / p)
+    if p % 2 == 0:
+        coeffs[-1] /= 2.0
+    return op.mode_step * j, coeffs
+
+
+def direct_magnus_steps(op, epsilon, steps):
+    """(X, E): the Magnus exponents X_j as an array [entry, j] with the
+    entries (p, q, r) of [[p, q], [r, -p]], and the steps E_j = exp(X_j) as
+    an array [row, column, j], of Psi' = J0 (S + epsilon) Psi, with X formed
+    from S + epsilon at the Gauss points of each step."""
+    modes, coeffs, _ = op.real_series
+    h = 1.0 / steps
+    gauss = math.sqrt(3) / 6
+    offsets = np.array([[0.5 - gauss], [0.5 + gauss]])
+    terms = np.exp(2j * np.pi * h * (offsets * modes))[:, None, :] * coeffs
+    folds = modes % steps
+    mirrored = folds > steps // 2
+    folds[mirrored] = steps - folds[mirrored]
+    terms[:, :, mirrored] = terms[:, :, mirrored].conj()
+    terms *= np.where((folds == 0) | (folds == steps // 2), steps, steps / 2)
+    half = np.zeros((2, 3, steps // 2 + 1), dtype=complex)
+    np.add.at(half, (slice(None), slice(None), folds), terms)
+    s11, s12, s22 = np.fft.irfft(half, steps).transpose(1, 0, 2)
+    (p1, p2), (q1, q2), (r1, r2) = -s12, -(s22 + epsilon), s11 + epsilon
+    comm = 0.5 * gauss * h * h
+    xp = 0.5 * h * (p1 + p2) + comm * (q2 * r1 - q1 * r2)
+    xq = 0.5 * h * (q1 + q2) + 2 * comm * (p2 * q1 - p1 * q2)
+    xr = 0.5 * h * (r1 + r2) + 2 * comm * (r2 * p1 - p2 * r1)
+    det = -xp * xp - xq * xr
+    w = np.sqrt(np.abs(det))
+    cos, sin = np.cos(w), np.sin(w)
+    hyperbolic = det < 0
+    cos[hyperbolic], sin[hyperbolic] = np.cosh(w[hyperbolic]), np.sinh(w[hyperbolic])
+    sinc = np.divide(sin, w, out=np.ones(steps), where=w > 0)
+    step = np.array([[cos + sinc * xp, sinc * xq], [sinc * xr, cos - sinc * xp]])
+    return np.array([xp, xq, xr]), step

@@ -7,6 +7,7 @@ import pytest
 from conftest import loop_orbit, random_symmetric_loop, safe_epsilon
 from oracles import (
     ScalarOracle,
+    direct_magnus_steps,
     extremal_residue_class,
     omega_oracle,
     sequential_flow,
@@ -307,6 +308,72 @@ def test_crossing_flow_samples_the_path_as_often_as_the_turn_bound_needs(monkeyp
         path = paths.pop()
         assert len(path) == samples + 1, (steps, samples)
         assert np.abs(np.angle(path[1:] / path[:-1])).max() <= FLOW_MAX_TURN, (steps, samples)
+
+
+def test_magnus_exponent_is_affine_in_epsilon():
+    # The package keeps each step's exponent at epsilon = 0, X0, and its
+    # slope D, and forms X = X0 + epsilon D; the oracle forms X from S +
+    # epsilon at the Gauss points.  The two differ by rounding alone.  Every
+    # entry of X is at most h rate in size, with rate = sum |a_k| + |epsilon|,
+    # so each may differ by 4 ulps of h rate (1.8 was the most seen, on 50
+    # loops of these kinds); the steps exp(X), whose entries are below 3, by
+    # 4 ulps (1.5 seen).  At epsilon = 0 both are the same floats.  Epsilon
+    # 1700 doubles the step count to 4096.
+    ulp = np.finfo(float).eps
+    rng = np.random.default_rng(20260810)
+    ops = [random_symmetric_loop(rng) for _ in range(4)]
+    rng = np.random.default_rng(4)
+    ops += [random_symmetric_loop(rng, degree=4, scale=4) for _ in range(4)]
+    ops.append(twisted_constant_loop((4.0, 0.5, 3.0), 3).pulled_back(2))
+    for op in ops:
+        for eps in (0.0, 0.37, -0.37, 1.1, -1.1, 1700.0):
+            rate = op.real_series[2] + abs(eps)
+            steps = flow._step_count(rate)
+            assert steps == (4096 if eps == 1700.0 else 2048)
+            want_x, want_steps = direct_magnus_steps(op, eps, steps)
+            base, slope = flow._magnus_exponent(op, steps)
+            x = slope * eps + base
+            got_steps = flow._magnus_steps(op, eps, steps)
+            if eps == 0.0:
+                assert (x == want_x).all() and (got_steps == want_steps).all()
+            assert np.abs(x - want_x).max() <= 4 * ulp * rate / steps, eps
+            assert np.abs(got_steps - want_steps).max() <= 4 * ulp, eps
+
+
+def test_crossing_flow_does_not_depend_on_what_its_operator_kept(monkeypatch):
+    # An operator keeps the epsilon-free part of its Magnus exponents, one
+    # array per step count.  A flow must give the same trace and turns, to the
+    # bit, on a fresh operator; after flows at other epsilons, one of them
+    # doubling the step count; after a screened coarse pass, whose 2048 steps
+    # the flows then reuse; and on a separate operator equal to one that has
+    # flowed.  Each operator builds the arrays once per step count.
+    built = []
+    build = flow._magnus_exponent
+    monkeypatch.setattr(flow, "_magnus_exponent", lambda op, steps: built.append((op, steps)) or build(op, steps))
+    rng = np.random.default_rng(20260810)
+    loops = [random_symmetric_loop(rng).samples for _ in range(3)]
+    loops.append(twisted_constant_loop((4.0, 0.5, 3.0), 3).samples)
+    epsilons = (0.0, 0.37, -1.1)
+    for samples in loops:
+        fresh = {eps: _crossing_flow(AsymptoticOperator(samples), eps) for eps in epsilons}
+        warm = AsymptoticOperator(samples)
+        for eps in (2.3, 1700.0):
+            _crossing_flow(warm, eps)
+        screened = AsymptoticOperator(samples)
+        # At h rate = 0.61 the screen fires on these loops, whatever it then
+        # decides: the coarse pass builds the steps at 2048.
+        try:
+            crossing_flow_cz(screened, 2500.0)
+        except DegeneracyError:
+            pass
+        assert [steps for op, steps in built if op is screened] == [4096, 2048]
+        for op in (warm, screened, AsymptoticOperator(samples)):
+            for eps in epsilons:
+                assert _crossing_flow(op, eps) == fresh[eps], eps
+        for op in {id(op): op for op, _ in built}.values():
+            counts = [steps for other, steps in built if other is op]
+            assert len(counts) == len(set(counts)) and set(counts) == set(op.magnus_exponents)
+        built.clear()
 
 
 def test_crossing_flow_does_not_alias_on_fast_scalar_covers():

@@ -11,6 +11,7 @@ from oracles import (
     ScannedDecisions,
     dense_hermitian_eigenvalues,
     dense_spectrum,
+    matrix_fourier_modes,
     measured_windings,
     rotated_twin,
     scatter_real_matrix,
@@ -259,6 +260,26 @@ def test_an_operator_transforms_its_samples_once(monkeypatch):
     _crossing_flow(cover, 0.0)
     assert len(transforms) == 2
     assert (cover.fourier_modes[0] == 3 * op.fourier_modes[0]).all()
+
+
+def test_fourier_modes_are_the_fft_of_the_sample_matrices():
+    # The package transforms the rows (s11, s12, s22) and reads them as
+    # symmetric matrices; the oracle transforms the matrices.  Each entry is
+    # the same FFT of the same column, so the modes must agree to the bit:
+    # on loops of odd and even N, on loops whose period is below N, at odd
+    # and even periods, and on covers of both.
+    rng = np.random.default_rng(29)
+    ops = [random_symmetric_loop(rng, n_samples=n) for n in (17, 33, 64)]
+    ops += [AsymptoticOperator(tuple(map(tuple, rng.uniform(-2, 2, (p, 3)))) * r) for p, r in ((5, 4), (6, 3))]
+    ops += [op.pulled_back(k) for op in ops[:5] for k in (2, 3)]
+    for op in ops:
+        modes, coeffs = op.fourier_modes
+        want_modes, want = matrix_fourier_modes(op)
+        assert modes.tolist() == want_modes.tolist(), (len(op.samples), op.period, op.cover)
+        assert coeffs.shape == want.shape
+        assert coeffs.real.tobytes() == want.real.tobytes(), (len(op.samples), op.period, op.cover)
+        assert coeffs.imag.tobytes() == want.imag.tobytes(), (len(op.samples), op.period, op.cover)
+    assert [op.period for op in ops[3:5]] == [5, 6]
 
 
 def test_high_cover_orders_allocate_only_the_simple_loop():
