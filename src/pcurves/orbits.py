@@ -162,6 +162,9 @@ class OrbitClass:
                 f"orbit {self.id!r}: a simply covered orbit is its own simple orbit"
             )
         object.__setattr__(self, "distinct_from", frozenset(self.distinct_from))
+        generic = self.generic_alpha
+        if generic is not None and (not isinstance(generic, tuple) or list(map(type, generic)) != [int, int]):
+            raise ValidationError(f"orbit {self.id!r}: generic_alpha must be a pair of integers")
         if isinstance(self.kind, MorseBott) and self.cover % self.kind.isotropy:
             raise ValidationError(
                 f"orbit {self.id!r}: isotropy must divide the covering number"
@@ -304,13 +307,11 @@ def conley_zehnder(orbit, pert, method=WINDING, truncation=None):
 # Covers
 
 
-def linked(orbits, towers=None):
+def linked(orbits):
     """Copies of ``orbits`` that find their declared covers: each carries the
     tower of its simple orbit, which maps a covering number to the first
-    orbit given over that simple orbit with it.  ``towers`` (simple id ->
-    tower) is extended in place, so orbits linked one at a time share it."""
-    towers = {} if towers is None else towers
-    copies = []
+    orbit given over that simple orbit with it."""
+    towers, copies = {}, []
     for orbit in orbits:
         tower = towers.setdefault(orbit.simple_id, {})
         copies.append(replace(orbit, tower=tower))

@@ -99,6 +99,10 @@ LIST = _checked(lambda v: isinstance(v, list), "a list")
 OBJECT = _checked(lambda v: isinstance(v, dict), "an object")
 IDS = _list_of(lambda v: isinstance(v, str), "string ids")
 INTS = _list_of(_is_int, "integers")
+_PAIR = _checked(
+    lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)), "a pair of integers"
+)
+INT_PAIR = Kind(lambda value, scenario: tuple(_PAIR.parse(value, scenario)))
 RATIONAL = Kind(lambda value, scenario: as_fraction(value))
 PERTURBATION = Kind(lambda value, scenario: Perturbation(as_fraction(value)), Perturbation(0))
 SIGN = one_of("-", "+")

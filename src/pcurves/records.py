@@ -1,12 +1,10 @@
 """Record types: classes whose annotated attributes are their fields.
 
 ``@record`` gives a class the ``__init__``, ``__repr__``, ``__eq__`` and
-``__hash__`` that its fields determine, and makes its instances frozen;
-``@mutable_record`` gives the same methods but no hash, and leaves its
-instances assignable.  The methods are closures over each class's field
-tuples, made without compiling anything: ``dataclasses`` writes and
-compiles the source of every method of every class, and doing so was most
-of the package's import time.
+``__hash__`` that its fields determine, and makes its instances frozen.
+The methods are closures over each class's field tuples, made without
+compiling anything: ``dataclasses`` writes and compiles the source of every
+method of every class, and doing so was most of the package's import time.
 
 A field's default is its class attribute, or ``field(factory)`` for a
 default built anew for each instance.  When the class defines
@@ -45,14 +43,6 @@ def record(cls):
         cls.__hash__ = __hash__
     cls.__setattr__ = _refuse_assignment
     cls.__delattr__ = _refuse_deletion
-    return cls
-
-
-def mutable_record(cls):
-    """Make ``cls`` a record whose instances may be assigned to and are not
-    hashable."""
-    _attach(cls)
-    cls.__hash__ = None
     return cls
 
 

@@ -9,6 +9,7 @@ reports carry a path into the document.
 
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .covers import CoverScenario
 from .curves import ConstraintSet, CurveData
@@ -16,11 +17,11 @@ from .errors import ValidationError
 from .intersections import PairingInput
 from .orbits import DeclaredWindings, MorseBott, Nondegenerate, OperatorWinding, OrbitClass, linked
 from .params import (
-    BOOL, COUNT, CURVE, IDS, INT, INTS, J_MODE, LIST, OBJECT, OPERATOR_SAMPLES, ORBIT, ORDER,
-    RATIONAL, REQUIRED, SIGN, STR, SURFACE, one_of,
+    BOOL, COUNT, CURVE, IDS, INT, INT_PAIR, INTS, J_MODE, LIST, OBJECT, OPERATOR_SAMPLES, ORBIT,
+    ORDER, RATIONAL, REQUIRED, SIGN, STR, SURFACE, one_of,
 )
 from .queries import REGISTRY, Query
-from .records import mutable_record
+from .records import record
 from .spectral import DEFAULT_TRUNCATION, GLOBAL_SPECTRUM_CACHE, AsymptoticOperator
 from .surfaces import BranchedCover, PuncturedSurface
 
@@ -46,7 +47,7 @@ _TOP_LEVEL_KEYS = {
 }
 
 
-@mutable_record
+@record
 class Scenario:
     delta_gap: Fraction
     surfaces: dict
@@ -191,7 +192,6 @@ def _parse_orbit(doc, location, scenario, operator_winding):
     simple = _get(doc, "simple", location, STR, default=oid if cover == 1 else None)
     _require(simple is not None, "multiply covered orbit needs a simple id", location)
     winding_doc = _get(doc, "winding", location, OBJECT)
-    generic = _get(doc, "generic_alpha", location, INTS, default=None)
     return oid, OrbitClass(
         id=oid,
         simple_id=simple,
@@ -202,7 +202,7 @@ def _parse_orbit(doc, location, scenario, operator_winding):
         kind=_parse_kind(doc.get("kind"), f"{location}.kind"),
         distinct_from=frozenset(_get(doc, "distinct_from", location, IDS, default=())),
         family_id=_get(doc, "family", location, STR, default=None),
-        generic_alpha=tuple(generic) if generic is not None else None,
+        generic_alpha=_get(doc, "generic_alpha", location, INT_PAIR, default=None),
     )
 
 
@@ -383,31 +383,30 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
                 raise ValidationError(f"not valid JSON: {exc}", str(path_or_dict))
     _check_keys(doc, _TOP_LEVEL_KEYS, "$")
     _get(doc, "schema_version", "$", _SCHEMA_VERSION, default=None)
-    scenario = Scenario(
+    # The scenario read so far, whose tables the entries after them name.
+    read = SimpleNamespace(
         delta_gap=_get(doc, "delta_gap", "$.delta_gap", RATIONAL, default=Fraction(1, 4)),
+        ambient=_get(doc, "ambient", "$.ambient", _AMBIENT),
+        j_mode=_get(doc, "j_mode", "$.j_mode", J_MODE, default="homotopy"),
         surfaces={},
         orbits={},
         curves={},
         pairings={},
         covers={},
-        queries=[],
-        ambient=_get(doc, "ambient", "$.ambient", _AMBIENT),
-        j_mode=_get(doc, "j_mode", "$.j_mode", J_MODE, default="homotopy"),
     )
-    _require(scenario.delta_gap > 0, "delta_gap must be positive", "$.delta_gap")
+    _require(read.delta_gap > 0, "delta_gap must be positive", "$.delta_gap")
     operators = {}
-    towers = {}
+    declared = {}  # (simple id, covering number) -> the orbit declared with them
 
     def operator_winding(op):
         # One object per distinct loop: spectrum cache hits then find their
         # key by identity, not sample by sample.
         return OperatorWinding(operators.setdefault(op, op), truncation)
 
-    def parse_orbit(odoc, location, scenario):
-        oid, orbit = _parse_orbit(odoc, location, scenario, operator_winding)
-        _certify_orbit(orbit, scenario.delta_gap, location)
-        [orbit] = linked([orbit], towers)
-        first = orbit.tower[orbit.cover]
+    def parse_orbit(odoc, location, read):
+        oid, orbit = _parse_orbit(odoc, location, read, operator_winding)
+        _certify_orbit(orbit, read.delta_gap, location)
+        first = declared.setdefault((orbit.simple_id, orbit.cover), orbit)
         _require(
             first is orbit,
             f"cover {orbit.cover} of {orbit.simple_id!r} is already declared as {first.id!r}",
@@ -422,17 +421,31 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
         ("pairings", "pairing", _parse_pairing),
         ("covers", "cover id", _parse_cover),
     ):
-        table = getattr(scenario, section)
+        table = getattr(read, section)
         for i, entry in enumerate(_get(doc, section, "$", LIST, default=[])):
             location = f"$.{section}[{i}]"
             try:
-                key, value = parse(entry, location, scenario)
+                key, value = parse(entry, location, read)
             except ValidationError as exc:  # from a constructor, which knows no location
                 raise _located(exc, location)
             _require(key not in table, f"duplicate {noun} {key!r}", location)
             table[key] = value
-    scenario.queries = [
-        _parse_query(q, f"$.queries[{i}]", scenario)
+        if section == "orbits":
+            read.orbits = _link_orbits(table)
+    queries = [
+        _parse_query(q, f"$.queries[{i}]", read)
         for i, q in enumerate(_get(doc, "queries", "$", LIST, default=[]))
     ]
-    return scenario
+    return Scenario(**vars(read), queries=queries)
+
+
+def _link_orbits(orbits):
+    """The orbit section linked (see ``orbits.linked``), once each orbit's
+    ``distinct_from`` is found to name declared simple orbits."""
+    simple_ids = {orbit.simple_id for orbit in orbits.values()}
+    for i, orbit in enumerate(orbits.values()):
+        unknown = sorted(orbit.distinct_from - simple_ids)
+        _require(
+            not unknown, f"distinct_from names no declared simple orbit: {unknown}", f"$.orbits[{i}]"
+        )
+    return dict(zip(orbits, linked(orbits.values())))

@@ -25,13 +25,15 @@ orbit's samples and k.  S_k(t) = k S(k t) then has Fourier modes only at
 multiples of the mode step s = kN/p, so in the real basis, where cos and
 sin of mode m span the modes +-m, the truncated matrix splits exactly into
 one block per residue class m = +-r (mod s), r = 0..s/2, that holds a mode
-|m| <= T.  A cover is the case s = k of a loop that does not repeat.
-Blocks of one size are solved as one stack.  The counting argument holds
-block by block along t S_k: a block's eigenvalues, ascending, have the
-windings +-m of its modes, each twice, ascending.  The blocks' eigenvalues
-are merged by value; if the merged windings decrease anywhere inside the
-window, the truncation is too low for the loop and the oracle raises
-SpectralError.
+|m| <= T.  A cover is the case s = k of a loop that does not repeat.  The
+block of class r lays out its modes as the progressions r + js and
+s - r + js, j >= 0, one after the other, or as one progression at r = 0
+(the constant's class) and r = s/2.  Blocks of one size are solved as one
+stack.  The counting argument holds block by block along t S_k: a block's
+eigenvalues, ascending, have the windings +-m of its modes, each twice,
+ascending.  The blocks' eigenvalues are merged by value; if the merged
+windings decrease anywhere inside the window, the truncation is too low
+for the loop and the oracle raises SpectralError.
 
 A constant loop (p = 1) couples no two modes, and each mode's block has a
 closed-form spectrum, with windings +-m, so it is answered in plain Python
@@ -48,6 +50,7 @@ import numbers
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import DegeneracyError, SpectralError, ValidationError
 from .records import record
@@ -329,22 +332,18 @@ def saturated_float(q):
         return math.inf if q > 0 else -math.inf
 
 
-#: tiles up to which a strided grid of ``_real_matrix`` is added at once
-SMALL_GRID = 64
+def _real_matrix(c, truncation, blocks):
+    """Matrices of -J0 d/dt - S(t), one per block of equally many modes, each
+    in the orthonormal real basis
+    {1, sqrt2 cos 2 pi m t, sqrt2 sin 2 pi m t : m in the block} x {e_1, e_2}.
+    A block is a list of progressions of modes in 0..T, slices with a step,
+    laid out one after another: the constant 1 of mode 0, which only the
+    first progression of a single block may hold, then the cosine and sine
+    of each nonzero mode.
 
-
-def _real_matrix(c, truncation, modes):
-    """Matrices of -J0 d/dt - S(t), one per row of ``modes``, each in the
-    orthonormal real basis
-    {1, sqrt2 cos 2 pi m t, sqrt2 sin 2 pi m t : m in the row} x {e_1, e_2}.
-    The rows have one length and are ascending in 0..T, each one
-    arithmetic progression or two that alternate; the constant 1 is there
-    when mode 0 is, which only a single row may hold.
-
-    The constant comes first, then the cosine and sine of each nonzero mode
-    in ascending order; this order keeps the matrix banded.  ``c`` holds the
-    Fourier coefficients c_k of S for k = 0..2T (halved at the Nyquist mode
-    k = N/2, zero beyond it), and multiplication by S has the 2x2 blocks
+    ``c`` holds the Fourier coefficients c_k of S for k = 0..2T (halved at
+    the Nyquist mode k = N/2, zero beyond it), and multiplication by S has
+    the 2x2 blocks
         <cos_m, S cos_n> = Re(c_{m-n} + c_{m+n}),
         <sin_m, S sin_n> = Re(c_{m-n} - c_{m+n}),
         <cos_m, S sin_n> = Im(c_{m-n} - c_{m+n}),
@@ -361,13 +360,10 @@ def _real_matrix(c, truncation, modes):
     k = 0..2T, each as [cos/sin, e_a, k, cos/sin, e_b], and one sliding
     window of length T + 1 views both tables as W[p, q] = table[p + q].
     With the rows of D's window flipped, the tile of modes (m, n) is D's
-    window at (m, n) plus P's: a Toeplitz view plus a Hankel view.  Each
-    row is split into its progressions (``_progressions``; a residue class
-    r, s - r, s + r, 2s - r, ... alternates js + r and js - r), and the
+    window at (m, n) plus P's: a Toeplitz view plus a Hankel view.  The
     tiles of a row progression and a column progression are one strided
-    slice of each view, added straight into the strided view of the
-    matrix that they fill: no index array and no temporary of the
-    matrix's size.
+    slice of each view, added straight into the rectangle of the matrix
+    that they fill: no index array and no temporary of the matrix's size.
     """
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
@@ -385,31 +381,32 @@ def _real_matrix(c, truncation, modes):
     # [D / P, p, cos/sin, e_a, q, cos/sin, e_b] = tables[..., p + q, ...]
     window = sliding_window_view(tables, t + 1, axis=3).transpose(0, 3, 1, 2, 6, 4, 5)
     toeplitz, hankel = window[0, ::-1], window[1]  # at (m, n): D_{m-n} and P_{m+n}
-    z = int(modes[0, 0] == 0)  # 1 when the block holds the constant
-    m = modes[:, z:]  # the modes with a cosine and a sine, per block
+    first = blocks[0][0]
+    z = int(first.start == 0)  # 1 when the block holds the constant
+    if z:  # the modes with a cosine and a sine
+        blocks = [[slice(first.step, first.stop, first.step), *blocks[0][1:]]]
+    modes = np.arange(t + 1)
+    m = np.concatenate([modes[p] for block in blocks for p in block]).reshape(len(blocks), -1)
     b, n = m.shape
     mat = np.empty((b,) + (4 * n + 2 * z,) * 2)
     # [block, m, cos/sin, e_a, n, cos/sin, e_b]
     tiles = mat[:, 2 * z :, 2 * z :].reshape(b, n, 2, 2, n, 2, 2)
-    for out, row in zip(tiles, m.tolist()):
-        parts = _progressions(row)
-        for x, rows in enumerate(parts):
-            for y, cols in enumerate(parts):
+    for out, block in zip(tiles, blocks):
+        sizes = [len(range(t + 1)[p]) for p in block]
+        at = [slice(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
+        for rows, x in zip(block, at):
+            for cols, y in zip(block, at):
                 terms = toeplitz[rows, :, :, cols], hankel[rows, :, :, cols]
-                grid = out[x :: len(parts), :, :, y :: len(parts)]
-                # A grid whose tile rows run contiguously through the tables
-                # and the matrix, or a small one, is one add.  A larger
-                # strided grid is four, one per (cos/sin, e_b) column entry,
-                # so that each runs along whole rows of tiles.
-                if len(parts) == 1 and cols.step == 1 or grid.shape[0] * grid.shape[3] <= SMALL_GRID:
-                    entries = [(...,)]
-                else:
-                    entries = [(..., a, e) for a in (0, 1) for e in (0, 1)]
+                # Columns of step 1, or a single column, run contiguously
+                # through the tables and the matrix: one add.  Strided ones
+                # are four adds, one per (cos/sin, e_b) column entry, so that
+                # each runs along whole rows of tiles.
+                contiguous = cols.step == 1 or y.stop - y.start == 1
+                entries = [(...,)] if contiguous else [(..., a, e) for a in (0, 1) for e in (0, 1)]
                 for entry in entries:
-                    np.add(terms[0][entry], terms[1][entry], out=grid[entry])
+                    np.add(terms[0][entry], terms[1][entry], out=out[x, :, :, y][entry])
     if z:
-        # [block, m, cos/sin, e_a, e_b]
-        column = toeplitz[m, :, :, 0, 0] + hankel[m, :, :, 0, 0]
+        column = toeplitz[m, :, :, 0, 0] + hankel[m, :, :, 0, 0]  # [block, m, cos/sin, e_a, e_b]
         mat[:, 2:, :2] = column.reshape(b, -1, 2) / np.sqrt(2.0)
         mat[:, :2, 2:] = mat[:, 2:, :2].transpose(0, 2, 1)
         mat[:, :2, :2] = (toeplitz[0, 0, :, 0, 0] + hankel[0, 0, :, 0, 0]) / np.sqrt(2.0) / np.sqrt(2.0)
@@ -418,20 +415,6 @@ def _real_matrix(c, truncation, modes):
     tiles[blocks, i, 0, :, i, 1] -= w
     tiles[blocks, i, 1, :, i, 0] += w
     return mat
-
-
-def _progressions(modes):
-    """The ascending ``modes`` as slices of one arithmetic progression, or
-    of two that alternate."""
-    alternate = len(modes) > 2 and modes[2] - modes[1] != modes[1] - modes[0]
-    parts = [modes[0::2], modes[1::2]] if alternate else [modes] if modes else []
-    slices = []
-    for part in parts:
-        step = part[1] - part[0] if len(part) > 1 else 1
-        if step < 1 or part != list(range(part[0], part[-1] + 1, step)):
-            raise ValidationError(f"modes {modes} are not two alternating progressions")
-        slices.append(slice(part[0], part[-1] + 1, step))
-    return slices
 
 
 def discretized_spectrum(op, truncation):
@@ -490,32 +473,29 @@ def _closed_form(op, truncation):
 def _block_solve(op, truncation):
     """(eigenvalues, windings) of a loop that is not constant, ascending.
 
-    The modes |m| <= T split into residue classes m = +-r (mod s), r =
-    0..s/2, for the mode step s of the loop.  The class of mode 0 is one
-    eigensolve, and the other classes one stacked eigensolve per class
-    size.  A block's windings are its modes +-m, each twice, in ascending
-    order.
+    The residue class of mode 0 is one eigensolve, and the other classes
+    one stacked eigensolve per class size.  A block's windings are its
+    modes +-m, each twice, in ascending order.
     """
     import numpy as np
 
-    t = truncation
+    t, s = truncation, op.mode_step
     m, a = op.fourier_modes
     c = np.zeros((2 * t + 1, 2, 2), dtype=complex)  # c_m for m = 0..2T
     c[m[m <= 2 * t]] = a[m <= 2 * t]
-    step = op.mode_step
-    modes = np.arange(t + 1)
-    residue = np.minimum(modes % step, -modes % step)
-    # Class r holds mode r exactly when r <= T, and no mode |m| <= T otherwise.
-    sizes = np.bincount(residue)
-    grouped = modes[np.argsort(residue, kind="stable")]  # class by class, ascending
-    starts = np.cumsum(sizes) - sizes
-    # Class 0 holds the constant; the other classes are stacked by size.
-    stacks = [[0]] + [np.flatnonzero(sizes[1:] == n) + 1 for n in sorted(set(sizes[1:].tolist()))]
+    # Class r: the progressions r + js and s - r + js up to T, one of them at
+    # r = 0 and r = s/2; it holds a mode exactly when r <= T.
+    classes = [
+        [slice(start, t + 1, s) for start in ((r, s - r) if 0 < 2 * r < s else (r,)) if start <= t]
+        for r in range(min(s // 2, t) + 1)
+    ]
+    modes = [[mode for p in block for mode in range(t + 1)[p]] for block in classes]
+    sizes = sorted({len(row) for row in modes[1:]})
+    stacks = [[0]] + [[r for r in range(1, len(modes)) if len(modes[r]) == n] for n in sizes]
     evals, windings = [], []
-    for classes in stacks:
-        block = grouped[starts[classes, None] + np.arange(sizes[classes[0]])]
-        evals.append(np.linalg.eigvalsh(_real_matrix(c, t, block)).ravel())
-        signed = np.concatenate([-block[:, block[0] > 0], block], axis=1)
+    for stack in stacks:
+        evals.append(np.linalg.eigvalsh(_real_matrix(c, t, [classes[r] for r in stack])).ravel())
+        signed = np.array([[-mode for mode in modes[r] if mode] + modes[r] for r in stack])
         windings.append(np.repeat(np.sort(signed, axis=1), 2, axis=1).ravel())
     evals, windings = np.concatenate(evals), np.concatenate(windings)
     order = np.lexsort((windings, evals))  # equal eigenvalues of two blocks by winding

@@ -187,9 +187,10 @@ def dense_hermitian_eigenvalues(samples, truncation):
 
 
 def scatter_real_matrix(c, truncation, modes):
-    """The matrix of ``spectral._real_matrix(c, truncation, modes)``, built by
-    scattering the four cos/sin blocks of -S into a (dim, dim, 2, 2) array
-    and transposing it into the interleaved layout."""
+    """The matrix that ``spectral._real_matrix`` builds on the ``modes`` in
+    their given order, mode 0 first if present, built by scattering the four
+    cos/sin blocks of -S into a (dim, dim, 2, 2) array and transposing it
+    into the interleaved layout."""
     t = truncation
     c = np.concatenate([c[:0:-1].conj(), c])  # c_k for k = -2T..2T at k + 2T
     m = np.asarray(modes)
@@ -242,7 +243,7 @@ def _full_matrix(op, truncation):
     c = np.zeros((2 * truncation + 1, 2, 2), dtype=complex)
     coeffs = tiled_coefficients(op)[: 2 * truncation + 1]
     c[: len(coeffs)] = coeffs
-    [mat] = _real_matrix(c, truncation, np.arange(truncation + 1)[None])
+    [mat] = _real_matrix(c, truncation, [[slice(0, truncation + 1, 1)]])
     return mat
 
 

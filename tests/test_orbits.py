@@ -487,7 +487,7 @@ def test_declared_cover_is_found_through_linked():
     base, declared_cover = linked([base, declared_cover])
     assert cover_orbit(base, 2) is declared_cover
     # The first orbit declared with a covering number keeps it.
-    [later] = linked([replace(declared_cover, id="d2b")], {"d": base.tower})
+    base, declared_cover, later = linked([base, declared_cover, replace(declared_cover, id="d2b")])
     assert cover_orbit(base, 2) is declared_cover
     assert later.tower is base.tower
 
@@ -807,6 +807,20 @@ def test_delta_mb_missing_generic_data():
 
 
 # -- orbit validation -------------------------------------------------------
+
+
+def test_generic_alpha_is_a_pair_of_integers():
+    def orbit(generic):
+        return OrbitClass(
+            id="x", simple_id="xs", cover=2,
+            winding=DeclaredWindings(minus_delta=(3, 3), plus_delta=(2, 3)),
+            kind=MorseBott(manifold_dim=2, isotropy=2), generic_alpha=generic,
+        )
+
+    assert orbit((1, 2)).generic_alpha == (1, 2)
+    for generic in ((), (1,), (1, 2, 3), [1, 2], (1, 2.0), (True, 1), 3):
+        with pytest.raises(ValidationError, match="generic_alpha must be a pair of integers"):
+            orbit(generic)
 
 
 def test_isotropy_must_divide_cover():

@@ -12,7 +12,7 @@ from pcurves.errors import ValidationError
 from pcurves.intersections import PairingInput
 from pcurves.orbits import OrbitClass, Perturbation, scalar_orbit
 from pcurves.records import fields, replace
-from pcurves.scenario import Scenario, load_scenario
+from pcurves.scenario import load_scenario
 from pcurves.spectral import AsymptoticOperator
 
 FOLIATION = Path(__file__).parent.parent / "src" / "pcurves" / "data" / "foliation.scn"
@@ -110,9 +110,9 @@ def test_arguments_and_assignment_are_refused_as_a_dataclass_refuses_them(scenar
     with pytest.raises(AttributeError):
         del pert.epsilon
     assert pert.epsilon == 1
-    # A scenario is the one mutable record, and it is not hashable.
-    scenario.j_mode = scenario.j_mode
-    assert Scenario.__hash__ is None
+    # A loaded scenario is frozen too.
+    with pytest.raises(AttributeError):
+        scenario.j_mode = scenario.j_mode
 
 
 def test_a_class_keeps_its_own_hash():

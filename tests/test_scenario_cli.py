@@ -591,6 +591,10 @@ def _set(path, value):
          "$.queries[0].truncation"),
         (_set(["orbits", 0, "distinct_from"], [{}]), "$.orbits[0]"),
         (_set(["orbits", 0, "distinct_from"], [["g_inf"]]), "$.orbits[0]"),
+        # Every id that distinct_from holds names a declared simple orbit.
+        (_set(["orbits", 0, "distinct_from"], ["g_inf", "g_m", "g_one", "nowhere"]), "$.orbits[0]"),
+        # generic_alpha is a pair of integers.
+        *[(_set(["orbits", 1, "generic_alpha"], pair), "$.orbits[1]") for pair in ([], [1], [1, 2, 3])],
         (_set(["curves", 0, "constrained"], [["v0"]]), "$.curves[0]"),
         (_set(["curves", 0, "orbits", "v0"], ["g_zero"]), "$.curves[0]"),
         # Every curve lives in a 4-dimensional cobordism: n is 2 or absent.
@@ -681,7 +685,8 @@ def _set(path, value):
         "query-parity-7", "query-curve-unknown", "query-cover-unknown", "query-surface-unknown",
         "query-other-unknown", "query-side-unknown", "query-sign-unknown", "query-j-mode-unknown",
         "query-delta-u-not-rational", "query-truncation-below-minimum", "distinct-from-dict",
-        "distinct-from-list", "constrained-list", "curve-orbit-list", "curve-n-3", "curve-n-0",
+        "distinct-from-list", "distinct-from-unknown", "generic-alpha-empty", "generic-alpha-single",
+        "generic-alpha-triple", "constrained-list", "curve-orbit-list", "curve-n-3", "curve-n-0",
         "curve-n-float", "curve-n-bool", "fiber-from-list",
         "fiber-to-list",
         "total-constrained-list", "cover-beyond-truncation", "delta-gap-beyond-float-range",
@@ -969,12 +974,66 @@ def _leaves(node, path=()):
             yield from _leaves(child, path + (key,))
 
 
+def every_key_doc():
+    """A valid scenario holding once each key that foliation.scn lacks: declared
+    windings in both spellings, a nondegenerate kind, generic_alpha, a surface
+    with boundary, end_intersections and total_constrained, with a delta_mb
+    query on the isotropy-2 orbit g2."""
+    return {
+        "schema_version": 1,
+        "delta_gap": {"num": 1, "den": 4},
+        "surfaces": [
+            {"id": "disk", "genus": 0, "boundary_components": 1, "punctures": [{"id": "z", "sign": "+"}]},
+            *({"id": sid, "genus": 0, "punctures": [{"id": a, "sign": "+"}, {"id": b, "sign": "+"}]}
+              for sid, a, b in (("cyl", "a", "b"), ("cyl2", "c", "d"))),
+        ],
+        "orbits": [
+            {"id": "g", "kind": {"type": "nondegenerate"}, "distinct_from": ["h"],
+             "winding": {"type": "declared", "alpha_minus": 1, "alpha_plus": 1}},
+            {"id": "g2", "simple": "g", "cover": 2,
+             "kind": {"type": "morse_bott", "manifold_dim": 2, "isotropy": 2},
+             "winding": {"type": "declared", "minus_delta": [2, 3], "plus_delta": [2, 2]},
+             "generic_alpha": [1, 1]},
+            {"id": "h", "winding": {"type": "operator", "samples": [[3.5, 0.0, 3.5]] * 16}},
+        ],
+        "curves": [
+            {"id": "u", "surface": "disk", "c1_rel": 1, "maslov_boundary": 2, "orbits": {"z": "g"}},
+            {"id": "w", "surface": "cyl", "c1_rel": 2, "orbits": {"a": "g", "b": "h"},
+             "constrained": ["a"]},
+        ],
+        "pairings": [
+            {"left": "w", "right": "w", "relative_pairing": 1,
+             "end_intersections": [{"left_puncture": "a", "right_puncture": "a", "value": 0}]},
+        ],
+        "covers": [
+            {"id": "psi", "domain": "cyl2", "codomain": "cyl", "degree": 1, "base_curve": "w",
+             "fiber": [{"from": "c", "to": "a"}, {"from": "d", "to": "b"}], "total_constrained": ["c"]},
+        ],
+        "queries": [
+            {"name": "delta_mb", "orbit": "g2", "epsilon": {"num": -1, "den": 8}, "sign": "-"},
+            {"name": "index", "curve": "u"},
+            {"name": "intersection", "left": "w", "right": "w"},
+            {"name": "screen", "cover": "psi"},
+        ],
+    }
+
+
+def test_the_every_key_scenario_runs():
+    results = run_queries(load_scenario(every_key_doc()))
+    assert [r["status"] for r in results] == ["ok"] * 4
+    assert results[0]["result"] == {"num": 1, "den": 2}
+
+
 @st.composite
 def mutated_scenarios(draw):
-    """foliation.scn with one query of each kind, and one entry dropped, overwritten
-    with one of MUTANT_VALUES, its id pointed at nothing, or its sample row shortened."""
-    doc = foliation_doc()
-    doc["queries"] += copy.deepcopy(ONE_QUERY_OF_EACH_KIND)
+    """foliation.scn with one query of each kind, or ``every_key_doc()``, and one
+    entry dropped, overwritten with one of MUTANT_VALUES, its id pointed at
+    nothing, or its sample row shortened."""
+    if draw(st.booleans()):
+        doc = foliation_doc()
+        doc["queries"] += copy.deepcopy(ONE_QUERY_OF_EACH_KIND)
+    else:
+        doc = every_key_doc()
     how = draw(st.sampled_from(["drop", "overwrite", "dangle", "shorten"]))
     if how == "dangle":
         path = draw(st.sampled_from([p for p, v in _leaves(doc) if isinstance(v, str)]))

@@ -406,8 +406,9 @@ def test_real_basis_matches_dense_hermitian_reference(truncation):
 
 
 def _built_blocks(op, truncation, monkeypatch):
-    """The arguments (c, truncation, modes) of every ``_real_matrix`` call of
-    one ``discretized_spectrum``."""
+    """The arguments (c, truncation, blocks) of every ``_real_matrix`` call of
+    one ``discretized_spectrum``: each block a list of slices, its
+    progressions of modes."""
     calls, build = [], spectral._real_matrix
 
     def record(*args):
@@ -420,6 +421,11 @@ def _built_blocks(op, truncation, monkeypatch):
     return calls
 
 
+def _modes(block, truncation):
+    """The modes of a block, one progression after another."""
+    return [m for p in block for m in range(truncation + 1)[p]]
+
+
 @pytest.mark.parametrize("truncation", [spectral.MIN_TRUNCATION, 16, 33, 64, 128, 144])
 def test_real_matrix_equals_the_scatter_reference(truncation, monkeypatch):
     # Entry for entry, not within a tolerance: equal matrices have equal
@@ -430,7 +436,7 @@ def test_real_matrix_equals_the_scatter_reference(truncation, monkeypatch):
         "simple": random_symmetric_loop(rng),
         "degree4_odd_samples": random_symmetric_loop(rng, degree=4, n_samples=33),
         "tiled3": AsymptoticOperator(base.samples * 3),
-        # k = 5 and 6 have two classes of alternating modes each (r = 1, 2);
+        # k = 5 and 6 have two classes of two progressions each (r = 1, 2);
         # from k = 2T + 2 on, every block holds a single mode
         **{f"cover{k}": base.pulled_back(k) for k in (2, 3, 4, 5, 6, 2 * truncation + 2)},
     }
@@ -439,24 +445,33 @@ def test_real_matrix_equals_the_scatter_reference(truncation, monkeypatch):
         # One block per residue class m = +-r (mod s), r = 0..s/2, that holds
         # a mode |m| <= T.
         blocks = min(op.mode_step // 2, truncation) + 1
-        assert sum(len(modes) for _, _, modes in built) == blocks, name
-        assert sorted(np.concatenate([modes.ravel() for _, _, modes in built])) == list(
+        assert sum(len(stack) for _, _, stack in built) == blocks, name
+        assert sorted(m for _, t, stack in built for block in stack for m in _modes(block, t)) == list(
             range(truncation + 1)
         ), name
-        for c, t, modes in built:
-            mats = spectral._real_matrix(c, t, modes)
-            for mat, row in zip(mats, modes, strict=True):
+        for c, t, stack in built:
+            mats = spectral._real_matrix(c, t, stack)
+            for mat, block in zip(mats, stack, strict=True):
+                row = _modes(block, t)
                 assert np.array_equal(mat, scatter_real_matrix(c, t, row)), (name, row[:2])
 
 
-def test_real_matrix_takes_rows_of_alternating_progressions(monkeypatch):
-    # Any two alternating progressions, of any steps, build their matrix;
-    # a row that is not is refused rather than built wrong.
-    [(c, t, _)] = _built_blocks(random_symmetric_loop(np.random.default_rng(5)), 16, monkeypatch)
-    row = np.array([1, 2, 4, 8])  # 1, 4 and 2, 8
-    assert np.array_equal(spectral._real_matrix(c, t, row[None])[0], scatter_real_matrix(c, t, row))
-    with pytest.raises(ValidationError, match="progressions"):
-        spectral._real_matrix(c, t, np.array([[1, 2, 4, 5, 9]]))
+def test_real_matrix_takes_any_list_of_progressions(monkeypatch):
+    # The modes are laid out one progression after another, whatever the
+    # progressions' lengths and steps.
+    t = 16
+    [(c, _, _)] = _built_blocks(random_symmetric_loop(np.random.default_rng(5)), t, monkeypatch)
+    cases = {
+        "unequal lengths": [slice(1, 17, 5), slice(4, 12, 5)],  # 1, 6, 11, 16 and 4, 9
+        "strided": [slice(2, 17, 3)],
+        "constant's class": [slice(0, 17, 4)],
+        "constant and a second progression": [slice(0, 17, 4), slice(3, 17, 4)],
+        "lone mode": [slice(5, 17, 2 * t + 2)],
+        "lone constant": [slice(0, 17, 2 * t + 2)],
+    }
+    for name, block in cases.items():
+        [mat] = spectral._real_matrix(c, t, [block])
+        assert np.array_equal(mat, scatter_real_matrix(c, t, _modes(block, t))), name
 
 
 @pytest.mark.parametrize("truncation", [128, 144])
