@@ -10,6 +10,7 @@ normal-Chern-number formulas and, downstream, adjunction.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ConsistencyError, ValidationError
 from .orbits import (
@@ -91,6 +92,30 @@ class CurveData:
             for z, sign in self.surface.punctures
         ))
 
+    @cached_property
+    def _total_maslov(self):
+        """``total_maslov``, kept with the curve as no part of its value."""
+        total = self.maslov_boundary
+        for _, sign, orbit, pert in self.ends:
+            mu = conley_zehnder(orbit, pert)
+            if sign == POSITIVE:
+                total += mu
+            else:
+                total -= mu
+        return total
+
+    @cached_property
+    def _normal_chern(self):
+        """``normal_chern``, kept with the curve as no part of its value."""
+        value = _normal_chern_from_index(self)
+        other = _normal_chern_from_windings(self)
+        if other != value:
+            raise ConsistencyError(
+                f"normal Chern number mismatch: index form gives {value}, "
+                f"winding form gives {other}; input data is inconsistent"
+            )
+        return value
+
     def orbit(self, z):
         return self.orbit_at[z]
 
@@ -110,15 +135,9 @@ def parity_partition(curve):
 
 
 def total_maslov(curve):
-    """Boundary Maslov total plus the signed sum of perturbed CZ indices."""
-    total = curve.maslov_boundary
-    for _, sign, orbit, pert in curve.ends:
-        mu = conley_zehnder(orbit, pert)
-        if sign == POSITIVE:
-            total += mu
-        else:
-            total -= mu
-    return total
+    """Boundary Maslov total plus the signed sum of perturbed CZ indices,
+    computed once per curve."""
+    return curve._total_maslov
 
 
 def fredholm_index(curve):
@@ -153,16 +172,10 @@ def normal_chern(curve):
 
     2 c_N = ind - 2 + 2g + #even + m, and the winding form c1 - chi +
     mu_boundary/2 + sum of extremal windings; a disagreement means the
-    declared data is incoherent.
+    declared data is incoherent.  Both are computed and compared once per
+    curve.
     """
-    value = _normal_chern_from_index(curve)
-    other = _normal_chern_from_windings(curve)
-    if other != value:
-        raise ConsistencyError(
-            f"normal Chern number mismatch: index form gives {value}, "
-            f"winding form gives {other}; input data is inconsistent"
-        )
-    return value
+    return curve._normal_chern
 
 
 def k_bound(c, genus0_count, has_boundary):

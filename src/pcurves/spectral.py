@@ -35,10 +35,12 @@ ascending.  The blocks' eigenvalues are merged by value; if the merged
 windings decrease anywhere inside the window, the truncation is too low
 for the loop and the oracle raises SpectralError.
 
-A constant loop (p = 1) couples no two modes, and each mode's block has a
-closed-form spectrum, with windings +-m, so it is answered in plain Python
-with no eigensolve.  numpy is imported only for the loops that are not
-constant, the Fourier modes and matrices of the samples, and the flow.
+A loop with no mode in 1..2T, constant (p = 1) or of mode step s > 2T,
+couples no two modes |m| <= T: its truncated operator is that of its mean,
+a constant loop, whose every mode has a closed-form spectrum with windings
++-m.  It is answered in plain Python with no eigensolve.  numpy is imported
+only for the loops solved in blocks, the Fourier modes and matrices of the
+samples, and the flow.
 
 All downstream winding arithmetic is exact.  Floating point enters only
 here and in ``flow.py`` (the crossing flow and the windings of sampled
@@ -170,9 +172,10 @@ class AsymptoticOperator:
     @cached_property
     def magnus_exponents(self):
         """Step count -> the crossing flow's Magnus exponents at epsilon = 0
-        and their slopes in epsilon (``flow._magnus_exponent``), filled by
-        the flows of the operator as they meet each step count.  Kept with
-        the operator, as read-only arrays, and no part of its value."""
+        and their slopes in epsilon, of both its passes (h = 1 / steps and
+        2h) in one array (``flow._magnus_exponent``), filled by the flows of
+        the operator at each step count that one of them starts from.  Kept
+        with the operator, as read-only arrays, and no part of its value."""
         return {}
 
     def pulled_back(self, k):
@@ -420,14 +423,14 @@ def _real_matrix(c, truncation, blocks):
 def discretized_spectrum(op, truncation):
     """Spectrum of the Fourier-truncated operator with windings.
 
-    A constant loop has its closed form, and any other loop is solved in
-    blocks; both give every eigenvalue with its winding, ascending.  Only
-    the middle half of all eigenvalues is kept (the reliable window); it
-    must have nondecreasing windings.
+    A loop with no mode in 1..2T has its mean's closed form, and any other
+    loop is solved in blocks; both give every eigenvalue with its winding,
+    ascending.  Only the middle half of all eigenvalues is kept (the
+    reliable window); it must have nondecreasing windings.
     """
     if truncation < MIN_TRUNCATION:
         raise ValidationError(f"truncation must be >= {MIN_TRUNCATION}")
-    solve = _closed_form if op.period == 1 else _block_solve
+    solve = _closed_form if op.period == 1 or op.mode_step > 2 * truncation else _block_solve
     evals, windings = solve(op, truncation)
     diameter = evals[-1] - evals[0]
     first = len(evals) // 4
@@ -451,14 +454,17 @@ def discretized_spectrum(op, truncation):
 
 
 def _closed_form(op, truncation):
-    """(eigenvalues, windings) of a constant loop S_k = k (a, b, c), ascending,
-    with no eigensolve.  On mode 0 the operator is -S_k, with the eigenvalues
+    """(eigenvalues, windings) of the constant loop S_k = k (a, b, c), with
+    (a, b, c) the mean of one period of the samples, ascending, with no
+    eigensolve.  It is the spectrum of any loop whose other modes all lie
+    above 2T, so that they couple no two modes |m| <= T.  On mode 0 the operator is -S_k, with the eigenvalues
     -(a+c)/2 -+ hypot((a-c)/2, b), both of winding 0.  On the cos and sin of
     mode m >= 1 it is equivalent to the two Hermitian matrices
     -S_k -+ 2 pi m i J0, which share the eigenvalues
     -(a+c)/2 -+ hypot((a-c)/2, b, 2 pi m), so each is double, with winding
     -+m."""
-    a, b, c = (op.cover * x for x in op.samples[0])
+    p = op.period
+    a, b, c = (op.cover * math.fsum(column) / p for column in zip(*op.samples[:p]))
     mid, half = -(a + c) / 2, (a - c) / 2
     h = math.hypot(half, b)
     pairs = [(mid - h, 0), (mid + h, 0)]

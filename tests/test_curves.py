@@ -25,6 +25,7 @@ from pcurves.curves import (
 )
 from pcurves.errors import ConsistencyError, PCurvesError, ValidationError
 from pcurves.intersections import cov_totals, sing_decomposition
+from pcurves.records import replace
 from pcurves.orbits import DeclaredWindings, Nondegenerate, OrbitClass, delta_mb, scalar_orbit
 from pcurves.surfaces import PuncturedSurface
 
@@ -128,10 +129,12 @@ def test_normal_chern_formulas_must_agree(monkeypatch):
     assert normal_chern(curve) == 2
     report = transversality_check(curve)
     assert report.criterion_met and report.genus_form and report.winding_form
-    # A winding form that disagrees is caught.
+    # A winding form that disagrees is caught, on a curve whose c_N has not
+    # been computed: a curve keeps its c_N once both forms have agreed.
     monkeypatch.setattr(pcurves.curves, "_normal_chern_from_windings", lambda u: Fraction(3))
+    assert normal_chern(curve) == 2
     with pytest.raises(ConsistencyError, match="normal Chern number mismatch"):
-        normal_chern(curve)
+        normal_chern(replace(curve))
 
 
 def test_randomized_two_formula_agreement():

@@ -50,7 +50,6 @@ from pcurves import flow
 from pcurves.flow import (
     FLOW_MAX_STEPS,
     FLOW_MAX_TURN,
-    FLOW_SCREEN,
     FLOW_TRACE_TOL,
     _crossing_flow,
     crossing_flow_cz,
@@ -207,8 +206,10 @@ def test_crossing_flow_matches_the_sequential_product():
     # The package multiplies its Magnus steps pairwise into blocks, then takes
     # a prefix product of the block products, over S from inverse FFTs; the
     # reference multiplies them one after another over S from a dense cos/sin
-    # sum, and samples the path at every step.  Criterion 2's loops, then
-    # degree-4 loops at scale 4, whose traces reach 4e4.
+    # sum, and samples the path at every step.  They are compared at the
+    # step count that decided the index, or where it is refused, at the
+    # count it started from.  Criterion 2's loops, then degree-4 loops at
+    # scale 4, whose traces reach 4e4.
     rng = np.random.default_rng(20260810)
     ops = [random_symmetric_loop(rng) for _ in range(100)]
     rng = np.random.default_rng(4)
@@ -222,14 +223,14 @@ def test_crossing_flow_matches_the_sequential_product():
     cases.append((AsymptoticOperator.constant(0.0, 0.0, 1.3), 0.0))
     near = 0
     for op, eps in cases:
-        trace, turns = sequential_flow(op, eps)
-        flow_trace, flow_turns = _crossing_flow(op, eps)
+        try:
+            outcome, steps, _ = flow._decision(op, eps)
+        except DegeneracyError:
+            outcome, steps = "degenerate", flow._step_count(op, op.real_series[2] + abs(eps))
+        trace, turns = sequential_flow(op, eps, steps)
+        flow_trace, _, flow_turns = _crossing_flow(op, eps, steps)
         assert abs(flow_trace - trace) < 1e-9, eps
         assert abs(flow_turns - turns) < 1e-9, eps
-        try:
-            outcome = crossing_flow_cz(op, eps)
-        except DegeneracyError:
-            outcome = "degenerate"
         assert outcome == _flow_outcome(trace, turns), eps
         near += abs(trace - 2.0) < 1e-3
     # The seven endpoints built next to 2 (|tr Psi(1) - 2| < 3e-4 or 0), and
@@ -240,10 +241,14 @@ def test_crossing_flow_matches_the_sequential_product():
 def test_crossing_flow_trace_on_twisted_constant_loops():
     # The twisted loop depends on t, through modes 0 and +-2s, yet its flow
     # ends where the constant loop's does, at a trace known in closed form.
-    # The trace error grows as (h rate)^4 with the twist; it must stay well
-    # under the screen that runs the step-doubling estimate, and an index
-    # that is not refused must have the closed form's parity.  From s = 16
-    # on, mode 2s reaches the Nyquist mode of 64 samples, so 128 are taken.
+    # At the step count where a flow starts, the trace's error must keep to
+    # the law measured on these loops, 1.8 (h rate)^4 max(1, |tr|), and the
+    # step-doubling estimate |tr_h - tr_2h| / 15 must be within 2% of it
+    # wherever it exceeds 1e-10: 1.9% under it was the most seen, on S0 =
+    # (40, 1, 35) at s = 6 (h rate 0.045), and 0.5% elsewhere.  At 2048
+    # steps and twists below 4 the error is below 5e-9.  An index that is
+    # not refused must have the closed form's parity.  From s = 16 on, mode
+    # 2s reaches the Nyquist mode of 64 samples, so 128 are taken.
     rng = np.random.default_rng(13)
     bases = [tuple(row) for row in rng.uniform(-3, 3, (4, 3))]
     bases += [(4.0, 0.5, 3.0), (40.0, 1.0, 35.0)]
@@ -252,13 +257,16 @@ def test_crossing_flow_trace_on_twisted_constant_loops():
             op = twisted_constant_loop(s0, s, n_samples=128 if s >= 16 else 64)
             for eps in (0.0, 0.125):
                 exact = twisted_constant_trace(s0, eps)
-                trace = _crossing_flow(op, eps)[0]
-                error = abs(trace - exact) / max(1.0, abs(exact))
+                scale = max(1.0, abs(exact))
                 if s < 4:
-                    assert error < 5e-9, (s0, s, eps)
+                    assert abs(_crossing_flow(op, eps, 2048)[0] - exact) < 5e-9 * scale, (s0, s, eps)
                 rate = op.real_series[2] + eps
-                h_rate = rate / flow._step_count(rate)
-                assert error < FLOW_SCREEN / 20 * h_rate**4, (s0, s, eps)
+                steps = flow._step_count(op, rate)
+                trace, coarse, _ = _crossing_flow(op, eps, steps)
+                error = abs(trace - exact)
+                assert error < 1.8 * (rate / steps) ** 4 * scale, (s0, s, eps)
+                if error > 1e-10:
+                    assert abs(abs(trace - coarse) / 15 - error) < 0.02 * error, (s0, s, eps)
                 try:
                     cz = crossing_flow_cz(op, eps)
                 except DegeneracyError:
@@ -269,17 +277,15 @@ def test_crossing_flow_trace_on_twisted_constant_loops():
 def test_crossing_flow_refuses_or_is_exact_near_a_fast_degenerate_endpoint():
     # det S0 = -3e-7, so exp(J0 S0) is hyperbolic with trace 2 cosh(sqrt(3e-7))
     # > 2: the constant loop's index is 0, and the twist by s lowers it by 2s.
-    # At these twists the flow's trace error exceeds tr - 2 = 3e-7 and falls
-    # on the other side of 2; with a fixed tolerance the flow answered -17 at
-    # s = 9.
-    for s0, s in (((10.0, math.sqrt(4 + 3e-7), 0.4), 9), ((30.0, math.sqrt(45 + 3e-7), 1.5), 12)):
+    # At the step counts where these flows start the trace's error exceeds
+    # tr - 2 = 3e-7; with a fixed tolerance the flow answered -17 at s = 9.
+    # Step doubling decides them at 8192 and 16384 steps.
+    for s0, s, steps in (((10.0, math.sqrt(4 + 3e-7), 0.4), 9, 8192), ((30.0, math.sqrt(45 + 3e-7), 1.5), 12, 16384)):
         assert twisted_constant_trace(s0, 0.0) > 2.0
-        orbit = loop_orbit(f"twist{s}", twisted_constant_loop(s0, s))
-        try:
-            cz = conley_zehnder(orbit, Perturbation(0), CROSSING_FLOW)
-        except DegeneracyError:
-            continue
-        assert cz == -2 * s, s
+        op = twisted_constant_loop(s0, s)
+        assert flow._decision(op, 0.0)[:2] == (-2 * s, steps)
+        orbit = loop_orbit(f"twist{s}", op)
+        assert conley_zehnder(orbit, Perturbation(0), CROSSING_FLOW) == -2 * s, s
 
 
 def test_crossing_flow_samples_the_path_as_often_as_the_turn_bound_needs(monkeypatch):
@@ -288,21 +294,23 @@ def test_crossing_flow_samples_the_path_as_often_as_the_turn_bound_needs(monkeyp
     # rate <= FLOW_MAX_TURN: all of [0, 1] or half of it for a slow constant
     # loop (rates 0.6 and 1.1), every step for scalar covers just below and
     # just above the rate 512 pi at which the step count doubles (rates
-    # 1608.2 and 1608.8), and every 64 steps for a twisted loop (rate 23.1).
-    # The turns must not depend on the span.
+    # 1608.2 and 1608.8), and every 16 steps for a twisted loop (rate 23.1).
+    # A constant loop starts at the turn bound, any other loop at
+    # FLOW_START_TURN.  The turns must not depend on the span.
     paths = []
     count_turns = flow._turns
     monkeypatch.setattr(flow, "_turns", lambda path: paths.append(path) or count_turns(path))
     cases = [
-        (AsymptoticOperator.constant(0.3, 0.1, 0.5), 0.0, 2048, 1),
-        (AsymptoticOperator.constant(0.3, 0.1, 0.5), 0.5, 2048, 2),
+        (AsymptoticOperator.constant(0.3, 0.1, 0.5), 0.0, 16, 1),
+        (AsymptoticOperator.constant(0.3, 0.1, 0.5), 0.5, 16, 2),
         (scalar_orbit("g", 568.6, cover=2).winding.op, 0.0, 2048, 2048),
         (scalar_orbit("g", 568.8, cover=2).winding.op, 0.0, 4096, 4096),
-        (twisted_constant_loop((4.0, 0.5, 3.0), 3), 0.0, 2048, 32),
+        (twisted_constant_loop((4.0, 0.5, 3.0), 3), 0.0, 512, 32),
     ]
     for op, eps, steps, samples in cases:
+        assert flow._step_count(op, op.real_series[2] + eps) == steps
         trace, turns = sequential_flow(op, eps, steps)
-        flow_trace, flow_turns = _crossing_flow(op, eps)
+        flow_trace, _, flow_turns = _crossing_flow(op, eps, steps)
         assert abs(flow_trace - trace) < 1e-9, (steps, samples)
         assert abs(flow_turns - turns) < 1e-9, (steps, samples)
         path = paths.pop()
@@ -317,8 +325,11 @@ def test_magnus_exponent_is_affine_in_epsilon():
     # entry of X is at most h rate in size, with rate = sum |a_k| + |epsilon|,
     # so each may differ by 4 ulps of h rate (1.8 was the most seen, on 50
     # loops of these kinds); the steps exp(X), whose entries are below 3, by
-    # 4 ulps (1.5 seen).  At epsilon = 0 both are the same floats.  Epsilon
-    # 1700 doubles the step count to 4096.
+    # 4 ulps (1.5 seen).  At epsilon = 0 the fine pass's are the same floats.
+    # The coarse pass, at 2h, takes its Gauss points from two other grids of
+    # the same inverse FFT, and keeps to the same bounds against the oracle
+    # at 2h.  They are compared at the step count that decided; epsilon 1700
+    # raises it to 65536.
     ulp = np.finfo(float).eps
     rng = np.random.default_rng(20260810)
     ops = [random_symmetric_loop(rng) for _ in range(4)]
@@ -328,51 +339,61 @@ def test_magnus_exponent_is_affine_in_epsilon():
     for op in ops:
         for eps in (0.0, 0.37, -0.37, 1.1, -1.1, 1700.0):
             rate = op.real_series[2] + abs(eps)
-            steps = flow._step_count(rate)
-            assert steps == (4096 if eps == 1700.0 else 2048)
-            want_x, want_steps = direct_magnus_steps(op, eps, steps)
+            steps = flow._decision(op, eps)[1]
+            if eps == 1700.0:
+                assert steps == 65536
             base, slope = flow._magnus_exponent(op, steps)
             x = slope * eps + base
-            got_steps = flow._magnus_steps(op, eps, steps)
-            if eps == 0.0:
-                assert (x == want_x).all() and (got_steps == want_steps).all()
-            assert np.abs(x - want_x).max() <= 4 * ulp * rate / steps, eps
-            assert np.abs(got_steps - want_steps).max() <= 4 * ulp, eps
+            # [row, column, pass, j]: the coarse steps are followed by identities
+            got_steps = flow._magnus_steps((base, slope), eps)
+            assert (got_steps[:, :, 1, steps // 2 :] == np.eye(2)[:, :, None]).all()
+            passes = (
+                (steps, x[:, :steps], got_steps[:, :, 0]),
+                (steps // 2, x[:, steps:], got_steps[:, :, 1, : steps // 2]),
+            )
+            for count, got_x, got in passes:
+                want_x, want_steps = direct_magnus_steps(op, eps, count)
+                if eps == 0.0 and count == steps:
+                    assert (got_x == want_x).all() and (got == want_steps).all()
+                assert np.abs(got_x - want_x).max() <= 4 * ulp * rate / count, (eps, count)
+                assert np.abs(got - want_steps).max() <= 4 * ulp, (eps, count)
 
 
 def test_crossing_flow_does_not_depend_on_what_its_operator_kept(monkeypatch):
-    # An operator keeps the epsilon-free part of its Magnus exponents, one
-    # array per step count.  A flow must give the same trace and turns, to the
-    # bit, on a fresh operator; after flows at other epsilons, one of them
-    # doubling the step count; after a screened coarse pass, whose 2048 steps
-    # the flows then reuse; and on a separate operator equal to one that has
-    # flowed.  Each operator builds the arrays once per step count.
+    # An operator keeps the epsilon-free part of the Magnus exponents of both
+    # passes, one array per step count at which one of its flows started.  A
+    # flow must give the same traces and turns, to the bit, on a fresh
+    # operator; after flows at other epsilons, one of them at a higher
+    # starting count, and after a pass at a count it does not keep; and on a
+    # separate operator equal to one that has flowed.  Each operator builds
+    # the array of a starting count once and keeps it, and keeps no other.
     built = []
     build = flow._magnus_exponent
     monkeypatch.setattr(flow, "_magnus_exponent", lambda op, steps: built.append((op, steps)) or build(op, steps))
     rng = np.random.default_rng(20260810)
     loops = [random_symmetric_loop(rng).samples for _ in range(3)]
     loops.append(twisted_constant_loop((4.0, 0.5, 3.0), 3).samples)
-    epsilons = (0.0, 0.37, -1.1)
     for samples in loops:
-        fresh = {eps: _crossing_flow(AsymptoticOperator(samples), eps) for eps in epsilons}
+        fresh, starts = {}, {}
+        for eps in (0.0, 0.37, -1.1):
+            op = AsymptoticOperator(samples)
+            steps = flow._decision(op, eps)[1]
+            fresh[eps] = steps, _crossing_flow(op, eps, steps)
+            starts[id(op)] = {steps}
         warm = AsymptoticOperator(samples)
-        for eps in (2.3, 1700.0):
-            _crossing_flow(warm, eps)
-        screened = AsymptoticOperator(samples)
-        # At h rate = 0.61 the screen fires on these loops, whatever it then
-        # decides: the coarse pass builds the steps at 2048.
-        try:
-            crossing_flow_cz(screened, 2500.0)
-        except DegeneracyError:
-            pass
-        assert [steps for op, steps in built if op is screened] == [4096, 2048]
-        for op in (warm, screened, AsymptoticOperator(samples)):
-            for eps in epsilons:
-                assert _crossing_flow(op, eps) == fresh[eps], eps
+        starts[id(warm)] = {flow._decision(warm, eps)[1] for eps in (2.3, 20.0)}
+        assert len(starts[id(warm)]) == 2
+        unkept = 8 * fresh[0.0][0]
+        assert unkept not in starts[id(warm)]
+        _crossing_flow(warm, 0.0, unkept)
+        for op in (warm, AsymptoticOperator(samples)):
+            for eps, (steps, want) in fresh.items():
+                assert _crossing_flow(op, eps, steps) == want, eps
         for op in {id(op): op for op, _ in built}.values():
+            kept = set(op.magnus_exponents)
+            assert kept == starts.get(id(op), set())
             counts = [steps for other, steps in built if other is op]
-            assert len(counts) == len(set(counts)) and set(counts) == set(op.magnus_exponents)
+            assert all(counts.count(steps) == 1 for steps in kept)
         built.clear()
 
 
@@ -570,7 +591,7 @@ def test_crossing_flow_on_covers():
     bases.append(AsymptoticOperator.constant(3 * math.pi / 7, 0.0, 3 * math.pi / 7))
     covers = [(i, base, k) for i, base in enumerate(bases) for k in range(2, 7)]
     # The first loop at 1024 samples: its 4- and 6-fold covers have modes up
-    # to kN/2 = 2048 and 3072, which the flow folds onto k mod FLOW_STEPS.
+    # to kN/2 = 2048 and 3072, which the flow folds onto k mod its step count.
     resampled = random_symmetric_loop(np.random.default_rng(19), n_samples=1024)
     covers += [(len(bases), resampled, k) for k in (4, 6)]
     for i, base, k in covers:

@@ -21,7 +21,7 @@ from oracles import (
 )
 from pcurves import spectral
 from pcurves.errors import DegeneracyError, SpectralError, ValidationError
-from pcurves.flow import _crossing_flow
+from pcurves.flow import crossing_flow_cz
 from pcurves.orbits import WINDING, Perturbation, conley_zehnder, scalar_orbit
 from pcurves.spectral import AsymptoticOperator, SpectralData, discretized_spectrum
 
@@ -235,6 +235,25 @@ def test_cover_orders_beyond_twice_the_truncation(k):
         assert np.abs(lams - dense[first:len(dense) - first]).max() < 1e-8
 
 
+def test_a_cover_that_couples_no_two_modes_takes_its_means_closed_form(monkeypatch):
+    # At T = 64 a cover of order k >= 2T + 2 has no mode in 1..2T, so no two
+    # modes |m| <= T are coupled: the truncated operator is its mean's, and
+    # the spectrum is that constant loop's closed form, with no eigensolve.
+    # The full matrix of the tiled samples must give the same windings and
+    # multiplicities, and the same eigenvalues within 16 ulps of the
+    # diameter.
+    base = random_symmetric_loop(np.random.default_rng(41), n_samples=16)
+    for k in (130, 131, 200):
+        cover = base.pulled_back(k)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", None)
+            spec = discretized_spectrum(cover, 64)
+        full = dense_spectrum(cover, 64)
+        assert [p[1:] for p in spec.eigenpairs] == [p[1:] for p in full.eigenpairs], k
+        gap = max(abs(a[0] - b[0]) for a, b in zip(spec.eigenpairs, full.eigenpairs))
+        assert gap <= 16 * np.finfo(float).eps * full.diameter, k
+
+
 def test_an_operator_transforms_its_samples_once(monkeypatch):
     # The spectrum and the crossing flows of one operator read the Fourier
     # modes that the first of them computed and kept with the operator.
@@ -248,7 +267,7 @@ def test_an_operator_transforms_its_samples_once(monkeypatch):
     op = random_symmetric_loop(np.random.default_rng(7))
     discretized_spectrum(op, 32)
     for eps in (0.0, 0.5, -1.5):
-        _crossing_flow(op, eps)
+        crossing_flow_cz(op, eps)
     assert len(transforms) == 1
     with pytest.raises(ValueError):
         op.fourier_modes[1][0] = 0.0
@@ -257,7 +276,7 @@ def test_an_operator_transforms_its_samples_once(monkeypatch):
     assert fresh == op and hash(fresh) == hash(op) and repr(fresh) == repr(op)
     # A cover has modes of its own, computed afresh.
     cover = op.pulled_back(3)
-    _crossing_flow(cover, 0.0)
+    crossing_flow_cz(cover, 0.0)
     assert len(transforms) == 2
     assert (cover.fourier_modes[0] == 3 * op.fourier_modes[0]).all()
 
@@ -288,7 +307,7 @@ def test_high_cover_orders_allocate_only_the_simple_loop():
     # k = 1e4 on 32 samples a (kN, 2, 2) complex array alone takes 20 MB.
     cover = random_symmetric_loop(np.random.default_rng(5), n_samples=32, scale=1e-6)
     cover = cover.pulled_back(10**4)
-    for run in (lambda: discretized_spectrum(cover, 16), lambda: _crossing_flow(cover, 0.3)):
+    for run in (lambda: discretized_spectrum(cover, 16), lambda: crossing_flow_cz(cover, 0.3)):
         tracemalloc.start()
         try:
             run()
@@ -437,11 +456,15 @@ def test_real_matrix_equals_the_scatter_reference(truncation, monkeypatch):
         "degree4_odd_samples": random_symmetric_loop(rng, degree=4, n_samples=33),
         "tiled3": AsymptoticOperator(base.samples * 3),
         # k = 5 and 6 have two classes of two progressions each (r = 1, 2);
-        # from k = 2T + 2 on, every block holds a single mode
-        **{f"cover{k}": base.pulled_back(k) for k in (2, 3, 4, 5, 6, 2 * truncation + 2)},
+        # at k = 2T mode 2T still couples T to -T, and from k = 2T + 1 on, S
+        # has no mode in 1..2T and no matrix is built
+        **{f"cover{k}": base.pulled_back(k) for k in (2, 3, 4, 5, 6, 2 * truncation, 2 * truncation + 2)},
     }
     for name, op in ops.items():
         built = _built_blocks(op, truncation, monkeypatch)
+        if op.mode_step > 2 * truncation:
+            assert built == [], name
+            continue
         # One block per residue class m = +-r (mod s), r = 0..s/2, that holds
         # a mode |m| <= T.
         blocks = min(op.mode_step // 2, truncation) + 1
