@@ -98,7 +98,8 @@ def crossing_flow_cz(op, epsilon):
     The parity is decided by step doubling (``_decision``), at the first
     step count from the start, up to FLOW_MAX_STEPS, where |tr Psi(1) - 2|
     is at least FLOW_TRACE_TOL and FLOW_MARGIN times the estimate of the
-    trace's error; otherwise the endpoint is refused as degenerate.
+    trace's error; otherwise the endpoint is refused as degenerate, as soon
+    as no finer pass could reach FLOW_TRACE_TOL.
     """
     return _decision(op, saturated_float(epsilon))[0]
 
@@ -110,8 +111,9 @@ def _decision(op, epsilon):
     The fourth-order error falls 16-fold per halving of h, so the trace at
     2h differs from the trace at h by about 15 times the latter's error
     (Richardson): the estimate is |tr_h - tr_2h| / 15.  Where it leaves the
-    parity open, the steps double.  The flow starts at ``_step_count``,
-    whose exponents the operator keeps; the doubled counts are built afresh.
+    parity open, the steps double, unless no finer pass can decide.  The
+    flow starts at ``_step_count``, whose exponents the operator keeps; the
+    doubled counts are built afresh.
     """
     rate = op.real_series[2] + abs(epsilon)
     steps = _step_count(op, rate)
@@ -123,8 +125,12 @@ def _decision(op, epsilon):
         estimate = abs(trace - coarse) / 15
         if abs(trace - 2.0) >= max(FLOW_TRACE_TOL, FLOW_MARGIN * estimate):
             break
+        # A finer pass moves the trace by at most about twice FLOW_MARGIN
+        # times the estimate; where that cannot reach FLOW_TRACE_TOL, with
+        # half of it kept for rounding, no finer pass decides.
+        hopeless = abs(trace - 2.0) + 2 * FLOW_MARGIN * estimate < FLOW_TRACE_TOL / 2
         steps *= 2
-        if steps > FLOW_MAX_STEPS:
+        if hopeless or steps > FLOW_MAX_STEPS:
             raise DegeneracyError("degenerate endpoint: the perturbed orbit has kernel")
     index = 2 * round(turns) if trace > 2.0 else 2 * math.floor(turns) + 1
     return index, steps, estimate

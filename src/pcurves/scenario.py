@@ -3,8 +3,9 @@ covers, plus an ordered query list.
 
 The format is JSON; half-integers and rationals are {"num": ..., "den": ...}
 objects, orbit winding data is either ``declared`` or ``operator`` (or
-``cover`` to pull back an operator-backed simple orbit).  Validation
-reports carry a path into the document.
+``cover`` to pull back an operator-backed simple orbit).  ``_read`` reads
+every object through its schema, which gives each key a kind (see
+``params``), and reports a fault at the object's path or a wrong value's key.
 """
 
 import json
@@ -18,7 +19,7 @@ from .intersections import PairingInput
 from .orbits import DeclaredWindings, MorseBott, Nondegenerate, OperatorWinding, OrbitClass, linked
 from .params import (
     BOOL, COUNT, CURVE, IDS, INT, INT_PAIR, INTS, J_MODE, LIST, OBJECT, OPERATOR_SAMPLES, ORBIT,
-    ORDER, RATIONAL, REQUIRED, SIGN, STR, SURFACE, one_of,
+    ORDER, RATIONAL, REQUIRED, SIGN, STR, SURFACE, Kind, one_of,
 )
 from .queries import REGISTRY, Query
 from .records import record
@@ -26,25 +27,6 @@ from .spectral import DEFAULT_TRUNCATION, GLOBAL_SPECTRUM_CACHE, AsymptoticOpera
 from .surfaces import BranchedCover, PuncturedSurface
 
 SCHEMA_VERSION = 1
-_SCHEMA_VERSION = one_of(SCHEMA_VERSION)
-_AMBIENT = one_of(None, "cobordism", "symplectization", "closed").optional()
-_ORBIT_KIND = one_of("nondegenerate", "morse_bott")
-_WINDING_TYPE = one_of("operator", "cover", "declared")
-#: the complex dimension of a curve's cobordism: the calculus is the 4-dimensional one
-_AMBIENT_DIM = one_of(2).optional(2)
-
-_TOP_LEVEL_KEYS = {
-    "schema_version",
-    "delta_gap",
-    "ambient",
-    "j_mode",
-    "surfaces",
-    "orbits",
-    "curves",
-    "pairings",
-    "covers",
-    "queries",
-}
 
 
 @record
@@ -73,83 +55,93 @@ def _require(cond, msg, location):
         raise ValidationError(msg, location)
 
 
-def _get(obj, key, location, kind, scenario=None, default=REQUIRED):
-    """``obj[key]`` read as ``kind`` (see ``params``); an absent key reads as
-    ``default``, else as the kind's default, and is a located error when
-    there is neither."""
-    if key not in obj:
-        if default is REQUIRED:
-            default = kind.default
-        _require(default is not REQUIRED, f"missing key {key!r}", location)
-        return default
-    try:
-        return kind.parse(obj[key], scenario)
-    except ValidationError as exc:
-        raise ValidationError(f"{key!r} {exc}", location)
-
-
-def _located(exc, location):
-    """``exc`` if it names where it happened, else its message at ``location``."""
-    return exc if exc.location else ValidationError(str(exc), location)
-
-
-def _check_keys(obj, allowed, location):
+def _read(doc, kinds, location, scenario=None):
+    """The values of the object ``doc`` in the order of ``kinds``, its keys'
+    kinds (see ``params``), an absent value read as its kind's default.  No
+    object, an unknown key or missing keys with no default are an error at
+    ``location``, a wrong value one at ``location.key``."""
     # Tested before formatting: the message reprs the whole document.
-    if not isinstance(obj, dict):
-        raise ValidationError(f"expected an object, got {obj!r}", location)
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ValidationError(f"unknown keys {sorted(unknown)}", location)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"expected an object, got {doc!r}", location)
+    if not doc.keys() <= kinds.keys():
+        raise ValidationError(f"unknown keys {sorted(doc.keys() - kinds.keys())}", location)
+    values, missing = [], []
+    for key, kind in kinds.items():
+        if key in doc:
+            try:
+                values.append(kind.parse(doc[key], scenario))
+            except ValidationError as exc:
+                raise ValidationError(f"{key!r} {exc}", f"{location}.{key}")
+        elif kind.default is REQUIRED:
+            missing.append(key)
+        else:
+            values.append(kind.default)
+    if missing:
+        raise ValidationError(f"missing {', '.join(missing)}", location)
+    return values
+
+
+def _read_typed(doc, schemas, location):
+    """The ``type`` of the object ``doc``, a key of ``schemas``, and its values
+    read by the schema there."""
+    type_ = doc.get("type") if isinstance(doc, dict) else None
+    for name, schema in schemas.items():
+        if type_ == name:
+            return _read(doc, {"type": STR, **schema}, location)
+    # No schema fits: a type given is read alone, so that the error is at it.
+    return _read(doc if type_ is None else {"type": type_}, {"type": one_of(*schemas)}, location)
+
+
+_SURFACE = {
+    "id": STR,
+    "genus": INT,
+    "boundary_components": INT.optional(0),
+    "punctures": LIST.optional(()),
+}
+_PUNCTURE = {"id": STR, "sign": SIGN}
 
 
 def _parse_surface(doc, location, scenario):
-    _check_keys(doc, {"id", "genus", "boundary_components", "punctures"}, location)
-    punctures = []
-    for i, p in enumerate(_get(doc, "punctures", location, LIST, default=[])):
-        loc = f"{location}.punctures[{i}]"
-        _check_keys(p, {"id", "sign"}, loc)
-        punctures.append((_get(p, "id", loc, STR), _get(p, "sign", loc, SIGN)))
-    return _get(doc, "id", location, STR), PuncturedSurface(
-        genus=_get(doc, "genus", location, INT),
-        boundary_components=_get(doc, "boundary_components", location, INT, default=0),
-        punctures=tuple(punctures),
+    sid, genus, boundary_components, punctures = _read(doc, _SURFACE, location)
+    punctures = tuple(
+        tuple(_read(p, _PUNCTURE, f"{location}.punctures[{i}]")) for i, p in enumerate(punctures)
+    )
+    return sid, PuncturedSurface(
+        genus=genus,
+        boundary_components=boundary_components,
+        punctures=punctures,
     )
 
 
-def _parse_kind(doc, location):
-    if doc is None:
-        return None
-    _check_keys(doc, {"type", "manifold_dim", "isotropy"}, location)
-    if _get(doc, "type", location, _ORBIT_KIND) == "nondegenerate":
-        _require(set(doc) == {"type"}, "nondegenerate takes no manifold_dim or isotropy", location)
-        return Nondegenerate()
-    return MorseBott(
-        manifold_dim=_get(doc, "manifold_dim", location, INT),
-        isotropy=_get(doc, "isotropy", location, INT, default=1),
-    )
+_KINDS = {"nondegenerate": {}, "morse_bott": {"manifold_dim": INT, "isotropy": INT.optional(1)}}
+_WINDINGS = {
+    "operator": {"samples": OPERATOR_SAMPLES},
+    "cover": {},
+    # spelled either way: the extremal windings, or the windings at -delta and +delta
+    "declared": {
+        "alpha_minus": INT.optional(),
+        "alpha_plus": INT.optional(),
+        "minus_delta": INTS.optional(),
+        "plus_delta": INTS.optional(),
+    },
+}
 
 
-def _parse_winding(doc, location, scenario, operator_winding, simple, cover):
-    """The winding data of an orbit; ``operator_winding(op)`` is the winding
-    of an operator in this run."""
-    wtype = _get(doc, "type", location, _WINDING_TYPE)
+def _parse_winding(doc, location, scenario, simple, cover):
+    """The winding data of an orbit."""
+    wtype, *values = _read_typed(doc, _WINDINGS, location)
     if wtype == "declared":
-        _check_keys(
-            doc, {"type", "alpha_minus", "alpha_plus", "minus_delta", "plus_delta"}, location
-        )
+        spelled = [value is not None for value in values]
         _require(
-            set(doc) - {"type"} in ({"alpha_minus", "alpha_plus"}, {"minus_delta", "plus_delta"}),
+            spelled in ([True, True, False, False], [False, False, True, True]),
             "declared windings need exactly alpha_minus and alpha_plus,"
             " or exactly minus_delta and plus_delta",
             location,
         )
-        if "alpha_minus" in doc:
-            pair = (_get(doc, "alpha_minus", location, INT), _get(doc, "alpha_plus", location, INT))
+        if spelled[0]:
+            pair = tuple(values[:2])
             return DeclaredWindings(pair, pair)
-        windings = DeclaredWindings(
-            tuple(_get(doc, "minus_delta", location, INTS)),
-            tuple(_get(doc, "plus_delta", location, INTS)),
-        )
+        windings = DeclaredWindings(*map(tuple, values[2:]))
         _require(
             windings.kernel_dimension() > 0,
             "Morse-Bott winding data shows no spectral flow across 0",
@@ -157,10 +149,8 @@ def _parse_winding(doc, location, scenario, operator_winding, simple, cover):
         )
         return windings
     if wtype == "operator":
-        _check_keys(doc, {"type", "samples"}, location)
-        op = AsymptoticOperator(_get(doc, "samples", location, OPERATOR_SAMPLES))
+        op = AsymptoticOperator(*values)
     else:
-        _check_keys(doc, {"type"}, location)
         base = scenario.orbits.get(simple)
         _require(base is not None, f"simple orbit {simple!r} must be declared first", location)
         _require(
@@ -169,137 +159,133 @@ def _parse_winding(doc, location, scenario, operator_winding, simple, cover):
             location,
         )
         op = base.winding.op.pulled_back(cover)
-    return operator_winding(op)
+    # One object per distinct loop: spectrum cache hits then find their key
+    # by identity, not sample by sample.
+    return OperatorWinding(scenario.operators.setdefault(op, op), scenario.truncation)
 
 
-def _parse_orbit(doc, location, scenario, operator_winding):
-    _check_keys(
-        doc,
-        {
-            "id",
-            "simple",
-            "cover",
-            "kind",
-            "family",
-            "winding",
-            "distinct_from",
-            "generic_alpha",
-        },
-        location,
-    )
-    oid = _get(doc, "id", location, STR)
-    cover = _get(doc, "cover", location, ORDER, default=1)
-    simple = _get(doc, "simple", location, STR, default=oid if cover == 1 else None)
+_ORBIT = {
+    "id": STR,
+    "simple": STR.optional(),  # its own id when simply covered
+    "cover": ORDER.optional(1),
+    "kind": Kind(lambda value, scenario: value, None),  # read by its type
+    "family": STR.optional(),
+    "winding": OBJECT,
+    "distinct_from": IDS.optional(()),
+    "generic_alpha": INT_PAIR.optional(),
+}
+
+
+def _parse_orbit(doc, location, scenario):
+    oid, simple, cover, kind, family, winding, distinct, generic = _read(doc, _ORBIT, location)
+    if simple is None and cover == 1:
+        simple = oid
     _require(simple is not None, "multiply covered orbit needs a simple id", location)
-    winding_doc = _get(doc, "winding", location, OBJECT)
+    if kind is not None:
+        _, *family_dims = _read_typed(kind, _KINDS, f"{location}.kind")
+        kind = MorseBott(*family_dims) if family_dims else Nondegenerate()
     return oid, OrbitClass(
         id=oid,
         simple_id=simple,
         cover=cover,
-        winding=_parse_winding(
-            winding_doc, f"{location}.winding", scenario, operator_winding, simple, cover
-        ),
-        kind=_parse_kind(doc.get("kind"), f"{location}.kind"),
-        distinct_from=frozenset(_get(doc, "distinct_from", location, IDS, default=())),
-        family_id=_get(doc, "family", location, STR, default=None),
-        generic_alpha=_get(doc, "generic_alpha", location, INT_PAIR, default=None),
+        winding=_parse_winding(winding, f"{location}.winding", scenario, simple, cover),
+        kind=kind,
+        distinct_from=frozenset(distinct),
+        family_id=family,
+        generic_alpha=generic,
     )
+
+
+_CURVE = {
+    "id": STR,
+    "surface": SURFACE,
+    # the complex dimension of the cobordism: the calculus is the 4-dimensional one
+    "n": one_of(2).optional(2),
+    "c1_rel": INT,
+    "maslov_boundary": INT.optional(0),
+    "z_du": RATIONAL.optional(Fraction(0)),
+    "somewhere_injective": BOOL.optional(True),
+    "orbits": OBJECT,  # puncture id -> orbit id
+    "constrained": IDS.optional(()),
+    "delta": RATIONAL.optional(Fraction(1, 8)),
+}
 
 
 def _parse_curve(doc, location, scenario):
-    _check_keys(
-        doc,
-        {
-            "id",
-            "surface",
-            "n",
-            "c1_rel",
-            "maslov_boundary",
-            "z_du",
-            "somewhere_injective",
-            "orbits",
-            "constrained",
-            "delta",
-        },
-        location,
+    tag, surface, _, c1_rel, maslov, z_du, injective, orbits, constrained, delta = _read(
+        doc, _CURVE, location, scenario
     )
-    surface = _get(doc, "surface", location, SURFACE, scenario)
-    orbits = _get(doc, "orbits", location, OBJECT)
-    delta = _get(doc, "delta", location, RATIONAL, default=Fraction(1, 8))
     _require(
         0 < delta < scenario.delta_gap,
         f"constraint weight {delta} must lie in (0, delta_gap)",
         location,
     )
-    _get(doc, "n", location, _AMBIENT_DIM)
-    curve = CurveData(
+    orbit_at = _read(orbits, dict.fromkeys(orbits, ORBIT), f"{location}.orbits", scenario)
+    return tag, CurveData(
         surface=surface,
-        orbit_at={z: _get(orbits, z, location, ORBIT, scenario) for z in orbits},
-        c1_rel=_get(doc, "c1_rel", location, INT),
-        maslov_boundary=_get(doc, "maslov_boundary", location, INT, default=0),
-        z_du=_get(doc, "z_du", location, RATIONAL, default=Fraction(0)),
-        somewhere_injective=_get(doc, "somewhere_injective", location, BOOL, default=True),
-        homology_tag=_get(doc, "id", location, STR),
-        constraints=ConstraintSet(
-            constrained=frozenset(_get(doc, "constrained", location, IDS, default=())),
-            delta=delta,
-        ),
+        orbit_at=dict(zip(orbits, orbit_at)),
+        c1_rel=c1_rel,
+        maslov_boundary=maslov,
+        z_du=z_du,
+        somewhere_injective=injective,
+        homology_tag=tag,
+        constraints=ConstraintSet(constrained=frozenset(constrained), delta=delta),
     )
-    return curve.homology_tag, curve
+
+
+_COVER = {
+    "id": STR,
+    "domain": SURFACE,
+    "codomain": SURFACE,
+    "degree": INT,
+    "fiber": LIST,
+    "interior_branch_count": INT.optional(0),
+    "base_curve": CURVE,
+    "total_constrained": IDS.optional(),
+}
+_FIBER = {"from": STR, "to": STR, "order": INT.optional(1)}
 
 
 def _parse_cover(doc, location, scenario):
-    _check_keys(
-        doc,
-        {
-            "id",
-            "domain",
-            "codomain",
-            "degree",
-            "fiber",
-            "interior_branch_count",
-            "base_curve",
-            "total_constrained",
-        },
-        location,
+    cid, domain, codomain, degree, entries, branch_count, base_curve, total = _read(
+        doc, _COVER, location, scenario
     )
     fiber = {}
-    for i, entry in enumerate(_get(doc, "fiber", location, LIST)):
+    for i, entry in enumerate(entries):
         loc = f"{location}.fiber[{i}]"
-        _check_keys(entry, {"from", "to", "order"}, loc)
-        fiber[_get(entry, "from", loc, STR)] = (
-            _get(entry, "to", loc, STR),
-            _get(entry, "order", loc, INT, default=1),
-        )
-    base_curve = _get(doc, "base_curve", location, CURVE, scenario)
-    total = _get(doc, "total_constrained", location, IDS, default=None)
+        z, *image = _read(entry, _FIBER, loc)
+        _require(z not in fiber, f"domain puncture {z!r} is already in the fiber", loc)
+        fiber[z] = tuple(image)
     if total is not None:
         total = ConstraintSet(frozenset(total), base_curve.constraints.delta)
-    cover = BranchedCover(
-        domain=_get(doc, "domain", location, SURFACE, scenario),
-        codomain=_get(doc, "codomain", location, SURFACE, scenario),
-        degree=_get(doc, "degree", location, INT),
-        fiber_map=fiber,
-        interior_branch_count=_get(doc, "interior_branch_count", location, INT, default=0),
-    )
-    return _get(doc, "id", location, STR), CoverScenario(
-        cover=cover,
+    return cid, CoverScenario(
+        cover=BranchedCover(
+            domain=domain,
+            codomain=codomain,
+            degree=degree,
+            fiber_map=fiber,
+            interior_branch_count=branch_count,
+        ),
         base_curve=base_curve,
         total_constraints=total,
     )
 
 
+_PAIRING = {
+    "left": CURVE,
+    "right": CURVE,
+    "relative_pairing": INT,
+    "end_intersections": LIST.optional(()),
+}
+_END_INTERSECTION = {"left_puncture": STR, "right_puncture": STR, "value": COUNT}
+
+
 def _parse_pairing(doc, location, scenario):
-    _check_keys(
-        doc, {"left", "right", "relative_pairing", "end_intersections"}, location
-    )
-    left = _get(doc, "left", location, CURVE, scenario)
-    right = _get(doc, "right", location, CURVE, scenario)
+    left, right, relative_pairing, entries = _read(doc, _PAIRING, location, scenario)
     ends = {}
-    for i, entry in enumerate(_get(doc, "end_intersections", location, LIST, default=[])):
+    for i, entry in enumerate(entries):
         loc = f"{location}.end_intersections[{i}]"
-        _check_keys(entry, {"left_puncture", "right_puncture", "value"}, loc)
-        z, zp = _get(entry, "left_puncture", loc, STR), _get(entry, "right_puncture", loc, STR)
+        z, zp, value = _read(entry, _END_INTERSECTION, loc)
         for side, curve, p in (("left", left, z), ("right", right, zp)):
             _require(
                 p in curve.surface.puncture_ids,
@@ -311,14 +297,14 @@ def _parse_pairing(doc, location, scenario):
             f"punctures {z!r} and {zp!r} have opposite signs; only same-sign ends intersect",
             f"{loc}.right_puncture",
         )
-        ends[(z, zp)] = _get(entry, "value", f"{loc}.value", COUNT)
-    pairing = PairingInput(
+        _require((z, zp) not in ends, f"the end pair ({z!r}, {zp!r}) is already declared", loc)
+        ends[(z, zp)] = value
+    return (left.homology_tag, right.homology_tag), PairingInput(
         left=left,
         right=right,
-        relative_pairing=_get(doc, "relative_pairing", location, INT),
+        relative_pairing=relative_pairing,
         declared_end_intersections=ends,
     )
-    return (left.homology_tag, right.homology_tag), pairing
 
 
 def _parse_query(doc, location, scenario):
@@ -330,12 +316,8 @@ def _parse_query(doc, location, scenario):
     params = REGISTRY.params(doc["name"])
     if params is None:
         return Query(doc)
-    missing = [key for key, kind in params.items() if kind.default is REQUIRED and key not in doc]
-    _require(not missing, f"query {doc['name']!r} needs {', '.join(missing)}", location)
-    _check_keys(doc, {"name", *params}, location)
-    args = {
-        key: _get(doc, key, f"{location}.{key}", kind, scenario) for key, kind in params.items()
-    }
+    _, *values = _read(doc, {"name": STR, **params}, location, scenario)
+    args = dict(zip(params, values))
     for key, kind in params.items():
         orbit = args.get(kind.perturbs)
         if orbit is not None and not orbit.is_operator_backed:
@@ -369,6 +351,24 @@ def _certify_orbit(orbit, delta_gap, location):
     )
 
 
+#: each section in the order it is read: the noun of its entries' keys, and their parser
+_SECTIONS = {
+    "surfaces": ("surface id", _parse_surface),
+    "orbits": ("orbit id", _parse_orbit),
+    "curves": ("curve id", _parse_curve),
+    "pairings": ("pairing", _parse_pairing),
+    "covers": ("cover id", _parse_cover),
+}
+_SCENARIO = {
+    "schema_version": one_of(SCHEMA_VERSION).optional(),
+    "delta_gap": RATIONAL.optional(Fraction(1, 4)),
+    "ambient": one_of(None, "cobordism", "symplectization", "closed").optional(),
+    "j_mode": J_MODE.optional("homotopy"),
+    "queries": LIST.optional(()),
+    **dict.fromkeys(_SECTIONS, LIST.optional(())),
+}
+
+
 def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
     """Parse and fully validate a scenario; raises ValidationError with a
     document path on the first problem.  Operator-backed orbits are read at
@@ -381,71 +381,46 @@ def load_scenario(path_or_dict, truncation=DEFAULT_TRUNCATION):
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"not valid JSON: {exc}", str(path_or_dict))
-    _check_keys(doc, _TOP_LEVEL_KEYS, "$")
-    _get(doc, "schema_version", "$", _SCHEMA_VERSION, default=None)
-    # The scenario read so far, whose tables the entries after them name.
+    _, delta_gap, ambient, j_mode, queries, *sections = _read(doc, _SCENARIO, "$")
+    _require(delta_gap > 0, "delta_gap must be positive", "$.delta_gap")
+    # The scenario read so far, whose tables the entries after them name,
+    # with the truncation and the operators of its orbits.
     read = SimpleNamespace(
-        delta_gap=_get(doc, "delta_gap", "$.delta_gap", RATIONAL, default=Fraction(1, 4)),
-        ambient=_get(doc, "ambient", "$.ambient", _AMBIENT),
-        j_mode=_get(doc, "j_mode", "$.j_mode", J_MODE, default="homotopy"),
-        surfaces={},
-        orbits={},
-        curves={},
-        pairings={},
-        covers={},
+        delta_gap=delta_gap, ambient=ambient, j_mode=j_mode, truncation=truncation, operators={}
     )
-    _require(read.delta_gap > 0, "delta_gap must be positive", "$.delta_gap")
-    operators = {}
-    declared = {}  # (simple id, covering number) -> the orbit declared with them
+    for (section, (noun, parse)), entries in zip(_SECTIONS.items(), sections):
+        table = {}
+        setattr(read, section, table)
+        for i, entry in enumerate(entries):
+            location = f"$.{section}[{i}]"
+            try:
+                key, value = parse(entry, location, read)
+            except ValidationError as exc:  # from a constructor, which knows no location
+                raise exc if exc.location else ValidationError(str(exc), location)
+            _require(key not in table, f"duplicate {noun} {key!r}", location)
+            table[key] = value
+        if parse is _parse_orbit:
+            read.orbits = _link_orbits(table, delta_gap)
+    del read.truncation, read.operators
+    queries = [_parse_query(q, f"$.queries[{i}]", read) for i, q in enumerate(queries)]
+    return Scenario(**vars(read), queries=queries)
 
-    def operator_winding(op):
-        # One object per distinct loop: spectrum cache hits then find their
-        # key by identity, not sample by sample.
-        return OperatorWinding(operators.setdefault(op, op), truncation)
 
-    def parse_orbit(odoc, location, read):
-        oid, orbit = _parse_orbit(odoc, location, read, operator_winding)
-        _certify_orbit(orbit, read.delta_gap, location)
-        first = declared.setdefault((orbit.simple_id, orbit.cover), orbit)
+def _link_orbits(orbits, delta_gap):
+    """The orbit section linked (see ``orbits.linked``), once each orbit is
+    certified, every id in ``distinct_from`` names a simple orbit and no
+    simple orbit and covering number name two orbits."""
+    simple_ids = {orbit.simple_id for orbit in orbits.values()}
+    linked_orbits = linked(orbits.values())
+    for i, orbit in enumerate(linked_orbits):
+        location = f"$.orbits[{i}]"
+        _certify_orbit(orbit, delta_gap, location)
+        unknown = sorted(orbit.distinct_from - simple_ids)
+        _require(not unknown, f"distinct_from names no declared simple orbit: {unknown}", location)
+        first = orbit.tower[orbit.cover]
         _require(
             first is orbit,
             f"cover {orbit.cover} of {orbit.simple_id!r} is already declared as {first.id!r}",
             location,
         )
-        return oid, orbit
-
-    for section, noun, parse in (
-        ("surfaces", "surface id", _parse_surface),
-        ("orbits", "orbit id", parse_orbit),
-        ("curves", "curve id", _parse_curve),
-        ("pairings", "pairing", _parse_pairing),
-        ("covers", "cover id", _parse_cover),
-    ):
-        table = getattr(read, section)
-        for i, entry in enumerate(_get(doc, section, "$", LIST, default=[])):
-            location = f"$.{section}[{i}]"
-            try:
-                key, value = parse(entry, location, read)
-            except ValidationError as exc:  # from a constructor, which knows no location
-                raise _located(exc, location)
-            _require(key not in table, f"duplicate {noun} {key!r}", location)
-            table[key] = value
-        if section == "orbits":
-            read.orbits = _link_orbits(table)
-    queries = [
-        _parse_query(q, f"$.queries[{i}]", read)
-        for i, q in enumerate(_get(doc, "queries", "$", LIST, default=[]))
-    ]
-    return Scenario(**vars(read), queries=queries)
-
-
-def _link_orbits(orbits):
-    """The orbit section linked (see ``orbits.linked``), once each orbit's
-    ``distinct_from`` is found to name declared simple orbits."""
-    simple_ids = {orbit.simple_id for orbit in orbits.values()}
-    for i, orbit in enumerate(orbits.values()):
-        unknown = sorted(orbit.distinct_from - simple_ids)
-        _require(
-            not unknown, f"distinct_from names no declared simple orbit: {unknown}", f"$.orbits[{i}]"
-        )
-    return dict(zip(orbits, linked(orbits.values())))
+    return dict(zip(orbits, linked_orbits))

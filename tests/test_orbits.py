@@ -288,6 +288,22 @@ def test_crossing_flow_refuses_or_is_exact_near_a_fast_degenerate_endpoint():
         assert conley_zehnder(orbit, Perturbation(0), CROSSING_FLOW) == -2 * s, s
 
 
+def test_a_crossing_flow_at_a_kernel_is_refused_without_doubling(monkeypatch):
+    # At a kernel |tr - 2| and the estimate are rounding, far below
+    # FLOW_TRACE_TOL: no finer pass can decide, so the flow is refused there
+    # instead of doubling its steps up to FLOW_MAX_STEPS.
+    passes = []
+    flow_pass = flow._crossing_flow
+    monkeypatch.setattr(
+        flow, "_crossing_flow", lambda op, eps, n: passes.append(n) or flow_pass(op, eps, n)
+    )
+    for s in ((0.0, 0.0, 1.3), (0.0, 0.0, 0.0)):
+        passes.clear()
+        with pytest.raises(DegeneracyError):
+            flow.crossing_flow_cz(AsymptoticOperator.constant(*s), 0.0)
+        assert 1 <= len(passes) <= 2, (s, passes)
+
+
 def test_crossing_flow_samples_the_path_as_often_as_the_turn_bound_needs(monkeypatch):
     # Over span steps Psi(t) e1 turns at most span h rate, so the path is
     # sampled every span steps for the largest power of two span with span h
