@@ -38,9 +38,11 @@ for the loop and the oracle raises SpectralError.
 A loop with no mode in 1..2T, constant (p = 1) or of mode step s > 2T,
 couples no two modes |m| <= T: its truncated operator is that of its mean,
 a constant loop, whose every mode has a closed-form spectrum with windings
-+-m.  It is answered in plain Python with no eigensolve.  numpy is imported
-only for the loops solved in blocks, the Fourier modes and matrices of the
-samples, and the flow.
++-m.  That form also fixes the order of the eigenvalues and every
+multiplicity, so the window is written directly, in plain Python, with no
+eigensolve, sort or merge; a mean or spectrum beyond the float range is a
+SpectralError.  numpy is imported only for the loops solved in blocks, the
+Fourier modes and matrices of the samples, and the flow.
 
 All downstream winding arithmetic is exact.  Floating point enters only
 here and in ``flow.py`` (the crossing flow and the windings of sampled
@@ -88,7 +90,7 @@ class AsymptoticOperator:
             rows.append((float(row[0]), float(row[1]), float(row[2])))
         if len(rows) < MIN_SAMPLES:
             raise ValidationError(f"need at least {MIN_SAMPLES} samples, got {len(rows)}")
-        self._set(tuple(rows), _cover_order(self.cover))
+        self._set(tuple(rows), _integer(self.cover, 1, "cover order"))
 
     def _set(self, samples, cover, period=None):
         object.__setattr__(self, "samples", samples)
@@ -181,7 +183,7 @@ class AsymptoticOperator:
     def pulled_back(self, k):
         """Operator of the k-fold covered orbit: S_k(t) = k * S(k t mod 1),
         kept as the same samples with the cover order multiplied by k."""
-        k = _cover_order(k)
+        k = _integer(k, 1, "cover order")
         if k == 1:
             return self
         # The samples are validated already; only the cover order is new.
@@ -211,10 +213,11 @@ def _exact_period(samples):
     return n
 
 
-def _cover_order(k):
-    if not isinstance(k, numbers.Integral) or k < 1:
-        raise ValidationError(f"cover order must be an integer >= 1, got {k!r}")
-    return int(k)
+def _integer(value, minimum, what):
+    """``value`` as an int: an integer, not a bool, of at least ``minimum``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise ValidationError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @record
@@ -421,67 +424,71 @@ def _real_matrix(c, truncation, blocks):
 
 
 def discretized_spectrum(op, truncation):
-    """Spectrum of the Fourier-truncated operator with windings.
+    """Spectrum of the Fourier-truncated operator with windings, in its
+    reliable window: the middle half of all eigenvalues.
 
-    A loop with no mode in 1..2T has its mean's closed form, and any other
-    loop is solved in blocks; both give every eigenvalue with its winding,
-    ascending.  Only the middle half of all eigenvalues is kept (the
-    reliable window); it must have nondecreasing windings.
+    A loop with no mode in 1..2T has its mean's closed form, which writes
+    the window directly; any other loop is solved in blocks.
     """
-    if truncation < MIN_TRUNCATION:
-        raise ValidationError(f"truncation must be >= {MIN_TRUNCATION}")
-    solve = _closed_form if op.period == 1 or op.mode_step > 2 * truncation else _block_solve
-    evals, windings = solve(op, truncation)
-    diameter = evals[-1] - evals[0]
-    first = len(evals) // 4
-    window = slice(first, len(evals) - first)
-    evals, windings = evals[window], windings[window]
-    if any(w > w_next for w, w_next in zip(windings, windings[1:])):
-        raise SpectralError(
-            f"windings of the residue classes mod {op.mode_step} interleave inside the window;"
-            " increase the truncation"
-        )
-    # Merge equal (eigenvalue, winding) pairs into multiplicity-2 entries.
-    merge_tol = 1e-9 * max(diameter, 1.0)
-    merged = []
-    for lam, w in zip(evals, windings):
-        last = merged[-1] if merged else None
-        if last and last[1] == w and last[2] == 1 and abs(last[0] - lam) <= merge_tol:
-            merged[-1] = (0.5 * (last[0] + lam), w, 2)
-        else:
-            merged.append((lam, w, 1))
-    return SpectralData(eigenpairs=tuple(merged), diameter=diameter)
+    truncation = _integer(truncation, MIN_TRUNCATION, "truncation")
+    if op.period == 1 or op.mode_step > 2 * truncation:
+        return _closed_form(op, truncation)
+    return _block_solve(op, truncation)
+
+
+def _merge_tol(diameter):
+    """Eigenvalues of one winding this close are one of multiplicity 2."""
+    return 1e-9 * max(diameter, 1.0)
 
 
 def _closed_form(op, truncation):
-    """(eigenvalues, windings) of the constant loop S_k = k (a, b, c), with
-    (a, b, c) the mean of one period of the samples, ascending, with no
-    eigensolve.  It is the spectrum of any loop whose other modes all lie
-    above 2T, so that they couple no two modes |m| <= T.  On mode 0 the operator is -S_k, with the eigenvalues
-    -(a+c)/2 -+ hypot((a-c)/2, b), both of winding 0.  On the cos and sin of
-    mode m >= 1 it is equivalent to the two Hermitian matrices
-    -S_k -+ 2 pi m i J0, which share the eigenvalues
-    -(a+c)/2 -+ hypot((a-c)/2, b, 2 pi m), so each is double, with winding
-    -+m."""
+    """The window of the constant loop S_k = k (a, b, c), with (a, b, c) the
+    mean of one period of the samples, with no eigensolve.  It is also the
+    window of any loop whose other modes all lie above 2T, so that they
+    couple no two modes |m| <= T.  On mode 0 the operator is -S_k, with the
+    eigenvalues mid -+ h_0, mid = -(a+c)/2, h_0 = hypot((a-c)/2, b), both of
+    winding 0.  On the cos and sin of mode m >= 1 it is equivalent to the two
+    Hermitian matrices -S_k -+ 2 pi m i J0, which share the eigenvalues
+    mid -+ h_m, h_m = hypot((a-c)/2, b, 2 pi m), so each is double, with
+    winding -+m.
+
+    Every mid - h is at most mid, which is at most every mid + h, and h_m
+    increases with m, so the ascending order is known: mid - h_m for
+    m = T..1, mode 0, then mid + h_m for m = 1..T.  The window drops the
+    lowest and the highest T of these 4T + 2 eigenvalues: it keeps each
+    mode m <= T/2 as a double on each side and, at odd T, mode (T + 1)/2
+    as a single on each side.
+    """
     p = op.period
-    a, b, c = (op.cover * math.fsum(column) / p for column in zip(*op.samples[:p]))
+    try:
+        a, b, c = (op.cover * math.fsum(column) / p for column in zip(*op.samples[:p]))
+    except OverflowError:
+        raise SpectralError("the mean of the samples overflows") from None
     mid, half = -(a + c) / 2, (a - c) / 2
-    h = math.hypot(half, b)
-    pairs = [(mid - h, 0), (mid + h, 0)]
-    for m in range(1, truncation + 1):
-        h = math.hypot(half, b, 2 * math.pi * m)
-        pairs += [(mid - h, -m), (mid - h, -m), (mid + h, m), (mid + h, m)]
-    pairs.sort()  # equal eigenvalues by winding, as the block path orders them
-    evals, windings = zip(*pairs)
-    return evals, windings
+    top = math.hypot(half, b, 2 * math.pi * truncation)
+    diameter = (mid + top) - (mid - top)
+    if not math.isfinite(diameter):
+        raise SpectralError(f"the spectrum of the mean ({a:.6g}, {b:.6g}, {c:.6g}) overflows")
+    h_0 = math.hypot(half, b)
+    lo, hi = mid - h_0, mid + h_0
+    merged = abs(lo - hi) <= _merge_tol(diameter)
+    zero = [(0.5 * (lo + hi), 0, 2)] if merged else [(lo, 0, 1), (hi, 0, 1)]
+    modes = range(1, (truncation + 1) // 2 + 1)
+    mults = [2] * (truncation // 2) + [1] * (truncation % 2)
+    h = [math.hypot(half, b, 2 * math.pi * m) for m in modes]
+    lower = [(mid - h_m, -m, n) for m, h_m, n in zip(modes, h, mults)]
+    upper = [(mid + h_m, m, n) for m, h_m, n in zip(modes, h, mults)]
+    return SpectralData(eigenpairs=(*lower[::-1], *zero, *upper), diameter=diameter)
 
 
 def _block_solve(op, truncation):
-    """(eigenvalues, windings) of a loop that is not constant, ascending.
+    """The window of a loop that is not constant.
 
     The residue class of mode 0 is one eigensolve, and the other classes
     one stacked eigensolve per class size.  A block's windings are its
-    modes +-m, each twice, in ascending order.
+    modes +-m, each twice, in ascending order.  The blocks' eigenvalues are
+    merged by value, the window must have nondecreasing windings, and equal
+    (eigenvalue, winding) pairs in it are merged into multiplicity 2.
     """
     import numpy as np
 
@@ -505,7 +512,25 @@ def _block_solve(op, truncation):
         windings.append(np.repeat(np.sort(signed, axis=1), 2, axis=1).ravel())
     evals, windings = np.concatenate(evals), np.concatenate(windings)
     order = np.lexsort((windings, evals))  # equal eigenvalues of two blocks by winding
-    return evals[order].tolist(), windings[order].tolist()
+    evals, windings = evals[order].tolist(), windings[order].tolist()
+    diameter = evals[-1] - evals[0]
+    first = len(evals) // 4
+    window = slice(first, len(evals) - first)
+    evals, windings = evals[window], windings[window]
+    if any(w > w_next for w, w_next in zip(windings, windings[1:])):
+        raise SpectralError(
+            f"windings of the residue classes mod {s} interleave inside the window;"
+            " increase the truncation"
+        )
+    merge_tol = _merge_tol(diameter)
+    merged = []
+    for lam, w in zip(evals, windings):
+        last = merged[-1] if merged else None
+        if last and last[1] == w and last[2] == 1 and abs(last[0] - lam) <= merge_tol:
+            merged[-1] = (0.5 * (last[0] + lam), w, 2)
+        else:
+            merged.append((lam, w, 1))
+    return SpectralData(eigenpairs=tuple(merged), diameter=diameter)
 
 
 class SpectrumCache:

@@ -15,6 +15,11 @@ scattered into the cos-cos, cos-sin, sin-cos and sin-sin blocks, then one
 negated transposed copy.  It is the reference that the package's
 assembly from Toeplitz and Hankel views must match entry for entry.
 
+The sorted closed form builds a constant loop's window the way the
+package first did, from all its eigenvalues, sorted, sliced and merged
+pair by pair, as the reference that the package's direct window must
+equal float for float.
+
 The winding measurement computes eigenvectors of the package's real matrix
 and counts the turning of each window eigenfunction on a fine grid, as a
 check of the package's windings, which are counted from the eigenvalue
@@ -263,6 +268,35 @@ def dense_spectrum(op, truncation):
         else:
             pairs.append((lam, w, 1))
     return SpectralData(eigenpairs=tuple(pairs), diameter=diameter)
+
+
+def sorted_closed_form(op, truncation):
+    """The closed-form spectrum of the mean of ``op``'s samples, the way the
+    package first built it: all 4T + 2 eigenvalues mid -+ h_m with their
+    windings, sorted by (eigenvalue, winding), the middle half kept, and
+    equal eigenvalues of one winding merged one pair at a time within 1e-9
+    of the spectral diameter.  The package writes that window directly, in
+    the order the closed form implies, and must match this float for
+    float."""
+    p = op.period
+    a, b, c = (op.cover * math.fsum(column) / p for column in zip(*op.samples[:p]))
+    mid, half = -(a + c) / 2, (a - c) / 2
+    h = math.hypot(half, b)
+    pairs = [(mid - h, 0), (mid + h, 0)]
+    for m in range(1, truncation + 1):
+        h = math.hypot(half, b, 2 * math.pi * m)
+        pairs += [(mid - h, -m), (mid - h, -m), (mid + h, m), (mid + h, m)]
+    pairs.sort()
+    diameter = pairs[-1][0] - pairs[0][0]
+    first, tol = len(pairs) // 4, 1e-9 * max(diameter, 1.0)
+    merged = []
+    for lam, w in pairs[first : len(pairs) - first]:
+        last = merged[-1] if merged else None
+        if last and last[1] == w and last[2] == 1 and abs(last[0] - lam) <= tol:
+            merged[-1] = (0.5 * (last[0] + lam), w, 2)
+        else:
+            merged.append((lam, w, 1))
+    return SpectralData(eigenpairs=tuple(merged), diameter=diameter)
 
 
 def extremal_residue_class(op, truncation, side):

@@ -351,11 +351,47 @@ def declared_from_spectra(doc, truncation):
     return doc
 
 
+def morse_bott_signs_doc():
+    """foliation.scn plus the Morse-Bott constant loops diag(0, theta), with
+    nu = (0, 1) at theta = 1 and (1, 0) at theta = -1, where every orbit of
+    foliation.scn has nu = (1, 1): mode 0's eigenvalues are 0 and -theta.
+    Each has a double cover at isotropy 2, where delta_mb reads nu.  Queries
+    ask nu, alpha, conley_zehnder and delta_mb on all four."""
+    doc = foliation_doc()
+    for name, theta in (("mb_up", 1.0), ("mb_down", -1.0)):
+        doc["orbits"] += [
+            {
+                "id": name,
+                "kind": {"type": "morse_bott", "manifold_dim": 2},
+                "winding": {"type": "operator", "samples": [[0.0, 0.0, theta]] * 16},
+            },
+            {
+                "id": f"{name}_x2",
+                "simple": name,
+                "cover": 2,
+                "kind": {"type": "morse_bott", "manifold_dim": 2, "isotropy": 2},
+                "winding": {"type": "cover"},
+                "generic_alpha": [0, 1],
+            },
+        ]
+        for orbit in (name, f"{name}_x2"):
+            doc["queries"].append({"name": "nu", "orbit": orbit})
+            for epsilon in ({"num": 1, "den": 8}, {"num": -1, "den": 8}):
+                doc["queries"] += [
+                    {"name": "alpha", "orbit": orbit, "epsilon": epsilon},
+                    {"name": "conley_zehnder", "orbit": orbit, "epsilon": epsilon},
+                    *({"name": "delta_mb", "orbit": orbit, "epsilon": epsilon, "sign": sign}
+                      for sign in "-+"),
+                ]
+    return doc
+
+
 def test_declared_windings_read_off_the_spectra_answer_alike():
     # Both sources of winding data answer alpha_at, alpha_strict, nu and
     # kernel_dimension, so every query that does not read the spectrum
-    # itself gives the same result from either.
-    doc = foliation_doc()
+    # itself gives the same result from either.  The Morse-Bott loops of
+    # each sign of theta tell nu_- from nu_+.
+    doc = morse_bott_signs_doc()
     doc["queries"] += [
         q for q in copy.deepcopy(ONE_QUERY_OF_EACH_KIND)
         if q["name"] != "spectrum" and q.get("method") != "crossing_flow"
@@ -376,6 +412,18 @@ def test_declared_windings_read_off_the_spectra_answer_alike():
             assert ours["result"].pop("id") == "g_zero~x2"
             assert theirs["result"].pop("id") == "g_zero_x2"
         assert ours == theirs
+    nus = {
+        q["orbit"]: (r["result"]["nu_minus"], r["result"]["nu_plus"])
+        for q, r in zip(doc["queries"], declared_results)
+        if q["name"] == "nu"
+    }
+    assert nus == {
+        "g_inf": (1, 1),
+        "mb_up": (0, 1),
+        "mb_up_x2": (0, 1),
+        "mb_down": (1, 0),
+        "mb_down_x2": (1, 0),
+    }
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -771,6 +819,18 @@ def test_cover_orbit_beyond_the_truncation_is_a_query_error(tmp_path, capsysbina
     [result] = json.loads(capsysbinary.readouterr().out)["queries"]
     assert result["status"] == "error"
     assert result["error"].startswith("SpectralError: ")
+
+
+def test_an_orbit_whose_closed_form_overflows_is_refused(tmp_path, capsys):
+    # S = 1e308 Id: -(a + c) / 2 is -inf, so the closed form refuses the
+    # orbit before its gap is checked.
+    doc = foliation_doc()
+    doc["orbits"][0]["winding"]["samples"] = [[1e308, 0.0, 1e308]] * 32
+    f = tmp_path / "huge.scn"
+    f.write_text(json.dumps(doc))
+    assert main(["check", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the spectrum of the mean (1e+308, 0, 1e+308) overflows\n"
 
 
 def test_a_perturbation_beyond_float_range_is_a_query_error(tmp_path, capsysbinary):

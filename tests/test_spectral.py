@@ -15,6 +15,7 @@ from oracles import (
     measured_windings,
     rotated_twin,
     scatter_real_matrix,
+    sorted_closed_form,
     spectrum_windings,
     tiled_operator,
     tiled_rows,
@@ -114,7 +115,7 @@ def test_pulled_back_operator_scales_eigenvalues():
 
 def test_cover_order_validation():
     op = AsymptoticOperator.constant(0.5, 0.3, -0.2)
-    for cover in (0, -2, 1.5, "2"):
+    for cover in (0, -2, 1.5, "2", True):
         with pytest.raises(ValidationError):
             AsymptoticOperator(op.samples, cover)
     with pytest.raises(ValidationError):
@@ -602,3 +603,69 @@ def test_closed_form_matches_the_block_solve_of_its_twins(truncation):
             twin_op = rotated_twin(base_op, s)
             assert twin_op.period > 1
             _assert_twin_shifts_windings(base, discretized_spectrum(twin_op, truncation), s)
+
+
+def _closed_form_corpus(truncation):
+    """Loops that take the closed form at ``truncation``: scalar theta Id,
+    Morse-Bott diag(0, theta) and diag(theta, 0) for theta of each sign,
+    and random (a, b, c), each with its covers k = 1..6; random loops of 16
+    samples covered beyond 2T, whose mode step exceeds 2T; and loops whose
+    mode-0 pair is 2 h_0 apart, just inside and just outside the merge
+    tolerance 1e-9 * diameter, at mid = 0 and mid = -1.3."""
+    rng = np.random.default_rng(truncation)
+    thetas = (0.0, 1.0, -1.0, TWO_PI, 7.5, -2.9, 3e-12)
+    bases = [AsymptoticOperator.constant(th, 0.0, th) for th in thetas]
+    bases += [AsymptoticOperator.constant(0.0, 0.0, th) for th in thetas[1:]]
+    bases += [AsymptoticOperator.constant(th, 0.0, 0.0) for th in thetas[1:]]
+    bases += [AsymptoticOperator.constant(*rng.uniform(-40.0, 40.0, size=3)) for _ in range(12)]
+    ops = [base.pulled_back(k) for base in bases for k in range(1, 7)]
+    for base in [random_symmetric_loop(rng, n_samples=16) for _ in range(3)]:
+        ops += [base.pulled_back(k) for k in (2 * truncation + 1, 3 * truncation)]
+    tol = 1e-9 * 2 * math.hypot(0.0, 0.0, TWO_PI * truncation)
+    for h_0 in (tol / 2 * (1 - 1e-6), tol / 2 * (1 + 1e-6)):
+        for mid in (0.0, -1.3):
+            ops += [
+                AsymptoticOperator.constant(-mid, h_0, -mid),
+                AsymptoticOperator.constant(-mid + h_0, 0.0, -mid - h_0),
+            ]
+    return ops
+
+
+@pytest.mark.parametrize("truncation", [8, 9, 16, 17, 64, 65, 144])
+def test_closed_form_writes_the_window_of_the_sorted_spectrum(truncation):
+    # The window written in the closed form's own order is the one taken
+    # from all 4T + 2 eigenvalues, sorted, sliced and merged: the same
+    # floats in the same order, and the same diameter.
+    ops = _closed_form_corpus(truncation)
+    assert all(op.period == 1 or op.mode_step > 2 * truncation for op in ops)
+    for op in ops:
+        spec, reference = discretized_spectrum(op, truncation), sorted_closed_form(op, truncation)
+        assert spec.eigenpairs == reference.eigenpairs, op
+        assert spec.diameter == reference.diameter, op
+    # The last eight loops straddle the merge tolerance on mode 0.
+    references = [sorted_closed_form(op, truncation) for op in ops[-8:]]
+    mode_0 = [[n for _, w, n in spec.eigenpairs if w == 0] for spec in references]
+    assert mode_0 == [[2]] * 4 + [[1, 1]] * 4
+
+
+def test_a_closed_form_that_overflows_is_refused():
+    # -(a + c) / 2 is -inf for a = c = 1e308, a is inf for the double cover
+    # of a = 1e308, the diameter overflows for b = 1e308, and the mean of a
+    # loop of period 2 and mode step 8k > 2T overflows in its sum.
+    for op in (
+        AsymptoticOperator.constant(1e308, 0.0, 1e308),
+        AsymptoticOperator.constant(1e308, 0.0, 0.0).pulled_back(2),
+        AsymptoticOperator.constant(0.0, 1e308, 0.0),
+        AsymptoticOperator(((1e308, 0.0, 0.0), (1.5e308, 0.0, 0.0)) * 8).pulled_back(5),
+    ):
+        with pytest.raises(SpectralError, match="overflows"):
+            discretized_spectrum(op, 16)
+
+
+@pytest.mark.parametrize("truncation", [64.0, "64", True, False, None, 7])
+def test_a_truncation_must_be_an_integer(truncation):
+    loop = random_symmetric_loop(np.random.default_rng(3))
+    for op in (AsymptoticOperator.constant(0.5, 0.3, -0.2), loop):
+        with pytest.raises(ValidationError, match="truncation must be an integer >= 8"):
+            discretized_spectrum(op, truncation)
+        assert discretized_spectrum(op, np.int64(16)) == discretized_spectrum(op, 16)
