@@ -28,8 +28,8 @@ one block per residue class m = +-r (mod s), r = 0..s/2, that holds a mode
 |m| <= T.  A cover is the case s = k of a loop that does not repeat.  The
 block of class r lays out its modes as the progressions r + js and
 s - r + js, j >= 0, one after the other, or as one progression at r = 0
-(the constant's class) and r = s/2.  Blocks of one size are solved as one
-stack.  The counting argument holds block by block along t S_k: a block's
+(the constant's class) and r = s/2, and is solved on its own.  The
+counting argument holds block by block along t S_k: a block's
 eigenvalues, ascending, have the windings +-m of its modes, each twice,
 ascending.  The blocks' eigenvalues are merged by value; if the merged
 windings decrease anywhere inside the window, the truncation is too low
@@ -42,7 +42,7 @@ a constant loop, whose every mode has a closed-form spectrum with windings
 multiplicity, so the window is written directly, in plain Python, with no
 eigensolve, sort or merge; a mean or spectrum beyond the float range is a
 SpectralError.  numpy is imported only for the loops solved in blocks, the
-Fourier modes and matrices of the samples, and the flow.
+Fourier table and matrices of the samples, and the flow.
 
 All downstream winding arithmetic is exact.  Floating point enters only
 here and in ``flow.py`` (the crossing flow and the windings of sampled
@@ -88,6 +88,8 @@ class AsymptoticOperator:
             if len(row) != 3:
                 raise ValidationError(f"sample {j} must have 3 entries (s11, s12, s22)")
             rows.append((float(row[0]), float(row[1]), float(row[2])))
+            if not all(map(math.isfinite, rows[-1])):
+                raise ValidationError(f"sample {j} has an entry that is not finite")
         if len(rows) < MIN_SAMPLES:
             raise ValidationError(f"need at least {MIN_SAMPLES} samples, got {len(rows)}")
         self._set(tuple(rows), _integer(self.cover, 1, "cover order"))
@@ -138,38 +140,29 @@ class AsymptoticOperator:
         return np.tile(self.cover * _matrices(self.samples), (self.cover, 1, 1))
 
     @cached_property
-    def fourier_modes(self):
-        """(m, a_m) for the modes m = sj, j = 0..p/2, of S_k, s = mode_step,
-        the only modes 0 <= m <= kN/2 where it can be nonzero: a_m = k c_j
-        with c_j the coefficients of one period of p samples.  At even p the
-        Nyquist mode j = p/2 is halved, so that it is split evenly between
-        +-m.  Computed once per operator, as read-only arrays."""
+    def real_series(self):
+        """(m, a, bound): the operator's one Fourier table, the real series
+        S_k(t) = Re sum of a_m e^{2 pi i m t} over the modes m = sj,
+        j = 0..p/2, s = mode_step, the only modes 0 <= m <= kN/2 where S_k
+        can be nonzero.  With c_j the coefficients of one period of p
+        samples, a_m = 2k c_j (the modes +-m), but k c_j at j = 0 and at the
+        Nyquist mode j = p/2 of an even p.  ``a`` holds the rows (s11, s12,
+        s22), of shape (3, modes).  The Frobenius norms of the a_m bound
+        their operator norms, so their sum ``bound`` is at least |S_k(t)| at
+        every t.  Computed once per operator, as read-only arrays; a
+        coefficient beyond the float range is a SpectralError."""
         import numpy as np
 
         p, k = self.period, self.cover
         j = np.arange(p // 2 + 1)
-        # One FFT of the rows (s11, s12, s22), read as symmetric matrices.
-        coeffs = k * (np.fft.fft(np.array(self.samples[:p]), axis=0)[j] / p)
-        if p % 2 == 0:
-            coeffs[-1] /= 2.0
-        return _read_only(self.mode_step * j), _read_only(coeffs[:, [[0, 1], [1, 2]]])
-
-    @cached_property
-    def real_series(self):
-        """(m, a, bound) of the real series S_k(t) = Re sum of a_m e^{2 pi i m t}
-        over the modes m of ``fourier_modes``: a_m is twice the coefficient
-        of mode m there, and once it at m = 0, kept as the rows (s11, s12,
-        s22) of ``a``, of shape (3, modes).  The Frobenius norms of the a_m
-        bound their operator norms, so their sum ``bound`` is at least
-        |S_k(t)| at every t.  Computed once per operator, as read-only
-        arrays."""
-        import numpy as np
-
-        modes, coeffs = self.fourier_modes
-        a = 2.0 * coeffs.reshape(-1, 4)[:, [0, 1, 3]]
-        a[0] /= 2.0
-        bound = float(np.sqrt(np.abs(a) ** 2 @ [1.0, 2.0, 1.0]).sum())
-        return modes, _read_only(a.T), bound
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below; the bound may be inf
+            # One FFT of the rows (s11, s12, s22).
+            a = k * (np.fft.fft(np.array(self.samples[:p]), axis=0)[j] / p)
+            a[1 : (p + 1) // 2] *= 2.0
+            bound = float(np.sqrt(np.abs(a) ** 2 @ [1.0, 2.0, 1.0]).sum())
+        if not np.isfinite(a).all():
+            raise SpectralError("the Fourier coefficients of the samples overflow")
+        return _read_only(self.mode_step * j), _read_only(a.T), bound
 
     @cached_property
     def magnus_exponents(self):
@@ -229,6 +222,8 @@ class SpectralData:
     ``diameter`` is the full computed spectral diameter, used for tolerances.
     The methods below make every decision that depends on a tolerance: which
     eigenvalues sit at a point, and so the windings, nu, the kernel and the gap.
+    A diameter whose tolerance reaches pi is refused: that tolerance would
+    count two neighbouring windings, about 2 pi apart, at one point.
     """
 
     eigenpairs: tuple
@@ -249,6 +244,10 @@ class SpectralData:
         object.__setattr__(self, "_windings", windings)
         object.__setattr__(self, "_mults", mults)
         object.__setattr__(self, "degeneracy_tol", DEGENERACY_REL_TOL * self.diameter)
+        if not self.degeneracy_tol < math.pi:
+            raise SpectralError(
+                f"the spectral diameter {self.diameter:.6g} is too large to tell windings apart"
+            )
         object.__setattr__(self, "_zero", self._around(0.0))
 
     def winding_counts(self):
@@ -339,13 +338,13 @@ def saturated_float(q):
 
 
 def _real_matrix(c, truncation, blocks):
-    """Matrices of -J0 d/dt - S(t), one per block of equally many modes, each
-    in the orthonormal real basis
+    """Matrices of -J0 d/dt - S(t), one per block, each in the orthonormal
+    real basis
     {1, sqrt2 cos 2 pi m t, sqrt2 sin 2 pi m t : m in the block} x {e_1, e_2}.
     A block is a list of progressions of modes in 0..T, slices with a step,
-    laid out one after another: the constant 1 of mode 0, which only the
-    first progression of a single block may hold, then the cosine and sine
-    of each nonzero mode.
+    laid out one after another: the constant 1 of mode 0, which only a
+    block's first progression may hold, then the cosine and sine of each
+    nonzero mode.
 
     ``c`` holds the Fourier coefficients c_k of S for k = 0..2T (halved at
     the Nyquist mode k = N/2, zero beyond it), and multiplication by S has
@@ -387,19 +386,18 @@ def _real_matrix(c, truncation, blocks):
     # [D / P, p, cos/sin, e_a, q, cos/sin, e_b] = tables[..., p + q, ...]
     window = sliding_window_view(tables, t + 1, axis=3).transpose(0, 3, 1, 2, 6, 4, 5)
     toeplitz, hankel = window[0, ::-1], window[1]  # at (m, n): D_{m-n} and P_{m+n}
-    first = blocks[0][0]
-    z = int(first.start == 0)  # 1 when the block holds the constant
-    if z:  # the modes with a cosine and a sine
-        blocks = [[slice(first.step, first.stop, first.step), *blocks[0][1:]]]
-    modes = np.arange(t + 1)
-    m = np.concatenate([modes[p] for block in blocks for p in block]).reshape(len(blocks), -1)
-    b, n = m.shape
-    mat = np.empty((b,) + (4 * n + 2 * z,) * 2)
-    # [block, m, cos/sin, e_a, n, cos/sin, e_b]
-    tiles = mat[:, 2 * z :, 2 * z :].reshape(b, n, 2, 2, n, 2, 2)
-    for out, block in zip(tiles, blocks):
-        sizes = [len(range(t + 1)[p]) for p in block]
+    modes, mats = np.arange(t + 1), []
+    for block in blocks:
+        first = block[0]
+        z = int(first.start == 0)  # 1 when the block holds the constant
+        if z:  # the modes with a cosine and a sine
+            block = [slice(first.step, first.stop, first.step), *block[1:]]
+        sizes = [len(modes[p]) for p in block]
         at = [slice(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
+        m, n = np.concatenate([modes[p] for p in block]), sum(sizes)
+        mat = np.empty((4 * n + 2 * z,) * 2)
+        # [m, cos/sin, e_a, n, cos/sin, e_b]
+        tiles = mat[2 * z :, 2 * z :].reshape(n, 2, 2, n, 2, 2)
         for rows, x in zip(block, at):
             for cols, y in zip(block, at):
                 terms = toeplitz[rows, :, :, cols], hankel[rows, :, :, cols]
@@ -410,17 +408,18 @@ def _real_matrix(c, truncation, blocks):
                 contiguous = cols.step == 1 or y.stop - y.start == 1
                 entries = [(...,)] if contiguous else [(..., a, e) for a in (0, 1) for e in (0, 1)]
                 for entry in entries:
-                    np.add(terms[0][entry], terms[1][entry], out=out[x, :, :, y][entry])
-    if z:
-        column = toeplitz[m, :, :, 0, 0] + hankel[m, :, :, 0, 0]  # [block, m, cos/sin, e_a, e_b]
-        mat[:, 2:, :2] = column.reshape(b, -1, 2) / np.sqrt(2.0)
-        mat[:, :2, 2:] = mat[:, 2:, :2].transpose(0, 2, 1)
-        mat[:, :2, :2] = (toeplitz[0, 0, :, 0, 0] + hankel[0, 0, :, 0, 0]) / np.sqrt(2.0) / np.sqrt(2.0)
-    blocks, i = np.arange(b)[:, None], np.arange(n)
-    w = (2 * np.pi * m)[:, :, None, None] * np.array([[0.0, -1.0], [1.0, 0.0]])  # 2 pi m J0
-    tiles[blocks, i, 0, :, i, 1] -= w
-    tiles[blocks, i, 1, :, i, 0] += w
-    return mat
+                    np.add(terms[0][entry], terms[1][entry], out=tiles[x, :, :, y][entry])
+        if z:
+            column = toeplitz[m, :, :, 0, 0] + hankel[m, :, :, 0, 0]  # [m, cos/sin, e_a, e_b]
+            mat[2:, :2] = column.reshape(-1, 2) / np.sqrt(2.0)
+            mat[:2, 2:] = mat[2:, :2].T
+            mat[:2, :2] = (toeplitz[0, 0, :, 0, 0] + hankel[0, 0, :, 0, 0]) / np.sqrt(2.0) / np.sqrt(2.0)
+        i = np.arange(n)
+        w = (2 * np.pi * m)[:, None, None] * np.array([[0.0, -1.0], [1.0, 0.0]])  # 2 pi m J0
+        tiles[i, 0, :, i, 1] -= w
+        tiles[i, 1, :, i, 0] += w
+        mats.append(mat)
+    return mats
 
 
 def discretized_spectrum(op, truncation):
@@ -484,32 +483,30 @@ def _closed_form(op, truncation):
 def _block_solve(op, truncation):
     """The window of a loop that is not constant.
 
-    The residue class of mode 0 is one eigensolve, and the other classes
-    one stacked eigensolve per class size.  A block's windings are its
-    modes +-m, each twice, in ascending order.  The blocks' eigenvalues are
-    merged by value, the window must have nondecreasing windings, and equal
+    Each residue class is one eigensolve, of its block built from the
+    operator's Fourier table.  A block's windings are its modes +-m, each
+    twice, in ascending order.  The blocks' eigenvalues are merged by
+    value, the window must have nondecreasing windings, and equal
     (eigenvalue, winding) pairs in it are merged into multiplicity 2.
     """
     import numpy as np
 
     t, s = truncation, op.mode_step
-    m, a = op.fourier_modes
-    c = np.zeros((2 * t + 1, 2, 2), dtype=complex)  # c_m for m = 0..2T
-    c[m[m <= 2 * t]] = a[m <= 2 * t]
+    m, a, _ = op.real_series
+    c = np.zeros((2 * t + 1, 2, 2), dtype=complex)  # c_m = a_m / 2 for m = 1..2T, c_0 = a_0
+    c[m[m <= 2 * t]] = a[:, m <= 2 * t].T[:, [[0, 1], [1, 2]]] / 2.0
+    c[0] = a[[[0, 1], [1, 2]], 0]
     # Class r: the progressions r + js and s - r + js up to T, one of them at
     # r = 0 and r = s/2; it holds a mode exactly when r <= T.
     classes = [
         [slice(start, t + 1, s) for start in ((r, s - r) if 0 < 2 * r < s else (r,)) if start <= t]
         for r in range(min(s // 2, t) + 1)
     ]
-    modes = [[mode for p in block for mode in range(t + 1)[p]] for block in classes]
-    sizes = sorted({len(row) for row in modes[1:]})
-    stacks = [[0]] + [[r for r in range(1, len(modes)) if len(modes[r]) == n] for n in sizes]
     evals, windings = [], []
-    for stack in stacks:
-        evals.append(np.linalg.eigvalsh(_real_matrix(c, t, [classes[r] for r in stack])).ravel())
-        signed = np.array([[-mode for mode in modes[r] if mode] + modes[r] for r in stack])
-        windings.append(np.repeat(np.sort(signed, axis=1), 2, axis=1).ravel())
+    for block, mat in zip(classes, _real_matrix(c, t, classes)):
+        evals.append(np.linalg.eigvalsh(mat))
+        modes = [mode for p in block for mode in range(t + 1)[p]]
+        windings.append(np.repeat(np.sort([-mode for mode in modes if mode] + modes), 2))
     evals, windings = np.concatenate(evals), np.concatenate(windings)
     order = np.lexsort((windings, evals))  # equal eigenvalues of two blocks by winding
     evals, windings = evals[order].tolist(), windings[order].tolist()
@@ -541,9 +538,10 @@ class SpectrumCache:
 
     def get(self, op, truncation):
         key = (op, truncation)
-        if key not in self._store:
-            self._store[key] = discretized_spectrum(op, truncation)
-        return self._store[key]
+        spectrum = self._store.get(key)
+        if spectrum is None:
+            spectrum = self._store[key] = discretized_spectrum(op, truncation)
+        return spectrum
 
 
 GLOBAL_SPECTRUM_CACHE = SpectrumCache()

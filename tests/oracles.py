@@ -477,16 +477,20 @@ def sequential_flow(op, epsilon, steps=2048):
     return float(psi[-1, 0] + psi[-1, 3]), turns
 
 
-def matrix_fourier_modes(op):
-    """``op.fourier_modes`` from the FFT of one period of samples as 2x2
-    matrices."""
+def matrix_real_series(op):
+    """The modes and table of ``op.real_series`` from the FFT of one period
+    of samples as 2x2 matrices: the coefficients of the modes m >= 0, halved
+    at the Nyquist mode so that it is split evenly between +-m, then doubled
+    to add the modes -m, but at m = 0; kept as the entries (s11, s12, s22)."""
     p, k = op.period, op.cover
     j = np.arange(p // 2 + 1)
     mats = np.array([((a, b), (b, c)) for a, b, c in op.samples[:p]])
     coeffs = k * (np.fft.fft(mats, axis=0)[j] / p)
     if p % 2 == 0:
         coeffs[-1] /= 2.0
-    return op.mode_step * j, coeffs
+    table = 2.0 * coeffs
+    table[0] = coeffs[0]
+    return op.mode_step * j, table[:, [0, 0, 1], [0, 1, 1]].T
 
 
 def direct_magnus_steps(op, epsilon, steps):

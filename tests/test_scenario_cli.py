@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -831,6 +832,20 @@ def test_an_orbit_whose_closed_form_overflows_is_refused(tmp_path, capsys):
     assert main(["check", str(f)]) == 1
     err = capsys.readouterr().err
     assert err == "error: the spectrum of the mean (1e+308, 0, 1e+308) overflows\n"
+
+
+def test_an_orbit_whose_spectrum_is_too_wide_is_refused(tmp_path, capsys):
+    # One sample of g_zero at 1e308: its spectral diameter is about 1.2e308,
+    # or inf, so 1e-8 of it spans many windings.  The oracle refuses the
+    # orbit rather than calling most of its window a kernel.
+    for row, diameter in (([1e308, 0.0, 0.0], r"1\.\d+e\+308"), ([0.0, 1e308, 0.0], "inf")):
+        doc = foliation_doc()
+        doc["orbits"][0]["winding"]["samples"][0] = row
+        f = tmp_path / "wide.scn"
+        f.write_text(json.dumps(doc))
+        assert main(["check", str(f)]) == 1
+        message = f"error: the spectral diameter {diameter} is too large to tell windings apart\n"
+        assert re.fullmatch(message, capsys.readouterr().err)
 
 
 def test_a_perturbation_beyond_float_range_is_a_query_error(tmp_path, capsysbinary):

@@ -11,7 +11,7 @@ from oracles import (
     ScannedDecisions,
     dense_hermitian_eigenvalues,
     dense_spectrum,
-    matrix_fourier_modes,
+    matrix_real_series,
     measured_windings,
     rotated_twin,
     scatter_real_matrix,
@@ -34,6 +34,18 @@ def test_sample_validation():
         AsymptoticOperator(tuple((0.0, 0.0, 0.0) for _ in range(8)))  # too few
     with pytest.raises(ValidationError):
         AsymptoticOperator.from_matrices([np.array([[0.0, 1.0], [0.0, 0.0]])] * 16)
+    # One entry that is not finite, in any position of any sample, is refused
+    # where the operator is built, before a spectrum or a flow reads it.
+    rows = random_symmetric_loop(np.random.default_rng(11)).samples
+    for bad in (math.nan, math.inf, -math.inf):
+        for j, e in ((0, 0), (7, 1), (63, 2)):
+            row = list(rows[j])
+            row[e] = bad
+            with pytest.raises(ValidationError, match=f"sample {j} has an entry that is not"):
+                AsymptoticOperator((*rows[:j], tuple(row), *rows[j + 1 :]))
+        mats = [np.array([[1.0, 0.0], [0.0, bad]])] + [np.eye(2)] * 15
+        with pytest.raises(ValidationError, match="sample 0 has an entry that is not finite"):
+            AsymptoticOperator.from_matrices(mats)
 
 
 def test_free_operator_spectrum():
@@ -166,6 +178,15 @@ def test_repeating_samples_match_the_dense_reference(truncation):
             assert op.period == base.period and op.mode_step == g * base.mode_step, name
             for k in (1, 2):
                 _assert_matches_dense(op.pulled_back(k), truncation, (name, g, k))
+    # Loops of period 2 and 4 tiled to 64 samples have mode steps 32 and 16,
+    # and 64 and 32 as double covers: 9 to 33 classes, most of them of two
+    # progressions and of equal sizes, each solved on its own.
+    rng = np.random.default_rng(truncation)
+    for p in (2, 4):
+        op = AsymptoticOperator(tuple(map(tuple, rng.uniform(-2.0, 2.0, (p, 3)))) * (64 // p))
+        assert op.period == p and op.mode_step == 64 // p
+        for k in (1, 2):
+            _assert_matches_dense(op.pulled_back(k), truncation, (p, k))
 
 
 @pytest.mark.parametrize("theta_over_pi", [Fraction(3, 7), Fraction(2), Fraction(-5, 3)])
@@ -186,10 +207,10 @@ def test_scalar_covers_match_the_scalar_oracle(theta_over_pi):
         assert np.abs(lams - [TWO_PI * w - theta for w, _ in expected]).max() < 1e-10, k
 
 
-def test_eigensolves_are_one_per_class_size(monkeypatch):
-    # Classes of one size are stacked: a 6-fold cover at T = 144 has the
-    # classes mod 6 with 25, 48, 48 and 24 modes.  A constant loop has its
-    # closed form and makes no eigensolve.
+def test_eigensolves_are_one_per_class(monkeypatch):
+    # A 6-fold cover at T = 144 has the classes mod 6 with 25, 48, 48 and 24
+    # modes, each one eigensolve.  A constant loop has its closed form and
+    # makes no eigensolve.
     calls, solve = [], np.linalg.eigvalsh
 
     def count(mats):
@@ -200,7 +221,7 @@ def test_eigensolves_are_one_per_class_size(monkeypatch):
     discretized_spectrum(AsymptoticOperator.constant(0.5, 0.3, -0.2), 144)
     assert calls == []
     discretized_spectrum(random_symmetric_loop(np.random.default_rng(2)).pulled_back(6), 144)
-    assert sorted(calls) == [(1, 96, 96), (1, 98, 98), (2, 192, 192)]
+    assert sorted(calls) == [(96, 96), (98, 98), (192, 192), (192, 192)]
 
 
 @pytest.mark.parametrize("index", [9, 15])
@@ -257,7 +278,7 @@ def test_a_cover_that_couples_no_two_modes_takes_its_means_closed_form(monkeypat
 
 def test_an_operator_transforms_its_samples_once(monkeypatch):
     # The spectrum and the crossing flows of one operator read the Fourier
-    # modes that the first of them computed and kept with the operator.
+    # table that the first of them computed and kept with the operator.
     fft, transforms = np.fft.fft, []
 
     def counted(*args, **kwargs):
@@ -271,35 +292,37 @@ def test_an_operator_transforms_its_samples_once(monkeypatch):
         crossing_flow_cz(op, eps)
     assert len(transforms) == 1
     with pytest.raises(ValueError):
-        op.fourier_modes[1][0] = 0.0
+        op.real_series[1][0, 0] = 0.0
     # The kept modes are no part of the operator's value.
     fresh = AsymptoticOperator(op.samples)
     assert fresh == op and hash(fresh) == hash(op) and repr(fresh) == repr(op)
-    # A cover has modes of its own, computed afresh.
+    # A cover has a table of its own, computed afresh.
     cover = op.pulled_back(3)
     crossing_flow_cz(cover, 0.0)
     assert len(transforms) == 2
-    assert (cover.fourier_modes[0] == 3 * op.fourier_modes[0]).all()
+    assert (cover.real_series[0] == 3 * op.real_series[0]).all()
 
 
-def test_fourier_modes_are_the_fft_of_the_sample_matrices():
-    # The package transforms the rows (s11, s12, s22) and reads them as
-    # symmetric matrices; the oracle transforms the matrices.  Each entry is
-    # the same FFT of the same column, so the modes must agree to the bit:
-    # on loops of odd and even N, on loops whose period is below N, at odd
-    # and even periods, and on covers of both.
+def test_real_series_is_the_fft_of_the_sample_matrices():
+    # The package transforms the rows (s11, s12, s22); the oracle transforms
+    # the matrices, halves the Nyquist mode and doubles every mode but 0.
+    # Each entry is the same FFT of the same column, and halving and
+    # doubling are exact, so the tables must agree to the bit: on loops of
+    # odd and even N, on loops whose period is below N, at odd and even
+    # periods, and on covers of both.
     rng = np.random.default_rng(29)
     ops = [random_symmetric_loop(rng, n_samples=n) for n in (17, 33, 64)]
     ops += [AsymptoticOperator(tuple(map(tuple, rng.uniform(-2, 2, (p, 3)))) * r) for p, r in ((5, 4), (6, 3))]
-    ops += [op.pulled_back(k) for op in ops[:5] for k in (2, 3)]
+    ops += [AsymptoticOperator(tuple(map(tuple, rng.uniform(-2, 2, (p, 3)))) * (64 // p)) for p in (2, 4)]
+    ops += [op.pulled_back(k) for op in ops[:7] for k in (2, 3)]
     for op in ops:
-        modes, coeffs = op.fourier_modes
-        want_modes, want = matrix_fourier_modes(op)
+        modes, coeffs, _ = op.real_series
+        want_modes, want = matrix_real_series(op)
         assert modes.tolist() == want_modes.tolist(), (len(op.samples), op.period, op.cover)
         assert coeffs.shape == want.shape
         assert coeffs.real.tobytes() == want.real.tobytes(), (len(op.samples), op.period, op.cover)
         assert coeffs.imag.tobytes() == want.imag.tobytes(), (len(op.samples), op.period, op.cover)
-    assert [op.period for op in ops[3:5]] == [5, 6]
+    assert [op.period for op in ops[3:7]] == [5, 6, 2, 4]
 
 
 def test_high_cover_orders_allocate_only_the_simple_loop():
@@ -466,18 +489,14 @@ def test_real_matrix_equals_the_scatter_reference(truncation, monkeypatch):
         if op.mode_step > 2 * truncation:
             assert built == [], name
             continue
-        # One block per residue class m = +-r (mod s), r = 0..s/2, that holds
-        # a mode |m| <= T.
-        blocks = min(op.mode_step // 2, truncation) + 1
-        assert sum(len(stack) for _, _, stack in built) == blocks, name
-        assert sorted(m for _, t, stack in built for block in stack for m in _modes(block, t)) == list(
-            range(truncation + 1)
-        ), name
-        for c, t, stack in built:
-            mats = spectral._real_matrix(c, t, stack)
-            for mat, block in zip(mats, stack, strict=True):
-                row = _modes(block, t)
-                assert np.array_equal(mat, scatter_real_matrix(c, t, row)), (name, row[:2])
+        # One call, with one block per residue class m = +-r (mod s),
+        # r = 0..s/2, that holds a mode |m| <= T.
+        [(c, t, blocks)] = built
+        assert len(blocks) == min(op.mode_step // 2, truncation) + 1, name
+        assert sorted(m for block in blocks for m in _modes(block, t)) == list(range(t + 1)), name
+        for mat, block in zip(spectral._real_matrix(c, t, blocks), blocks, strict=True):
+            row = _modes(block, t)
+            assert np.array_equal(mat, scatter_real_matrix(c, t, row)), (name, row[:2])
 
 
 def test_real_matrix_takes_any_list_of_progressions(monkeypatch):
@@ -508,12 +527,12 @@ def test_real_matrix_allocates_little_beyond_its_output(truncation, monkeypatch)
     (args,) = _built_blocks(op, truncation, monkeypatch)
     tracemalloc.start()
     try:
-        mat = spectral._real_matrix(*args)
+        [mat] = spectral._real_matrix(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     dim = 2 * (2 * truncation + 1)
-    assert mat.shape == (1, dim, dim) and peak <= 1.2 * mat.nbytes
+    assert mat.shape == (dim, dim) and peak <= 1.2 * mat.nbytes
 
 
 def _assert_twin_shifts_windings(base, twin, s):
@@ -660,6 +679,38 @@ def test_a_closed_form_that_overflows_is_refused():
     ):
         with pytest.raises(SpectralError, match="overflows"):
             discretized_spectrum(op, 16)
+
+
+@pytest.mark.parametrize("truncation", [16, 64])
+def test_a_spectrum_too_wide_to_tell_windings_apart_is_refused(truncation):
+    # One sample of a varying loop at 1e308: the degeneracy tolerance, 1e-8
+    # times the diameter (about 1e308, or inf), is far above the 2 pi between
+    # neighbouring windings, and would call most of the window a kernel.
+    rows = random_symmetric_loop(np.random.default_rng(13), n_samples=32).samples
+    for row in ((1e308, 0.0, 0.0), (0.0, 1e308, 0.0)):
+        with pytest.raises(SpectralError, match="too large to tell windings apart"):
+            discretized_spectrum(AsymptoticOperator((row, *rows[1:])), truncation)
+    # The rule starts where the tolerance reaches pi.
+    edge = math.pi / spectral.DEGENERACY_REL_TOL
+    SpectralData(((-1.0, 0, 1), (1.0, 0, 1)), math.nextafter(edge, 0.0))
+    with pytest.raises(SpectralError, match="too large to tell windings apart"):
+        SpectralData(((-1.0, 0, 1), (1.0, 0, 1)), edge)
+
+
+def test_fourier_coefficients_that_overflow_are_refused():
+    # Finite samples whose transform leaves the float range, by cancelling
+    # terms, by the mean or by the cover order: the spectrum and the crossing
+    # flow both refuse the operator's table.  Unrefused, the eigensolve does
+    # not converge and the flow reports a kernel.
+    for op in (
+        AsymptoticOperator(((1.7e308, 0.0, 0.0), (-1.7e308, 0.0, 0.0), (0.0, 0.0, 0.0)) * 11),
+        AsymptoticOperator(((1e308, 0.0, 0.0), (-1e308, 0.0, 0.0)) * 8),
+        AsymptoticOperator(((1e308, 1e308, 1e308),) * 15 + ((0.0, 0.0, 0.0),)),
+        random_symmetric_loop(np.random.default_rng(17), scale=1e307).pulled_back(30),
+    ):
+        for run in (lambda: discretized_spectrum(op, 16), lambda: crossing_flow_cz(op, 0.0)):
+            with pytest.raises(SpectralError, match="Fourier coefficients of the samples overflow"):
+                run()
 
 
 @pytest.mark.parametrize("truncation", [64.0, "64", True, False, None, 7])
